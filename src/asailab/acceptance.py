@@ -5,7 +5,6 @@ Each criterion returns a dict with name, passed, elapsed seconds and details;
 tolerances are pinned here and nowhere else.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -13,7 +12,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .quadfield import RealQuadraticField, splitting_type
+from .quadfield import RealQuadraticField, _is_prime, splitting_type
 from .coeffs import CoefficientField
 from .eigenform import (HilbertEigenform, Weight, base_change,
                         check_hecke_relations, discriminant_form_ap)
@@ -30,7 +29,12 @@ from .padic import (OrdinaryData, check_NEZ, gauss_sum, pr_interp_factor)
 
 def _result(name, passed, started, **details):
     return {"criterion": name, "passed": bool(passed),
-            "elapsed_s": round(time.time() - started, 3), "details": details}
+            "elapsed_s": round(time.perf_counter() - started, 3), "details": details}
+
+
+def _headroom(budget, elapsed):
+    """budget / elapsed: how many times the elapsed time fits in the budget."""
+    return round(budget / max(elapsed, 1e-9), 2)
 
 
 @lru_cache(maxsize=2)
@@ -64,7 +68,7 @@ def _synthetic_form(d, weight, local_lambdas, eps_values=None):
 # -- 1: tensor induction vs Euler factor ---------------------------------------
 
 def criterion_1():
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(20260810)
     fields = [2, 3, 5, 13]
     weights = {2: [Weight(2, 2, 0, 0)],
@@ -97,27 +101,18 @@ def criterion_1():
     fixed_split = asai_charpoly(f_split, 5).coeffs == [1, -6, 15, -150, 625]
     f_inert = _synthetic_form(5, Weight(2, 2, 0, 0), {3: [5]})
     fixed_inert = asai_charpoly(f_inert, 3).coeffs == [1, -5, 0, 45, -81]
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     passed = not failures and fixed_split and fixed_inert and elapsed < 10.0
     return _result("1 tensor-induction == Euler factor (200 split + 200 inert)",
                    passed, started, failures=failures[:3],
                    fixed_split=fixed_split, fixed_inert=fixed_inert,
-                   runtime_budget_s=10.0)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
+                   runtime_budget_s=10.0, headroom=_headroom(10.0, elapsed))
 
 
 # -- 2: split X^2 identity -------------------------------------------------------
 
 def criterion_2():
-    started = time.time()
+    started = time.perf_counter()
     checked = 0
     failures = []
     for d in (2, 3, 5, 13):
@@ -131,11 +126,11 @@ def criterion_2():
             if not heckealg.verify_split_x2_identity(lam, lambar):
                 failures.append((d, ell))
             checked += 1
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     passed = not failures and checked > 0 and elapsed < 5.0
     return _result("2 split X^2-coefficient identity (split ell < 200, d in {2,3,5,13})",
                    passed, started, pairs_checked=checked, failures=failures,
-                   runtime_budget_s=5.0)
+                   runtime_budget_s=5.0, headroom=_headroom(5.0, elapsed))
 
 
 # -- 3: rewrite confluence -------------------------------------------------------
@@ -158,7 +153,7 @@ def _random_expression(rng, labels):
 
 
 def criterion_3():
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(1729)
     labels = [heckealg.PrimeLabel("a", 7), heckealg.PrimeLabel("b", 11),
               heckealg.PrimeLabel("c", 49), heckealg.PrimeLabel("u", 1, unit=True)]
@@ -181,7 +176,7 @@ KRONECKER_TOL = 1e-8
 
 
 def criterion_4():
-    started = time.time()
+    started = time.perf_counter()
     worst = 0.0
     grid = []
     for alpha in (Fraction(1, 4), Fraction(1, 5), Fraction(1, 7)):
@@ -189,11 +184,11 @@ def criterion_4():
             resid = float(kronecker_limit_check(alpha, tau))
             grid.append({"alpha": str(alpha), "tau": str(tau), "residual": resid})
             worst = max(worst, resid)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     passed = worst < KRONECKER_TOL and elapsed < 30.0
     return _result("4 Kronecker-limit identity (9 grid points)", passed, started,
                    worst_residual=worst, tolerance=KRONECKER_TOL, grid=grid,
-                   runtime_budget_s=30.0)
+                   runtime_budget_s=30.0, headroom=_headroom(30.0, elapsed))
 
 
 # -- 5: Eisenstein dual method + invariance ----------------------------------------
@@ -202,7 +197,7 @@ DUAL_TOL = 1e-8
 
 
 def criterion_5():
-    started = time.time()
+    started = time.perf_counter()
     pts = []
     for k, s in [(6, 0), (4, 1), (2, 2), (3, 2), (5, 1), (7, 0), (4, 2)]:
         for alpha, tau in [(Fraction(1, 5), 1j), (Fraction(1, 4), 0.3 + 1.2j),
@@ -230,7 +225,7 @@ def criterion_5():
 # -- 6: base-change pipeline --------------------------------------------------------
 
 def criterion_6():
-    started = time.time()
+    started = time.perf_counter()
     form = _bc_form(500)
     violations = check_hecke_relations(form, 500)
     factor_fail = []
@@ -259,7 +254,7 @@ L_AGREE_TOL = 1e-6
 
 
 def criterion_7():
-    started = time.time()
+    started = time.perf_counter()
     series = AsaiLSeries(_bc_form(4000))
     v_dir, _ = imprimitive_L(series, 14, n_cutoff=4000)
     v_eul, _ = euler_product_L(series, 14, ell_cutoff=500)
@@ -281,7 +276,7 @@ MELLIN_STAB_TOL = 1e-6
 
 
 def criterion_8():
-    started = time.time()
+    started = time.perf_counter()
     form = _bc_form(1000)
     lhs, rhs, resid = diagonal_mellin_check(form, 14, y_cutoff=40.0, n_max=600)
     lhs_half, _, _ = diagonal_mellin_check(form, 14, y_cutoff=20.0, n_max=600)
@@ -295,7 +290,7 @@ def criterion_8():
 # -- 9: norm-relation scalars ----------------------------------------------------------
 
 def criterion_9():
-    started = time.time()
+    started = time.perf_counter()
     form = _synthetic_form(5, Weight(2, 2, 0, 0), {3: [5]})
     got = euler_system_norm_factor(form, 3, 0, 5)
     expect = GroupRingElement(5, {1: Fraction(5), 3: Fraction(2),
@@ -311,7 +306,7 @@ def criterion_9():
 # -- 10: p-adic bookkeeping --------------------------------------------------------------
 
 def criterion_10():
-    started = time.time()
+    started = time.perf_counter()
     checks = {}
     data = [OrdinaryData(p=5, k=0, kprime=0, alpha_p=Fraction(6), alpha_q=Fraction(1)),
             OrdinaryData(p=5, k=2, kprime=2, alpha_p=Fraction(7), alpha_q=Fraction(-4)),

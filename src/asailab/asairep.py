@@ -10,10 +10,12 @@ Normalisation: the characteristic polynomials emitted here include the
 (t1 + t2) twist, i.e. every Frobenius eigenvalue of the un-twisted tensor
 induction is scaled by ell^{-(t+t')}.  Equivalently T(ell) specialises to
 ell^{-(t+t')} lambda((ell)) and ell^2 S(ell) to ell^{k+k'+2} eps((ell)).
+The tensor-induction route applies the twist to the coefficients, not to
+the matrix: the X^k coefficient of the untwisted determinant is scaled by
+ell^{-k(t+t')}.
 """
 
 from fractions import Fraction
-from itertools import permutations
 
 from .coeffs import QuadElt
 from .quadfield import totally_positive_generator, NotPrincipalError
@@ -71,44 +73,28 @@ def tensor_induce_inert(m):
 
 
 def charpoly_reversed(a):
-    """Coefficients [c0..cn] of det(1 - X*A), exact, via Leibniz expansion."""
+    """Coefficients [c0..cn] of det(1 - X*A), exact, by Newton's identities.
+
+    With power traces p_k = tr(A^k), k c_k = -(p_1 c_{k-1} + ... + p_k c_0)
+    (Faddeev-LeVerrier; Cohen, GTM 138, section 2.2).  tr(A^k) is the
+    entrywise sum of A^i * (A^j)^T with i + j = k, so only the powers up to
+    A^ceil(n/2) are formed: for n = 4, the single product A^2.  The divisions
+    by k need a ring containing Q.
+    """
     n = len(a)
-    one = a[0][0] * 0 + 1
-    coeffs = [one * 0 for _ in range(n + 1)]
-    # entries of (1 - X A) are linear polynomials (delta_ij, -a_ij)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        poly = [one]  # product polynomial, low degree first
-        for i in range(n):
-            const = one if perm[i] == i else one * 0
-            lin = -a[i][perm[i]]
-            poly = _lin_mul(poly, const, lin)
-        for d, c in enumerate(poly):
-            coeffs[d] = coeffs[d] + sign * c
+    zero = a[0][0] * 0
+    powers = [None, a]
+    while len(powers) <= (n + 1) // 2:
+        powers.append(mat_mul(powers[-1], a))
+    traces = [None, sum((a[i][i] for i in range(n)), zero)]
+    for k in range(2, n + 1):
+        x, y = powers[(k + 1) // 2], powers[k // 2]
+        traces.append(sum((x[i][j] * y[j][i] for i in range(n) for j in range(n)), zero))
+    coeffs = [zero + 1]
+    for k in range(1, n + 1):
+        acc = sum((traces[i] * coeffs[k - i] for i in range(1, k + 1)), zero)
+        coeffs.append(acc * Fraction(-1, k))
     return coeffs
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _lin_mul(poly, const, lin):
-    out = [c * const for c in poly] + [poly[0] * 0]
-    for d, c in enumerate(poly):
-        out[d + 1] = out[d + 1] + c * lin
-    return out
 
 
 class AsaiCharPoly:
@@ -134,7 +120,8 @@ class AsaiCharPoly:
     def __eq__(self, other):
         if isinstance(other, AsaiCharPoly):
             other = other.coeffs
-        return all(a == b for a, b in zip(self.coeffs, other))
+        return len(self.coeffs) == len(other) and \
+            all(a == b for a, b in zip(self.coeffs, other))
 
     def __repr__(self):
         return " + ".join(f"({c})*X^{d}" for d, c in enumerate(self.coeffs) if c != 0)
@@ -174,9 +161,8 @@ def asai_charpoly(form, ell):
     ell = int(ell)
     st, locs = _local_data(form, ell)
     w = form.weight
-    tsum = w.t1 + w.t2
     kk = w.k + w.kprime
-    tw = Fraction(1, ell ** tsum) if tsum >= 0 else Fraction(ell ** (-tsum))
+    tw = Fraction(ell) ** -(w.t1 + w.t2)
     if st.is_split:
         (lam1, eps1, _), (lam2, eps2, _) = locs
         t_val = tw * lam1 * lam2
@@ -205,11 +191,17 @@ def asai_charpoly(form, ell):
 
 
 def asai_charpoly_via_induction(form, ell):
-    """P_ell(F, X) as det(1 - X * ell^{-(t+t')} A) of the tensor-induced matrix."""
+    """P_ell(F, X) as det(1 - X * ell^{-(t+t')} A) of the tensor-induced matrix A.
+
+    The characteristic polynomial is a generic one (charpoly_reversed) of the
+    untwisted A, whose entries are the Hecke data themselves; the twist
+    tw = ell^{-(t+t')} enters afterwards, since det(1 - X tw A) has
+    coefficient c_k(A) tw^k at X^k.  Nothing here uses the Hecke-substitution
+    formulas of asai_charpoly, so the two routes check each other.
+    """
     ell = int(ell)
     st, locs = _local_data(form, ell)
     w = form.weight
-    tsum = w.t1 + w.t2
     if st.is_split:
         (lam1, eps1, n1), (lam2, eps2, n2) = locs
         m1 = companion_frobenius(lam1, Fraction(n1 ** (w.w - 1)) * eps1)
@@ -219,9 +211,8 @@ def asai_charpoly_via_induction(form, ell):
         lam, eps, n = locs[0]
         m = companion_frobenius(lam, Fraction(n ** (w.w - 1)) * eps)
         a = tensor_induce_inert(m)
-    tw = Fraction(1, ell ** tsum) if tsum >= 0 else Fraction(ell ** (-tsum))
-    scaled = [[tw * x for x in row] for row in a]
-    coeffs = charpoly_reversed(scaled)
+    tw = Fraction(ell) ** -(w.t1 + w.t2)
+    coeffs = [c * tw ** k for k, c in enumerate(charpoly_reversed(a))]
     return AsaiCharPoly(coeffs, ell, st.kind.value)
 
 

@@ -16,10 +16,10 @@ import mpmath
 
 from . import __version__
 from .precision import working_precision
-from .coeffs import CoefficientField, parse_rational
+from .coeffs import parse_rational
 from .quadfield import (RealQuadraticField, QuadFieldError, ideal_label,
                         totally_positive_generator, NotPrincipalError)
-from .eigenform import (EigenformError, HilbertEigenform, Weight, base_change,
+from .eigenform import (EigenformError, Weight, base_change,
                         check_hecke_relations, discriminant_form_ap,
                         load_eigenform)
 from . import heckealg
@@ -35,7 +35,7 @@ from .lseries import (AsaiLSeries, LSeriesError, euler_product_L,
 from .characters import DirichletCharacter, unit_group_structure
 from .padic import (NEZFailure, OrdinaryData, PadicError, PoleError, check_NEZ,
                     gauss_sum, pr_interp_factor, stabilized_params)
-from .acceptance import run_acceptance
+from .acceptance import _synthetic_form, run_acceptance
 
 
 class UsageError(ValueError):
@@ -100,22 +100,11 @@ def _json_default(obj):
     return repr(obj)
 
 
-def _mk_synthetic_form(d, w_flag, ell, lambdas, eps=1, t_pair=(0, 0)):
-    field = RealQuadraticField(d)
-    cf = CoefficientField(None)
-    weight = Weight(w_flag - 2 * t_pair[0], w_flag - 2 * t_pair[1], t_pair[0], t_pair[1])
-    primes = field.primes_above(ell)
-    if len(primes) != len(lambdas):
-        raise UsageError(f"{len(primes)} primes above {ell} but {len(lambdas)} lambda values")
-    eig = {}
-    neb = {}
-    for p, lam in zip(primes, lambdas):
-        lam = cf.element(lam)
-        eig[p.hnf()] = lam
-        eig[(p * p).hnf()] = lam * lam - Fraction(p.norm() ** (weight.w - 1)) * cf.element(eps)
-        if eps != 1:
-            neb[p.hnf()] = cf.element(eps)
-    return HilbertEigenform(field, weight, field.maximal_order(), cf, eig, neb)
+def _mk_synthetic_form(d, w, ell, lambdas, eps=1):
+    n_primes = len(RealQuadraticField(d).primes_above(ell))
+    if n_primes != len(lambdas):
+        raise UsageError(f"{n_primes} primes above {ell} but {len(lambdas)} lambda values")
+    return _synthetic_form(d, Weight(w, w, 0, 0), {ell: lambdas}, {ell: eps} if eps != 1 else None)
 
 
 def _load_form_arg(args):

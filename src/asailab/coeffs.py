@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath
 
 from .precision import mp_context
+from .quadfield import is_squarefree
 
 
 class CoefficientError(ValueError):
@@ -35,16 +36,6 @@ def format_rational(x):
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _issquarefree(n):
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 class CoefficientField:
     """Descriptor for Q ('Q') or a real quadratic extension ('Qsqrt', e)."""
 
@@ -53,7 +44,7 @@ class CoefficientField:
     def __init__(self, e=None):
         if e is not None:
             e = int(e)
-            if e <= 1 or not _issquarefree(e):
+            if e <= 1 or not is_squarefree(e):
                 raise CoefficientError(f"Qsqrt extension needs squarefree e > 1, got {e}")
         self.e = e
 
@@ -107,38 +98,41 @@ class CoefficientField:
 
 
 class QuadElt:
-    """a + b*sqrt(e) with exact rational a, b."""
+    """a + b*sqrt(e) with exact rational a, b; products of two elements with
+    b == 0 multiply the rational parts alone."""
 
     __slots__ = ("a", "b", "field")
 
     def __init__(self, a, b=0, field=None):
         if field is None:
-            field = CoefficientField(None)
+            field = _RATIONAL
         self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        if field.is_rational and self.b != 0:
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
+        if field.e is None and self.b:
             raise CoefficientError("nonzero sqrt coordinate over Q")
 
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other):
+        """(a, b, field) of other, with field the common field; None if foreign."""
         if isinstance(other, QuadElt):
-            if other.field.is_rational and not self.field.is_rational:
-                return QuadElt(other.a, 0, self.field)
-            if self.field != other.field and not (self.field.is_rational and other.b == 0):
-                raise CoefficientError(f"mixed coefficient fields {self.field} and {other.field}")
-            return other
+            sf, of = self.field, other.field
+            if sf is of or of.e is None or sf.e == of.e:
+                return other.a, other.b, sf
+            if sf.e is None and not other.b:
+                return other.a, other.b, of
+            raise CoefficientError(f"mixed coefficient fields {sf} and {of}")
         if isinstance(other, (int, Fraction)):
-            return QuadElt(other, 0, self.field)
-        return NotImplemented
+            return other if type(other) is Fraction else Fraction(other), _ZERO, self.field
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        f = self.field if not self.field.is_rational else o.field
-        return QuadElt(self.a + o.a, self.b + o.b, f)
+        if o is None:
+            return NotImplemented
+        a, b, f = o
+        return QuadElt(self.a + a, self.b + b, f)
 
     __radd__ = __add__
 
@@ -146,18 +140,19 @@ class QuadElt:
         return QuadElt(-self.a, -self.b, self.field)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadElt) else QuadElt(-Fraction(other), 0, self.field))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        f = self.field if not self.field.is_rational else o.field
-        e = f.e if f.e is not None else 0
-        return QuadElt(self.a * o.a + e * self.b * o.b, self.a * o.b + self.b * o.a, f)
+        if o is None:
+            return NotImplemented
+        a, b, f = o
+        if not (b or self.b):
+            return QuadElt(self.a * a, _ZERO, f)
+        return QuadElt(self.a * a + f.e * self.b * b, self.a * b + self.b * a, f)
 
     __rmul__ = __mul__
 
@@ -165,20 +160,21 @@ class QuadElt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverting zero coefficient value")
-        c = self.conjugate()
-        return QuadElt(c.a / n, c.b / n, self.field)
+        return QuadElt(self.a / n, -self.b / n, self.field)
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        if o is None:
+            return NotImplemented
+        return self * QuadElt(*o).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __pow__(self, n):
         n = int(n)
+        if not self.b:
+            return QuadElt(self.a ** n, _ZERO, self.field)
         if n < 0:
             return self.inverse() ** (-n)
         out = QuadElt(1, 0, self.field)
@@ -249,3 +245,7 @@ class QuadElt:
         if self.b == 0:
             return format_rational(self.a)
         return {"a": format_rational(self.a), "b": format_rational(self.b)}
+
+
+_ZERO = Fraction(0)
+_RATIONAL = CoefficientField(None)

@@ -111,6 +111,9 @@ class HilbertEigenform:
         """Nebentype at an ideal coprime to the level (empty table = trivial)."""
         if not self.nebentype:
             return self.coefficient_field.one()
+        stored = self.nebentype.get(ideal.hnf())
+        if stored is not None:
+            return stored
         out = self.coefficient_field.one()
         for p, e in ideal.factor():
             key = p.hnf()
@@ -208,23 +211,27 @@ def load_eigenform(source):
     return form
 
 
+def _composite_product(form, ideal):
+    """Product of the stored eigenvalues at the prime-power parts of ideal;
+    None for a prime power or when some part is not stored."""
+    fac = ideal.factor()
+    if len(fac) < 2:
+        return None
+    prod = form.coefficient_field.one()
+    for p, e in fac:
+        pk = (p ** e).hnf()
+        if pk not in form.eigenvalues:
+            return None
+        prod = prod * form.eigenvalues[pk]
+    return prod
+
+
 def _validate_multiplicativity(form):
     """Stored composites must equal the product over their prime-power parts."""
     for key in list(form.eigenvalues):
         ideal = IdealRep(form.field, *key)
-        fac = ideal.factor()
-        if len(fac) < 2:
-            continue
-        try:
-            prod = form.coefficient_field.one()
-            for p, e in fac:
-                pk = (p ** e).hnf()
-                if pk not in form.eigenvalues:
-                    raise MissingEigenvalueError(ideal_label(p))
-                prod = prod * form.eigenvalues[pk]
-        except MissingEigenvalueError:
-            continue
-        if prod != form.eigenvalues[key]:
+        prod = _composite_product(form, ideal)
+        if prod is not None and prod != form.eigenvalues[key]:
             raise EigenformError(
                 f"multiplicativity violated at {ideal_label(ideal)}: "
                 f"stored {form.eigenvalues[key]}, product {prod}")
@@ -274,18 +281,8 @@ def check_hecke_relations(form, bound):
         ideal = IdealRep(form.field, *key)
         if ideal.norm() > bound:
             continue
-        fac = ideal.factor()
-        if len(fac) < 2:
-            continue
-        prod = form.coefficient_field.one()
-        ok = True
-        for p, e in fac:
-            pk = (p ** e).hnf()
-            if pk not in form.eigenvalues:
-                ok = False
-                break
-            prod = prod * form.eigenvalues[pk]
-        if ok and prod != form.eigenvalues[key]:
+        prod = _composite_product(form, ideal)
+        if prod is not None and prod != form.eigenvalues[key]:
             violations.append({"ideal": ideal_label(ideal), "power": None,
                                "lhs": repr(form.eigenvalues[key]), "rhs": repr(prod)})
     return violations

@@ -19,8 +19,10 @@ variable X.  In norm-relation contexts the same symbols denote the covariant
 (primed) operators; the commutative algebra relations are identical.
 """
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class HeckeAlgError(ValueError):
@@ -57,9 +59,26 @@ def _canon_arg(arg):
                         key=lambda it: it[0].name))
 
 
-# generators are (kind, payload); payload is an argument tuple for T/S/U,
-# a PrimeLabel for D/R, an int for sigma, None for X.
+# A generator is (kind, payload): payload is an argument tuple for T/S/U,
+# a PrimeLabel for D/R, an int for sigma, None for X.  Generators are
+# interned to small ints on first sight, so a monomial is a tuple of
+# (generator id, exponent) pairs sorted by id and hashing it never hashes a
+# PrimeLabel.  The table only grows; ids are never reused.
 _INVERTIBLE = {"D", "R", "G"}
+_GEN_IDS = {}          # (kind, payload) -> id
+_GENS = []             # id -> (kind, payload)
+_INTERN_LOCK = threading.Lock()
+_ONE = Fraction(1)
+
+
+def _gid(kind, payload):
+    key = (kind, payload)
+    if key not in _GEN_IDS:
+        with _INTERN_LOCK:
+            if key not in _GEN_IDS:
+                _GENS.append(key)
+                _GEN_IDS[key] = len(_GENS) - 1
+    return _GEN_IDS[key]
 
 
 class HeckePolynomial:
@@ -68,10 +87,7 @@ class HeckePolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-        for mono, c in list(self.terms.items()):
-            if c == 0:
-                del self.terms[mono]
+        self.terms = {mono: c for mono, c in (terms or {}).items() if c}
 
     @classmethod
     def constant(cls, c):
@@ -80,14 +96,14 @@ class HeckePolynomial:
 
     @classmethod
     def generator(cls, kind, payload, exp=1):
-        return cls({(((kind, payload), exp),): Fraction(1)})
+        return cls({((_gid(kind, payload), exp),): Fraction(1)})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = HeckePolynomial.constant(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return HeckePolynomial(out)
 
     __radd__ = __add__
@@ -110,7 +126,7 @@ class HeckePolynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _merge_monomials(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return HeckePolynomial(out)
 
     __rmul__ = __mul__
@@ -141,68 +157,57 @@ class HeckePolynomial:
             return "0"
         bits = []
         for mono, c in sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0])):
-            factors = [] if c != 1 or not mono else []
-            if c != 1 or not mono:
-                factors.append(str(c))
-            for (kind, payload), e in mono:
+            factors = [str(c)] if c != 1 or not mono else []
+            for kind, payload, e in _factors(mono):
                 factors.append(_gen_str(kind, payload) + (f"^{e}" if e != 1 else ""))
             bits.append("*".join(factors))
         return " + ".join(bits).replace("+ -", "- ")
 
     # -- normal form -------------------------------------------------------
 
-    def _normalize_once(self):
-        out = HeckePolynomial()
-        for mono, c in self.terms.items():
-            piece = HeckePolynomial.constant(c)
-            for gen, e in mono:
-                piece = piece * _rewrite_power(gen, e)
-            out = out + piece
-        return out
-
     def normalize(self):
-        # a product of rewritten generators can recreate a reducible power
-        # (T(u) * T(u) = T(u)^2 for a unit u), so iterate to the fixed point
-        cur = self
-        for _ in range(4):
-            nxt = cur._normalize_once()
-            if nxt == cur:
-                return nxt
-            cur = nxt
-        raise HeckeAlgError("rewriting failed to stabilise")
+        """Normal form in one pass: the product of the (memoised) rewritten
+        generator powers, closing T(u) * T(u) -> <u> R(u) for units u, the one
+        rule a product of normal forms can trigger again."""
+        out = {}
+        for mono, c in self.terms.items():
+            piece = (((), c),)
+            for gid, e in mono:
+                piece = _times(piece, _rewrite_power(gid, e))
+            for m, v in piece:
+                out[m] = out.get(m, 0) + v
+        return HeckePolynomial(out)
 
     def substitute_X(self, value):
         """Replace the formal variable X by another polynomial."""
         out = HeckePolynomial()
         for mono, c in self.terms.items():
             piece = HeckePolynomial.constant(c)
-            for gen, e in mono:
-                if gen[0] == "X":
+            for gid, e in mono:
+                if _GENS[gid][0] == "X":
                     piece = piece * (value ** e)
                 else:
-                    piece = piece * HeckePolynomial({((gen, e),): Fraction(1)})
+                    piece = piece * HeckePolynomial({((gid, e),): Fraction(1)})
             out = out + piece
         return out
 
-    def sigma_decomposition(self):
-        """Split a normalised polynomial by total sigma-exponent."""
+    def _split_by(self, kind):
+        """{total exponent of `kind`: the polynomial of the remaining factors}."""
         out = {}
         for mono, c in self.terms.items():
-            deg = sum(e for (kind, _), e in mono if kind == "G")
-            rest = tuple((g, e) for g, e in mono if g[0] != "G")
+            deg = sum(e for gid, e in mono if _GENS[gid][0] == kind)
+            rest = tuple((gid, e) for gid, e in mono if _GENS[gid][0] != kind)
             out.setdefault(deg, {})
-            out[deg][rest] = out[deg].get(rest, Fraction(0)) + c
+            out[deg][rest] = out[deg].get(rest, 0) + c
         return {deg: HeckePolynomial(t) for deg, t in sorted(out.items())}
+
+    def sigma_decomposition(self):
+        """Split a normalised polynomial by total sigma-exponent."""
+        return self._split_by("G")
 
     def x_coefficients(self):
         """Coefficients by X-degree, as a dict degree -> HeckePolynomial."""
-        out = {}
-        for mono, c in self.terms.items():
-            deg = sum(e for (kind, _), e in mono if kind == "X")
-            rest = tuple((g, e) for g, e in mono if g[0] != "X")
-            out.setdefault(deg, {})
-            out[deg][rest] = out[deg].get(rest, Fraction(0)) + c
-        return {deg: HeckePolynomial(t) for deg, t in sorted(out.items())}
+        return self._split_by("X")
 
     def specialize(self, t_values, s_values, sigma=None, d_values=None, r_values=None):
         """Evaluate a normalised polynomial at eigenvalue data.
@@ -217,7 +222,8 @@ class HeckePolynomial:
             val = Fraction(c)
             xdeg = 0
             dr = {}
-            for (kind, payload), e in mono:
+            for gid, e in mono:
+                kind, payload = _GENS[gid]
                 if kind == "X":
                     xdeg += e
                 elif kind == "T":
@@ -250,13 +256,19 @@ class HeckePolynomial:
         return {k: v for k, v in out.items() if v != 0}
 
 
+def _factors(mono):
+    """(kind, payload, exponent) of each factor, in display order."""
+    return sorted(((*_GENS[gid], e) for gid, e in mono),
+                  key=lambda f: (f[0], _payload_key(f[1])))
+
+
 def _mono_key(mono):
-    return tuple(((kind, _payload_key(payload)), e) for (kind, payload), e in mono)
+    return tuple(((kind, _payload_key(payload)), e) for kind, payload, e in _factors(mono))
 
 
 def _payload_key(payload):
-    if isinstance(payload, PrimeLabel):
-        return payload.name
+    if isinstance(payload, PrimeLabel):  # sorts like the argument tuple of D(p)
+        return ((payload.name, 1),)
     if isinstance(payload, tuple):
         return tuple((lab.name, e) for lab, e in payload)
     return payload
@@ -275,71 +287,76 @@ def _gen_str(kind, payload):
 
 def _merge_monomials(m1, m2):
     acc = dict(m1)
-    for gen, e in m2:
-        acc[gen] = acc.get(gen, 0) + e
+    for gid, e in m2:
+        acc[gid] = acc.get(gid, 0) + e
     out = []
-    for gen, e in acc.items():
-        if e == 0:
-            continue
-        if e < 0 and gen[0] not in _INVERTIBLE:
-            raise HeckeAlgError(f"negative power of non-invertible symbol {gen[0]}")
-        out.append((gen, e))
-    return tuple(sorted(out, key=lambda it: (it[0][0], _payload_key(it[0][1]))))
+    for gid, e in sorted(acc.items()):
+        if e:
+            if e < 0 and _GENS[gid][0] not in _INVERTIBLE:
+                raise HeckeAlgError(f"negative power of non-invertible symbol {_GENS[gid][0]}")
+            out.append((gid, e))
+    return tuple(out)
 
 
 def _monomial(*factors):
-    return _merge_monomials((), tuple(factors))
+    return _merge_monomials((), factors)
 
 
-def _rewrite_power(gen, e):
-    """Normal form of a single generator power, as a polynomial."""
-    kind, payload = gen
-    if kind == "X":
-        if e < 0:
-            raise HeckeAlgError("negative X powers unsupported")
-        return HeckePolynomial({_monomial((("X", None), e)): Fraction(1)})
-    if kind == "G":
-        return HeckePolynomial({_monomial((("G", payload), e)): Fraction(1)})
-    if kind == "U":
-        if e < 0:
-            raise HeckeAlgError("U is not invertible")
-        return HeckePolynomial({_monomial((("U", payload), e)): Fraction(1)})
-    if kind in ("D", "R"):
-        if isinstance(payload, PrimeLabel):
-            return HeckePolynomial({_monomial(((kind, payload), e)): Fraction(1)})
-        out = HeckePolynomial.constant(1)
-        for lab, k in payload:
-            out = out * HeckePolynomial({_monomial(((kind, lab), k * e)): Fraction(1)})
-        return out
-    if kind == "S":
-        out = HeckePolynomial.constant(1)
-        for lab, k in payload:
-            out = out * HeckePolynomial(
-                {_monomial((("D", lab), k * e), (("R", lab), k * e)): Fraction(1)})
-        return out
+def _times(p, q):
+    """Product of two normal forms given as (monomial, coefficient) pairs."""
+    out = {}
+    for m1, c1 in p:
+        for m2, c2 in q:
+            m = _close_units(_merge_monomials(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return tuple((m, c) for m, c in out.items() if c)
+
+
+def _close_units(m):
+    """T(u)^e -> T(u)^(e mod 2) (<u> R(u))^(e div 2) for every unit label u."""
+    for gid, e in m:
+        if e > 1 and _GENS[gid][0] == "T" and _GENS[gid][1][0][0].unit:
+            u, rest = _GENS[gid][1][0][0], tuple(f for f in m if f[0] != gid)
+            pair = ((gid, e % 2), (_gid("D", u), e // 2), (_gid("R", u), e // 2))
+            return _close_units(_merge_monomials(rest, pair))
+    return m
+
+
+@lru_cache(maxsize=4096)
+def _rewrite_power(gid, e):
+    """Normal form of a single generator power, as (monomial, coefficient) pairs."""
+    kind, payload = _GENS[gid]
+    if kind in ("X", "U") and e < 0:
+        raise HeckeAlgError("negative X powers unsupported" if kind == "X"
+                            else "U is not invertible")
+    if kind in ("X", "G", "U") or (kind in ("D", "R") and isinstance(payload, PrimeLabel)):
+        return ((_monomial((gid, e)), _ONE),)
+    if kind in ("D", "R", "S"):
+        kinds = ("D", "R") if kind == "S" else (kind,)
+        return ((_monomial(*[(_gid(kd, lab), k * e) for lab, k in payload for kd in kinds]),
+                 _ONE),)
     if kind == "T":
         if e < 0:
             raise HeckeAlgError("T is not invertible")
-        out = HeckePolynomial.constant(1)
+        out = (((), _ONE),)
         for lab, k in payload:
             if k < 0:
                 raise HeckeAlgError("negative exponent inside a T-argument")
+            t = _gid("T", ((lab, 1),))
+            dr = (_gid("D", lab), _gid("R", lab))
             if lab.unit:
                 tot = k * e
-                pair = HeckePolynomial({_monomial((("D", lab), 1), (("R", lab), 1)): Fraction(1)})
-                out = out * (pair ** (tot // 2))
-                if tot % 2:
-                    out = out * HeckePolynomial(
-                        {_monomial((("T", ((lab, 1),)), 1)): Fraction(1)})
+                piece = ((_monomial((t, tot % 2), *[(g, tot // 2) for g in dr]), _ONE),)
             elif k == 1:
-                out = out * HeckePolynomial({_monomial((("T", ((lab, 1),)), e)): Fraction(1)})
+                piece = ((_monomial((t, e)), _ONE),)
             elif k == 2:
-                tp = HeckePolynomial({_monomial((("T", ((lab, 1),)), 1)): Fraction(1)})
-                sp = HeckePolynomial({_monomial((("D", lab), 1), (("R", lab), 1)): Fraction(1)})
-                out = out * ((tp * tp - lab.norm * sp) ** e)
+                base = HeckePolynomial({((t, 2),): _ONE, _monomial(*[(g, 1) for g in dr]):
+                                        Fraction(-lab.norm)})
+                piece = tuple((base ** e).terms.items())
             else:
                 raise HeckeAlgError(
                     f"no rewrite rule for T at prime power {lab.name}^{k}")
+            out = _times(out, piece)
         return out
     raise HeckeAlgError(f"unknown symbol kind {kind}")
 

@@ -22,22 +22,12 @@ import mpmath
 
 from .asairep import asai_charpoly
 from .coeffs import QuadElt
+from .eigenform import _primes_up_to
 from .precision import mp_context
 
 
 class LSeriesError(ValueError):
     pass
-
-
-def _primes_up_to(n):
-    sieve = bytearray([1]) * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = 0
-    return out
 
 
 def dirichlet_alpha_table(form, n_max):

@@ -11,6 +11,7 @@ this package targets.
 """
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -489,14 +490,7 @@ def _prime_factors(n):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 class SplitKind(Enum):
@@ -505,15 +499,14 @@ class SplitKind(Enum):
     RAMIFIED = "ramified"
 
 
+@dataclass(frozen=True, repr=False)
 class SplittingType:
-    """Splitting of a rational prime, with the primes above it."""
+    """Splitting of a rational prime, with the primes above it (immutable:
+    splitting_type hands one object to every caller)."""
 
-    __slots__ = ("kind", "ell", "primes")
-
-    def __init__(self, kind, ell, primes):
-        self.kind = kind
-        self.ell = ell
-        self.primes = tuple(primes)
+    kind: SplitKind
+    ell: int
+    primes: tuple
 
     def __repr__(self):
         return f"SplittingType({self.kind.value}, ell={self.ell})"
@@ -531,24 +524,49 @@ class SplittingType:
         return self.kind is SplitKind.RAMIFIED
 
 
+def _sqrt_mod(a, p):
+    """A square root of the quadratic residue a modulo an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+@lru_cache(maxsize=1024)
 def splitting_type(field, ell):
+    """Splitting of the prime ell in field; memoised per (d, ell)."""
     ell = int(ell)
     if not _is_prime(ell):
         raise QuadFieldError(f"{ell} is not prime")
     t, n = field.omega_trace, field.omega_norm
-    # roots of the minimal polynomial x^2 - t x + n of omega mod ell
-    roots = sorted({r for r in range(ell) if (r * r - t * r + n) % ell == 0})
+    # roots of the minimal polynomial x^2 - t x + n of omega mod ell; for odd
+    # ell they are (t +- sqrt(disc)) / 2, disc = t^2 - 4n, when disc is a square
+    if ell == 2:
+        roots = [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
+    elif pow(field.disc, (ell - 1) // 2, ell) == ell - 1:
+        roots = []
+    else:
+        root, half = _sqrt_mod(field.disc, ell), (ell + 1) // 2
+        roots = {(t + root) * half % ell, (t - root) * half % ell}
     if not roots:
-        return SplittingType(SplitKind.INERT, ell,
-                             [field.ideal(field.element(ell))])
-    if len(roots) == 1:
-        if field.disc % ell:
-            raise QuadFieldError("internal: double root at unramified prime")
-        p = field.ideal(field.element(ell), field.element(-roots[0], 1))
-        return SplittingType(SplitKind.RAMIFIED, ell, [p])
-    ps = [field.ideal(field.element(ell), field.element(-r, 1)) for r in roots]
-    ps.sort(key=lambda p: p.hnf())
-    return SplittingType(SplitKind.SPLIT, ell, ps)
+        return SplittingType(SplitKind.INERT, ell, (field.ideal(field.element(ell)),))
+    ps = sorted((field.ideal(field.element(ell), field.element(-r, 1)) for r in roots),
+                key=lambda p: p.hnf())
+    return SplittingType(SplitKind.RAMIFIED if len(ps) == 1 else SplitKind.SPLIT, ell,
+                         tuple(ps))
 
 
 def primes_above(field, ell):

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written against different algorithms than the
 package: pentagonal-number eta expansion, brute-force Pell searches,
-Legendre-symbol residue checks, naive lattice enumeration, plain q-series.
+Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
+the Leibniz expansion of a determinant.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from itertools import permutations
 
 
 def eta_qexp(n_terms):
@@ -172,3 +174,45 @@ def hand_norm_relation_inert_000(ell):
         -2: {(1, 1): Fraction(-1)},
         -3: {(0, 2): Fraction(ell)},
     }
+
+
+def leibniz_charpoly_reversed(a):
+    """Coefficients [c0..cn] of det(1 - X*A) by the Leibniz expansion: a sum
+    over all n! permutations of products of the linear entries of 1 - X*A."""
+    n = len(a)
+    one = a[0][0] * 0 + 1
+    coeffs = [one * 0 for _ in range(n + 1)]
+    for perm in permutations(range(n)):
+        sign = _perm_sign(perm)
+        poly = [one]  # product polynomial, low degree first
+        for i in range(n):
+            const = one if perm[i] == i else one * 0
+            lin = -a[i][perm[i]]
+            poly = _lin_mul(poly, const, lin)
+        for d, c in enumerate(poly):
+            coeffs[d] = coeffs[d] + sign * c
+    return coeffs
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _lin_mul(poly, const, lin):
+    """poly * (const + lin*X), coefficients low degree first."""
+    out = [c * const for c in poly] + [poly[0] * 0]
+    for d, c in enumerate(poly):
+        out[d + 1] = out[d + 1] + c * lin
+    return out

@@ -15,7 +15,7 @@ from asailab.coeffs import CoefficientField
 from asailab.eigenform import HilbertEigenform, Weight
 from asailab.heckealg import split_labels, inert_label, asai_euler_symbolic
 from asailab.quadfield import RealQuadraticField
-from oracles import kron_product_asai_roots
+from oracles import kron_product_asai_roots, leibniz_charpoly_reversed
 
 CF = CoefficientField(None)
 
@@ -256,3 +256,34 @@ def test_asai_charpoly_class_constraints():
 def test_companion_matches_charpoly():
     m = companion_frobenius(Fraction(5), Fraction(9))
     assert charpoly_reversed(m) == [1, -5, 9]
+
+
+def test_asai_charpoly_eq_compares_lengths():
+    pl = AsaiCharPoly([1, -6, 15, -150, 625])
+    assert pl != [1, -6, 15]
+    assert pl != [1, -6, 15, -150, 625, 0]
+    assert pl == [1, -6, 15, -150, 625]
+    assert pl == AsaiCharPoly([1, -6, 15, -150, 625])
+
+
+def random_matrix(rng, n, field):
+    """Dense-ish random matrix with zeros, over Q or Q(sqrt e)."""
+    def entry():
+        if rng.random() < 0.25:
+            return field.zero()
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        b = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if field.e else 0
+        return field.element(a, b)
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("e", [None, 2, 5])
+def test_charpoly_matches_leibniz_oracle(e):
+    rng = random.Random(15 if e is None else e)
+    field = CoefficientField(e)
+    for n in (2, 3, 4):
+        for _ in range(25):
+            a = random_matrix(rng, n, field)
+            got = charpoly_reversed(a)
+            assert len(got) == n + 1
+            assert all(x == y for x, y in zip(got, leibniz_charpoly_reversed(a)))

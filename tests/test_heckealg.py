@@ -3,11 +3,30 @@ from fractions import Fraction
 
 import pytest
 
+from asailab.acceptance import _random_expression
 from asailab.heckealg import (HeckeAlgError, HeckePolynomial, PrimeLabel, R, S, T, X,
-                              asai_euler_symbolic, diamond, inert_label, normalize,
-                              norm_relation_symbolic, one, sigma, split_labels,
+                              _rewrite_power, asai_euler_symbolic, diamond, inert_label,
+                              normalize, norm_relation_symbolic, one, sigma, split_labels,
                               verify_split_x2_identity)
 from oracles import hand_norm_relation_inert_000
+
+
+def fixed_point_normalize(expr):
+    """The former normal form: rewrite every generator power, multiply the
+    pieces with the plain product and repeat until nothing changes (a product
+    can recreate T(u)^2 for a unit u, which the next pass rewrites)."""
+    cur = expr
+    for _ in range(4):
+        nxt = HeckePolynomial()
+        for mono, c in cur.terms.items():
+            piece = HeckePolynomial.constant(c)
+            for gen, e in mono:
+                piece = piece * HeckePolynomial(dict(_rewrite_power(gen, e)))
+            nxt = nxt + piece
+        if nxt == cur:
+            return nxt
+        cur = nxt
+    raise AssertionError("rewriting failed to stabilise")
 
 
 def test_coprime_product_stays():
@@ -55,6 +74,13 @@ def test_t_cube_argument_rejected():
     lab = PrimeLabel("a", 5)
     with pytest.raises(HeckeAlgError):
         normalize(T({lab: 3}))
+
+
+def test_mixed_diamond_forms_multiply_and_print():
+    lab = PrimeLabel("a", 5)
+    prod = diamond(lab) * diamond(lab).normalize()
+    assert repr(prod) == "D(a)*D(a)"
+    assert normalize(prod) == (diamond(lab) ** 2).normalize()
 
 
 def test_invertibility_rules():
@@ -176,3 +202,25 @@ def test_substitute_x():
     q = p.substitute_X(Fraction(1, 3) * sigma(3, -1)).normalize()
     dec = q.sigma_decomposition()
     assert set(dec) == {0, -1}
+
+
+def test_one_pass_normalize_matches_fixed_point():
+    rng = random.Random(1730)
+    labels = [PrimeLabel("a", 7), PrimeLabel("b", 11), PrimeLabel("c", 49),
+              PrimeLabel("u", 1, unit=True), PrimeLabel("v", 1, unit=True)]
+    for _ in range(150):
+        e1 = _random_expression(rng, labels)
+        e2 = _random_expression(rng, labels)
+        for expr in (e1, e1 * e2, normalize(e1) * normalize(e2)):
+            assert normalize(expr) == fixed_point_normalize(expr)
+
+
+def test_normalize_shares_no_state_with_callers():
+    u, a = PrimeLabel("u", 1, unit=True), PrimeLabel("a", 7)
+    for expr in (T({a: 2}), T(u) * T(u) * T({a: 2}), S({a: 1, u: 1}) + 3):
+        want = dict(normalize(expr).terms)
+        got = normalize(expr)
+        for mono in got.terms:
+            got.terms[mono] += 1
+        got.terms[()] = Fraction(7)
+        assert normalize(expr).terms == want
