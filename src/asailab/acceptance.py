@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import mpmath
 
-from .quadfield import RealQuadraticField, _is_prime, splitting_type
+from .arith import is_prime
+from .quadfield import RealQuadraticField, splitting_type
 from .coeffs import CoefficientField
 from .eigenform import (HilbertEigenform, Weight, base_change,
                         check_hecke_relations, discriminant_form_ap)
@@ -77,7 +78,7 @@ def criterion_1():
     failures = []
     while split_done < 200 or inert_done < 200:
         d = rng.choice(fields)
-        ell = rng.choice([p for p in range(2, 100) if _is_prime(p)])
+        ell = rng.choice([p for p in range(2, 100) if is_prime(p)])
         field = _field(d)
         if field.disc % ell == 0:
             continue
@@ -118,7 +119,7 @@ def criterion_2():
     for d in (2, 3, 5, 13):
         field = _field(d)
         for ell in range(2, 200):
-            if not _is_prime(ell) or field.disc % ell == 0:
+            if not is_prime(ell) or field.disc % ell == 0:
                 continue
             if not splitting_type(field, ell).is_split:
                 continue
@@ -230,7 +231,7 @@ def criterion_6():
     violations = check_hecke_relations(form, 500)
     factor_fail = []
     for ell in range(2, 51):
-        if not _is_prime(ell) or ell == 5:
+        if not is_prime(ell) or ell == 5:
             continue
         pl = asai_charpoly(form, ell)
         chi = kronecker_symbol(form.field.disc, ell)

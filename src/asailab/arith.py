@@ -1,0 +1,59 @@
+"""Elementary arithmetic of rational integers shared by the package:
+factorisation, divisors, primality and sieves."""
+
+
+def factorise(n):
+    """Prime factorisation of |n| as [(p, e), ...], p ascending ([] for 0, 1)."""
+    n = abs(int(n))
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def is_prime(n):
+    return n >= 2 and factorise(n) == [(n, 1)]
+
+
+def is_squarefree(n):
+    return n != 0 and all(e == 1 for _, e in factorise(n))
+
+
+def divisors(n):
+    """Positive divisors of n >= 1, ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def smallest_prime_factors(n):
+    """spf[m] is the smallest prime factor of m, for 2 <= m <= n."""
+    spf = list(range(n + 1))
+    p = 2
+    while p * p <= n:
+        if spf[p] == p:
+            for q in range(p * p, n + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+        p += 1
+    return spf
+
+
+def primes_up_to(n):
+    """Primes p <= n, ascending."""
+    return [p for p, q in enumerate(smallest_prime_factors(n)) if p >= 2 and p == q]

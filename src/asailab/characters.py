@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import mpmath
 
+from .arith import divisors, factorise
 from .cyclo import CyclotomicValue
 from .precision import mp_context
 
@@ -20,25 +21,9 @@ class CharacterError(ValueError):
     pass
 
 
-def _factorise(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _primitive_root(pe, p):
     phi = pe - pe // p
-    factors = [q for q, _ in _factorise(phi)]
+    factors = [q for q, _ in factorise(phi)]
     for g in range(2, pe):
         if math.gcd(g, pe) != 1:
             continue
@@ -56,7 +41,7 @@ def unit_group_structure(m):
     if m == 1:
         return ()
     gens = []
-    for p, e in _factorise(m):
+    for p, e in factorise(m):
         pe = p ** e
         rest = m // pe
         def lift(g):
@@ -103,7 +88,7 @@ def _discrete_log_table(m):
 
 def _euler_phi(m):
     out = m
-    for p, _ in _factorise(m):
+    for p, _ in factorise(m):
         out -= out // p
     return out
 
@@ -237,7 +222,7 @@ class DirichletCharacter:
 
     def conductor(self):
         """Smallest f | m with the character trivial on units = 1 mod f."""
-        for f in sorted(_divisors(self.modulus)):
+        for f in divisors(self.modulus):
             if all(self(a) == 1 for a in range(1, self.modulus + 1)
                    if math.gcd(a, self.modulus) == 1 and a % f == 1 % f):
                 return f
@@ -255,18 +240,6 @@ class DirichletCharacter:
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, exponents {self.exponents})"
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
 
 
 def kronecker_symbol(a, n):

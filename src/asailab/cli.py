@@ -111,10 +111,20 @@ def _load_form_arg(args):
     if getattr(args, "form", None):
         return load_eigenform(args.form)
     if getattr(args, "delta", False):
-        bound = getattr(args, "bound", None) or 500
-        return base_change(discriminant_form_ap(bound), 12, None,
-                           RealQuadraticField(args.d or 5), bound=bound)
+        return base_change(discriminant_form_ap(args.bound), 12, None,
+                           RealQuadraticField(args.d or 5), bound=args.bound)
     raise UsageError("supply --form FILE or --delta")
+
+
+def _positive_int(text):
+    """argparse type for counts and cutoffs: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -606,12 +616,12 @@ def build_parser():
     p.add_argument("--delta", action="store_true",
                    help="use the discriminant-form base change over Q(sqrt(d))")
     p.add_argument("--d", type=int, default=5)
-    p.add_argument("--bound", type=int, default=4000,
+    p.add_argument("--bound", type=_positive_int, default=4000,
                    help="coefficient bound for --delta; keep >= --n-cutoff")
     p.add_argument("--s", required=True)
     p.add_argument("--method", choices=("dirichlet", "euler", "both"), default="both")
-    p.add_argument("--n-cutoff", type=int, default=4000)
-    p.add_argument("--ell-cutoff", type=int, default=500)
+    p.add_argument("--n-cutoff", type=_positive_int, default=4000)
+    p.add_argument("--ell-cutoff", type=_positive_int, default=500)
     p.set_defaults(func=cmd_lfun)
 
     p = sub.add_parser("eisenstein", help="evaluate E_alpha^(k)(tau, s)")
@@ -635,10 +645,10 @@ def build_parser():
     p.add_argument("--form")
     p.add_argument("--delta", action="store_true")
     p.add_argument("--d", type=int, default=5)
-    p.add_argument("--bound", type=int, default=800)
+    p.add_argument("--bound", type=_positive_int, default=800)
     p.add_argument("--sprime", type=float, default=14.0)
     p.add_argument("--y-cutoff", type=float, default=40.0)
-    p.add_argument("--n-max", type=int, default=600)
+    p.add_argument("--n-max", type=_positive_int, default=600)
     p.set_defaults(func=cmd_mellin_check)
 
     p = sub.add_parser("constants", help="unfolding and regulator constants")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 
 from .precision import mp_context
-from .quadfield import is_squarefree
+from .arith import is_squarefree
 
 
 class CoefficientError(ValueError):

@@ -2,9 +2,14 @@
 
 A form stores exact Hecke eigenvalues lambda(n) keyed by prime-power ideals
 (HNF tuples), a level ideal, a nebentype table and a weight (r1, r2, t1, t2)
-with r1 + 2 t1 = r2 + 2 t2 = w.  Composite eigenvalues are derived by coprime
-multiplicativity; the Dirichlet coefficient lambda(n) for rational n is the
-T(n)-eigenvalue lambda((n)) obtained the same way.
+with r1 + 2 t1 = r2 + 2 t2 = w.  Eigenvalues at composite ideals are derived
+by coprime multiplicativity over an ideal factorisation (`lambda_of`).  The
+Dirichlet coefficient lambda((n)) for rational n needs no ideal
+factorisation: it is the product over l^e || n of the stored values read off
+the splitting type of l -- lambda(P^e) lambda(Pbar^e) for split l,
+lambda((l)^e) for inert l and lambda(P^{2e}) for ramified l (P^2 = (l)).
+The weight-12 discriminant form's tau(p) comes from (eta^3)^8 by J.C.P.
+Miller's power recurrence over the sparse q-expansion of eta^3.
 
 Forms are immutable after construction and safe to share between threads.
 """
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import factorise, primes_up_to
 from .coeffs import CoefficientField, QuadElt
 from .quadfield import (RealQuadraticField, IdealRep, ideal_from_label,
                         ideal_label)
@@ -94,18 +100,26 @@ class HilbertEigenform:
         return out
 
     def lambda_rational(self, n):
-        """The T(n)-eigenvalue lambda((n)) for a positive integer n."""
+        """The T(n)-eigenvalue lambda((n)) for a positive integer n: the
+        product over l^e || n of the stored values at the prime-power parts of
+        (l^e), in the order of an ideal factorisation of (n)."""
         n = int(n)
         if n < 1:
             raise EigenformError("need n >= 1")
-        return self.lambda_of(self.field.ideal(n))
+        out = self.coefficient_field.one()
+        for ell, e in factorise(n):
+            for key, p, k in _rational_prime_power_parts(self.field, ell, e):
+                val = self.eigenvalues.get(key)
+                if val is None:
+                    raise MissingEigenvalueError(
+                        f"no eigenvalue stored at {ideal_label(p)}^{k} (norm {p.norm() ** k})")
+                out = out * val
+        return out
 
     def alpha(self, n):
         """Dirichlet coefficient alpha(n) = n^{-(t+t')} lambda(n)."""
         n = int(n)
-        tsum = self.weight.t1 + self.weight.t2
-        scale = Fraction(1, n ** tsum) if tsum >= 0 else Fraction(n ** (-tsum))
-        return scale * self.lambda_rational(n)
+        return Fraction(n) ** -(self.weight.t1 + self.weight.t2) * self.lambda_rational(n)
 
     def eps_of(self, ideal):
         """Nebentype at an ideal coprime to the level (empty table = trivial)."""
@@ -211,6 +225,18 @@ def load_eigenform(source):
     return form
 
 
+@lru_cache(maxsize=4096)
+def _rational_prime_power_parts(field, ell, e):
+    """(HNF key, prime P, exponent k) for each P^k in the factorisation of
+    (ell^e): P^e and Pbar^e when ell splits, (ell)^e when it is inert, P^{2e}
+    when it ramifies."""
+    st = field.splitting_type(ell)
+    if st.is_split:
+        return tuple(((p if e == 1 else p ** e).hnf(), p, e) for p in st.primes)
+    p, = st.primes
+    return ((field.ideal(ell ** e).hnf(), p, e if st.is_inert else 2 * e),)
+
+
 def _composite_product(form, ideal):
     """Product of the stored eigenvalues at the prime-power parts of ideal;
     None for a prime power or when some part is not stored."""
@@ -252,7 +278,7 @@ def check_hecke_relations(form, bound):
     violations = []
     w = form.weight.w
     level_norm = form.level.norm()
-    for ell in _primes_up_to(bound):
+    for ell in primes_up_to(bound):
         for p in form.field.primes_above(ell):
             np = p.norm()
             if np > bound or level_norm % ell == 0:
@@ -286,17 +312,6 @@ def check_hecke_relations(form, bound):
             violations.append({"ideal": ideal_label(ideal), "power": None,
                                "lhs": repr(form.eigenvalues[key]), "rhs": repr(prod)})
     return violations
-
-
-def _primes_up_to(n):
-    sieve = bytearray([1]) * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = 0
-    return out
 
 
 # -- base change ---------------------------------------------------------------
@@ -336,7 +351,7 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
     nebentype = {}
     ramified_used = []
     bound = int(bound)
-    for ell in _primes_up_to(bound):
+    for ell in primes_up_to(bound):
         if ell not in ap:
             raise MissingEigenvalueError(f"a_p missing at p = {ell} below bound {bound}")
         a_ell = ap[ell]
@@ -381,39 +396,29 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
 
 @lru_cache(maxsize=4)
 def discriminant_form_ap(bound):
-    """tau(p) for primes p <= bound, from the weight-12 eta-power expansion."""
-    n_terms = bound + 1
-    # eta^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}
-    eta3 = [0] * n_terms
-    k = 0
-    while k * (k + 1) // 2 < n_terms:
-        eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    """tau(p) for primes p <= bound, from Delta = q (eta^3)^8.
+
+    eta^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2} has about sqrt(2 bound)
+    nonzero terms below q^bound.  For g = f^m with f(0) = 1, differentiating
+    g = f^m gives J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
+        n g_n = sum_{1 <= k <= n} ((m + 1) k - n) f_k g_{n-k},
+    an exact division by n, summed here over the nonzero f_k only.
+    """
+    eta3 = []   # (i, f_i) for the nonzero f_i, i >= 1; f_0 = 1
+    k = 1
+    while k * (k + 1) // 2 < bound:
+        eta3.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
         k += 1
-    eta6 = _poly_sq_trunc(eta3, n_terms)
-    eta12 = _poly_sq_trunc(eta6, n_terms)
-    eta24 = _poly_sq_trunc(eta12, n_terms)
-    # Delta = q * eta24(q): tau(n) = eta24[n-1]
-    return {p: eta24[p - 1] for p in _primes_up_to(bound)}
-
-
-def _poly_sq_trunc(a, n_terms):
-    out = [0] * n_terms
-    nz = [i for i, c in enumerate(a) if c]
-    for ii, i in enumerate(nz):
-        ai = a[i]
-        if 2 * i < n_terms:
-            out[2 * i] += ai * ai
-        for j in nz[ii + 1:]:
-            s = i + j
-            if s >= n_terms:
+    eta24 = [1] + [0] * (bound - 1)
+    for n in range(1, bound):
+        acc = 0
+        for i, c in eta3:
+            if i > n:
                 break
-            out[s] += 2 * ai * a[j]
-    return out
-
-
-def alpha_coeff(form, n):
-    """n^{-(t+t')} lambda(n); lambda(n) is the T(n)-eigenvalue."""
-    return form.alpha(n)
+            acc += (9 * i - n) * c * eta24[n - i]
+        eta24[n] = acc // n
+    # Delta = q * eta24(q): tau(n) = eta24[n-1]
+    return {p: eta24[p - 1] for p in primes_up_to(bound)}
 
 
 def is_ordinary(form, p, v_embedding=None, precision=20):
@@ -430,9 +435,7 @@ def is_ordinary(form, p, v_embedding=None, precision=20):
     lam_up = form.stored(form.field.ideal(p))
     if lam_up is None:
         raise MissingEigenvalueError(f"lambda(U({p})) not stored")
-    tsum = form.weight.t1 + form.weight.t2
-    scale = Fraction(1, p ** tsum) if tsum >= 0 else Fraction(p ** (-tsum))
-    alpha_p = scale * lam_up
+    alpha_p = Fraction(p) ** -(form.weight.t1 + form.weight.t2) * lam_up
     from .padic import padic_valuation_of_value
     val = padic_valuation_of_value(alpha_p, p, v_embedding, precision)
     return val == 0, alpha_p

@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import mpmath
 
+from .arith import divisors
+from .lseries import dirichlet_alpha_table
 from .precision import mp_context, working_precision
 
 
@@ -255,7 +257,7 @@ def _oscillating(k, a_m, x, y, s):
         u1 = mpmath.mpf(1) if s_is_zero else mpmath.hyperu(s, 2 * s + k, 4 * mpmath.pi * big_n)
         u2 = None if poch == 0 else mpmath.hyperu(s + k, 2 * s + k, 4 * mpmath.pi * big_n)
         row = mpmath.mpc(0)
-        for r in _divisors_of(n):
+        for r in divisors(n):
             base = (two_pi * r) ** (2 * s + k - 1)
             e1 = mpmath.expjpi(2 * (n * x + r * a_m))
             e2 = mpmath.expjpi(2 * (n * x - r * a_m))
@@ -264,18 +266,6 @@ def _oscillating(k, a_m, x, y, s):
                 row += base * poch * u2 * (mpmath.conj(e1) + sign * mpmath.conj(e2))
         acc += expo * row
     return pref * acc
-
-
-def _divisors_of(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 # -- Siegel units and the Kronecker limit --------------------------------------
@@ -335,7 +325,7 @@ def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600, panels=48,
         raise EisensteinError("need Re(s') > 1 for the kernel integral")
     disc = form.field.disc
     c = 4 * math.pi / math.sqrt(disc)
-    alphas = np.array([float(form.alpha(n)) for n in range(1, n_max + 1)])
+    alphas = np.array([float(a) for a in dirichlet_alpha_table(form, n_max)[1:]])
     ns = np.arange(1, n_max + 1, dtype=float)
     if not alphas.any():
         return 0.0, 0.0, 0.0

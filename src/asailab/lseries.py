@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import mpmath
 
+from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
 from .coeffs import QuadElt
-from .eigenform import _primes_up_to
 from .precision import mp_context
 
 
@@ -31,33 +31,35 @@ class LSeriesError(ValueError):
 
 
 def dirichlet_alpha_table(form, n_max):
-    """alpha(n) for 1 <= n <= n_max by a multiplicative sieve."""
+    """alpha(n) for 1 <= n <= n_max (index 0 unused): the one route to the
+    Dirichlet coefficients.
+
+    form.alpha is asked only at 1 and at the prime powers l^e <= n_max (l,
+    then e, ascending, so a missing eigenvalue is reported at the first prime
+    power that needs it); the rest is assembled multiplicatively.
+    """
     n_max = int(n_max)
-    one = form.coefficient_field.one()
-    table = [None] * (n_max + 1)
-    table[1] = one
-    spf = list(range(n_max + 1))  # smallest prime factor
-    for p in _primes_up_to(n_max):
-        for q in range(p, n_max + 1, p):
-            if spf[q] == q and q != p:
-                spf[q] = p
-        spf[p] = p
-    prime_power_alpha = {}
-    for p in _primes_up_to(n_max):
-        pe = p
-        e = 1
+    if n_max < 1:
+        raise LSeriesError(f"need n_max >= 1, got {n_max}")
+    local = {}
+    for ell in primes_up_to(n_max):
+        pe, e = ell, 1
         while pe <= n_max:
-            prime_power_alpha[pe] = form.alpha(pe)
-            pe *= p
-            e += 1
+            local[ell, e] = form.alpha(pe)
+            pe, e = pe * ell, e + 1
+    return _multiplicative_table(n_max, form.alpha(1), local)
+
+
+def _multiplicative_table(n_max, c1, local):
+    """[None, c(1), ..., c(n_max)] with c(1) = c1 and c(n) the product of
+    local[l, e] over l^e || n, assembled along smallest prime factors."""
+    spf = smallest_prime_factors(n_max)
+    table = [None, c1] + [None] * (n_max - 1)
     for n in range(2, n_max + 1):
-        p = spf[n]
-        pe = p
-        m = n // p
-        while m % p == 0:
-            pe *= p
-            m //= p
-        table[n] = prime_power_alpha[pe] * table[m] if m > 1 else prime_power_alpha[pe]
+        ell, m, e = spf[n], n // spf[n], 1
+        while m % ell == 0:
+            m, e = m // ell, e + 1
+        table[n] = local[ell, e] * table[m] if m > 1 else local[ell, e]
     return table
 
 
@@ -80,7 +82,7 @@ class BadFactorSet:
 
 
 class AsaiLSeries:
-    """Imprimitive Asai L-series of a form, with a cached coefficient table."""
+    """Imprimitive Asai L-series of a form."""
 
     def __init__(self, form, chi=None):
         self.form = form
@@ -89,12 +91,12 @@ class AsaiLSeries:
         if self.chi.modulus != self.rational_level:
             raise LSeriesError(
                 f"chi modulus {self.chi.modulus} != level generator {self.rational_level}")
-        self._alpha_cache = []
 
     def alpha_table(self, n_max):
-        if len(self._alpha_cache) <= n_max:
-            self._alpha_cache = dirichlet_alpha_table(self.form, n_max)
-        return self._alpha_cache
+        """dirichlet_alpha_table of the form, built afresh on each call: kept,
+        a table holds about 0.2 KB per coefficient for as long as the series
+        lives, while rebuilding it costs some 15 microseconds per coefficient."""
+        return dirichlet_alpha_table(self.form, n_max)
 
     @property
     def shift_weight(self):
@@ -166,8 +168,7 @@ def _ramified_local_factor_series(form, ell, order):
     w = form.weight
     lam = form.lambda_of(p)
     eps = form.eps_of(p)
-    tsum = w.t1 + w.t2
-    tw = Fraction(1, ell ** tsum) if tsum >= 0 else Fraction(ell ** (-tsum))
+    tw = Fraction(ell) ** -(w.t1 + w.t2)
     ab = Fraction(ell ** (w.w - 1)) * eps          # a b
     s2 = lam * lam - 2 * ab                        # a^2 + b^2
     chi_l = eps * eps
@@ -219,7 +220,7 @@ def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False
     with mp_context(prec):
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         total = mpmath.mpc(1)
-        for ell in _primes_up_to(int(ell_cutoff)):
+        for ell in primes_up_to(int(ell_cutoff)):
             x = mpmath.power(ell, -s_m)
             if n_level % ell == 0:
                 if ell not in bad.c_polys:
@@ -259,14 +260,17 @@ def euler_product_coefficients(form, n_max, chi=None):
 
     Expands prod over good l of P_l(F, X)^{-1} (and the forced ramified
     factors) as a Dirichlet series; used to cross-check multiplicativity.
+    The local power series come from asai_charpoly and the ramified factor
+    alone, never from the alpha table or stored lambda(P^e) with e >= 2, so
+    the comparison with the Dirichlet coefficients stays independent.
     """
     series = form if hasattr(form, "alpha_table") else AsaiLSeries(form, chi)
     form = series.form
     n_level = series.rational_level
     disc = form.field.disc
     one = form.coefficient_field.one()
-    out = [None] + [one] + [form.coefficient_field.zero()] * (n_max - 1)
-    for ell in _primes_up_to(n_max):
+    local = {}
+    for ell in primes_up_to(n_max):
         if n_level % ell == 0:
             raise LSeriesError("coefficient expansion only at good levels")
         order = 0
@@ -275,25 +279,14 @@ def euler_product_coefficients(form, n_max, chi=None):
             pe *= ell
             order += 1
         if disc % ell == 0:
-            local = _ramified_local_factor_series(form, ell, order)
+            coeffs = _ramified_local_factor_series(form, ell, order)
         else:
             pl = asai_charpoly(form, ell)
-            local = _series_inverse([one * c if not isinstance(c, QuadElt) else c
-                                     for c in pl.coeffs], order + 1)
-        new = [None] + [form.coefficient_field.zero()] * n_max
-        for n in range(1, n_max + 1):
-            acc = form.coefficient_field.zero()
-            pe = 1
-            e = 0
-            while pe <= n:
-                if n % pe == 0 and e < len(local):
-                    acc = acc + local[e] * out[n // pe]
-                pe *= ell
-                e += 1
-            new[n] = acc
-        # only multiples of ell change; but recomputing all keeps it simple
-        out = new
-    return out
+            coeffs = _series_inverse([one * c if not isinstance(c, QuadElt) else c
+                                      for c in pl.coeffs], order + 1)
+        for e in range(1, order + 1):
+            local[ell, e] = coeffs[e]
+    return _multiplicative_table(n_max, one, local)
 
 
 def imprimitive_coefficients(series, n_max):

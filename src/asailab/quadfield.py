@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import mpmath
 
+from .arith import factorise, is_prime, is_squarefree
 from .precision import mp_context
 
 
@@ -27,18 +28,6 @@ class QuadFieldError(ValueError):
 
 class NotPrincipalError(QuadFieldError):
     """Raised when a generator search fails; class number > 1 is unsupported."""
-
-
-def is_squarefree(n):
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
 
 
 def discriminant(d):
@@ -460,8 +449,7 @@ class IdealRep:
     def factor(self):
         """List of (prime IdealRep, exponent); needs the norm to factor over Z."""
         out = []
-        remaining = self.norm()
-        for ell in _prime_factors(remaining):
+        for ell, _ in factorise(self.norm()):
             for p in primes_above(self.field, ell):
                 v = self.valuation(p)
                 if v:
@@ -472,25 +460,6 @@ class IdealRep:
         if check != self.norm():
             raise QuadFieldError(f"factorisation failure for {self}")
         return out
-
-
-def _prime_factors(n):
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_prime(n):
-    return n >= 2 and _prime_factors(n) == [n]
 
 
 class SplitKind(Enum):
@@ -549,7 +518,7 @@ def _sqrt_mod(a, p):
 def splitting_type(field, ell):
     """Splitting of the prime ell in field; memoised per (d, ell)."""
     ell = int(ell)
-    if not _is_prime(ell):
+    if not is_prime(ell):
         raise QuadFieldError(f"{ell} is not prime")
     t, n = field.omega_trace, field.omega_norm
     # roots of the minimal polynomial x^2 - t x + n of omega mod ell; for odd
@@ -562,9 +531,9 @@ def splitting_type(field, ell):
         root, half = _sqrt_mod(field.disc, ell), (ell + 1) // 2
         roots = {(t + root) * half % ell, (t - root) * half % ell}
     if not roots:
-        return SplittingType(SplitKind.INERT, ell, (field.ideal(field.element(ell)),))
-    ps = sorted((field.ideal(field.element(ell), field.element(-r, 1)) for r in roots),
-                key=lambda p: p.hnf())
+        return SplittingType(SplitKind.INERT, ell, (IdealRep(field, ell, 0, ell),))
+    # (ell, omega - r) is the Z-module ell Z + (omega - r) Z: HNF [ell, -r + omega]
+    ps = sorted((IdealRep(field, ell, -r % ell, 1) for r in roots), key=lambda p: p.hnf())
     return SplittingType(SplitKind.RAMIFIED if len(ps) == 1 else SplitKind.SPLIT, ell,
                          tuple(ps))
 
@@ -714,12 +683,7 @@ def ideals_of_norm(field, n):
     if n < 1:
         raise QuadFieldError("norm must be >= 1")
     out = [field.maximal_order()]
-    nn = n
-    for ell in _prime_factors(n):
-        e = 0
-        while nn % ell == 0:
-            nn //= ell
-            e += 1
+    for ell, e in factorise(n):
         locals_ = _norm_ell_power_ideals(field, ell, e)
         out = [i * j for i in out for j in locals_]
     out.sort(key=lambda i: i.hnf())

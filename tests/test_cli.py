@@ -60,6 +60,22 @@ def test_usage_errors(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["lfun", "--delta", "--s", "14", "--n-cutoff", "0", "--method", "dirichlet"],
+    ["lfun", "--delta", "--s", "14", "--n-cutoff", "-5"],
+    ["lfun", "--delta", "--s", "14", "--ell-cutoff", "0", "--method", "euler"],
+    ["lfun", "--delta", "--s", "14", "--bound", "0"],
+    ["lfun", "--delta", "--s", "14", "--bound", "-3"],
+    ["mellin-check", "--delta", "--n-max", "0"],
+    ["mellin-check", "--delta", "--bound", "0"],
+])
+def test_nonpositive_cutoffs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and not out
+    assert json.loads(err)["error"] == "usage"
+    assert "must be >= 1" in json.loads(err)["message"]
+
+
 def test_validation_error_exit(capsys):
     # non-squarefree d is a validation failure
     code, _, err = run_cli(capsys, "field-info", "--d", "12")

@@ -5,9 +5,9 @@ import pytest
 
 from asailab.coeffs import CoefficientField
 from asailab.eigenform import (EigenformError, HilbertEigenform,
-                               MissingEigenvalueError, Weight, alpha_coeff,
-                               base_change, check_hecke_relations,
+                               MissingEigenvalueError, Weight, base_change, check_hecke_relations,
                                discriminant_form_ap, is_ordinary, load_eigenform)
+from asailab.arith import primes_up_to
 from asailab.quadfield import RealQuadraticField, ideal_label
 from oracles import tau_oracle
 
@@ -31,6 +31,16 @@ def test_tau_table_matches_independent_oracle():
     for p, v in ours.items():
         assert v == oracle[p]
     assert ours[2] == -24 and ours[3] == 252 and ours[11] == 534612
+
+
+def test_tau_congruence_and_deligne_bound():
+    # Ramanujan's tau(p) = 1 + p^11 (mod 691) and Deligne's |tau(p)| <= 2 p^{11/2}
+    # hold for every prime, independently of how the table is computed
+    tau = discriminant_form_ap(4000)
+    assert sorted(tau) == primes_up_to(4000)
+    for p, t in tau.items():
+        assert (t - 1 - p ** 11) % 691 == 0, p
+        assert t * t <= 4 * p ** 11, p
 
 
 def test_base_change_examples(field5):
@@ -90,8 +100,8 @@ def test_check_hecke_relations_missing_data(field5):
 def test_alpha_coeff(field5, bc_form_500):
     # t = t' = 0: alpha(n) = lambda(n)
     for n in (1, 2, 10, 36):
-        assert alpha_coeff(bc_form_500, n) == bc_form_500.lambda_rational(n)
-    assert alpha_coeff(bc_form_500, 1) == 1
+        assert bc_form_500.alpha(n) == bc_form_500.lambda_rational(n)
+    assert bc_form_500.alpha(1) == 1
     # (t, t') = (0, 1) with lambda(2) = 10 gives alpha(2) = 5
     w = Weight(4, 2, 0, 1)
     p2 = field5.primes_above(2)[0]
@@ -145,6 +155,28 @@ def test_load_validation_errors(tmp_path, field5):
 def test_lambda_of_identity(bc_form_500, field5):
     assert bc_form_500.lambda_of(field5.maximal_order()) == 1
     assert bc_form_500.lambda_rational(1) == 1
+
+
+@pytest.mark.parametrize("d, bound, n", [
+    (5, 30, 400),    # 2 inert: lambda((2)^7) = lambda(2^7) is the first missing value
+    (17, 50, 400),   # 2 split: P^6, the first prime above 2, is named
+    (2, 30, 400),    # 2 ramified: (2^5) = P^10
+    (5, 100, 101),   # 101 split, nothing stored above it
+])
+def test_lambda_rational_names_missing_ideal(d, bound, n):
+    # the local route must name the same prime power as a factorisation of (n)
+    field = RealQuadraticField(d)
+    form = base_change(discriminant_form_ap(bound), 12, None, field, bound=bound)
+    for m in range(1, n + 1):
+        try:
+            form.lambda_of(field.ideal(m))
+        except MissingEigenvalueError as exc:
+            with pytest.raises(MissingEigenvalueError) as got:
+                form.lambda_rational(m)
+            assert str(got.value) == str(exc)
+            break
+    else:
+        pytest.fail("form unexpectedly complete")
 
 
 def test_is_ordinary_examples(field5):

@@ -9,15 +9,31 @@ from asailab.lseries import (AsaiLSeries, BadFactorSet, LSeriesError,
                              euler_product_coefficients, forced_vanishing_order,
                              imprimitive_L, imprimitive_coefficients,
                              regulator_constant, unfolding_constant)
+from asailab.arith import primes_up_to
 from asailab.asairep import asai_charpoly
-from asailab.eigenform import Weight, HilbertEigenform
+from asailab.eigenform import (Weight, HilbertEigenform, base_change,
+                               discriminant_form_ap)
 from asailab.coeffs import CoefficientField
+from asailab.quadfield import RealQuadraticField
 
 
-def test_alpha_table_matches_direct(bc_form_500):
-    table = dirichlet_alpha_table(bc_form_500, 80)
-    for n in range(1, 81):
-        assert table[n] == bc_form_500.alpha(n)
+def test_alpha_table_matches_direct():
+    # reference: lambda_of on the HNF factorisation of (n), an independent
+    # route; d = 5 has 2 inert, d = 2 has 2 ramified, d = 17 has 2 split, and
+    # the twisted weights have t + t' = 1 and -2
+    n_max = 600
+    for d in (5, 2, 17):
+        field = RealQuadraticField(d)
+        base = base_change(discriminant_form_ap(n_max), 12, None, field, bound=n_max)
+        lams = [None] + [base.lambda_of(field.ideal(n)) for n in range(1, n_max + 1)]
+        for weight in (base.weight, Weight(14, 12, 0, 1), Weight(10, 10, -1, -1)):
+            form = HilbertEigenform(field, weight, base.level, base.coefficient_field,
+                                    base.eigenvalues)
+            tsum = weight.t1 + weight.t2
+            table = dirichlet_alpha_table(form, n_max)
+            assert len(table) == n_max + 1
+            for n in range(1, n_max + 1):
+                assert table[n] == Fraction(n) ** -tsum * lams[n], (d, weight, n)
 
 
 def test_imprimitive_self_convergence(bc_form_4000):
@@ -45,6 +61,22 @@ def test_coefficient_level_identity(bc_form_4000):
     ec = euler_product_coefficients(series, 120)
     ic = imprimitive_coefficients(series, 120)
     assert all(ec[n] == ic[n] for n in range(1, 121))
+
+
+def test_euler_coefficients_read_no_higher_prime_powers(bc_form_500):
+    # the Euler side reads lambda(P) and eps(P) only: corrupting every stored
+    # lambda(P^e) with e >= 2 must leave its coefficients unchanged, which is
+    # what keeps acceptance criterion 7's two sides independent
+    form = bc_form_500
+    primes = {p.hnf() for ell in primes_up_to(500) for p in form.field.primes_above(ell)}
+    eig = {key: val if key in primes or key == (1, 0, 1) else val + 1
+           for key, val in form.eigenvalues.items()}
+    bad = HilbertEigenform(form.field, form.weight, form.level,
+                           form.coefficient_field, eig)
+    want = euler_product_coefficients(AsaiLSeries(form), 200)
+    got = euler_product_coefficients(AsaiLSeries(bad), 200)
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+    assert dirichlet_alpha_table(bad, 200)[4] != dirichlet_alpha_table(form, 200)[4]
 
 
 def test_ramified_local_factor_against_recursion(bc_form_500, field5):
@@ -176,6 +208,12 @@ def test_zero_form_series(field5):
     # lambda data is missing, so the table build fails loudly
     with pytest.raises(Exception):
         dirichlet_alpha_table(form, 10)
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_alpha_table_rejects_nonpositive_size(bc_form_500, n_max):
+    with pytest.raises(LSeriesError):
+        dirichlet_alpha_table(bc_form_500, n_max)
 
 
 def test_symbolic_constant_normalisation():
