@@ -320,9 +320,9 @@ class GroupRingElement:
         with mp_context(prec):
             acc = mpmath.mpc(0)
             for a, c in self.coeffs.items():
-                cval = c.to_mpf() if isinstance(c, QuadElt) else \
+                cval = c.to_mpf(prec) if isinstance(c, QuadElt) else \
                     mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
-                acc += cval * chi.value_mpc(a if self.modulus > 1 else 1)
+                acc += cval * chi.value_mpc(a if self.modulus > 1 else 1, prec)
             return acc
 
     def to_json(self):

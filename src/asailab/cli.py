@@ -8,6 +8,7 @@ the default working precision (bits).
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -560,7 +561,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on first use and shared: it keeps no per-call state."""
     parser = _Parser(prog="asailab", description=__doc__)
     parser.add_argument("--out", help="write the JSON report to this path")
     sub = parser.add_subparsers(dest="cmd")

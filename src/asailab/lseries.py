@@ -107,9 +107,9 @@ class AsaiLSeries:
         return 2 * s - 2 - self.shift_weight
 
 
-def _to_mp(value):
+def _to_mp(value, prec=None):
     if isinstance(value, QuadElt):
-        return value.to_mpf()
+        return value.to_mpf(prec)
     value = Fraction(value)
     return mpmath.mpf(value.numerator) / value.denominator
 
@@ -131,9 +131,9 @@ def imprimitive_L(form, s, n_cutoff=4000, chi=None, prec=None):
         for n in range(1, n_cutoff + 1):
             a_n = table[n]
             if a_n:
-                dirichlet += _to_mp(a_n) * mpmath.power(n, -s_m)
+                dirichlet += _to_mp(a_n, prec) * mpmath.power(n, -s_m)
         u = series.zeta_argument(s_m)
-        lch = _dirichlet_l_truncated(series.chi, u, n_cutoff)
+        lch = _dirichlet_l_truncated(series.chi, u, n_cutoff, prec)
         value = lch * dirichlet
         report = {"n_cutoff": n_cutoff, "zeta_argument": complex(u),
                   "chi_modulus": series.chi.modulus,
@@ -141,7 +141,7 @@ def imprimitive_L(form, s, n_cutoff=4000, chi=None, prec=None):
         return +value, report
 
 
-def _dirichlet_l_truncated(chi, u, n_cutoff):
+def _dirichlet_l_truncated(chi, u, n_cutoff, prec=None):
     """Plain partial sum of L_(N)(chi, u); adequate at large real arguments."""
     acc = mpmath.mpc(0)
     for n in range(1, n_cutoff + 1):
@@ -151,7 +151,7 @@ def _dirichlet_l_truncated(chi, u, n_cutoff):
         if v.is_real():
             acc += int(v.as_rational()) * mpmath.power(n, -u)
         else:
-            acc += v.to_mpc() * mpmath.power(n, -u)
+            acc += v.to_mpc(prec) * mpmath.power(n, -u)
     return acc
 
 
@@ -225,11 +225,11 @@ def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False
             if n_level % ell == 0:
                 if ell not in bad.c_polys:
                     raise LSeriesError(f"missing bad factor C_l at l = {ell}")
-                c_val = _poly_eval_mp(bad.c_polys[ell], x)
+                c_val = _poly_eval_mp(bad.c_polys[ell], x, prec)
                 if primitive or ell in bad.p_polys:
                     if ell not in bad.p_polys:
                         raise LSeriesError(f"primitive mode needs P_l at l = {ell}")
-                    p_val = _poly_eval_mp(bad.p_polys[ell], x)
+                    p_val = _poly_eval_mp(bad.p_polys[ell], x, prec)
                     total *= (1 if primitive else c_val) / p_val
                 else:
                     total *= c_val
@@ -239,19 +239,19 @@ def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False
                     raise LSeriesError(
                         f"primitive local factor at ramified l = {ell} needs inertia data")
                 coeffs = _ramified_local_factor_series(form, ell, 40)
-                total *= _poly_eval_mp(coeffs, x)
+                total *= _poly_eval_mp(coeffs, x, prec)
                 continue
             pl = asai_charpoly(form, ell)
-            total *= 1 / _poly_eval_mp(pl.coeffs, x)
+            total *= 1 / _poly_eval_mp(pl.coeffs, x, prec)
         report = {"ell_cutoff": int(ell_cutoff), "primitive": primitive,
                   "bad_primes": sorted(bad.c_polys)}
         return +total, report
 
 
-def _poly_eval_mp(coeffs, x):
+def _poly_eval_mp(coeffs, x, prec=None):
     acc = mpmath.mpc(0)
     for c in reversed(list(coeffs)):
-        acc = acc * x + _to_mp(c)
+        acc = acc * x + _to_mp(c, prec)
     return acc
 
 
@@ -323,7 +323,7 @@ def check_Cl_divisibility(bad, k, kprime, prec=None, tol=1e-8):
         if ell in bad.p_polys:
             entry["divides"] = _poly_divides(c_poly, bad.p_polys[ell])
         with mp_context(prec):
-            coeffs = [_to_mp(c) for c in c_poly]
+            coeffs = [_to_mp(c, prec) for c in c_poly]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             if len(coeffs) > 1:

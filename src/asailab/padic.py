@@ -484,7 +484,7 @@ class InterpFactor:
         with mp_context(prec):
             if isinstance(self.scalar, PadicNumber):
                 raise PadicError("p-adic scalar has no archimedean embedding")
-            s = self.scalar.to_mpf() if isinstance(self.scalar, QuadElt) else \
+            s = self.scalar.to_mpf(prec) if isinstance(self.scalar, QuadElt) else \
                 mpmath.mpf(Fraction(self.scalar).numerator) / Fraction(self.scalar).denominator
             if self.gauss_inverse is not None:
                 return s * self.gauss_inverse.to_mpc(prec)

@@ -5,9 +5,10 @@ Elements are stored over the integral basis (1, omega) with omega =
 ideals are kept in Hermite normal form [n, m + g*omega] with g | n, g | m,
 normalised so n > 0, g > 0, 0 <= m < n; the norm is n*g.
 
-Ideal factorisation support is restricted to class number 1 (a generator
-search that fails on a non-principal ideal raises), which covers every field
-this package targets.
+Units and generators come from the rho-cycle of reduced indefinite binary
+quadratic forms (Cohen, GTM 138, 5.6-5.8), in O(log eps) steps with no
+bound; `find_generator` raises NotPrincipalError only when the cycle proves
+the ideal non-principal, so fields of any class number are handled.
 """
 
 import math
@@ -27,7 +28,7 @@ class QuadFieldError(ValueError):
 
 
 class NotPrincipalError(QuadFieldError):
-    """Raised when a generator search fails; class number > 1 is unsupported."""
+    """Raised when the cycle of reduced forms proves an ideal non-principal."""
 
 
 def discriminant(d):
@@ -542,107 +543,102 @@ def primes_above(field, ell):
     return list(splitting_type(field, ell).primes)
 
 
-def _sqrt_exact(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def _rho_cycle(a, b, c, disc):
+    """Walk Cohen's rho from the form a x^2 + b x y + c y^2 of discriminant disc.
+
+    Yields (a, x, y) for the start form f and each form rho makes from it,
+    where (x, y) is the first column of the SL2(Z) matrix M with f(M (X, Y))
+    the current form, so f(x, y) = a.  rho reaches a reduced form in O(log)
+    steps and permutes the reduced forms of a class in one cycle (Cohen,
+    GTM 138, 5.6); the walk stops after yielding its first reduced form again.
+    All comparisons with sqrt(disc) are exact, through s = isqrt(disc).
+    """
+    s = math.isqrt(disc)  # disc is not a square: an integer t < sqrt(disc) iff t <= s
+    x, y, u, v = 1, 0, 0, 1  # M = [[x, u], [y, v]]
+    first = None
+    while True:
+        yield a, x, y
+        if 0 < b <= s and b + 2 * abs(a) > s and 2 * abs(a) - b <= s:  # reduced
+            if first is None:
+                first = (a, b)
+            elif first == (a, b):
+                return
+        # rho(a, b, c) = (c, r, (r^2 - disc) / 4c), r = -b mod 2c with
+        # sqrt(disc) - 2|c| < r < sqrt(disc) when |c| < sqrt(disc), else -|c| < r <= |c|
+        cc = abs(c)
+        if cc <= s:
+            r = s - (s + b) % (2 * cc)
+        else:
+            r = -b % (2 * cc)
+            if r > cc:
+                r -= 2 * cc
+        t = (r + b) // (2 * c)
+        x, y, u, v = u, v, t * u - x, t * v - y  # M <- M [[0, -1], [1, t]]
+        a, b, c = c, r, (r * r - disc) // (4 * c)
 
 
-def fundamental_unit(field, coeff_bound=10 ** 6):
+def _cycle_generators(field, a, b):
+    """The generators x a + y (b + omega) of the primitive ideal [a, b + omega]
+    met along the rho-cycle of its norm form Norm(x a + y (b + omega)) / a,
+    at the forms with first coefficient +-1."""
+    t = field.omega_trace
+    nb = b * b + t * b + field.omega_norm  # Norm(b + omega), divisible by a
+    for fa, x, y in _rho_cycle(a, 2 * b + t, nb // a, field.disc):
+        if fa in (1, -1):
+            yield field.element(x * a + y * b, y)
+
+
+def fundamental_unit(field):
     """Fundamental unit eps > 1 under theta1, with the sign of its norm.
 
-    Continued-fraction expansion of sqrt(d) gives the fundamental solution of
-    x^2 - d y^2 = +-1; for d = 1 mod 4 a smaller half-integral unit
-    (x + y sqrt(d))/2 with x^2 - d y^2 = +-4 is searched below that bound.
+    The principal class holds one reduced form with a = 1 and at most one
+    with a = -1; the elements at consecutive ones differ by a fundamental
+    unit, which is normalised to theta1 > 1.
     """
-    d = field.d
-    # continued fraction of sqrt(d)
-    a0 = math.isqrt(d)
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    P, Q, a = 0, 1, a0
-    unit_zd = None
-    for _ in range(4 * coeff_bound):
-        val = p * p - d * q * q
-        if val in (1, -1):
-            unit_zd = (p, q, val)
-            break
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        a = (a0 + P) // Q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        if q > coeff_bound:
-            break
-    if unit_zd is None:
-        raise QuadFieldError(f"fundamental unit search exceeded bound for d={d}")
-    x, y, nrm = unit_zd
-    if d % 4 == 1:
-        # a smaller half-integral unit (xx+yy*sqrt(d))/2 may exist: xx^2-d*yy^2 = +-4
-        for yy in range(1, y + 1):
-            for s in (-4, 4):
-                sq = _sqrt_exact(d * yy * yy + s)
-                if sq is not None and (sq - yy) % 2 == 0:
-                    # (sq + yy*sqrt(d))/2 = (sq-yy)/2 + yy*omega
-                    return field.element(Fraction(sq - yy, 2), yy), (1 if s == 4 else -1)
-        return field.element(x - y, 2 * y), nrm  # x + y*sqrt(d) over (1, omega)
-    return field.element(x, y), nrm
+    s = math.isqrt(field.disc)
+    b0 = s if (s - field.disc) % 2 == 0 else s - 1  # (1, b0, c0) is reduced
+    units = _cycle_generators(field, 1, (b0 - field.omega_trace) // 2)
+    next(units)  # the start, 1
+    u = next(units)  # +-eps or +-1/eps
+    if (u * u - 1).sign_theta1() < 0:  # |theta1(u)| < 1
+        u = u.inverse()
+    eps = u if u.sign_theta1() > 0 else -u
+    return eps, int(eps.norm())
 
 
-def _reduced_basis(ideal):
-    """Lagrange-reduced Z-basis of the ideal under the form q(x) = Tr(x^2)... """
+def _q(x):
+    """theta1(x)^2 + theta2(x)^2 = Tr(x)^2 - 2 Norm(x), exact."""
+    tr = x.trace()
+    return tr * tr - 2 * x.norm()
+
+
+def find_generator(ideal):
+    """The shortest generator of a principal ideal, or raise NotPrincipalError.
+
+    The rho-cycle of the norm form of the primitive part of the ideal either
+    meets a form with |a| = 1, which gives a generator, or closes without
+    one, which proves the ideal non-principal.  The generators are +-x eps^k
+    and q(x eps^k) = theta1^2 + theta2^2 is strictly convex in k, so the
+    walk down it ends at the least q; among the generators there, the first
+    under (q, -sign theta1, a, b) is returned.
+    """
     f = ideal.field
-    v1, v2 = ideal.generators()
-
-    def q(x):
-        # theta1^2 + theta2^2 = Tr(x)^2 - 2*Norm(x)
-        tr = x.trace()
-        return tr * tr - 2 * x.norm()
-
-    def b(x, y):
-        return (q(x + y) - q(x) - q(y)) / 2
-
-    while True:
-        if q(v2) < q(v1):
-            v1, v2 = v2, v1
-        mu = b(v1, v2) / q(v1)
-        k = round(mu)
-        if k == 0:
-            break
-        v2 = v2 - k * v1
-    return v1, v2
-
-
-def find_generator(ideal, search_slack=4):
-    """Some generator of a principal ideal, or raise NotPrincipalError."""
-    f = ideal.field
+    n, m, g = ideal.hnf()  # ideal = g [n/g, m/g + omega]
+    x = next(_cycle_generators(f, n // g, m // g), None)
+    if x is None:
+        raise NotPrincipalError(f"{ideal} is not principal in Q(sqrt({f.d}))")
+    x = g * x
     eps, _ = f.fundamental_unit()
-    u = eps.theta1()
-    bound = float((u + 1 / u)) * ideal.norm() * search_slack
-    v1, v2 = _reduced_basis(ideal)
-
-    def q(x):
-        tr = x.trace()
-        return tr * tr - 2 * x.norm()
-
-    q1 = q(v1)
-    target = ideal.norm()
-    s_max = math.isqrt(int(bound // int(q1)) + 1) + 1
-    found = []
-    for s in range(0, s_max + 1):
-        for t in range(-s_max - 1, s_max + 2):
-            if s == 0 and t <= 0:
-                continue
-            x = s * v1 + t * v2
-            if float(q(x)) > bound:
-                continue
-            if abs(x.norm()) == target and ideal.contains(x) and f.ideal(x) == ideal:
-                found.append(x)
-    if not found:
-        raise NotPrincipalError(
-            f"no generator found for {ideal}; non-principal ideals (class number > 1) unsupported")
-    # canonical: shortest, then positive under theta1
-    found.sort(key=lambda x: (q(x), -x.sign_theta1(), x.a, x.b))
-    return found[0]
+    q_least, least = _q(x), [x]
+    for step in (eps, eps.inverse()):
+        y = x * step
+        while (qy := _q(y)) <= q_least:
+            if qy < q_least:
+                q_least, least = qy, []
+            least.append(y)
+            y = y * step
+    return min((y for z in least for y in (z, -z)),
+               key=lambda y: (-y.sign_theta1(), y.a, y.b))
 
 
 def totally_positive_generator(ideal):
@@ -685,7 +681,7 @@ def ideals_of_norm(field, n):
     out = [field.maximal_order()]
     for ell, e in factorise(n):
         locals_ = _norm_ell_power_ideals(field, ell, e)
-        out = [i * j for i in out for j in locals_]
+        out = [i * j if i.norm() > 1 else j for i in out for j in locals_]
     out.sort(key=lambda i: i.hnf())
     return out
 

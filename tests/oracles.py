@@ -162,6 +162,49 @@ def naive_totally_positive_search(field, ideal, box=60):
     return None
 
 
+def shortest_generator_oracle(field, ideal):
+    """The generator of the ideal least under (q, -sign theta1, a, b), with
+    q = theta1^2 + theta2^2, or None when the ideal is not principal.
+
+    Enumerates every ideal element with q <= (eps + 1/eps) N(I), eps from
+    pell_fundamental_unit: some generator gamma eps^k has |theta1/theta2| in
+    [1/eps, eps] and so q <= (eps + 1/eps) N(I).  Works on 2x = u + w sqrt(d)
+    with integer u, w, where q = (u^2 + d w^2) / 2, Norm = (u^2 - d w^2) / 4
+    and (eps + 1/eps)^2 = Tr(eps)^2 - 2 Norm(eps) + 2, so every comparison is
+    exact.
+    """
+    d = field.d
+    half = d % 4 == 1
+    _, ea, _, enorm = pell_fundamental_unit(d)
+    trace = ea if half else 2 * ea
+    target = ideal.norm()
+    # (u^2 + d w^2)^2 = 4 q^2 <= 4 (eps + 1/eps)^2 N^2 =: lim
+    lim = 4 * (trace * trace - 2 * enorm + 2) * target * target
+    size = math.isqrt(math.isqrt(lim)) + 1  # bounds u^2 + d w^2 <= size^2
+    n, m, g = ideal.hnf()
+    best = None
+    for j in range(-(size // g) - 1, size // g + 2):
+        b = g * j
+        w = b if half else 2 * b
+        if d * w * w > size * size:
+            continue
+        # u = 2a + b (half) or 2a, |u| <= size, a = j m mod n
+        shift = b if half else 0
+        a = (-size - shift) // 2
+        a += (j * m - a) % n
+        while 2 * a + shift <= size:
+            u = 2 * a + shift
+            s2 = u * u + d * w * w
+            if s2 * s2 <= lim and abs(u * u - d * w * w) == 4 * target:
+                # sign of theta1 = (u + w sqrt(d)) / 2: that of the larger term
+                sign = 1 if (u > 0 and u * u > d * w * w) or (w > 0 and d * w * w > u * u) else -1
+                key = (s2, -sign, a, b)
+                if best is None or key < best:
+                    best = key
+            a += n
+    return None if best is None else field.element(best[2], best[3])
+
+
 def hand_norm_relation_inert_000(ell):
     """Hand expansion of the inert norm-relation bracket at j=k=k'=0:
 

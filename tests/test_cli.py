@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from asailab.cli import main, parse_complex, parse_hecke_expression
+from asailab.arith import is_prime
+from asailab.cli import build_parser, main, parse_complex, parse_hecke_expression
 from asailab import heckealg
+from asailab.quadfield import RealQuadraticField
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +124,43 @@ def test_field_info_command(capsys):
     assert rep["result"]["discriminant"] == 5
     assert rep["result"]["splitting"]["kind"] == "split"
     assert len(rep["result"]["splitting"]["totally_positive_generators"]) == 2
+
+
+@pytest.mark.parametrize("d", [46, 94, 181, 199, 421, 1021])
+def test_field_info_large_units(capsys, d):
+    field = RealQuadraticField(d)
+    ell = next(p for p in range(3, 100) if is_prime(p) and field.splitting_type(p).is_split)
+    code, out, _ = run_cli(capsys, "field-info", "--d", str(d), "--ell", str(ell))
+    assert code == 0
+    unit = json.loads(out)["result"]["fundamental_unit"]
+    assert unit["norm"] in (1, -1) and unit["theta1"] > 1
+    eps = field.element(Fraction(unit["a"]), Fraction(unit["b"]))
+    assert eps.norm() == unit["norm"]
+
+
+def test_field_info_non_principal_primes(capsys):
+    # class number 2: the primes above 3 in Q(sqrt 10) have no generator
+    code, out, _ = run_cli(capsys, "field-info", "--d", "10", "--ell", "3")
+    assert code == 0
+    assert json.loads(out)["result"]["splitting"]["totally_positive_generators"] == [None, None]
+
+
+def test_parser_reused_across_calls(capsys):
+    assert build_parser() is build_parser()
+    code, _, _ = run_cli(capsys, "field-info", "--d", "5")
+    assert code == 0
+    code, out, err = run_cli(capsys, "field-info", "--ell", "3")
+    assert code == 64 and not out and json.loads(err)["error"] == "usage"
+    code, _, _ = run_cli(capsys, "field-info", "--d", "5", "--ell", "11")
+    assert code == 0
+
+
+def test_help_prints(capsys):
+    for argv in (["--help"], ["field-info", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: asailab" in capsys.readouterr().out
 
 
 def test_gauss_sum_command(capsys):

@@ -13,7 +13,7 @@ from asailab.arith import primes_up_to
 from asailab.asairep import asai_charpoly
 from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap)
-from asailab.coeffs import CoefficientField
+from asailab.coeffs import CoefficientField, QuadElt
 from asailab.quadfield import RealQuadraticField
 
 
@@ -264,3 +264,25 @@ def test_imprimitive_zero_function():
 
     val, _ = imprimitive_L(ZeroSeries(), 14, n_cutoff=50)
     assert val == 0
+
+
+def test_imprimitive_L_converts_at_the_callers_precision():
+    # at prec = 200 every coefficient and character value is converted at
+    # 200 bits, so the value meets a 400-bit sum far below the 80-bit level
+    form = base_change(discriminant_form_ap(600), 12, None, RealQuadraticField(5), bound=600)
+    series = AsaiLSeries(form)
+    got, _ = imprimitive_L(series, 14, n_cutoff=600, prec=200)
+    with mpmath.workprec(400):
+        def mp(x):
+            if isinstance(x, QuadElt):
+                return mp(x.a) + mpmath.sqrt(x.field.e or 0) * mp(x.b)
+            x = Fraction(x)
+            return mpmath.mpf(x.numerator) / x.denominator
+        table = series.alpha_table(600)
+        u = series.zeta_argument(14)
+        dirichlet = mpmath.fsum(mp(table[n]) * mpmath.power(n, -14)
+                                for n in range(1, 601) if table[n])
+        lch = mpmath.fsum(mp(v.as_rational()) * mpmath.power(n, -u)
+                          for n in range(1, 601) if (v := series.chi(n)) is not None)
+        want = dirichlet * lch
+        assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")

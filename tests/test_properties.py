@@ -7,9 +7,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from asailab.arith import is_squarefree  # noqa: E402
 from asailab.asairep import charpoly_reversed  # noqa: E402
 from asailab.coeffs import CoefficientField  # noqa: E402
-from oracles import leibniz_charpoly_reversed  # noqa: E402
+from asailab.quadfield import (IdealRep, NotPrincipalError, RealQuadraticField,  # noqa: E402
+                               find_generator, ideals_of_norm)
+from oracles import leibniz_charpoly_reversed, shortest_generator_oracle  # noqa: E402
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -31,3 +34,27 @@ def test_charpoly_equals_leibniz_expansion(a):
     want = leibniz_charpoly_reversed(a)
     assert len(got) == len(want)
     assert all(x == y for x, y in zip(got, want))
+
+
+def _small_ideals():
+    """(d, HNF) for every ideal of norm < 50 in Q(sqrt d), squarefree d < 60."""
+    out = []
+    for d in range(2, 60):
+        if is_squarefree(d):
+            field = RealQuadraticField(d)
+            out += [(d, i.hnf()) for n in range(1, 50) for i in ideals_of_norm(field, n)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_small_ideals()))
+def test_find_generator_matches_lattice_oracle(case):
+    d, hnf = case
+    field = RealQuadraticField(d)
+    ideal = IdealRep(field, *hnf)
+    want = shortest_generator_oracle(field, ideal)
+    if want is None:
+        with pytest.raises(NotPrincipalError):
+            find_generator(ideal)
+    else:
+        assert find_generator(ideal) == want

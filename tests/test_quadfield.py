@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from asailab.quadfield import (IdealRep, QuadFieldError,
+from asailab.arith import is_squarefree
+from asailab.quadfield import (IdealRep, NotPrincipalError, QuadFieldError,
                                RealQuadraticField, discriminant, find_generator,
                                fundamental_unit, ideal_from_label, ideal_label,
                                ideals_of_norm, primes_above, splitting_type,
                                totally_positive_generator)
-from oracles import legendre_symbol, naive_totally_positive_search, pell_fundamental_unit
+from oracles import (legendre_symbol, naive_totally_positive_search, pell_fundamental_unit,
+                     shortest_generator_oracle)
 
 
 def test_discriminant_examples():
@@ -74,6 +76,53 @@ def test_fundamental_unit_values():
     f2 = RealQuadraticField(2)
     u2, _ = fundamental_unit(f2)
     assert u2 == f2.element(1, 1)  # 1 + sqrt2
+
+
+def _unit_over_sqrt_d(d):
+    """The fundamental unit as (x, y, norm) with eps = x + y sqrt(d), halved
+    when d = 1 mod 4 (the form pell_fundamental_unit returns)."""
+    unit, nrm = fundamental_unit(RealQuadraticField(d))
+    assert unit.norm() == nrm and unit.sign_theta1() > 0 and (unit - 1).sign_theta1() > 0
+    a, b = int(unit.a), int(unit.b)
+    return (2 * a + b if d % 4 == 1 else a), b, nrm
+
+
+def test_fundamental_unit_matches_pell_oracle():
+    reached = []
+    for d in range(2, 300):
+        if not is_squarefree(d):
+            continue
+        try:
+            _, a, b, nrm = pell_fundamental_unit(d, 3000)
+        except AssertionError:
+            continue  # the unit's sqrt(d)-coefficient is 3000 or more
+        assert _unit_over_sqrt_d(d) == (a, b, nrm), d
+        reached.append(d)
+    assert len(reached) == 143 and 181 in reached
+
+
+def test_fundamental_unit_large_regulators():
+    # (1305 + 97 sqrt 181)/2, whose Z[sqrt 181] multiple is past 10^6
+    f = RealQuadraticField(181)
+    unit, nrm = fundamental_unit(f)
+    assert (unit, nrm) == (f.element(Fraction(1305 - 97, 2), 97), -1)
+    for d in (421, 1021):
+        unit, nrm = fundamental_unit(RealQuadraticField(d))
+        assert nrm in (1, -1) and unit.norm() == nrm
+        assert (unit - 1).sign_theta1() > 0
+
+
+@pytest.mark.parametrize("d", [139, 151, 163, 166, 199, 211, 214])
+def test_fundamental_unit_matches_sympy(d):
+    # units past the reach of the Pell oracle, all with d = 2, 3 mod 4: the
+    # least solution of x^2 - d y^2 = -1 when there is one, else of = +1
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    for n in (-1, 1):
+        sols = diophantine.diop_DN(d, n)
+        if sols:
+            (x, y), = sols
+            break
+    assert _unit_over_sqrt_d(d) == (x, y, n)
 
 
 @pytest.mark.parametrize("d", [5, 3])
@@ -192,6 +241,23 @@ def test_hnf_invariants():
     assert n % g == 0 and m % g == 0 and 0 <= m < n
     with pytest.raises(QuadFieldError):
         IdealRep(f5, 4, 1, 2)  # g does not divide m
+
+
+def test_non_principal_primes_of_q_sqrt_10():
+    # x^2 - 10 y^2 = +-2, +-3 has no solution mod 5
+    f = RealQuadraticField(10)
+    for ell in (2, 3):
+        for p in primes_above(f, ell):
+            assert shortest_generator_oracle(f, p) is None
+            with pytest.raises(NotPrincipalError):
+                find_generator(p)
+
+
+def test_find_generator_is_shortest_and_theta1_positive():
+    f = RealQuadraticField(5)
+    for ideal in ideals_of_norm(f, 11) + ideals_of_norm(f, 19):
+        gen = find_generator(ideal)
+        assert gen == shortest_generator_oracle(f, ideal) and gen.sign_theta1() > 0
 
 
 def test_find_generator_rejects_only_on_failure():
