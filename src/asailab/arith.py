@@ -1,5 +1,5 @@
 """Elementary arithmetic of rational integers shared by the package:
-factorisation, divisors, primality and sieves."""
+factorisation, divisors, primality, square roots mod p and sieves."""
 
 
 def factorise(n):
@@ -18,6 +18,27 @@ def factorise(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def sqrt_mod(a, p):
+    """A square root of the quadratic residue a modulo an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def is_prime(n):

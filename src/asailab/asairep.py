@@ -17,7 +17,7 @@ ell^{-k(t+t')}.
 
 from fractions import Fraction
 
-from .coeffs import QuadElt
+from .coeffs import QuadElt, to_mpf
 from .quadfield import totally_positive_generator, NotPrincipalError
 
 
@@ -320,9 +320,7 @@ class GroupRingElement:
         with mp_context(prec):
             acc = mpmath.mpc(0)
             for a, c in self.coeffs.items():
-                cval = c.to_mpf(prec) if isinstance(c, QuadElt) else \
-                    mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
-                acc += cval * chi.value_mpc(a if self.modulus > 1 else 1, prec)
+                acc += to_mpf(c, prec) * chi.value_mpc(a if self.modulus > 1 else 1, prec)
             return acc
 
     def to_json(self):

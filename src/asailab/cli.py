@@ -388,14 +388,18 @@ def cmd_nez(args):
     return 0
 
 
+def _eta_arg(args):
+    """The character mod p^r named by the --eta generator exponents."""
+    modulus = args.p ** args.r
+    gens = unit_group_structure(modulus)
+    exps = [int(x) for x in (args.eta or "0").split(",")]
+    if len(exps) != len(gens):
+        raise UsageError(f"eta needs {len(gens)} exponents for modulus {modulus}")
+    return DirichletCharacter(modulus, exps)
+
+
 def cmd_pr_factor(args):
-    eta = None
-    if args.r > 0:
-        gens = unit_group_structure(args.p ** args.r)
-        exps = [int(x) for x in (args.eta or "0").split(",")]
-        if len(exps) != len(gens):
-            raise UsageError(f"eta needs {len(gens)} exponents for modulus {args.p ** args.r}")
-        eta = DirichletCharacter(args.p ** args.r, exps)
+    eta = _eta_arg(args) if args.r > 0 else None
     if args.a_value is not None:
         fac = pr_interp_factor(parse_rational(args.a_value), args.j, args.r, eta,
                                p=args.p, kprime=args.kprime)
@@ -416,18 +420,13 @@ def cmd_pr_factor(args):
 
 
 def cmd_gauss_sum(args):
-    modulus = args.p ** args.r
-    gens = unit_group_structure(modulus)
-    exps = [int(x) for x in (args.eta or "0").split(",")]
-    if len(exps) != len(gens):
-        raise UsageError(f"eta needs {len(gens)} exponents for modulus {modulus}")
-    eta = DirichletCharacter(modulus, exps)
+    eta = _eta_arg(args)
     g = gauss_sum(eta, args.p, args.r)
     norm = (g * g.conjugate()).rational_value()
     num = g.to_mpc()
     res = {"gauss_sum": repr(g), "norm_squared": norm,
            "numeric": [float(mpmath.re(num)), float(mpmath.im(num))],
-           "character": {"modulus": modulus, "exponents": eta.exponents,
+           "character": {"modulus": eta.modulus, "exponents": eta.exponents,
                          "order": eta.order, "conductor": eta.conductor()}}
     _emit(args, "gauss-sum", {"p": args.p, "r": args.r, "eta": args.eta}, res)
     return 0

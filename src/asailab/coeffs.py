@@ -247,5 +247,14 @@ class QuadElt:
         return {"a": format_rational(self.a), "b": format_rational(self.b)}
 
 
+def to_mpf(x, prec=None):
+    """An exact value (QuadElt, int or Fraction) as an mpf; a rational is
+    rounded once at the current working precision."""
+    if isinstance(x, QuadElt):
+        return x.to_mpf(prec)
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 _ZERO = Fraction(0)
 _RATIONAL = CoefficientField(None)

@@ -22,7 +22,7 @@ import mpmath
 
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
-from .coeffs import QuadElt
+from .coeffs import QuadElt, to_mpf
 from .precision import mp_context
 
 
@@ -107,13 +107,6 @@ class AsaiLSeries:
         return 2 * s - 2 - self.shift_weight
 
 
-def _to_mp(value, prec=None):
-    if isinstance(value, QuadElt):
-        return value.to_mpf(prec)
-    value = Fraction(value)
-    return mpmath.mpf(value.numerator) / value.denominator
-
-
 def imprimitive_L(form, s, n_cutoff=4000, chi=None, prec=None):
     """Truncated L_(N)(chi, 2s-2-k-k') * sum_{n <= n_cutoff} alpha(n) n^{-s}.
 
@@ -131,7 +124,7 @@ def imprimitive_L(form, s, n_cutoff=4000, chi=None, prec=None):
         for n in range(1, n_cutoff + 1):
             a_n = table[n]
             if a_n:
-                dirichlet += _to_mp(a_n, prec) * mpmath.power(n, -s_m)
+                dirichlet += to_mpf(a_n, prec) * mpmath.power(n, -s_m)
         u = series.zeta_argument(s_m)
         lch = _dirichlet_l_truncated(series.chi, u, n_cutoff, prec)
         value = lch * dirichlet
@@ -251,7 +244,7 @@ def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False
 def _poly_eval_mp(coeffs, x, prec=None):
     acc = mpmath.mpc(0)
     for c in reversed(list(coeffs)):
-        acc = acc * x + _to_mp(c, prec)
+        acc = acc * x + to_mpf(c, prec)
     return acc
 
 
@@ -323,7 +316,7 @@ def check_Cl_divisibility(bad, k, kprime, prec=None, tol=1e-8):
         if ell in bad.p_polys:
             entry["divides"] = _poly_divides(c_poly, bad.p_polys[ell])
         with mp_context(prec):
-            coeffs = [_to_mp(c, prec) for c in c_poly]
+            coeffs = [to_mpf(c, prec) for c in c_poly]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             if len(coeffs) > 1:

@@ -2,16 +2,21 @@
 Perrin-Riou interpolation factors with Gauss sums.
 
 p-adic quantities are (valuation, unit) pairs with the unit carried to a
-finite precision (default 20 digits); valuation bookkeeping is exact.  The
-Iwasawa algebra is never materialised: every interpolation statement is
-exercised through (j, eta) specialisations.
+finite precision (default 20 digits); valuation bookkeeping is exact.  An
+exact value (int, Fraction, QuadElt) enters p-adic arithmetic only through
+`to_padic`, so a PadicNumber is an ordinary operand of + - * / ** and ==: an
+exact operand is read at the other operand's precision, and a product of two
+p-adic numbers has the lesser precision, whatever the order.  The Iwasawa
+algebra is never materialised: every interpolation statement is exercised
+through (j, eta) specialisations.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .coeffs import QuadElt
+from .arith import sqrt_mod
+from .coeffs import QuadElt, to_mpf
 from .cyclo import CyclotomicValue
 from .characters import RootOfUnity
 
@@ -84,6 +89,12 @@ class PadicNumber:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** -n
+        return PadicNumber(self.p, self.val * n, pow(self.unit, n, self.p ** self.prec),
+                           self.prec)
+
     def inverse(self):
         mod = self.p ** self.prec
         return PadicNumber(self.p, -self.val, pow(self.unit, -1, mod), self.prec)
@@ -121,24 +132,11 @@ class PadicNumber:
         return (-self) + other
 
     def _coerce(self, other):
-        if isinstance(other, PadicNumber):
-            if other.p != self.p:
-                raise PadicError("mixed primes")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PadicNumber.from_rational(other, self.p, self.prec)
-        if isinstance(other, QuadElt) and other.is_rational:
-            return PadicNumber.from_rational(other.as_fraction(), self.p, self.prec)
-        raise PadicError(f"cannot coerce {other!r} to a p-adic number")
+        return to_padic(other, self.p, self.prec)
 
     def unit_is(self, target):
         """Whether the unit part equals the rational target to stored precision."""
-        t = PadicNumber.from_rational(target, self.p, self.prec)
-        if t.val != 0:
-            return False
-        prec = min(self.prec, t.prec)
-        mod = self.p ** prec
-        return (self.unit - t.unit) % mod == 0
+        return PadicNumber(self.p, 0, self.unit, self.prec) == target
 
     def __eq__(self, other):
         try:
@@ -158,77 +156,87 @@ class PadicNumber:
         return f"{self.p}^{self.val} * ({self.unit} + O({self.p}^{self.prec}))"
 
 
+def _lift_root(t, c, x0, p, prec):
+    """The root of X^2 - t X + c mod p^prec that is x0 mod p, by Newton
+    iteration; x0 must be a simple root mod p (2 x0 != t mod p)."""
+    x, k = x0 % p, 1
+    while k < prec:
+        k = min(2 * k, prec)
+        m = p ** k
+        x = (x - (x * x - t * x + c) * pow(2 * x - t, -1, m)) % m
+    return x
+
+
 def hensel_sqrt(e, p, prec, root_choice=None):
     """Square root of e mod p^prec (p odd, p not dividing e); None if e is a non-residue.
 
-    root_choice picks the lift: any integer r with r^2 = e mod p.
+    root_choice picks the lift: any integer r with r^2 = e mod p.  The default
+    is the lift of the smaller root in 1..p-1.
     """
     e = int(e) % p ** prec
     if p == 2:
         raise PadicError("p = 2 square roots unsupported")
     if e % p == 0:
         raise PadicError("need e a p-adic unit")
-    r0 = None
     if root_choice is not None:
         if (root_choice * root_choice - e) % p:
             raise PadicError(f"{root_choice} is not a square root of {e} mod {p}")
-        r0 = root_choice % p
+        r0 = root_choice
+    elif pow(e, (p - 1) // 2, p) != 1:
+        return None
     else:
-        for r in range(1, p):
-            if (r * r - e) % p == 0:
-                r0 = r
-                break
-        if r0 is None:
-            return None
-    k = 1
-    r = r0
-    while k < prec:
-        k = min(2 * k, prec)
-        mod = p ** k
-        r = (r - (r * r - e) * pow(2 * r, -1, mod)) % mod
-    return r
+        r = sqrt_mod(e, p)
+        r0 = min(r, p - r)
+    return _lift_root(0, -e, r0, p, prec)
 
 
 def hensel_unit_root(trace, const, p, prec):
-    """Unit root of X^2 - trace*X + const, for v(trace) = 0 < v(const)."""
-    mod = p ** prec
-    t = PadicNumber.from_rational(trace, p, prec)
+    """Unit root of X^2 - trace*X + const, for v(trace) = 0 < v(const).
+
+    trace and const are exact or p-adic; the root is known to the lesser of
+    prec and the precision of the trace.
+    """
+    t = to_padic(trace, p, prec)
     if t.val != 0:
         raise PadicError("not ordinary: trace is not a p-adic unit")
-    c = _as_fraction(const)
-    if c != 0 and vp_fraction(c, p) < 1:
-        raise PadicError("constant term must have positive valuation")
-    tm = t.unit % mod
-    cm = int((Fraction(c.numerator) * pow(c.denominator, -1, mod)) % mod) if c else 0
-    x = tm % p
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        m = p ** k
-        fx = (x * x - tm * x + cm) % m
-        dfx = (2 * x - tm) % m
-        x = (x - fx * pow(dfx, -1, m)) % m
-    return PadicNumber(p, 0, x, prec)
+    c = 0
+    if const != 0:
+        c = to_padic(const, p, prec)
+        if c.val < 1:
+            raise PadicError("constant term must have positive valuation")
+        c = c.unit * p ** c.val
+    prec = min(prec, t.prec)
+    return PadicNumber(p, 0, _lift_root(t.unit, c, t.unit, p, prec), prec)
 
 
 def to_padic(value, p, prec=20, embedding=None):
-    """Coerce an exact value (or PadicNumber) into a PadicNumber."""
+    """The one way into p-adic arithmetic: an int, Fraction or QuadElt as a
+    PadicNumber known mod p^prec (a PadicNumber passes through unchanged).
+
+    An irrational a + b sqrt(e) is read through sqrt(e) -> the Hensel lift of
+    the root `embedding` mod p (default: the smaller root).  Anything else
+    raises PadicError.
+    """
     if isinstance(value, PadicNumber):
+        if value.p != p:
+            raise PadicError("mixed primes")
         return value
-    if isinstance(value, QuadElt) and not value.is_rational:
-        e = value.field.e
-        if _vp_int(e, p) not in (0, None):
-            raise PadicError(f"sqrt({e}) not a unit at {p}")
-        r = hensel_sqrt(e % p ** prec, p, prec, embedding)
-        if r is None:
-            raise PadicError(f"{e} is not a square mod {p}; embedding undefined")
-        # a + b*sqrt(e) -> the exact rational a + b*r, then reduce
-        num = value.a + value.b * r
-        if num == 0:
-            raise PadicError("value vanishes to working precision under the embedding")
-        return PadicNumber.from_rational(num, p, prec)
     if isinstance(value, QuadElt):
-        value = value.as_fraction()
+        if value.is_rational:
+            value = value.a
+        else:
+            e = value.field.e
+            if e % p == 0:
+                raise PadicError(f"sqrt({e}) not a unit at {p}")
+            r = hensel_sqrt(e, p, prec, embedding)
+            if r is None:
+                raise PadicError(f"{e} is not a square mod {p}; embedding undefined")
+            # a + b*sqrt(e) -> the exact rational a + b*r, then reduce
+            value = value.a + value.b * r
+            if value == 0:
+                raise PadicError("value vanishes to working precision under the embedding")
+    if not isinstance(value, (int, Fraction)):
+        raise PadicError(f"cannot coerce {value!r} to a p-adic number")
     return PadicNumber.from_rational(value, p, prec)
 
 
@@ -238,12 +246,8 @@ def padic_valuation_of_value(value, p, embedding=None, precision=20):
         return value.val
     if isinstance(value, QuadElt) and not value.is_rational:
         # v(x) <= v(Norm x); lift with enough digits to decide exactly
-        nrm = value.norm()
-        bound = max(0, vp_fraction(nrm, p)) + precision
-        x = to_padic(value, p, bound, embedding)
-        return x.val
-    if isinstance(value, QuadElt):
-        value = value.as_fraction()
+        bound = max(0, vp_fraction(value.norm(), p)) + precision
+        return to_padic(value, p, bound, embedding).val
     return vp_fraction(value, p)
 
 
@@ -271,60 +275,36 @@ class OrdinaryData:
 
     @property
     def beta_p(self):
-        return _div(_scale_power(self.eps_p, self.p, self.k + 1), self.alpha_p, self.p)
+        return Fraction(self.p) ** (self.k + 1) * self.eps_p / self.alpha_p
 
     @property
     def beta_q(self):
-        return _div(_scale_power(self.eps_q, self.p, self.kprime + 1), self.alpha_q, self.p)
+        return Fraction(self.p) ** (self.kprime + 1) * self.eps_q / self.alpha_q
 
     def alpha_rational(self):
         """alpha_p(F) = alpha_frak_p * alpha_frak_q."""
-        return _mul(self.alpha_p, self.alpha_q, self.p)
+        return self.alpha_p * self.alpha_q
 
     def frobenius_eigenvalues(self):
         """[(name, value)] for the four crystalline Frobenius eigenvalues."""
         return [
-            ("alpha_p*alpha_q", _mul(self.alpha_p, self.alpha_q, self.p)),
-            ("beta_p*alpha_q", _mul(self.beta_p, self.alpha_q, self.p)),
-            ("alpha_p*beta_q", _mul(self.alpha_p, self.beta_q, self.p)),
-            ("beta_p*beta_q", _mul(self.beta_p, self.beta_q, self.p)),
+            ("alpha_p*alpha_q", self.alpha_p * self.alpha_q),
+            ("beta_p*alpha_q", self.beta_p * self.alpha_q),
+            ("alpha_p*beta_q", self.alpha_p * self.beta_q),
+            ("beta_p*beta_q", self.beta_p * self.beta_q),
         ]
 
     def m_p_eigenvalue(self):
         """The product attached to the chosen 1-dimensional quotient M_p."""
         if self.m_choice == "alpha_p_beta_q":
-            return _mul(self.alpha_p, self.beta_q, self.p)
+            return self.alpha_p * self.beta_q
         if self.m_choice == "beta_p_alpha_q":
-            return _mul(self.beta_p, self.alpha_q, self.p)
+            return self.beta_p * self.alpha_q
         raise PadicError(f"unknown m_choice {self.m_choice!r}")
 
     def valuations(self):
         return sorted(padic_valuation_of_value(v, self.p)
                       for _, v in self.frobenius_eigenvalues())
-
-
-def _scale_power(eps, p, exp):
-    if isinstance(eps, (int, Fraction)):
-        return Fraction(eps) * p ** exp
-    return eps * Fraction(p ** exp)
-
-
-def _mul(a, b, p):
-    if isinstance(a, PadicNumber) or isinstance(b, PadicNumber):
-        a = a if isinstance(a, PadicNumber) else to_padic(a, p, 20)
-        return a * b
-    return a * b
-
-
-def _div(a, b, p):
-    if isinstance(a, PadicNumber) or isinstance(b, PadicNumber):
-        b = b if isinstance(b, PadicNumber) else to_padic(b, p, 20)
-        if not isinstance(a, PadicNumber):
-            a = to_padic(a, p, b.prec)
-        return a / b
-    if isinstance(a, QuadElt) or isinstance(b, QuadElt):
-        return a / b
-    return Fraction(a) / Fraction(b)
 
 
 def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q",
@@ -355,16 +335,11 @@ def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q",
         lam = form.lambda_of(prime) if stabilised_here else form.stored(prime)
         if lam is None:
             raise PadicError(f"U-eigenvalue missing at a prime above {p}")
-        mu = _normalise(lam, p, t_slot)
+        mu = Fraction(p) ** -t_slot * lam
         if stabilised_here:
-            const = _normalise(Fraction(p ** (w.w - 1)) * eps_v, p, 2 * t_slot)
             # const = p^{k_slot + 1} eps up to the t-normalisation
-            if isinstance(mu, QuadElt) and not mu.is_rational:
-                mu = to_padic(mu, p, precision, embedding)
-            if isinstance(mu, PadicNumber):
-                alpha = hensel_unit_root_padic(mu, const, p, precision)
-            else:
-                alpha = hensel_unit_root(mu, const, p, precision)
+            const = Fraction(p) ** (w.w - 1 - 2 * t_slot) * eps_v
+            alpha = hensel_unit_root(to_padic(mu, p, precision, embedding), const, p, precision)
         else:
             alpha = mu
             if padic_valuation_of_value(alpha, p, embedding, precision) != 0:
@@ -376,31 +351,6 @@ def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q",
                         m_choice=m_choice,
                         notes={"stabilised_on_the_fly": stabilised_here,
                                "t_normalisation": "alpha_frak = p^{-t} U(frak) per embedding"})
-
-
-def _normalise(value, p, t_exp):
-    scale = Fraction(1, p ** t_exp) if t_exp >= 0 else Fraction(p ** (-t_exp))
-    return scale * value if not isinstance(value, PadicNumber) else \
-        value * PadicNumber.from_rational(scale, p, value.prec)
-
-
-def hensel_unit_root_padic(mu, const, p, prec):
-    """Unit root when the trace is only known p-adically."""
-    if mu.val != 0:
-        raise PadicError("not ordinary: trace is not a unit")
-    mod = p ** prec
-    cm = to_padic(const, p, prec) if const else None
-    c_int = 0 if cm is None else (cm.unit * p ** cm.val) % mod
-    tm = mu.unit % mod
-    x = tm % p
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        m = p ** k
-        fx = (x * x - tm * x + c_int) % m
-        dfx = (2 * x - tm) % m
-        x = (x - fx * pow(dfx, -1, m)) % m
-    return PadicNumber(p, 0, x, min(prec, mu.prec))
 
 
 # -- (NEZ) ---------------------------------------------------------------------
@@ -416,14 +366,9 @@ def check_NEZ(data):
     if data.k != data.kprime:
         return True, None
     for name, val in data.frobenius_eigenvalues():
-        v = padic_valuation_of_value(val, data.p)
-        if isinstance(val, PadicNumber):
-            if val.unit_is(1) or val.unit_is(-1):
-                return False, name
-        else:
-            unit = val * Fraction(1, data.p ** v) if v >= 0 else val * Fraction(data.p ** (-v))
-            if unit == 1 or unit == -1:
-                return False, name
+        unit = val / Fraction(data.p) ** padic_valuation_of_value(val, data.p)
+        if unit == 1 or unit == -1:
+            return False, name
     return True, None
 
 
@@ -484,15 +429,10 @@ class InterpFactor:
         with mp_context(prec):
             if isinstance(self.scalar, PadicNumber):
                 raise PadicError("p-adic scalar has no archimedean embedding")
-            s = self.scalar.to_mpf(prec) if isinstance(self.scalar, QuadElt) else \
-                mpmath.mpf(Fraction(self.scalar).numerator) / Fraction(self.scalar).denominator
+            s = to_mpf(self.scalar, prec)
             if self.gauss_inverse is not None:
                 return s * self.gauss_inverse.to_mpc(prec)
             return mpmath.mpc(s)
-
-
-def _factorial(n):
-    return math.factorial(n)
 
 
 def pr_interp_factor(data, j, r, eta=None, p=None, kprime=None):
@@ -519,31 +459,24 @@ def pr_interp_factor(data, j, r, eta=None, p=None, kprime=None):
             raise PadicError("direct eigenvalue input needs p and kprime")
         kp, a_val = int(kprime), data
     if j <= kp:
-        tag, tag_const = "log", Fraction((-1) ** (kp - j), _factorial(kp - j))
+        tag, tag_const = "log", Fraction((-1) ** (kp - j), math.factorial(kp - j))
     else:
-        tag, tag_const = "exp*", Fraction(_factorial(j - kp - 1))
+        tag, tag_const = "exp*", Fraction(math.factorial(j - kp - 1))
     if r == 0:
-        den = 1 - _div(a_val, Fraction(p ** (1 + j)), p)
+        den = 1 - a_val / Fraction(p) ** (1 + j)
         if den == 0:
             raise NEZFailure(f"eigenvalue equals p^{1 + j}; r = 0 factor undefined")
-        num = 1 - _div(Fraction(p ** j), a_val, p)
-        scalar = _div(num, den, p)
+        num = 1 - Fraction(p) ** j / a_val
+        scalar = num / den
         return InterpFactor(j, 0, None, scalar, None, tag, tag_const)
     if eta is None:
         raise PadicError("r >= 1 needs a character eta of conductor p^r")
     if eta.modulus != p ** r:
         raise PadicError(f"eta modulus {eta.modulus} != {p}^{r}")
     ginv, g, gnorm = gauss_sum_inverse(eta.inverse())
-    ratio = _div(Fraction(p ** ((1 + j) * r)), _pow(a_val, r, p), p)
+    ratio = Fraction(p) ** ((1 + j) * r) / a_val ** r
     return InterpFactor(j, r, eta, ratio, ginv, tag, tag_const,
                         meta={"gauss_norm": gnorm})
-
-
-def _pow(a, e, p):
-    out = None
-    for _ in range(e):
-        out = a if out is None else _mul(out, a, p)
-    return out
 
 
 class PoleError(PadicError):
@@ -581,7 +514,7 @@ def motivic_padic_L_prefactors(data, c, j, eta=None, eps_c=1):
     scale = Fraction(c ** e) if e >= 0 else Fraction(1, c ** (-e))
     if isinstance(eta_c_sq, RootOfUnity):
         import mpmath
-        cfac = c * c - float(scale) * complex(mpmath.mpc(eta_c_sq.to_mpc())) * _as_float(eps_c)
+        cfac = c * c - float(scale) * complex(mpmath.mpc(eta_c_sq.to_mpc())) * float(eps_c)
         if abs(cfac) < 1e-12:
             raise PoleError(f"c-factor vanishes at (j, eta) = ({j}, {eta})")
         interp = pr_interp_factor(data, j, r, eta)
@@ -591,12 +524,6 @@ def motivic_padic_L_prefactors(data, c, j, eta=None, eps_c=1):
         raise PoleError(f"c-factor vanishes at (j, eta) = ({j}, {eta}); "
                         f"pole of the motivic p-adic L-function")
     interp = pr_interp_factor(data, j, r, eta)
-    scalar = _div(interp.scalar, cfac, p)
+    scalar = interp.scalar / cfac
     return {"c_factor": cfac, "interp": interp, "combined_scalar": scalar,
             "exact": not isinstance(scalar, PadicNumber)}
-
-
-def _as_float(x):
-    if isinstance(x, QuadElt):
-        return float(x)
-    return float(Fraction(x))

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .arith import factorise, is_prime, is_squarefree
+from .arith import factorise, is_prime, is_squarefree, sqrt_mod
 from .precision import mp_context
 
 
@@ -494,27 +494,6 @@ class SplittingType:
         return self.kind is SplitKind.RAMIFIED
 
 
-def _sqrt_mod(a, p):
-    """A square root of the quadratic residue a modulo an odd prime p (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 @lru_cache(maxsize=1024)
 def splitting_type(field, ell):
     """Splitting of the prime ell in field; memoised per (d, ell)."""
@@ -529,7 +508,7 @@ def splitting_type(field, ell):
     elif pow(field.disc, (ell - 1) // 2, ell) == ell - 1:
         roots = []
     else:
-        root, half = _sqrt_mod(field.disc, ell), (ell + 1) // 2
+        root, half = sqrt_mod(field.disc, ell), (ell + 1) // 2
         roots = {(t + root) * half % ell, (t - root) * half % ell}
     if not roots:
         return SplittingType(SplitKind.INERT, ell, (IdealRep(field, ell, 0, ell),))

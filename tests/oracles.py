@@ -88,6 +88,19 @@ def legendre_symbol(a, p):
     return 1 if any((x * x) % p == a for x in range(1, p)) else -1
 
 
+def scan_sqrt_lift(e, p, prec):
+    """The square root of e mod p^prec lifting the least root in 1..p-1 of
+    x^2 = e mod p (found by scanning), one p-adic digit at a time; None for a
+    non-residue."""
+    r = next((x for x in range(1, p) if (x * x - e) % p == 0), None)
+    if r is None:
+        return None
+    for k in range(1, prec):
+        digit = (e - r * r) // p ** k * pow(2 * r, -1, p) % p
+        r += digit * p ** k
+    return r % p ** prec
+
+
 def classical_eisenstein_q_series(k, alpha, tau, n_terms=80):
     """Weight-k holomorphic Eisenstein series with the alpha-shift, at s = 0:
 

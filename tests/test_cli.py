@@ -64,6 +64,17 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gauss-sum", "--p", "5", "--r", "1", "--eta", "1,1"],
+    ["pr-factor", "--p", "5", "--r", "1", "--eta", "1,1", "--a-value", "2"],
+])
+def test_eta_exponent_count_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and not out
+    assert json.loads(err) == {"error": "usage",
+                               "message": "eta needs 1 exponents for modulus 5"}
+
+
+@pytest.mark.parametrize("argv", [
     ["lfun", "--delta", "--s", "14", "--n-cutoff", "0", "--method", "dirichlet"],
     ["lfun", "--delta", "--s", "14", "--n-cutoff", "-5"],
     ["lfun", "--delta", "--s", "14", "--ell-cutoff", "0", "--method", "euler"],

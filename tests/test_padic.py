@@ -3,14 +3,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from asailab.arith import is_prime
 from asailab.characters import DirichletCharacter
 from asailab.coeffs import CoefficientField
+from asailab.eigenform import HilbertEigenform, Weight
 from asailab.padic import (NEZFailure, OrdinaryData, PadicError, PadicNumber,
                            PoleError, check_NEZ, gauss_sum, gauss_sum_inverse,
                            hensel_sqrt, hensel_unit_root,
                            motivic_padic_L_prefactors, padic_valuation_of_value,
                            pr_interp_factor, stabilized_params, to_padic,
                            vp_fraction)
+from asailab.quadfield import IdealRep, RealQuadraticField
 
 
 def test_padic_number_arithmetic():
@@ -207,3 +210,68 @@ def test_to_padic_quadratic():
     assert x.val == 0 and x.unit % 7 == 4
     with pytest.raises(PadicError):
         to_padic(cf.element(0, 1), 2, 10)  # p = 2 unsupported
+
+
+def test_exact_operand_takes_the_padic_precision_in_either_order():
+    exact, padic = Fraction(2), PadicNumber.from_rational(Fraction(7, 3), 5, 40)
+    for ap, aq in ((exact, padic), (padic, exact)):
+        data = OrdinaryData(p=5, k=0, kprime=0, alpha_p=ap, alpha_q=aq)
+        assert data.alpha_rational().prec == 40
+        assert data.alpha_rational() == PadicNumber.from_rational(Fraction(14, 3), 5, 40)
+    # 1 + sqrt2 at p = 7 (2 = 3^2 mod 7) enters through to_padic on either side
+    x = CoefficientField(2).element(1, 1)
+    y = PadicNumber.from_rational(Fraction(2), 7, 12)
+    assert y * x == x * y == to_padic(x, 7, 12) * 2
+    assert (y * x).prec == 12 and (x / y).prec == 12
+
+
+def test_padic_power_and_foreign_operands():
+    x = PadicNumber.from_rational(Fraction(10, 3), 5, 8)
+    assert x ** 3 == x * x * x and (x ** 3).val == 3
+    assert x ** -2 == (x * x).inverse() and x ** 0 == 1
+    assert x.__eq__("1") is NotImplemented and x != "1"
+    with pytest.raises(PadicError):
+        to_padic(1.5, 5, 8)
+    with pytest.raises(PadicError):
+        x * PadicNumber.from_rational(Fraction(2), 7, 8)  # mixed primes
+
+
+def test_hensel_sqrt_matches_the_scan_of_its_smaller_root():
+    from oracles import scan_sqrt_lift
+    for p in range(3, 400, 2):
+        if is_prime(p):
+            for e in range(1, p):
+                assert hensel_sqrt(e, p, 3) == scan_sqrt_lift(e, p, 3), (e, p)
+
+
+def test_hensel_sqrt_at_a_large_prime():
+    p = 1_000_000_007
+    r = hensel_sqrt(3, p, 5)
+    assert r is not None and (r * r - 3) % p ** 5 == 0 and r % p < p - r % p
+
+
+def test_hensel_unit_root_checks_padic_traces_too():
+    five = PadicNumber.from_rational(Fraction(5), 5, 10)
+    with pytest.raises(PadicError):
+        hensel_unit_root(five, Fraction(5), 5, 10)  # trace not a unit
+    six = PadicNumber.from_rational(Fraction(6), 5, 10)
+    with pytest.raises(PadicError):
+        hensel_unit_root(six, Fraction(2), 5, 10)  # v(const) = 0
+    root = hensel_unit_root(PadicNumber.from_rational(Fraction(6), 5, 6), 5, 5, 12)
+    assert root.prec == 6 and root.unit_is(1)
+
+
+def test_stabilized_params_with_a_padic_trace():
+    # Q(sqrt 2) coefficients over Q(sqrt 5): lambda = 1 + sqrt2, 3 - sqrt2 at
+    # the primes above 31, weight (2, 2, 0, 0); mu enters as a 31-adic number
+    field, cf, p, prec = RealQuadraticField(5), CoefficientField(2), 31, 15
+    lams = (cf.element(1, 1), cf.element(3, -1))
+    eig = {P.hnf(): lam for P, lam in zip(field.primes_above(p), lams)}
+    form = HilbertEigenform(field, Weight(2, 2, 0, 0), IdealRep(field, 1, 0, 1), cf, eig)
+    data = stabilized_params(form, p, precision=prec)
+    for alpha, lam in zip((data.alpha_p, data.alpha_q), lams):
+        mu = to_padic(lam, p, prec)
+        assert alpha.prec == prec and alpha.val == 0
+        assert (alpha.unit ** 2 - mu.unit * alpha.unit + p) % p ** prec == 0
+    assert data.valuations() == [0, 1, 1, 2]
+    assert check_NEZ(data) == (True, None)

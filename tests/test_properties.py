@@ -7,9 +7,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from asailab.arith import is_squarefree  # noqa: E402
+from asailab.arith import is_prime, is_squarefree  # noqa: E402
 from asailab.asairep import charpoly_reversed  # noqa: E402
 from asailab.coeffs import CoefficientField  # noqa: E402
+from asailab.padic import hensel_unit_root, to_padic  # noqa: E402
 from asailab.quadfield import (IdealRep, NotPrincipalError, RealQuadraticField,  # noqa: E402
                                find_generator, ideals_of_norm)
 from oracles import leibniz_charpoly_reversed, shortest_generator_oracle  # noqa: E402
@@ -58,3 +59,27 @@ def test_find_generator_matches_lattice_oracle(case):
             find_generator(ideal)
     else:
         assert find_generator(ideal) == want
+
+
+@st.composite
+def ordinary_quadratics(draw):
+    """(t, c, p, prec): odd p < 200, prec <= 12, a p-adic unit t and v_p(c) >= 1."""
+    p = draw(st.sampled_from([q for q in range(3, 200, 2) if is_prime(q)]))
+    prec = draw(st.integers(1, 12))
+
+    def unit():
+        n = draw(st.integers(-10 ** 6, 10 ** 6).filter(lambda n: n % p))
+        return Fraction(n, draw(st.integers(1, 10 ** 4).filter(lambda n: n % p)))
+    c = unit() * p ** draw(st.integers(1, 3))
+    return unit(), c, p, prec
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinary_quadratics())
+def test_unit_root_same_for_exact_and_padic_trace(case):
+    t, c, p, prec = case
+    root = hensel_unit_root(t, c, p, prec)
+    assert root == hensel_unit_root(to_padic(t, p, prec), c, p, prec)
+    mod = p ** prec
+    tm, cm = to_padic(t, p, prec).unit, c.numerator * pow(c.denominator, -1, mod)
+    assert root.val == 0 and (root.unit ** 2 - tm * root.unit + cm) % mod == 0
