@@ -133,11 +133,11 @@ def _positive_int(text):
 def cmd_field_info(args):
     field = RealQuadraticField(args.d)
     unit, nrm = field.fundamental_unit()
+    a, b = field.omega_coords(unit)
     res = {
         "d": field.d, "discriminant": field.disc,
         "omega": {"trace": field.omega_trace, "norm": field.omega_norm},
-        "fundamental_unit": {"a": unit.a, "b": unit.b,
-                             "theta1": float(unit.theta1()), "norm": nrm},
+        "fundamental_unit": {"a": a, "b": b, "theta1": float(unit.to_mpf()), "norm": nrm},
         "different": {"hnf": field.different().hnf(),
                       "norm": field.different().norm()},
     }
@@ -153,7 +153,7 @@ def cmd_field_info(args):
                     g = totally_positive_generator(p)
                 except NotPrincipalError:
                     g = None
-                gens.append(None if g is None else {"a": g.a, "b": g.b})
+                gens.append(None if g is None else dict(zip("ab", field.omega_coords(g))))
             res["splitting"]["totally_positive_generators"] = gens
     _emit(args, "field-info", {"d": args.d, "ell": args.ell}, res)
     return 0

@@ -1,10 +1,13 @@
-"""Exact coefficient arithmetic: Q and real quadratic extensions Q(sqrt(e)).
+"""Exact arithmetic in Q and in real quadratic fields Q(sqrt(e)).
 
-Eigenvalue data is stored exactly.  A value is (a, b) meaning a + b*sqrt(e)
-over the declared coefficient field; rational values carry e = None and b = 0.
+One element class, QuadElt, serves the coefficient fields of eigenvalues
+(CoefficientField) and the base fields of quadfield (RealQuadraticField, whose
+radicand e is d).  A value a + b*sqrt(e) is stored as integer coordinates over
+a common denominator; rational values may live over Q, whose e is None.
 Numeric embeddings send sqrt(e) to the positive real square root.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -98,46 +101,78 @@ class CoefficientField:
 
 
 class QuadElt:
-    """a + b*sqrt(e) with exact rational a, b; products of two elements with
-    b == 0 multiply the rational parts alone."""
+    """(x + y*sqrt(e))/den with integers x, y, den over a field whose radicand
+    is field.e (None over Q).  The coordinates are canonical: den > 0 and
+    gcd(x, y, den) = 1, so equal values have equal coordinates.  a and b are
+    the rational coordinates in the basis (1, sqrt(e)); a product of two
+    rational values (y == 0) multiplies the rational parts alone."""
 
-    __slots__ = ("a", "b", "field")
+    __slots__ = ("x", "y", "den", "field")
 
     def __init__(self, a, b=0, field=None):
         if field is None:
             field = _RATIONAL
-        self.field = field
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
-        if field.e is None and self.b:
+        if type(a) is int and type(b) is int:
+            x, y, den = a, b, 1
+        else:
+            a = a if type(a) is Fraction else Fraction(a)
+            b = b if type(b) is Fraction else Fraction(b)
+            den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+            x = a.numerator * (den // a.denominator)
+            y = b.numerator * (den // b.denominator)
+        if field.e is None and y:
             raise CoefficientError("nonzero sqrt coordinate over Q")
+        self.x, self.y, self.den, self.field = x, y, den, field
+
+    @staticmethod
+    def from_ints(x, y, den, field):
+        """(x + y*sqrt(e))/den for integers x, y and den > 0."""
+        if den != 1:
+            g = math.gcd(x, y, den)
+            if g != 1:
+                x, y, den = x // g, y // g, den // g
+        z = _new(QuadElt)
+        z.x, z.y, z.den, z.field = x, y, den, field
+        return z
+
+    @property
+    def a(self):
+        return Fraction(self.x, self.den)
+
+    @property
+    def b(self):
+        return Fraction(self.y, self.den)
 
     # -- ring operations -------------------------------------------------
 
-    def _coerce(self, other):
-        """(a, b, field) of other, with field the common field; None if foreign."""
+    def _operand(self, other):
+        """(x, y, den, field) of other, with field the common field; None if
+        foreign.  Q lies in every Q(sqrt(e)); two radicands do not mix."""
         if isinstance(other, QuadElt):
             sf, of = self.field, other.field
-            if sf is of or of.e is None or sf.e == of.e:
-                return other.a, other.b, sf
-            if sf.e is None and not other.b:
-                return other.a, other.b, of
-            raise CoefficientError(f"mixed coefficient fields {sf} and {of}")
+            if of.e != sf.e and of.e is not None:
+                if sf.e is not None:
+                    raise CoefficientError(f"mixed coefficient fields {sf} and {of}")
+                sf = of
+            return other.x, other.y, other.den, sf
         if isinstance(other, (int, Fraction)):
-            return other if type(other) is Fraction else Fraction(other), _ZERO, self.field
+            return other.numerator, 0, other.denominator, self.field
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b, f = o
-        return QuadElt(self.a + a, self.b + b, f)
+        x, y, den, field = o
+        if den == self.den:
+            return _elt(self.x + x, self.y + y, den, field)
+        return _elt(self.x * den + x * self.den, self.y * den + y * self.den,
+                    self.den * den, field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElt(-self.a, -self.b, self.field)
+        return _elt(-self.x, -self.y, self.den, self.field)
 
     def __sub__(self, other):
         return self + (-other)
@@ -146,38 +181,45 @@ class QuadElt:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b, f = o
-        if not (b or self.b):
-            return QuadElt(self.a * a, _ZERO, f)
-        return QuadElt(self.a * a + f.e * self.b * b, self.a * b + self.b * a, f)
+        x, y, den, field = o
+        if not (y or self.y):
+            return _elt(self.x * x, 0, self.den * den, field)
+        return _elt(self.x * x + field.e * self.y * y, self.x * y + self.y * x,
+                    self.den * den, field)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverting zero coefficient value")
-        return QuadElt(self.a / n, -self.b / n, self.field)
+        x, y, den, field = self.x, self.y, self.den, self.field
+        if not y:
+            if not x:
+                raise ZeroDivisionError("inverting zero")
+            return _elt(den, 0, x, field) if x > 0 else _elt(-den, 0, -x, field)
+        # den / (x + y sqrt(e)) = den (x - y sqrt(e)) / n, n = x^2 - e y^2 != 0
+        n = x * x - field.e * y * y
+        if n < 0:
+            den, n = -den, -n
+        return _elt(den * x, -den * y, n, field)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * QuadElt(*o).inverse()
+        return self * _elt(*o).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __pow__(self, n):
         n = int(n)
-        if not self.b:
-            return QuadElt(self.a ** n, _ZERO, self.field)
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadElt(1, 0, self.field)
+        if not self.y:
+            return _elt(self.x ** n, 0, self.den ** n, self.field)
+        out = _elt(1, 0, 1, self.field)
         base = self
         while n:
             if n & 1:
@@ -189,42 +231,60 @@ class QuadElt:
     # -- structure -------------------------------------------------------
 
     def conjugate(self):
-        return QuadElt(self.a, -self.b, self.field)
+        return _elt(self.x, -self.y, self.den, self.field)
 
     def norm(self):
-        e = self.field.e if self.field.e is not None else 0
-        return self.a * self.a - e * self.b * self.b
+        e = self.field.e or 0
+        return Fraction(self.x * self.x - e * self.y * self.y, self.den * self.den)
 
     def trace(self):
-        return 2 * self.a
+        return Fraction(2 * self.x, self.den)
+
+    def sign_theta1(self):
+        """Exact sign under theta1, which sends sqrt(e) to the positive root."""
+        x, y = self.x, self.y
+        if not y:
+            return (x > 0) - (x < 0)
+        sy = 1 if y > 0 else -1
+        if x == 0 or (x > 0) == (y > 0):
+            return sy
+        # opposite signs: the larger of |x| and |y| sqrt(e) wins (x^2 != e y^2)
+        return -sy if x * x > self.field.e * y * y else sy
+
+    def sign_theta2(self):
+        """Exact sign under theta2, which sends sqrt(e) to the negative root."""
+        return self.conjugate().sign_theta1()
+
+    def is_totally_positive(self):
+        return self.sign_theta1() > 0 and self.sign_theta2() > 0
 
     @property
     def is_rational(self):
-        return self.b == 0
+        return self.y == 0
 
     def as_fraction(self):
-        if self.b != 0:
+        if self.y:
             raise CoefficientError(f"{self} is not rational")
-        return self.a
+        return Fraction(self.x, self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadElt):
-            return self.a == other.a and self.b == other.b and (
-                self.b == 0 or self.field == other.field)
+            return (self.x == other.x and self.y == other.y and self.den == other.den
+                    and (not self.y or self.field.e == other.field.e))
+        if isinstance(other, (int, Fraction)):
+            return not self.y and self.x == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.y:
             return hash(self.a)
         return hash((self.a, self.b, self.field.e))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.x or self.y)
 
     def __repr__(self):
-        if self.b == 0:
+        if not self.y:
             return format_rational(self.a)
         return f"{format_rational(self.a)} + {format_rational(self.b)}*sqrt({self.field.e})"
 
@@ -232,17 +292,18 @@ class QuadElt:
 
     def to_mpf(self, prec=None):
         with mp_context(prec):
-            if self.b == 0:
-                return mpmath.mpf(self.a.numerator) / self.a.denominator
+            if not self.y:
+                return mpmath.mpf(self.x) / self.den
+            a, b = self.a, self.b
             root = mpmath.sqrt(self.field.e)
-            return (mpmath.mpf(self.a.numerator) / self.a.denominator
-                    + root * self.b.numerator / self.b.denominator)
+            return (mpmath.mpf(a.numerator) / a.denominator
+                    + root * b.numerator / b.denominator)
 
     def __float__(self):
         return float(self.to_mpf())
 
     def to_json(self):
-        if self.b == 0:
+        if not self.y:
             return format_rational(self.a)
         return {"a": format_rational(self.a), "b": format_rational(self.b)}
 
@@ -256,5 +317,6 @@ def to_mpf(x, prec=None):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-_ZERO = Fraction(0)
+_new = object.__new__
+_elt = QuadElt.from_ints
 _RATIONAL = CoefficientField(None)

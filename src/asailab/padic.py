@@ -214,8 +214,8 @@ def to_padic(value, p, prec=20, embedding=None):
     PadicNumber known mod p^prec (a PadicNumber passes through unchanged).
 
     An irrational a + b sqrt(e) is read through sqrt(e) -> the Hensel lift of
-    the root `embedding` mod p (default: the smaller root).  Anything else
-    raises PadicError.
+    the root `embedding` mod p (default: the smaller root), taken to enough
+    digits that the unit is right mod p^prec.  Anything else raises PadicError.
     """
     if isinstance(value, PadicNumber):
         if value.p != p:
@@ -228,11 +228,13 @@ def to_padic(value, p, prec=20, embedding=None):
             e = value.field.e
             if e % p == 0:
                 raise PadicError(f"sqrt({e}) not a unit at {p}")
-            r = hensel_sqrt(e, p, prec, embedding)
+            # x + y sqrt(e) has valuation v <= v(x^2 - e y^2), so sqrt(e) read
+            # mod p^(prec + v) gives its unit mod p^prec
+            x, y = value.x, value.y
+            r = hensel_sqrt(e, p, prec + _vp_int(x * x - e * y * y, p), embedding)
             if r is None:
                 raise PadicError(f"{e} is not a square mod {p}; embedding undefined")
-            # a + b*sqrt(e) -> the exact rational a + b*r, then reduce
-            value = value.a + value.b * r
+            value = Fraction(x + y * r, value.den)
             if value == 0:
                 raise PadicError("value vanishes to working precision under the embedding")
     if not isinstance(value, (int, Fraction)):
@@ -245,9 +247,7 @@ def padic_valuation_of_value(value, p, embedding=None, precision=20):
     if isinstance(value, PadicNumber):
         return value.val
     if isinstance(value, QuadElt) and not value.is_rational:
-        # v(x) <= v(Norm x); lift with enough digits to decide exactly
-        bound = max(0, vp_fraction(value.norm(), p)) + precision
-        return to_padic(value, p, bound, embedding).val
+        return to_padic(value, p, precision, embedding).val
     return vp_fraction(value, p)
 
 

@@ -1,7 +1,8 @@
 """Exact arithmetic in F = Q(sqrt(d)) for squarefree d > 1.
 
-Elements are stored over the integral basis (1, omega) with omega =
-(1+sqrt(d))/2 when d = 1 mod 4 and omega = sqrt(d) otherwise.  Integral
+Elements are coeffs.QuadElt values (x + y*sqrt(d))/den; `element` and
+`omega_coords` translate to and from the integral basis (1, omega) with
+omega = (1+sqrt(d))/2 when d = 1 mod 4 and omega = sqrt(d) otherwise.  Integral
 ideals are kept in Hermite normal form [n, m + g*omega] with g | n, g | m,
 normalised so n > 0, g > 0, 0 <= m < n; the norm is n*g.
 
@@ -17,10 +18,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .arith import factorise, is_prime, is_squarefree, sqrt_mod
-from .precision import mp_context
+from .coeffs import QuadElt
 
 
 class QuadFieldError(ValueError):
@@ -41,39 +40,16 @@ def discriminant(d):
     return d if d % 4 == 1 else 4 * d
 
 
-def _sign_of_p_plus_q_sqrt(p, q, d):
-    """Exact sign of p + q*sqrt(d) for rational p, q."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return 1 if q > 0 else -1
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    cmp = p * p - q * q * d  # sign of (|p| - |q|sqrt(d)) * (|p| + |q|sqrt(d))
-    if cmp == 0:
-        return 0
-    if p > 0:
-        return 1 if cmp > 0 else -1
-    return -1 if cmp > 0 else 1
-
-
 class RealQuadraticField:
     """Q(sqrt(d)) with its ring of integers Z + Z*omega."""
 
     def __init__(self, d):
         self.disc = discriminant(d)  # validates d
-        self.d = int(d)
-        if self.d % 4 == 1:
-            self.omega_trace = 1
-            self.omega_norm = Fraction(1 - self.d, 4)
-        else:
-            self.omega_trace = 0
-            self.omega_norm = Fraction(-self.d)
-        if self.omega_norm.denominator != 1:
-            raise QuadFieldError("internal: omega norm not integral")
-        self.omega_norm = int(self.omega_norm)
+        self.d = self.e = int(d)  # e: the radicand QuadElt reads
+        if self.d % 4 == 1:  # omega = (1 + sqrt d)/2, a root of X^2 - X + (1 - d)/4
+            self.omega_trace, self.omega_norm = 1, (1 - self.d) // 4
+        else:  # omega = sqrt d
+            self.omega_trace, self.omega_norm = 0, -self.d
         self._unit = None
 
     def __repr__(self):
@@ -88,10 +64,20 @@ class RealQuadraticField:
     # -- elements ----------------------------------------------------------
 
     def element(self, a, b=0):
-        return FieldElement(self, Fraction(a), Fraction(b))
+        """a + b*omega."""
+        if not self.omega_trace:
+            return QuadElt(a, b, self)
+        if type(a) is int and type(b) is int:
+            return QuadElt.from_ints(2 * a + b, b, 2, self)
+        b = Fraction(b) / 2
+        return QuadElt(a + b, b, self)
 
-    def zero(self):
-        return self.element(0)
+    def omega_coords(self, x):
+        """(a, b) with x = a + b*omega, as Fractions."""
+        if not self.omega_trace:
+            return x.a, x.b
+        # sqrt(d) = 2 omega - 1
+        return Fraction(x.x - x.y, x.den), Fraction(2 * x.y, x.den)
 
     def one(self):
         return self.element(1)
@@ -101,9 +87,7 @@ class RealQuadraticField:
 
     def sqrt_d(self):
         """sqrt(d) as a field element."""
-        if self.d % 4 == 1:
-            return self.element(-1, 2)  # 2*omega - 1
-        return self.element(0, 1)
+        return QuadElt(0, 1, self)
 
     def sqrt_disc(self):
         """sqrt(Delta) = 2*omega - Tr(omega); generates the different."""
@@ -140,166 +124,19 @@ class RealQuadraticField:
         return ideals_of_norm(self, n)
 
 
-class FieldElement:
-    """a + b*omega with rational a, b."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field, a, b):
-        self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field.d != self.field.d:
-                raise QuadFieldError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, Fraction(other), Fraction(0))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        t, n = self.field.omega_trace, self.field.omega_norm
-        # omega^2 = t*omega - n
-        be = self.b * o.b
-        return FieldElement(self.field,
-                            self.a * o.a - n * be,
-                            self.a * o.b + self.b * o.a + t * be)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        t = self.field.omega_trace
-        return FieldElement(self.field, self.a + self.b * t, -self.b)
-
-    def norm(self):
-        t, n = self.field.omega_trace, self.field.omega_norm
-        return self.a * self.a + t * self.a * self.b + n * self.b * self.b
-
-    def trace(self):
-        return 2 * self.a + self.field.omega_trace * self.b
-
-    def inverse(self):
-        nm = self.norm()
-        if nm == 0:
-            raise ZeroDivisionError("inverting zero")
-        c = self.conjugate()
-        return FieldElement(self.field, c.a / nm, c.b / nm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.field.d, self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def is_integral(self):
-        return self.a.denominator == 1 and self.b.denominator == 1
-
-    # exact sign data: theta1(x) = P + Q*sqrt(d), theta2(x) = P - Q*sqrt(d)
-    def _pq(self):
-        if self.field.d % 4 == 1:
-            return self.a + self.b / 2, self.b / 2
-        return self.a, self.b
-
-    def sign_theta1(self):
-        p, q = self._pq()
-        return _sign_of_p_plus_q_sqrt(p, q, self.field.d)
-
-    def sign_theta2(self):
-        p, q = self._pq()
-        return _sign_of_p_plus_q_sqrt(p, -q, self.field.d)
-
-    def is_totally_positive(self):
-        return self.sign_theta1() > 0 and self.sign_theta2() > 0
-
-    def theta1(self, prec=None):
-        with mp_context(prec):
-            p, q = self._pq()
-            return mpmath.mpf(p.numerator) / p.denominator + \
-                mpmath.sqrt(self.field.d) * q.numerator / q.denominator
-
-    def theta2(self, prec=None):
-        with mp_context(prec):
-            p, q = self._pq()
-            return mpmath.mpf(p.numerator) / p.denominator - \
-                mpmath.sqrt(self.field.d) * q.numerator / q.denominator
-
-    def embedding_power(self, t1, t2):
-        """theta1(x)^t1 * theta2(x)^t2, exact; defined when the result is rational.
-
-        Works whenever t1 == t2 (gives Norm^t1); otherwise only for rational x.
-        """
-        if t1 == t2:
-            return self.norm() ** t1
-        if self.b == 0:
-            return self.a ** (t1 + t2)
-        raise QuadFieldError("irrational embedding power")
-
-    def __repr__(self):
-        return f"({self.a}) + ({self.b})*w  [d={self.field.d}]"
-
-
 def _hnf_from_generators(field, gens):
     """HNF of the O_F-module generated by the given integral elements."""
     cols = []
     t, n = field.omega_trace, field.omega_norm
     for x in gens:
-        if not x.is_integral():
+        a, b = field.omega_coords(x)
+        if a.denominator != 1 or b.denominator != 1:
             raise QuadFieldError(f"ideal generator {x} is not integral")
         if not x:
             continue
-        cols.append((int(x.a), int(x.b)))
-        # omega * x
-        cols.append((int(-n * x.b), int(x.a + t * x.b)))
+        a, b = a.numerator, b.numerator
+        cols.append((a, b))
+        cols.append((-n * b, a + t * b))  # omega * x
     if not cols:
         raise QuadFieldError("zero ideal")
     # Column-reduce the 2 x N integer matrix with rows (coeff of 1, coeff of omega).
@@ -361,9 +198,8 @@ class IdealRep:
         if n % g or m % g:
             raise QuadFieldError("HNF needs g | n and g | m")
         m %= n
-        # ideal test: n*g | Norm(m + g*omega)
-        val = FieldElement(field, Fraction(m), Fraction(g)).norm()
-        if (val / (n * g)).denominator != 1:
+        # ideal test: n*g | Norm(m + g*omega) = m^2 + Tr(omega) m g + Norm(omega) g^2
+        if (m * m + field.omega_trace * m * g + field.omega_norm * g * g) % (n * g):
             raise QuadFieldError(f"[{n}, {m}+{g}w] is not an O_F-module")
         self.field = field
         self.n = int(n)
@@ -397,7 +233,7 @@ class IdealRep:
             x1, x2 = self.generators()
             y1, y2 = other.generators()
             return _hnf_from_generators(self.field, [x1 * y1, x1 * y2, x2 * y1, x2 * y2])
-        if isinstance(other, FieldElement):
+        if isinstance(other, QuadElt):
             x1, x2 = self.generators()
             return _hnf_from_generators(self.field, [x1 * other, x2 * other])
         return NotImplemented
@@ -420,12 +256,13 @@ class IdealRep:
     def contains(self, x):
         if isinstance(x, (int, Fraction)):
             x = self.field.element(x)
-        if not x.is_integral():
+        a, b = self.field.omega_coords(x)
+        if a.denominator != 1 or b.denominator != 1:
             return False
-        b = int(x.b)
+        a, b = a.numerator, b.numerator
         if b % self.g:
             return False
-        return (int(x.a) - (b // self.g) * self.m) % self.n == 0
+        return (a - (b // self.g) * self.m) % self.n == 0
 
     def divides(self, other):
         """self | other, i.e. other is contained in self."""
@@ -585,10 +422,9 @@ def fundamental_unit(field):
     return eps, int(eps.norm())
 
 
-def _q(x):
-    """theta1(x)^2 + theta2(x)^2 = Tr(x)^2 - 2 Norm(x), exact."""
-    tr = x.trace()
-    return tr * tr - 2 * x.norm()
+def _q(z):
+    """theta1(z)^2 + theta2(z)^2 = 2 (x^2 + d y^2) / den^2 for z = (x + y sqrt(d))/den."""
+    return Fraction(2 * (z.x * z.x + z.field.e * z.y * z.y), z.den * z.den)
 
 
 def find_generator(ideal):
@@ -617,7 +453,7 @@ def find_generator(ideal):
             least.append(y)
             y = y * step
     return min((y for z in least for y in (z, -z)),
-               key=lambda y: (-y.sign_theta1(), y.a, y.b))
+               key=lambda y: (-y.sign_theta1(), *f.omega_coords(y)))
 
 
 def totally_positive_generator(ideal):

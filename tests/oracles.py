@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+from asailab.characters import kronecker_symbol
+
 
 def eta_qexp(n_terms):
     """q-expansion of prod (1 - q^n) via the pentagonal number theorem."""
@@ -53,6 +55,40 @@ def tau_oracle(n_terms):
     p16 = poly_mul_trunc(p8, p8, n_terms)
     p24 = poly_mul_trunc(p16, p8, n_terms)
     return {n: p24[n - 1] for n in range(1, n_terms)}
+
+
+def sym2_times_twisted_zeta(d, n_max):
+    """Dirichlet coefficients, as a list indexed 0..n_max, of
+    zeta(2s - 22) * sum tau(n^2) n^-s * L(eps_F, s - 11) = L(Sym^2 Delta, s) L(eps_F, s - 11),
+    eps_F = (D/.) for the discriminant D of F = Q(sqrt d).  This is the Asai
+    L-series of the base change of Delta to F, since As(V) = Sym^2 V + (wedge^2 V x eps_F)
+    for V restricted to F (Asai 1977; Zagier, LNM 627).  tau(n^2) is multiplicative,
+    with tau(p^2e) from the Hecke recursion on tau(p)."""
+    disc = d if d % 4 == 1 else 4 * d
+    tau = tau_oracle(n_max + 1)
+    tau_sq = [0] * (n_max + 1)  # tau(n^2)
+    for n in range(1, n_max + 1):
+        val, m, p = 1, n, 2
+        while m > 1:
+            if p * p > m:
+                p = m
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            if k:
+                prev, cur = 1, tau[p]  # tau(p^0), tau(p^1)
+                for _ in range(2 * k - 1):
+                    prev, cur = cur, tau[p] * cur - p ** 11 * prev
+                val *= cur
+            p += 1
+        tau_sq[n] = val
+    out = [0] * (n_max + 1)
+    for m in range(1, math.isqrt(n_max) + 1):
+        for a in range(1, n_max // (m * m) + 1):
+            for b in range(1, n_max // (m * m * a) + 1):
+                out[m * m * a * b] += m ** 22 * tau_sq[a] * kronecker_symbol(disc, b) * b ** 11
+    return out
 
 
 def pell_fundamental_unit(d, bound=10 ** 4):

@@ -1,8 +1,9 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
-from asailab.coeffs import (CoefficientError, CoefficientField,
+from asailab.coeffs import (CoefficientError, CoefficientField, QuadElt,
                             format_rational, parse_rational)
 
 
@@ -62,3 +63,12 @@ def test_mixed_field_rejected():
         _ = a * b
     with pytest.raises(CoefficientError):
         a.as_fraction()
+
+
+def test_rational_value_over_q_combines_in_either_order():
+    # Q lies in every Q(sqrt e): 2 over Q acts as 2 over Q(sqrt 2) on either side
+    f = CoefficientField(2)
+    two, s = QuadElt(2), f.element(0, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(two, s) == op(f.element(2), s)
+        assert op(s, two) == op(s, f.element(2))

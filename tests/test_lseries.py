@@ -9,12 +9,13 @@ from asailab.lseries import (AsaiLSeries, BadFactorSet, LSeriesError,
                              euler_product_coefficients, forced_vanishing_order,
                              imprimitive_L, imprimitive_coefficients,
                              regulator_constant, unfolding_constant)
-from asailab.arith import primes_up_to
+from asailab.arith import is_squarefree, primes_up_to
 from asailab.asairep import asai_charpoly
 from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap)
 from asailab.coeffs import CoefficientField, QuadElt
 from asailab.quadfield import RealQuadraticField
+from oracles import sym2_times_twisted_zeta
 
 
 def test_alpha_table_matches_direct():
@@ -286,3 +287,16 @@ def test_imprimitive_L_converts_at_the_callers_precision():
                           for n in range(1, 601) if (v := series.chi(n)) is not None)
         want = dirichlet * lch
         assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 30) if is_squarefree(d)])
+def test_delta_base_change_is_sym2_times_twisted_zeta(d):
+    # L^imp of the base change of Delta is L(Sym^2 Delta, s) L(eps_F, s - 11)
+    # coefficient by coefficient, ramified n included: this pins the
+    # convention lambda(P) = a_l at a ramified P
+    n_max = 1000
+    form = base_change(discriminant_form_ap(n_max), 12, None, RealQuadraticField(d),
+                       bound=n_max)
+    got = imprimitive_coefficients(AsaiLSeries(form), n_max)
+    want = sym2_times_twisted_zeta(d, n_max)
+    assert all(got[n] == want[n] for n in range(1, n_max + 1))

@@ -212,6 +212,13 @@ def test_to_padic_quadratic():
         to_padic(cf.element(0, 1), 2, 10)  # p = 2 unsupported
 
 
+def test_to_padic_unit_is_right_to_the_stated_precision():
+    # 4 - sqrt2 under sqrt2 -> the lift of 4 mod 7 has valuation 1; its unit
+    # mod 7^5 is that of the value read to 12 digits, 12709173136
+    x = to_padic(CoefficientField(2).element(4, -1), 7, 5, embedding=4)
+    assert x.val == 1 and x.prec == 5 and x.unit == 12709173136 % 7 ** 5
+
+
 def test_exact_operand_takes_the_padic_precision_in_either_order():
     exact, padic = Fraction(2), PadicNumber.from_rational(Fraction(7, 3), 5, 40)
     for ap, aq in ((exact, padic), (padic, exact)):

@@ -63,7 +63,7 @@ def test_fundamental_unit(d, expected_norm):
     assert unit.norm() == nrm
     theta, a, b, norm_oracle = pell_fundamental_unit(d)
     assert norm_oracle == nrm
-    assert abs(float(unit.theta1()) - theta) < 1e-9
+    assert abs(float(unit.to_mpf()) - theta) < 1e-9
 
 
 def test_fundamental_unit_values():
@@ -81,9 +81,10 @@ def test_fundamental_unit_values():
 def _unit_over_sqrt_d(d):
     """The fundamental unit as (x, y, norm) with eps = x + y sqrt(d), halved
     when d = 1 mod 4 (the form pell_fundamental_unit returns)."""
-    unit, nrm = fundamental_unit(RealQuadraticField(d))
+    field = RealQuadraticField(d)
+    unit, nrm = fundamental_unit(field)
     assert unit.norm() == nrm and unit.sign_theta1() > 0 and (unit - 1).sign_theta1() > 0
-    a, b = int(unit.a), int(unit.b)
+    a, b = map(int, field.omega_coords(unit))
     return (2 * a + b if d % 4 == 1 else a), b, nrm
 
 
@@ -130,11 +131,11 @@ def test_fundamental_unit_minimality(d):
     # no unit v with 1 < theta1(v) < theta1(u): brute force below the found bound
     field = RealQuadraticField(d)
     unit, _ = fundamental_unit(field)
-    bound = float(unit.theta1())
+    bound = float(unit.to_mpf())
     for b in range(-8, 9):
         for a in range(-20, 21):
             x = field.element(a, b)
-            if x.norm() in (1, -1) and 1.0 + 1e-12 < float(x.theta1()) < bound - 1e-12:
+            if x.norm() in (1, -1) and 1.0 + 1e-12 < float(x.to_mpf()) < bound - 1e-12:
                 raise AssertionError(f"smaller unit {x} found")
 
 
@@ -230,6 +231,12 @@ def test_element_arithmetic_and_signs():
     sqrt5 = f5.sqrt_d()
     assert sqrt5.sign_theta1() == 1 and sqrt5.sign_theta2() == -1
     assert sqrt5 * sqrt5 == f5.element(5)
+
+
+def test_rational_elements_hash_as_fractions():
+    f5 = RealQuadraticField(5)
+    assert f5.element(3) == 3 and {3: "a"}.get(f5.element(3)) == "a"
+    assert hash(f5.element(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
 def test_hnf_invariants():
