@@ -8,8 +8,9 @@ E_alpha^(k)(tau, s) = (-2 pi i)^{-k} pi^{-s} Gamma(s+k)
 for 0 < alpha < 1 rational, converging for k + 2 Re(s) > 2.  The continuation
 is computed from the Fourier expansion: the m = 0 row is a pair of Hurwitz
 zetas, the r = 0 tower a Riemann zeta, and the oscillating modes carry
-confluent hypergeometric U-factors (incomplete-gamma type; they reduce to
-upper incomplete gammas at the integer parameters used in practice).
+confluent hypergeometric U-factors U(a, 2s+k, 4 pi n Im tau): at integer s
+z^-a times a polynomial in 1/z, otherwise taken down a Taylor ladder on
+Kummer's equation from the asymptotic series at the largest z.
 
 Poles only occur for k = 0 (at s = 1); every other apparent singularity of
 the pieces cancels and the cancelled limits are evaluated analytically.
@@ -137,11 +138,12 @@ def eisenstein_continued(k, alpha, tau, s, prec=None):
             tau_m = mpmath.mpc(complex(tau))
             s_m = mpmath.mpc(complex(s)) if complex(s).imag else mpmath.mpf(complex(s).real)
             a_m = mpmath.mpf(alpha.numerator) / alpha.denominator
-            val = _continued_impl(k, alpha, a_m, tau_m, s_m)
-        return +val
+            val = _continued_impl(k, alpha, a_m, tau_m, s_m, prec)
+        # E^(0) is real at real s; drop the roundoff in its imaginary part
+        return +mpmath.re(val) if k == 0 and not complex(s).imag else +val
 
 
-def _continued_impl(k, alpha, a_m, tau, s):
+def _continued_impl(k, alpha, a_m, tau, s, prec):
     x, y = mpmath.re(tau), mpmath.im(tau)
     is_real, s_int, s_half2 = _classify_s(s)
     if is_real and s_int is not None:
@@ -168,7 +170,7 @@ def _continued_impl(k, alpha, a_m, tau, s):
     if combined_cancel:
         total += _cancelled_pair(k, a_m, y, s, pref_k)
 
-    total += _oscillating(k, a_m, x, y, s)
+    total += _oscillating(k, a_m, x, y, s, prec)
     return total
 
 
@@ -236,26 +238,71 @@ def _cancelled_pair(k, a_m, y, s, pref_k):
     return f0 * bracket
 
 
-def _oscillating(k, a_m, x, y, s):
+def _hyperu_values(a, b, z1, N):
+    """[U(a, b, n z1) for n = 1..N] from one downward ladder.
+
+    Down from n = N, each value is the asymptotic series z^-a 2F0(a, 1+a-b;;
+    -1/z) (DLMF 13.7.3) while it converges at working precision (everywhere
+    when it terminates: a or 1+a-b a nonpositive integer).  Below, Taylor
+    steps of -z1 on Kummer's equation z u'' + (b - z) u' - a u = 0 carry
+    (U, U') down, from U' = -a U(a+1, b+1, z) (DLMF 13.3.22).  A step from
+    m z1 converges at ratio 1/m; the other solution, ~e^z, decays going down,
+    and so does its share of the rounding error.
+    """
+    def series(a, b, n):   # at z = n z1; raises NoConvergence
+        with mpmath.extraprec(10):
+            z = n * z1
+            return mpmath.hyp2f0(a, 1 + a - b, -1 / z, force_series=True) / z ** a
+
+    vals = {}
+    try:
+        for n in range(N, 0, -1):
+            vals[n] = series(a, b, n)
+    except mpmath.mp.NoConvergence:
+        m = n + 1   # the ladder starts where both series converge, above z_N if need be
+        while True:
+            try:
+                u, du = series(a, b, m), -a * series(a + 1, b + 1, m)
+                break
+            except mpmath.mp.NoConvergence:
+                m += 1
+        eps = mpmath.ldexp(1, -mpmath.mp.prec - 4)
+        for m in range(m, 1, -1):
+            # terms t_j = c_j h^j of the step h = -z1 from m z1; U' = sum j t_j / h;
+            # the correction to u is summed apart, so it rounds at its own scale
+            bz, t0, t1 = b - m * z1, u, -z1 * du
+            tail, dsum, j, small, bound = t1, t1, 0, 0, eps * abs(u) * z1
+            while small < 2:
+                t0, t1 = t1, ((j + a) * z1 * t0 + (j + 1) * (j + bz) * t1) \
+                    / (m * (j + 1) * (j + 2))
+                j += 1
+                tail += t1
+                dsum += (j + 1) * t1
+                small = small + 1 if abs(t1) * max(z1, j + 1) < bound else 0
+            u, du = u + tail, -dsum / z1
+            vals[m - 1] = u
+    return [vals[n] for n in range(1, N + 1)]
+
+
+def _oscillating(k, a_m, x, y, s, prec):
     """The r != 0 Fourier modes, with hypergeometric-U coefficients.
 
-    Grouped by n = r*m so each U-pair is evaluated once per exponential level;
-    U(0, b, z) = 1 and the Pochhammer zero at nonpositive integer s shortcut
-    the holomorphic specialisations.
+    Grouped by n = r*m so each U-pair is evaluated once per exponential level,
+    each U-column by one ladder; U(0, b, z) = 1 and the Pochhammer zero at
+    nonpositive integer s shortcut the holomorphic specialisations.
     """
     pref = y ** s * (2 * mpmath.pi) ** (1 - k) * mpmath.pi ** (-s)
     poch = mpmath.rf(s, k)
-    s_is_zero = s == 0
-    cutoff = (working_precision(None) + 25) * mpmath.log(2)
+    cutoff = (working_precision(prec) + 25) * mpmath.log(2)
     two_pi = 2 * mpmath.pi
     n_max = int(cutoff / (two_pi * y))
+    z1 = 4 * mpmath.pi * y
+    us1 = [mpmath.mpf(1)] * n_max if s == 0 else _hyperu_values(s, 2 * s + k, z1, n_max)
+    us2 = [None] * n_max if poch == 0 else _hyperu_values(s + k, 2 * s + k, z1, n_max)
     acc = mpmath.mpc(0)
     sign = (-1) ** k
-    for n in range(1, n_max + 1):
-        big_n = n * y
-        expo = mpmath.exp(-two_pi * big_n)
-        u1 = mpmath.mpf(1) if s_is_zero else mpmath.hyperu(s, 2 * s + k, 4 * mpmath.pi * big_n)
-        u2 = None if poch == 0 else mpmath.hyperu(s + k, 2 * s + k, 4 * mpmath.pi * big_n)
+    for n, u1, u2 in zip(range(1, n_max + 1), us1, us2):
+        expo = mpmath.exp(-two_pi * (n * y))
         row = mpmath.mpc(0)
         for r in divisors(n):
             base = (two_pi * r) ** (2 * s + k - 1)

@@ -159,6 +159,15 @@ def classical_eisenstein_q_series(k, alpha, tau, n_terms=80):
     return acc
 
 
+def hyperu_reference(a, b, z1, N, prec):
+    """U(a, b, n z1) for n = 1..N, each by its own mpmath.hyperu call at
+    prec + 64 bits (asymptotic series, or the two-term 1F1 connection
+    formula with a perturbed b when that diverges)."""
+    import mpmath
+    with mpmath.workprec(prec + 64):
+        return [mpmath.hyperu(a, b, n * z1) for n in range(1, N + 1)]
+
+
 def shell_ordered_lattice_sum(k, alpha, tau, s, cutoff):
     """The same truncated lattice sum, accumulated by max(|m|,|n|) shells."""
     tot = 0j

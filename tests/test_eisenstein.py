@@ -4,11 +4,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from asailab.eisenstein import (EisensteinError, EisensteinPole,
+from asailab.eisenstein import (EisensteinError, EisensteinPole, _hyperu_values,
                                 diagonal_mellin_check, eisenstein_continued,
                                 eisenstein_lattice_sum, kronecker_limit_check,
                                 siegel_unit)
-from oracles import classical_eisenstein_q_series, shell_ordered_lattice_sum
+from oracles import (classical_eisenstein_q_series, hyperu_reference,
+                     shell_ordered_lattice_sum)
 
 
 def test_lattice_cutoff_self_convergence():
@@ -80,6 +81,18 @@ def test_gamma1_invariance():
         lhs = complex(eisenstein_continued(k, alpha, gt, s))
         rhs = (c * tau + d) ** k * complex(eisenstein_continued(k, alpha, tau, s))
         assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.5, complex(1.5, 0.7)])
+def test_gamma1_invariance_non_integer_s(s):
+    # Im tau = 0.25 and Im(gamma tau) = 0.16: the ladder runs at two z1
+    tau, (a, b, c, d) = -0.19 + 0.25j, (6, 1, 5, 1)
+    gt = (a * tau + b) / (c * tau + d)
+    assert gt.imag >= 0.1
+    for k in range(4):
+        lhs = complex(eisenstein_continued(k, Fraction(1, 5), gt, s))
+        rhs = (c * tau + d) ** k * complex(eisenstein_continued(k, Fraction(1, 5), tau, s))
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs), (k, s)
 
 
 def test_conjugation_symmetry():
@@ -192,3 +205,63 @@ def test_special_point_branches_are_continuous(k, s):
     vp = complex(eisenstein_continued(k, Fraction(1, 5), tau, s + 1e-7, prec=90))
     assert abs((vm + vp) / 2 - v0) < 1e-11
 
+
+def _check_ladder(s, k, y, N, prec):
+    # both U-columns of _oscillating at z1 = 4 pi y, to 2^-(prec-8) relative;
+    # U(a, b, z) has real zeros when a < 0, so next to one the error is
+    # measured against the larger neighbour
+    with mpmath.workprec(prec):
+        s, z1 = mpmath.mpmathify(s), 4 * mpmath.pi * y
+        for a in {s, s + k}:
+            got = _hyperu_values(a, 2 * s + k, z1, N)
+            want = hyperu_reference(a, 2 * s + k, z1, N, prec)
+            assert len(got) == N
+            for n, (g, w) in enumerate(zip(got, want)):
+                scale = max(abs(v) for v in want[max(n - 1, 0):n + 2])
+                assert abs(g - w) <= mpmath.ldexp(scale, 8 - prec), (a, n + 1, prec)
+
+
+def _series_converges(a, b, z, prec):
+    with mpmath.workprec(prec):
+        try:
+            mpmath.hyp2f0(a, 1 + a - b, -1 / mpmath.mpf(z), force_series=True,
+                          maxterms=prec)
+            return True
+        except mpmath.mp.NoConvergence:
+            return False
+
+
+@pytest.mark.parametrize("s,k,y,N,prec", [
+    (0.5, 0, 1.9, 3, 64),                     # half-integer s: b an integer
+    (2.5, 7, 1.9, 4, 96),
+    (0.3, 3, 0.6, 14, 120),                   # non-integer s
+    (-1.5, 2, 1.9, 3, 64),                    # negative s
+    (complex(1.5, 0.7), 1, 0.6, 14, 120),     # complex s
+    (0.3, 2, 1.9, 3, 200),                    # the ladder starts above z_N
+    (0.5, 3, 0.6, 0, 120),                    # N = 0
+])
+def test_hyperu_ladder_matches_oracle(s, k, y, N, prec):
+    z1 = 4 * math.pi * y
+    if N:
+        # the series fails at z1, so the U(s, ...) ladder steps; it converges at
+        # z_N, except at prec = 200, where the ladder starts above z_N
+        assert not _series_converges(s, 2 * s + k, z1, prec + 10)
+        assert _series_converges(s, 2 * s + k, N * z1, prec + 10) != (prec == 200)
+    _check_ladder(s, k, y, N, prec)
+
+
+def test_fourier_cutoff_follows_prec(monkeypatch):
+    # the number of Fourier modes comes from the caller's prec, so the
+    # environment's precision does not move a prec = 200 value
+    args = (4, Fraction(1, 5), 0.1 + 1j, 3)
+    monkeypatch.delenv("ASAILAB_PRECISION", raising=False)
+    base = eisenstein_continued(*args, prec=200)
+    monkeypatch.setenv("ASAILAB_PRECISION", "400")
+    moved = eisenstein_continued(*args, prec=200)
+    assert abs(moved - base) < mpmath.ldexp(abs(base), -190)
+
+
+def test_weight_zero_is_real_at_real_s():
+    for s in (1.5, 2, 0):
+        assert mpmath.im(eisenstein_continued(0, Fraction(1, 5), 0.17 + 0.3j, s)) == 0
+    assert mpmath.im(eisenstein_continued(0, Fraction(1, 5), 1j, complex(1.5, 0.7))) != 0

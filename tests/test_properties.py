@@ -14,6 +14,7 @@ from asailab.padic import hensel_unit_root, to_padic  # noqa: E402
 from asailab.quadfield import (IdealRep, NotPrincipalError, RealQuadraticField,  # noqa: E402
                                find_generator, ideals_of_norm)
 from oracles import leibniz_charpoly_reversed, shortest_generator_oracle  # noqa: E402
+from test_eisenstein import _check_ladder  # noqa: E402
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -83,3 +84,16 @@ def test_unit_root_same_for_exact_and_padic_trace(case):
     mod = p ** prec
     tm, cm = to_padic(t, p, prec).unit, c.numerator * pow(c.denominator, -1, mod)
     assert root.val == 0 and (root.unit ** 2 - tm * root.unit + cm) % mod == 0
+
+
+half_integers = st.integers(-5, 4).map(lambda n: n + 0.5)
+off_grid = st.integers(-30, 29).map(lambda n: n / 10 + 0.05)
+complexes = st.builds(complex, st.integers(2, 30).map(lambda n: n / 10),
+                      st.integers(1, 10).map(lambda n: n / 10))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(half_integers, off_grid, complexes), st.integers(0, 7),
+       st.floats(0.5, 2.5), st.integers(0, 2), st.integers(64, 128))
+def test_hyperu_ladder_matches_oracle_everywhere(s, k, y, N, prec):
+    _check_ladder(s, k, y, N, prec)
