@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Record a change against its parent in one BENCH_<n>.json.
 
-    python3 tests/bench_record.py --parent DIR --out BENCH_7.json \
-        [--pairs 3] [--seconds 20] [--workloads eisenstein,fields]
+    python3 tests/bench_record.py --parent DIR --out BENCH_7.json
 
 Run from anywhere; the change is the checkout holding this file, and DIR is
 a checkout of the parent commit (for example made with
-`git archive <parent> | tar -x -C DIR`).  The file records:
+`git archive <parent> | tar -x -C DIR`).  Both checkouts are byte-compiled
+first, so neither side's import pays for writing `__pycache__`.  The file
+records:
 
-- for each workload, every end-to-end metric of
-  `perfbench/run.py --trace 0`, run in parent/change pairs that alternate
-  which side goes first, one seed per pair (7001, 7002, ...), with the
-  median and quartiles of each side;
+- for each workload of BENCHMARK.json, every end-to-end metric of
+  `perfbench/run.py --trace 0` for its `run_seconds`, run in PAIRS
+  parent/change pairs that alternate which side goes first, one seed per
+  pair (7001, 7002, ...), with the median and quartiles of each side;
 - the `elapsed_s` of each acceptance criterion, in both checkouts;
 - the Tier-1 wall time (ROADMAP.md) of the change;
 - the `src/` line count of both, `nproc` and the Python version.
@@ -31,7 +32,7 @@ import time
 from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parent.parent
-WORKLOADS = ("local-factors", "lseries", "eisenstein", "fields")
+PAIRS = 10
 ACCEPTANCE = ("import json; from asailab.acceptance import CRITERIA; "
               "print(json.dumps([c()['elapsed_s'] for c in CRITERIA]))")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
@@ -42,6 +43,11 @@ def _run(root, *args):
     env["PYTHONPATH"] = str(root / "src")
     return subprocess.run([sys.executable, *args], cwd=root, env=env,
                           capture_output=True, text=True)
+
+
+def compile_tree(root):
+    proc = _run(root, "-m", "compileall", "-q", "src", "tests", "perfbench")
+    proc.check_returncode()
 
 
 def bench(root, workload, seed, seconds):
@@ -56,8 +62,7 @@ def summary(runs):
     out = {}
     for name in runs[0]:
         xs = [r[name] for r in runs]
-        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") \
-            if len(xs) > 1 else (xs[0],) * 3
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
         out[name] = {"median": med, "q1": q1, "q3": q3, "runs": xs}
     return out
 
@@ -76,25 +81,25 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
-    parent = args.parent.resolve()
-    sides = {"parent": parent, "change": CHANGE}
+    sides = {"parent": args.parent.resolve(), "change": CHANGE}
+    config = json.loads((CHANGE / "BENCHMARK.json").read_text())
+    seconds = config["run_seconds"]
+    for root in sides.values():
+        compile_tree(root)
 
-    runs = {w: {"parent": [], "change": []} for w in args.workloads.split(",")}
-    for i in range(args.pairs):
+    runs = {w["name"]: {"parent": [], "change": []} for w in config["workloads"]}
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload, per_side in runs.items():
             for side in order:
-                per_side[side].append(bench(sides[side], workload, 7001 + i, args.seconds))
+                per_side[side].append(bench(sides[side], workload, 7001 + i, seconds))
     started = time.perf_counter()
     tier1 = _run(CHANGE, *TIER1)
     record = {
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                        "pairs": args.pairs, "seconds_per_run": args.seconds,
-                        "seeds": [7001 + i for i in range(args.pairs)]},
+                        "pairs": PAIRS, "seconds_per_run": seconds,
+                        "seeds": [7001 + i for i in range(PAIRS)]},
         "workloads": {w: {side: summary(rs) for side, rs in per_side.items()}
                       for w, per_side in runs.items()},
         "acceptance_elapsed_s": {side: acceptance(root) for side, root in sides.items()},

@@ -168,6 +168,24 @@ def hyperu_reference(a, b, z1, N, prec):
         return [mpmath.hyperu(a, b, n * z1) for n in range(1, N + 1)]
 
 
+def check_hyperu_ladder(s, k, y, N, prec):
+    """Assert both U-columns of the package's Fourier modes at z1 = 4 pi y
+    match hyperu_reference to 2^-(prec-8) relative.  U(a, b, z) has real
+    zeros when a < 0, so next to one the error is measured against the
+    larger neighbour."""
+    import mpmath
+    from asailab.eisenstein import _hyperu_values
+    with mpmath.workprec(prec):
+        s, z1 = mpmath.mpmathify(s), 4 * mpmath.pi * y
+        for a in {s, s + k}:
+            got = _hyperu_values(a, 2 * s + k, z1, N)
+            want = hyperu_reference(a, 2 * s + k, z1, N, prec)
+            assert len(got) == N
+            for n, (g, w) in enumerate(zip(got, want)):
+                scale = max(abs(v) for v in want[max(n - 1, 0):n + 2])
+                assert abs(g - w) <= mpmath.ldexp(scale, 8 - prec), (a, n + 1, prec)
+
+
 def shell_ordered_lattice_sum(k, alpha, tau, s, cutoff):
     """The same truncated lattice sum, accumulated by max(|m|,|n|) shells."""
     tot = 0j

@@ -4,11 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from asailab.eisenstein import (EisensteinError, EisensteinPole, _hyperu_values,
+from asailab.eisenstein import (EisensteinError, EisensteinPole,
                                 diagonal_mellin_check, eisenstein_continued,
                                 eisenstein_lattice_sum, kronecker_limit_check,
                                 siegel_unit)
-from oracles import (classical_eisenstein_q_series, hyperu_reference,
+from oracles import (check_hyperu_ladder, classical_eisenstein_q_series,
                      shell_ordered_lattice_sum)
 
 
@@ -206,21 +206,6 @@ def test_special_point_branches_are_continuous(k, s):
     assert abs((vm + vp) / 2 - v0) < 1e-11
 
 
-def _check_ladder(s, k, y, N, prec):
-    # both U-columns of _oscillating at z1 = 4 pi y, to 2^-(prec-8) relative;
-    # U(a, b, z) has real zeros when a < 0, so next to one the error is
-    # measured against the larger neighbour
-    with mpmath.workprec(prec):
-        s, z1 = mpmath.mpmathify(s), 4 * mpmath.pi * y
-        for a in {s, s + k}:
-            got = _hyperu_values(a, 2 * s + k, z1, N)
-            want = hyperu_reference(a, 2 * s + k, z1, N, prec)
-            assert len(got) == N
-            for n, (g, w) in enumerate(zip(got, want)):
-                scale = max(abs(v) for v in want[max(n - 1, 0):n + 2])
-                assert abs(g - w) <= mpmath.ldexp(scale, 8 - prec), (a, n + 1, prec)
-
-
 def _series_converges(a, b, z, prec):
     with mpmath.workprec(prec):
         try:
@@ -239,6 +224,8 @@ def _series_converges(a, b, z, prec):
     (complex(1.5, 0.7), 1, 0.6, 14, 120),     # complex s
     (0.3, 2, 1.9, 3, 200),                    # the ladder starts above z_N
     (0.5, 3, 0.6, 0, 120),                    # N = 0
+    # production length: n_max of _oscillating at Im tau = 0.2, prec = 64
+    (0.5, 2, 0.2, int((64 + 25) * math.log(2) / (2 * math.pi * 0.2)), 64),
 ])
 def test_hyperu_ladder_matches_oracle(s, k, y, N, prec):
     z1 = 4 * math.pi * y
@@ -247,7 +234,7 @@ def test_hyperu_ladder_matches_oracle(s, k, y, N, prec):
         # z_N, except at prec = 200, where the ladder starts above z_N
         assert not _series_converges(s, 2 * s + k, z1, prec + 10)
         assert _series_converges(s, 2 * s + k, N * z1, prec + 10) != (prec == 200)
-    _check_ladder(s, k, y, N, prec)
+    check_hyperu_ladder(s, k, y, N, prec)
 
 
 def test_fourier_cutoff_follows_prec(monkeypatch):

@@ -13,8 +13,8 @@ from asailab.coeffs import CoefficientField  # noqa: E402
 from asailab.padic import hensel_unit_root, to_padic  # noqa: E402
 from asailab.quadfield import (IdealRep, NotPrincipalError, RealQuadraticField,  # noqa: E402
                                find_generator, ideals_of_norm)
-from oracles import leibniz_charpoly_reversed, shortest_generator_oracle  # noqa: E402
-from test_eisenstein import _check_ladder  # noqa: E402
+from oracles import (check_hyperu_ladder, leibniz_charpoly_reversed,  # noqa: E402
+                     shortest_generator_oracle)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -96,4 +96,4 @@ complexes = st.builds(complex, st.integers(2, 30).map(lambda n: n / 10),
 @given(st.one_of(half_integers, off_grid, complexes), st.integers(0, 7),
        st.floats(0.5, 2.5), st.integers(0, 2), st.integers(64, 128))
 def test_hyperu_ladder_matches_oracle_everywhere(s, k, y, N, prec):
-    _check_ladder(s, k, y, N, prec)
+    check_hyperu_ladder(s, k, y, N, prec)
