@@ -13,7 +13,6 @@ from functools import lru_cache
 import mpmath
 
 from .arith import divisors, factorise
-from .cyclo import CyclotomicValue
 from .precision import mp_context
 
 
@@ -150,11 +149,6 @@ class RootOfUnity:
     def to_mpc(self, prec=None):
         with mp_context(prec):
             return mpmath.exp(2j * mpmath.pi * self.e / self.n)
-
-    def as_cyclotomic(self, m):
-        if m % self.n:
-            raise CharacterError(f"{self} not in Q(zeta_{m})")
-        return CyclotomicValue.from_exponents(m, {self.e * (m // self.n): 1})
 
 
 class DirichletCharacter:

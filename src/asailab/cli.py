@@ -10,6 +10,7 @@ the default working precision (bits).
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -40,10 +41,6 @@ from .acceptance import _synthetic_form, run_acceptance
 
 
 class UsageError(ValueError):
-    pass
-
-
-class HypothesisFailure(RuntimeError):
     pass
 
 
@@ -556,6 +553,10 @@ def _tokenise(text):
 # -- argument parser ---------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")  # '-1/2', '-.3+.5i' are values
+
     def error(self, message):
         raise UsageError(message)
 

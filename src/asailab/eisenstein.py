@@ -350,8 +350,7 @@ def kronecker_limit_check(alpha, tau, prec=None, terms=200):
 
 # -- diagonal Mellin / unfolding kernel -----------------------------------------
 
-def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600, panels=48,
-                          nodes_per_panel=24):
+def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600):
     """Mellin transform of the trace-zero modes against the Dirichlet series.
 
     lhs = integral_0^{y_cutoff} W(y) y^{s'} dy/y with
@@ -363,8 +362,9 @@ def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600, panels=48,
 
     rhs = Gamma(s') (sqrt(Delta)/(4 pi))^{s'} sum alpha(n) n^{-s'}.
 
-    Returns (lhs, rhs, relative residual).  Float64 quadrature on log-spaced
-    Gauss-Legendre panels; adequate for the 1e-4 scale checks this supports.
+    Returns (lhs, rhs, relative residual).  Float64 quadrature on 48 log-spaced
+    Gauss-Legendre panels of 24 nodes; adequate for the 1e-4 scale checks this
+    supports.
     """
     import numpy as np
     sprime = float(sprime)
@@ -376,10 +376,10 @@ def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600, panels=48,
     ns = np.arange(1, n_max + 1, dtype=float)
     if not alphas.any():
         return 0.0, 0.0, 0.0
-    # quadrature nodes: log-spaced panel edges between y_cutoff/2^panels and y_cutoff
-    edges = [y_cutoff * 2.0 ** (-i) for i in range(panels, -1, -1)]
+    # quadrature nodes: log-spaced panel edges between y_cutoff/2^48 and y_cutoff
+    edges = [y_cutoff * 2.0 ** (-i) for i in range(48, -1, -1)]
     edges[0] = 0.0
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(24)
     lhs = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0

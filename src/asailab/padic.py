@@ -265,7 +265,6 @@ class OrdinaryData:
     eps_p: object = 1
     eps_q: object = 1
     m_choice: str = "alpha_p_beta_q"   # quotient used for M_p in the equal case
-    eps_rational: object = None        # optional callable n -> eps value on Z
     notes: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
@@ -307,8 +306,7 @@ class OrdinaryData:
                       for _, v in self.frobenius_eigenvalues())
 
 
-def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q",
-                      frak_p_index=0, embedding=None):
+def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q", embedding=None):
     """OrdinaryData for a split p.
 
     If p divides the level, the stored U-eigenvalues are used (exactly when the
@@ -320,15 +318,12 @@ def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q",
     st = form.field.splitting_type(p)
     if not st.is_split:
         raise PadicError(f"p = {p} is not split in Q(sqrt({form.field.d}))")
-    primes = list(st.primes)
-    if frak_p_index:
-        primes.reverse()
     w = form.weight
     t_by_prime = (w.t1, w.t2)  # per-slot k enters through w.w - 1 - 2*t_slot
     values = []
     eps_vals = []
     stabilised_here = form.rational_level() % p != 0
-    for slot, prime in enumerate(primes):
+    for slot, prime in enumerate(st.primes):
         t_slot = t_by_prime[slot]
         eps_v = form.eps_of(prime)
         eps_vals.append(eps_v)

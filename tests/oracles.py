@@ -3,12 +3,14 @@
 Everything here is deliberately written against different algorithms than the
 package: pentagonal-number eta expansion, brute-force Pell searches,
 Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
-the Leibniz expansion of a determinant.
+the Leibniz expansion of a determinant, cyclotomic polynomials by long
+division of x^m - 1.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from asailab.characters import kronecker_symbol
@@ -335,3 +337,25 @@ def _lin_mul(poly, const, lin):
     for d, c in enumerate(poly):
         out[d + 1] = out[d + 1] + c * lin
     return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_by_division(m):
+    """Phi_m (low degree first) as x^m - 1 divided by Phi_d for every d | m, d < m.
+
+    Integer long division: every Phi_d is monic, so a Fraction quotient (about
+    50x slower) would hold the same integers; each step checks its remainder.
+    """
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = cyclotomic_polynomial_by_division(d)
+            quo = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(quo) - 1, -1, -1):
+                quo[i] = c = poly[i + len(den) - 1]
+                for j, dc in enumerate(den):
+                    poly[i + j] -= c * dc
+            if any(poly):
+                raise ArithmeticError(f"Phi_{d} does not divide x^{m} - 1 exactly")
+            poly = quo
+    return tuple(poly)

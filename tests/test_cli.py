@@ -109,6 +109,18 @@ def test_hypothesis_error_exit(capsys):
     assert code == 2
 
 
+def test_negative_values_need_no_equals_sign(capsys):
+    # a value starting with '-' and a digit or '.' is a value, not an option
+    spaced = run_cli(capsys, "eisenstein", "--k", "2", "--alpha", "1/5",
+                     "--s", "-1/2", "--tau", "-0.3+0.5i")
+    joined = run_cli(capsys, "eisenstein", "--k", "2", "--alpha", "1/5",
+                     "--s=-1/2", "--tau=-0.3+0.5i")
+    assert spaced[0] == 0 and spaced == joined
+    assert json.loads(spaced[1])["inputs"]["s"] == "-1/2"
+    code, _, err = run_cli(capsys, "eisenstein", "--k", "2", "--alpha", "1/5", "--tau", "-x")
+    assert code == 64 and "expected one argument" in err
+
+
 def test_norm_factor_fixture(capsys):
     code, out, _ = run_cli(capsys, "norm-factor", "--d", "5", "--ell", "3",
                            "--j", "0", "--m", "5", "--lambda", "5")

@@ -16,13 +16,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # field-info: both residues of d mod 4, half-integral units (13, 181, 421),
 # the non-principal primes above 3 in Q(sqrt 10) and large units (94, 421);
-# the Q(sqrt 2)-coefficient form prints exact values and 31-adic ones
+# the Q(sqrt 2)-coefficient form prints exact values and 31-adic ones; Gauss
+# sums and r = 1 interpolation factors pin exact cyclotomic reprs (M up to
+# 1640) and the digits of their complex embeddings
 CASES = {
     **{f"field_info_d{d}": ["field-info", "--d", str(d), "--ell", str(ell)]
        for d, ell in ((2, 7), (3, 11), (5, 11), (10, 3), (13, 3), (94, 3), (181, 3),
                       (421, 3))},
     "form_validate_qsqrt2": ["form-validate", "--form", "qsqrt2_form.json", "--bound", "16"],
     "padic_params_qsqrt2": ["padic-params", "--form", "qsqrt2_form.json", "--p", "31"],
+    "gauss_sum_p11_r2": ["gauss-sum", "--p", "11", "--r", "2"],
+    "gauss_sum_p2_r4": ["gauss-sum", "--p", "2", "--r", "4", "--eta", "1,1"],
+    "pr_factor_p31_r1": ["pr-factor", "--p", "31", "--r", "1", "--alpha-p", "2",
+                         "--alpha-q", "3", "--eta", "1", "--j", "1"],
+    "pr_factor_p41_r1": ["pr-factor", "--p", "41", "--r", "1", "--a-value", "2", "--eta", "1"],
 }
 
 

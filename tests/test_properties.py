@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from asailab.arith import is_prime, is_squarefree  # noqa: E402
 from asailab.asairep import charpoly_reversed  # noqa: E402
 from asailab.coeffs import CoefficientField  # noqa: E402
+from asailab.cyclo import CyclotomicValue  # noqa: E402
 from asailab.padic import hensel_unit_root, to_padic  # noqa: E402
 from asailab.quadfield import (IdealRep, NotPrincipalError, RealQuadraticField,  # noqa: E402
                                find_generator, ideals_of_norm)
@@ -97,3 +99,26 @@ complexes = st.builds(complex, st.integers(2, 30).map(lambda n: n / 10),
        st.floats(0.5, 2.5), st.integers(0, 2), st.integers(64, 128))
 def test_hyperu_ladder_matches_oracle_everywhere(s, k, y, N, prec):
     check_hyperu_ladder(s, k, y, N, prec)
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    """Two random values of Q(zeta_m), m <= 60, from rational coefficients."""
+    m = draw(st.integers(1, 60))
+    values = [CyclotomicValue.from_exponents(m, draw(st.dictionaries(
+        st.integers(0, m - 1), rationals, max_size=8))) for _ in range(2)]
+    return tuple(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclotomic_pairs())
+def test_to_mpc_is_a_ring_embedding(pair):
+    x, y = pair
+    size = [sum(abs(Fraction(c, v.den)) for c in v.num) + 1
+            for v in (x, y, x + y, x * y, x.conjugate())]
+    with mpmath.workprec(128):
+        ex, ey = x.to_mpc(128), y.to_mpc(128)
+        tol = mpmath.mpf(2) ** -100 * (size[0] * size[1] + sum(size[2:]))
+        assert abs((x + y).to_mpc(128) - (ex + ey)) < tol
+        assert abs((x * y).to_mpc(128) - ex * ey) < tol
+        assert abs(x.conjugate().to_mpc(128) - mpmath.conj(ex)) < tol
