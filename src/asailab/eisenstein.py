@@ -10,7 +10,10 @@ is computed from the Fourier expansion: the m = 0 row is a pair of Hurwitz
 zetas, the r = 0 tower a Riemann zeta, and the oscillating modes carry
 confluent hypergeometric U-factors U(a, 2s+k, 4 pi n Im tau): at integer s
 z^-a times a polynomial in 1/z, otherwise taken down a Taylor ladder on
-Kummer's equation from the asymptotic series at the largest z.
+Kummer's equation from the asymptotic series at the largest z.  The modes of
+level n = r m share their U-factors and q^n, so each level is one divisor sum
+over r | n of (2 pi r)^{2s+k-1} times a constant of r mod den(alpha), filled
+for every level by one sieve.
 
 Poles only occur for k = 0 (at s = 1); every other apparent singularity of
 the pieces cancels and the cancelled limits are evaluated analytically.
@@ -21,7 +24,6 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import divisors
 from .lseries import dirichlet_alpha_table
 from .precision import mp_context, working_precision
 
@@ -144,7 +146,7 @@ def eisenstein_continued(k, alpha, tau, s, prec=None):
 
 
 def _continued_impl(k, alpha, a_m, tau, s, prec):
-    x, y = mpmath.re(tau), mpmath.im(tau)
+    y = mpmath.im(tau)
     is_real, s_int, s_half2 = _classify_s(s)
     if is_real and s_int is not None:
         s = mpmath.mpf(s_int)
@@ -170,7 +172,7 @@ def _continued_impl(k, alpha, a_m, tau, s, prec):
     if combined_cancel:
         total += _cancelled_pair(k, a_m, y, s, pref_k)
 
-    total += _oscillating(k, a_m, x, y, s, prec)
+    total += _oscillating(k, alpha, tau, s, prec)
     return total
 
 
@@ -284,13 +286,16 @@ def _hyperu_values(a, b, z1, N):
     return [vals[n] for n in range(1, N + 1)]
 
 
-def _oscillating(k, a_m, x, y, s, prec):
+def _oscillating(k, alpha, tau, s, prec):
     """The r != 0 Fourier modes, with hypergeometric-U coefficients.
 
-    Grouped by n = r*m so each U-pair is evaluated once per exponential level,
-    each U-column by one ladder; U(0, b, z) = 1 and the Pochhammer zero at
-    nonpositive integer s shortcut the holomorphic specialisations.
+    Level n = r m (r | n) is D[n] (u1_n q_n + (-1)^k poch u2_n conj q_n), with
+    q_n = e^{2 pi i n tau}, Z_r = e^{2 pi i r alpha} and the divisor convolution
+    D[n] = sum_{r | n} (2 pi r)^{2s+k-1} (Z_r + (-1)^k conj Z_r).  Z_r depends
+    on r num(alpha) mod den(alpha) only, and one sieve over r fills D.  Each U-column comes from one ladder; U(0, b, z) = 1 and the Pochhammer
+    zero at nonpositive integer s shortcut the holomorphic specialisations.
     """
+    y = mpmath.im(tau)
     pref = y ** s * (2 * mpmath.pi) ** (1 - k) * mpmath.pi ** (-s)
     poch = mpmath.rf(s, k)
     cutoff = (working_precision(prec) + 25) * mpmath.log(2)
@@ -299,19 +304,20 @@ def _oscillating(k, a_m, x, y, s, prec):
     z1 = 4 * mpmath.pi * y
     us1 = [mpmath.mpf(1)] * n_max if s == 0 else _hyperu_values(s, 2 * s + k, z1, n_max)
     us2 = [None] * n_max if poch == 0 else _hyperu_values(s + k, 2 * s + k, z1, n_max)
-    acc = mpmath.mpc(0)
     sign = (-1) ** k
+    num, den = alpha.numerator, alpha.denominator
+    zs = (mpmath.expjpi(mpmath.mpf(2 * j) / den) for j in range(den))
+    cs = [z + sign * mpmath.conj(z) for z in zs]
+    dsum = [0] * (n_max + 1)
+    for r in range(1, n_max + 1):
+        term = (two_pi * r) ** (2 * s + k - 1) * cs[r * num % den]
+        for n in range(r, n_max + 1, r):
+            dsum[n] += term
+    acc = mpmath.mpc(0)
     for n, u1, u2 in zip(range(1, n_max + 1), us1, us2):
-        expo = mpmath.exp(-two_pi * (n * y))
-        row = mpmath.mpc(0)
-        for r in divisors(n):
-            base = (two_pi * r) ** (2 * s + k - 1)
-            e1 = mpmath.expjpi(2 * (n * x + r * a_m))
-            e2 = mpmath.expjpi(2 * (n * x - r * a_m))
-            row += base * (u1 * (e1 + sign * e2))
-            if u2 is not None:
-                row += base * poch * u2 * (mpmath.conj(e1) + sign * mpmath.conj(e2))
-        acc += expo * row
+        q = mpmath.expjpi(2 * n * tau)
+        col = u1 * q if u2 is None else u1 * q + sign * poch * u2 * mpmath.conj(q)
+        acc += dsum[n] * col
     return pref * acc
 
 

@@ -453,6 +453,8 @@ def pr_interp_factor(data, j, r, eta=None, p=None, kprime=None):
         if p is None or kprime is None:
             raise PadicError("direct eigenvalue input needs p and kprime")
         kp, a_val = int(kprime), data
+    if a_val == 0:
+        raise PadicError("eigenvalue A = 0; both factors divide by A")
     if j <= kp:
         tag, tag_const = "log", Fraction((-1) ** (kp - j), math.factorial(kp - j))
     else:

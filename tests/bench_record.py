@@ -14,6 +14,9 @@ records:
   parent/change pairs that alternate which side goes first, one seed per
   pair (7001, 7002, ...), with the median and quartiles of each side;
 - the `elapsed_s` of each acceptance criterion, in both checkouts;
+- the wall time of each `asailab ...` example in README.md's CLI block, run
+  as `python -m asailab` in a fresh process, CLI_REPEATS times per checkout
+  (alternating which side goes first), with the median;
 - the Tier-1 wall time (ROADMAP.md) of the change;
 - the `src/` line count of both, `nproc` and the Python version.
 
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,7 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
+CLI_REPEATS = 3
 ACCEPTANCE = ("import json; from asailab.acceptance import CRITERIA; "
               "print(json.dumps([c()['elapsed_s'] for c in CRITERIA]))")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
@@ -73,6 +78,30 @@ def acceptance(root):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def readme_commands():
+    """The `asailab ...` examples of README.md's CLI block, as argv lists."""
+    text = (CHANGE / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("asailab ")]
+
+
+def cli_times(sides):
+    out = []
+    for argv in readme_commands():
+        runs = {side: [] for side in sides}
+        codes = {}
+        for i in range(CLI_REPEATS):
+            for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+                started = time.perf_counter()
+                codes[side] = _run(sides[side], "-m", "asailab", *argv).returncode
+                runs[side].append(round(time.perf_counter() - started, 3))
+        out.append({"command": shlex.join(["asailab", *argv]),
+                    **{side: {"median_s": statistics.median(rs), "runs_s": rs,
+                              "exit_code": codes[side]} for side, rs in runs.items()}})
+    return out
+
+
 def src_lines(root):
     return sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py"))
 
@@ -96,6 +125,7 @@ def main(argv=None):
                 per_side[side].append(bench(sides[side], workload, 7001 + i, seconds))
     started = time.perf_counter()
     tier1 = _run(CHANGE, *TIER1)
+    tier1_s = round(time.perf_counter() - started, 1)
     record = {
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "pairs": PAIRS, "seconds_per_run": seconds,
@@ -103,7 +133,8 @@ def main(argv=None):
         "workloads": {w: {side: summary(rs) for side, rs in per_side.items()}
                       for w, per_side in runs.items()},
         "acceptance_elapsed_s": {side: acceptance(root) for side, root in sides.items()},
-        "tier1": {"wall_s": round(time.perf_counter() - started, 1),
+        "cli_s": cli_times(sides),
+        "tier1": {"wall_s": tier1_s,
                   "exit_code": tier1.returncode,
                   "summary": (tier1.stdout.strip().splitlines() or [""])[-1]},
         "src_lines": {side: src_lines(root) for side, root in sides.items()},

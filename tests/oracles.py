@@ -4,7 +4,7 @@ Everything here is deliberately written against different algorithms than the
 package: pentagonal-number eta expansion, brute-force Pell searches,
 Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
 the Leibniz expansion of a determinant, cyclotomic polynomials by long
-division of x^m - 1.
+division of x^m - 1, Eisenstein Fourier modes pair by pair.
 """
 
 import cmath
@@ -186,6 +186,39 @@ def check_hyperu_ladder(s, k, y, N, prec):
             for n, (g, w) in enumerate(zip(got, want)):
                 scale = max(abs(v) for v in want[max(n - 1, 0):n + 2])
                 assert abs(g - w) <= mpmath.ldexp(scale, 8 - prec), (a, n + 1, prec)
+
+
+def oscillating_by_divisor_pairs(k, a_m, x, y, s, prec):
+    """The r != 0 Fourier modes of eisenstein_continued, pair by pair: two
+    exponentials and one power for every (n, r | n), with alpha as an mpf
+    a_m.  Call it where eisenstein._oscillating runs (inside mp_context(prec)
+    and its extra precision)."""
+    import mpmath
+    from asailab.arith import divisors
+    from asailab.eisenstein import _hyperu_values
+    from asailab.precision import working_precision
+    pref = y ** s * (2 * mpmath.pi) ** (1 - k) * mpmath.pi ** (-s)
+    poch = mpmath.rf(s, k)
+    cutoff = (working_precision(prec) + 25) * mpmath.log(2)
+    two_pi = 2 * mpmath.pi
+    n_max = int(cutoff / (two_pi * y))
+    z1 = 4 * mpmath.pi * y
+    us1 = [mpmath.mpf(1)] * n_max if s == 0 else _hyperu_values(s, 2 * s + k, z1, n_max)
+    us2 = [None] * n_max if poch == 0 else _hyperu_values(s + k, 2 * s + k, z1, n_max)
+    acc = mpmath.mpc(0)
+    sign = (-1) ** k
+    for n, u1, u2 in zip(range(1, n_max + 1), us1, us2):
+        expo = mpmath.exp(-two_pi * (n * y))
+        row = mpmath.mpc(0)
+        for r in divisors(n):
+            base = (two_pi * r) ** (2 * s + k - 1)
+            e1 = mpmath.expjpi(2 * (n * x + r * a_m))
+            e2 = mpmath.expjpi(2 * (n * x - r * a_m))
+            row += base * (u1 * (e1 + sign * e2))
+            if u2 is not None:
+                row += base * poch * u2 * (mpmath.conj(e1) + sign * mpmath.conj(e2))
+        acc += expo * row
+    return pref * acc
 
 
 def shell_ordered_lattice_sum(k, alpha, tau, s, cutoff):

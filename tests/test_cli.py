@@ -203,6 +203,15 @@ def test_pr_factor_command(capsys):
     assert rep["result"]["tag"] == "log"
 
 
+@pytest.mark.parametrize("extra", [["--r", "0"], ["--r", "1", "--eta", "1"]])
+def test_pr_factor_zero_eigenvalue_is_a_validation_error(capsys, extra):
+    code, out, err = run_cli(capsys, "pr-factor", "--p", "7", "--j", "0", "--kprime", "0",
+                             "--a-value", "0", *extra)
+    assert code == 1 and not out
+    rep = json.loads(err)
+    assert rep["error"] == "validation" and "A = 0" in rep["message"]
+
+
 def test_hecke_identity_command(capsys):
     labels = json.dumps({"l1": {"norm": 11}, "l1b": {"norm": 11}})
     code, out, _ = run_cli(

@@ -4,12 +4,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from asailab.eisenstein import (EisensteinError, EisensteinPole,
+from asailab.eisenstein import (EisensteinError, EisensteinPole, _oscillating,
                                 diagonal_mellin_check, eisenstein_continued,
                                 eisenstein_lattice_sum, kronecker_limit_check,
                                 siegel_unit)
+from asailab.precision import mp_context
 from oracles import (check_hyperu_ladder, classical_eisenstein_q_series,
-                     shell_ordered_lattice_sum)
+                     oscillating_by_divisor_pairs, shell_ordered_lattice_sum)
 
 
 def test_lattice_cutoff_self_convergence():
@@ -93,6 +94,51 @@ def test_gamma1_invariance_non_integer_s(s):
         lhs = complex(eisenstein_continued(k, Fraction(1, 5), gt, s))
         rhs = (c * tau + d) ** k * complex(eisenstein_continued(k, Fraction(1, 5), tau, s))
         assert abs(lhs - rhs) < 1e-12 * abs(rhs), (k, s)
+
+
+def test_gamma1_7_invariance_at_small_im():
+    # the benchmark's c = N = 7 geometry: Re tau near -1/7, so that
+    # Im(gamma tau) = 0.062 and the continuation takes about 160 Fourier levels
+    tau = complex(round((-1 + 0.04) / 7, 6), 0.33)
+    for k, s in [(k, 0) for k in range(8)] + [(2, Fraction(3, 2))]:
+        alpha = Fraction(1 + k % 2, 7)
+        a, b, c, d = (8, 1, 7, 1) if k % 2 == 0 else (-6, -1, 7, 1)
+        assert a * d - b * c == 1 and c % 7 == 0 and a % 7 == d % 7 == 1
+        gt = (a * tau + b) / (c * tau + d)
+        assert 0.06 < gt.imag < 0.063
+        lhs = complex(eisenstein_continued(k, alpha, gt, s))
+        rhs = (c * tau + d) ** k * complex(eisenstein_continued(k, alpha, tau, s))
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs), (k, s)
+
+
+def _convolution_grid():
+    # k = 0..7 at each prec; s, alpha (denominators 2..12) and tau cycle apart
+    s_values = [0, Fraction(3, 2), 0.3, Fraction(-1, 2), complex(1.5, 0.7), 2, -1,
+                Fraction(5, 2), 0.5]
+    taus = [0.3 + 1j, -0.41 + 0.06j, -0.2 + 0.3j, 0.17 + 0.11j]
+    cases = []
+    for i, (prec, k) in enumerate((p, k) for p in (64, 120, 200) for k in range(8)):
+        den = 2 + i % 11
+        num = max(n for n in range(1, den // 2 + 1) if math.gcd(n, den) == 1)
+        cases.append((k, s_values[i % len(s_values)], Fraction(num, den),
+                      taus[i % len(taus)], prec))
+    # alpha = 1/2 at odd k: c_r = e(r/2) - e(-r/2) = 0, so every mode vanishes
+    return cases + [(1, Fraction(3, 2), Fraction(1, 2), -0.3 + 0.06j, 64),
+                    (5, 0.3, Fraction(1, 2), -0.1 + 0.2j, 200)]
+
+
+@pytest.mark.parametrize("k,s,alpha,tau,prec", _convolution_grid())
+def test_oscillating_matches_divisor_pairs(k, s, alpha, tau, prec):
+    # run both where eisenstein_continued runs _oscillating
+    with mp_context(prec), mpmath.extraprec(4 * (10 + k)):
+        t = mpmath.mpc(complex(tau))
+        s_m = mpmath.mpc(complex(s)) if complex(s).imag else mpmath.mpf(complex(s).real)
+        a_m = mpmath.mpf(alpha.numerator) / alpha.denominator
+        got = _oscillating(k, alpha, t, s_m, prec)
+        want = oscillating_by_divisor_pairs(k, a_m, t.real, t.imag, s_m, prec)
+        assert abs(got - want) <= mpmath.ldexp(max(1, abs(want)), 8 - prec)
+        if alpha == Fraction(1, 2) and k % 2:
+            assert abs(got) <= mpmath.ldexp(1, 8 - prec)
 
 
 def test_conjugation_symmetry():
