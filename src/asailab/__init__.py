@@ -7,7 +7,8 @@ from .quadfield import (RealQuadraticField, IdealRep, SplittingType, discriminan
                         totally_positive_generator, ideals_of_norm)
 from .coeffs import CoefficientField, QuadElt
 from .eigenform import (Weight, HilbertEigenform, load_eigenform, base_change,
-                        check_hecke_relations, is_ordinary, discriminant_form_ap)
+                        check_hecke_relations, is_ordinary, discriminant_form_ap,
+                        synthetic_form)
 from .heckealg import (PrimeLabel, HeckePolynomial, normalize,
                        asai_euler_symbolic, verify_split_x2_identity,
                        norm_relation_symbolic)
@@ -30,7 +31,7 @@ __all__ = [
     "totally_positive_generator", "ideals_of_norm",
     "CoefficientField", "QuadElt",
     "Weight", "HilbertEigenform", "load_eigenform", "base_change",
-    "check_hecke_relations", "is_ordinary", "discriminant_form_ap",
+    "check_hecke_relations", "is_ordinary", "discriminant_form_ap", "synthetic_form",
     "PrimeLabel", "HeckePolynomial", "normalize", "asai_euler_symbolic",
     "verify_split_x2_identity", "norm_relation_symbolic",
     "tensor_induce_split", "tensor_induce_inert", "asai_charpoly",

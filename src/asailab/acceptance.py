@@ -14,9 +14,8 @@ import mpmath
 
 from .arith import is_prime
 from .quadfield import RealQuadraticField, splitting_type
-from .coeffs import CoefficientField
-from .eigenform import (HilbertEigenform, Weight, base_change,
-                        check_hecke_relations, discriminant_form_ap)
+from .eigenform import (Weight, base_change, check_hecke_relations,
+                        discriminant_form_ap, synthetic_form)
 from . import heckealg
 from .asairep import (asai_charpoly, euler_system_norm_factor,
                       verify_proj_Pl, GroupRingElement)
@@ -48,24 +47,6 @@ def _bc_form(bound):
     return base_change(discriminant_form_ap(bound), 12, None, _field(5), bound=bound)
 
 
-def _synthetic_form(d, weight, local_lambdas, eps_values=None):
-    """One-or-few-prime synthetic eigenform with prime squares filled."""
-    field = _field(d)
-    cf = CoefficientField(None)
-    eig = {}
-    neb = {}
-    for ell, lams in local_lambdas.items():
-        primes = field.primes_above(ell)
-        for p, lam in zip(primes, lams):
-            lam = cf.element(lam)
-            eps = cf.element((eps_values or {}).get(ell, 1))
-            eig[p.hnf()] = lam
-            eig[(p * p).hnf()] = lam * lam - Fraction(p.norm() ** (weight.w - 1)) * eps
-            if eps_values:
-                neb[p.hnf()] = eps
-    return HilbertEigenform(field, weight, field.maximal_order(), cf, eig, neb)
-
-
 # -- 1: tensor induction vs Euler factor ---------------------------------------
 
 def criterion_1():
@@ -90,7 +71,7 @@ def criterion_1():
         w = rng.choice(weights[rng.choice([2, 4])])
         eps = rng.choice([1, 1, 1, -1])
         lams = [Fraction(rng.randint(-50, 50)) for _ in st.primes]
-        form = _synthetic_form(d, w, {ell: lams}, {ell: eps})
+        form = synthetic_form(_field(d), w, {ell: lams}, {ell: eps})
         if not verify_proj_Pl(form, ell):
             failures.append((d, ell, w, [str(x) for x in lams]))
         if st.is_split:
@@ -98,9 +79,9 @@ def criterion_1():
         else:
             inert_done += 1
     # fixed instances from the operation contract
-    f_split = _synthetic_form(11, Weight(2, 2, 0, 0), {5: [2, 3]})
+    f_split = synthetic_form(_field(11), Weight(2, 2, 0, 0), {5: [2, 3]})
     fixed_split = asai_charpoly(f_split, 5).coeffs == [1, -6, 15, -150, 625]
-    f_inert = _synthetic_form(5, Weight(2, 2, 0, 0), {3: [5]})
+    f_inert = synthetic_form(_field(5), Weight(2, 2, 0, 0), {3: [5]})
     fixed_inert = asai_charpoly(f_inert, 3).coeffs == [1, -5, 0, 45, -81]
     elapsed = time.perf_counter() - started
     passed = not failures and fixed_split and fixed_inert and elapsed < 10.0
@@ -292,7 +273,7 @@ def criterion_8():
 
 def criterion_9():
     started = time.perf_counter()
-    form = _synthetic_form(5, Weight(2, 2, 0, 0), {3: [5]})
+    form = synthetic_form(_field(5), Weight(2, 2, 0, 0), {3: [5]})
     got = euler_system_norm_factor(form, 3, 0, 5)
     expect = GroupRingElement(5, {1: Fraction(5), 3: Fraction(2),
                                   4: Fraction(-5), 2: Fraction(-2)})

@@ -5,6 +5,10 @@ JSON report to stdout (or --out).  Exit codes: 0 success, 1 validation
 failure, 2 computational hypothesis failure (e.g. a required (NEZ) check came
 back false, or a pole was hit), 64 usage errors.  ASAILAB_PRECISION overrides
 the default working precision (bits).
+
+Each handler `cmd_<name>(args)` returns `(inputs, result, cutoffs, exit_code)`;
+`main` alone builds, encodes and writes the report, and maps an exception to
+its exit code through `_EXITS`.
 """
 
 import argparse
@@ -19,25 +23,23 @@ import mpmath
 from . import __version__
 from .precision import working_precision
 from .coeffs import parse_rational
-from .quadfield import (RealQuadraticField, QuadFieldError, ideal_label,
+from .quadfield import (RealQuadraticField, IdealRep, ideal_label,
                         totally_positive_generator, NotPrincipalError)
-from .eigenform import (EigenformError, Weight, base_change,
-                        check_hecke_relations, discriminant_form_ap,
-                        load_eigenform)
+from .eigenform import (Weight, base_change, check_hecke_relations,
+                        discriminant_form_ap, load_eigenform, synthetic_form)
 from . import heckealg
 from .heckealg import HeckeAlgError
-from .asairep import (AsaiRepError, HypothesisError, asai_charpoly,
-                      asai_charpoly_via_induction,
+from .asairep import (HypothesisError, asai_charpoly, asai_charpoly_via_induction,
                       euler_system_norm_factor, verify_proj_Pl)
-from .eisenstein import (EisensteinError, EisensteinPole, diagonal_mellin_check,
+from .eisenstein import (EisensteinPole, diagonal_mellin_check,
                          eisenstein_continued, eisenstein_lattice_sum,
                          kronecker_limit_check, siegel_unit)
-from .lseries import (AsaiLSeries, LSeriesError, euler_product_L,
-                      imprimitive_L, regulator_constant, unfolding_constant)
+from .lseries import (AsaiLSeries, euler_product_L, imprimitive_L,
+                      regulator_constant, unfolding_constant)
 from .characters import DirichletCharacter, unit_group_structure
 from .padic import (NEZFailure, OrdinaryData, PadicError, PoleError, check_NEZ,
                     gauss_sum, pr_interp_factor, stabilized_params)
-from .acceptance import _synthetic_form, run_acceptance
+from .acceptance import run_acceptance
 
 
 class UsageError(ValueError):
@@ -69,17 +71,17 @@ def parse_complex(text):
     return complex(float(re), float(im))
 
 
-def _emit(args, command, inputs, result, cutoffs=None):
+def _emit(args, inputs, result, cutoffs):
     report = {
-        "command": command,
+        "command": args.cmd,
         "inputs": inputs,
         "result": result,
         "provenance": {"version": __version__,
                        "precision": working_precision(None),
-                       "cutoffs": cutoffs or {}},
+                       "cutoffs": cutoffs},
     }
     text = json.dumps(report, indent=1, sort_keys=True, default=_json_default)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -87,28 +89,35 @@ def _emit(args, command, inputs, result, cutoffs=None):
 
 
 def _json_default(obj):
+    """The one encoder of report values that JSON has no type for."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (mpmath.mpf,)):
+    if isinstance(obj, mpmath.mpf):
         return float(obj)
     if isinstance(obj, (complex, mpmath.mpc)):
-        return [float(mpmath.re(obj)), float(mpmath.im(obj))]
+        return [float(obj.real), float(obj.imag)]  # a complex keeps a -0.0 part
     if hasattr(obj, "to_json"):
         return obj.to_json()
     return repr(obj)
 
 
-def _mk_synthetic_form(d, w, ell, lambdas, eps=1):
-    n_primes = len(RealQuadraticField(d).primes_above(ell))
+def _local_form(args):
+    """The report inputs and synthetic form of --d, --ell, --lambda, --w and --eps."""
+    lambdas = [parse_rational(x) for x in args.lam]
+    eps = int(args.eps)
+    field = RealQuadraticField(args.d)
+    n_primes = len(field.primes_above(args.ell))
     if n_primes != len(lambdas):
-        raise UsageError(f"{n_primes} primes above {ell} but {len(lambdas)} lambda values")
-    return _synthetic_form(d, Weight(w, w, 0, 0), {ell: lambdas}, {ell: eps} if eps != 1 else None)
+        raise UsageError(f"{n_primes} primes above {args.ell} but {len(lambdas)} lambda values")
+    form = synthetic_form(field, Weight(args.w, args.w, 0, 0), {args.ell: lambdas},
+                          {args.ell: eps} if eps != 1 else None)
+    return {"d": args.d, "ell": args.ell, "lambda": args.lam, "w": args.w}, form
 
 
 def _load_form_arg(args):
-    if getattr(args, "form", None):
+    if args.form:
         return load_eigenform(args.form)
-    if getattr(args, "delta", False):
+    if args.delta:
         return base_change(discriminant_form_ap(args.bound), 12, None,
                            RealQuadraticField(args.d or 5), bound=args.bound)
     raise UsageError("supply --form FILE or --delta")
@@ -125,7 +134,7 @@ def _positive_int(text):
     return value
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns (inputs, result, cutoffs, exit_code) -----
 
 def cmd_field_info(args):
     field = RealQuadraticField(args.d)
@@ -138,7 +147,7 @@ def cmd_field_info(args):
         "different": {"hnf": field.different().hnf(),
                       "norm": field.different().norm()},
     }
-    if args.ell:
+    if args.ell is not None:
         st = field.splitting_type(args.ell)
         res["splitting"] = {"ell": args.ell, "kind": st.kind.value,
                             "primes": [{"hnf": p.hnf(), "label": ideal_label(p)}
@@ -152,8 +161,7 @@ def cmd_field_info(args):
                     g = None
                 gens.append(None if g is None else dict(zip("ab", field.omega_coords(g))))
             res["splitting"]["totally_positive_generators"] = gens
-    _emit(args, "field-info", {"d": args.d, "ell": args.ell}, res)
-    return 0
+    return {"d": args.d, "ell": args.ell}, res, {}, 0
 
 
 def cmd_form_validate(args):
@@ -167,16 +175,14 @@ def cmd_form_validate(args):
         "hecke_violations": violations,
         "valid": not violations,
     }
-    _emit(args, "form-validate", {"form": args.form, "bound": args.bound}, res)
-    return 0 if not violations else 2
+    return {"form": args.form, "bound": args.bound}, res, {}, 2 if violations else 0
 
 
 def cmd_base_change(args):
     field = RealQuadraticField(args.d)
     if args.ap_file:
         with open(args.ap_file, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        ap = {int(p): parse_rational(v) for p, v in raw.items()}
+            ap = {int(p): parse_rational(v) for p, v in json.load(fh).items()}
     else:
         ap = discriminant_form_ap(args.bound)
         if args.weight != 12:
@@ -186,51 +192,42 @@ def cmd_base_change(args):
         form.save(args.save)
     res = {"d": args.d, "classical_weight": args.weight, "bound": args.bound,
            "eigenvalues_stored": len(form.eigenvalues),
-           "sample": {ideal_label(_ideal_from_key(form, key)): form.eigenvalues[key]
+           "sample": {ideal_label(IdealRep(field, *key)): form.eigenvalues[key]
                       for key in sorted(form.eigenvalues)[:8]},
            "saved_to": args.save, "notes": form.notes}
-    _emit(args, "base-change", {"d": args.d, "weight": args.weight},
-          res, {"bound": args.bound})
-    return 0
-
-
-def _ideal_from_key(form, key):
-    from .quadfield import IdealRep
-    return IdealRep(form.field, *key)
+    return {"d": args.d, "weight": args.weight}, res, {"bound": args.bound}, 0
 
 
 def cmd_euler_factor(args):
-    lambdas = [parse_rational(x) for x in args.lam]
-    form = _mk_synthetic_form(args.d, args.w, args.ell, lambdas, eps=int(args.eps))
+    inputs, form = _local_form(args)
     pl = asai_charpoly(form, args.ell)
     via = asai_charpoly_via_induction(form, args.ell)
     res = {"splitting": pl.kind, "coefficients": pl.coeffs,
            "tensor_induction_coefficients": via.coeffs,
            "agree": pl == via,
            "normalization": "includes the (t+t') twist: T(l) -> l^{-(t+t')} lambda((l))"}
-    _emit(args, "euler-factor",
-          {"d": args.d, "ell": args.ell, "lambda": args.lam, "w": args.w}, res)
-    return 0
+    return inputs, res, {}, 0
 
 
 def cmd_verify_pl(args):
-    lambdas = [parse_rational(x) for x in args.lam]
-    form = _mk_synthetic_form(args.d, args.w, args.ell, lambdas, eps=int(args.eps))
+    inputs, form = _local_form(args)
     ok = verify_proj_Pl(form, args.ell)
-    _emit(args, "verify-pl",
-          {"d": args.d, "ell": args.ell, "lambda": args.lam, "w": args.w},
-          {"agree": ok})
-    return 0 if ok else 2
+    return inputs, {"agree": ok}, {}, 0 if ok else 2
+
+
+def _labels_arg(text):
+    """The --labels header: a JSON object of {"norm", "unit", "conj"} objects."""
+    spec = json.loads(text)
+    if not isinstance(spec, dict) or not all(isinstance(v, dict) for v in spec.values()):
+        raise HeckeAlgError('--labels must be a JSON object of objects, '
+                            'e.g. {"l1": {"norm": 11}}')
+    return {name: heckealg.PrimeLabel(name, int(info.get("norm", 1)),
+                                      bool(info.get("unit", False)), info.get("conj"))
+            for name, info in spec.items()}
 
 
 def cmd_hecke_identity(args):
-    labels = {}
-    if args.labels:
-        spec = json.loads(args.labels)
-        for name, info in spec.items():
-            labels[name] = heckealg.PrimeLabel(
-                name, int(info.get("norm", 1)), bool(info.get("unit", False)),
-                info.get("conj"))
+    labels = _labels_arg(args.labels) if args.labels else {}
     lhs = parse_hecke_expression(args.expr, labels).normalize()
     res = {"normal_form": repr(lhs)}
     if args.expr2:
@@ -238,55 +235,41 @@ def cmd_hecke_identity(args):
         res["normal_form_rhs"] = repr(rhs)
         res["equal"] = lhs == rhs
     if args.split_x2:
-        lam, lambar = heckealg.split_labels(args.split_x2)
-        res["split_x2_identity"] = heckealg.verify_split_x2_identity(lam, lambar)
-    _emit(args, "hecke-identity",
-          {"expr": args.expr, "expr2": args.expr2, "labels": args.labels,
-           "split_x2": args.split_x2}, res)
-    if "equal" in res and not res["equal"]:
-        return 2
-    if "split_x2_identity" in res and not res["split_x2_identity"]:
-        return 2
-    return 0
+        res["split_x2_identity"] = heckealg.verify_split_x2_identity(
+            *heckealg.split_labels(args.split_x2))
+    ok = res.get("equal", True) and res.get("split_x2_identity", True)
+    return ({"expr": args.expr, "expr2": args.expr2, "labels": args.labels,
+             "split_x2": args.split_x2}, res, {}, 0 if ok else 2)
 
 
 def cmd_norm_factor(args):
-    lambdas = [parse_rational(x) for x in args.lam]
-    form = _mk_synthetic_form(args.d, args.w, args.ell, lambdas, eps=int(args.eps))
+    inputs, form = _local_form(args)
     elt = euler_system_norm_factor(form, args.ell, args.j, args.m)
-    res = {"group_ring_modulus": args.m, "element": elt.to_json(),
-           "is_zero": elt.is_zero()}
-    _emit(args, "norm-factor",
-          {"d": args.d, "ell": args.ell, "j": args.j, "m": args.m,
-           "lambda": args.lam, "w": args.w}, res)
-    return 0
+    res = {"group_ring_modulus": args.m, "element": elt, "is_zero": elt.is_zero()}
+    return {**inputs, "j": args.j, "m": args.m}, res, {}, 0
 
 
 def cmd_lfun(args):
-    form = _load_form_arg(args)
-    series = AsaiLSeries(form)
+    series = AsaiLSeries(_load_form_arg(args))
     s = parse_complex(args.s)
     normalization = "L_(N)(chi, 2s-2-k-k') * sum alpha(n) n^-s"
     pieces = {}
     if args.method in ("dirichlet", "both"):
         val, rep = imprimitive_L(series, s, n_cutoff=args.n_cutoff)
-        pieces["dirichlet"] = {"value": [float(mpmath.re(val)), float(mpmath.im(val))],
-                               "truncation": rep, "normalization": normalization}
+        pieces["dirichlet"] = {"value": val, "truncation": rep, "normalization": normalization}
     if args.method in ("euler", "both"):
         val, rep = euler_product_L(series, s, ell_cutoff=args.ell_cutoff)
-        pieces["euler_product"] = {"value": [float(mpmath.re(val)), float(mpmath.im(val))],
-                                   "truncation": rep, "normalization": normalization}
+        pieces["euler_product"] = {"value": val, "truncation": rep,
+                                   "normalization": normalization}
     if args.method == "both":
-        a = complex(*pieces["dirichlet"]["value"])
-        b = complex(*pieces["euler_product"]["value"])
-        res = dict(pieces)
-        res["relative_difference"] = abs(a - b) / max(abs(a), 1e-300)
+        # the difference of the two values as reported, in double precision
+        a, b = (complex(piece["value"]) for piece in pieces.values())
+        res = {**pieces, "relative_difference": abs(a - b) / max(abs(a), 1e-300)}
     else:
         # single-method reports use the flat {value, truncation, normalization} shape
-        res = pieces["dirichlet" if args.method == "dirichlet" else "euler_product"]
-    _emit(args, "lfun", {"s": args.s, "method": args.method}, res,
-          {"n_cutoff": args.n_cutoff, "ell_cutoff": args.ell_cutoff})
-    return 0
+        (res,) = pieces.values()
+    return ({"s": args.s, "method": args.method}, res,
+            {"n_cutoff": args.n_cutoff, "ell_cutoff": args.ell_cutoff}, 0)
 
 
 def cmd_eisenstein(args):
@@ -296,61 +279,48 @@ def cmd_eisenstein(args):
     s = s.real if s.imag == 0 else s
     res = {}
     if args.method in ("continued", "both"):
-        val = eisenstein_continued(args.k, alpha, tau, s)
-        res["continued"] = [float(mpmath.re(val)), float(mpmath.im(val))]
+        res["continued"] = complex(eisenstein_continued(args.k, alpha, tau, s))
     if args.method in ("lattice", "both"):
-        val = eisenstein_lattice_sum(args.k, alpha, tau, s, args.cutoff)
-        res["lattice"] = [val.real, val.imag]
+        res["lattice"] = eisenstein_lattice_sum(args.k, alpha, tau, s, args.cutoff)
     if args.method == "both":
-        res["difference"] = abs(complex(*res["continued"]) - complex(*res["lattice"]))
-    _emit(args, "eisenstein",
-          {"k": args.k, "alpha": args.alpha, "tau": args.tau, "s": args.s},
-          res, {"cutoff": args.cutoff})
-    return 0
+        res["difference"] = abs(res["continued"] - res["lattice"])
+    return ({"k": args.k, "alpha": args.alpha, "tau": args.tau, "s": args.s},
+            res, {"cutoff": args.cutoff}, 0)
 
 
 def cmd_kronecker_check(args):
     alpha = parse_rational(args.alpha)
     tau = parse_complex(args.tau)
-    resid = kronecker_limit_check(alpha, tau, terms=args.terms)
-    g = siegel_unit(alpha, tau, terms=args.terms)
-    res = {"residual": float(resid), "tolerance": args.tol,
-           "passes": float(resid) < args.tol,
-           "siegel_unit_abs": float(abs(g))}
-    _emit(args, "kronecker-check", {"alpha": args.alpha, "tau": args.tau},
-          res, {"terms": args.terms})
-    return 0 if res["passes"] else 2
+    resid = float(kronecker_limit_check(alpha, tau, terms=args.terms))
+    res = {"residual": resid, "tolerance": args.tol, "passes": resid < args.tol,
+           "siegel_unit_abs": float(abs(siegel_unit(alpha, tau, terms=args.terms)))}
+    return ({"alpha": args.alpha, "tau": args.tau}, res, {"terms": args.terms},
+            0 if res["passes"] else 2)
 
 
 def cmd_mellin_check(args):
-    form = _load_form_arg(args)
-    lhs, rhs, resid = diagonal_mellin_check(form, args.sprime, y_cutoff=args.y_cutoff,
-                                            n_max=args.n_max)
+    lhs, rhs, resid = diagonal_mellin_check(_load_form_arg(args), args.sprime,
+                                            y_cutoff=args.y_cutoff, n_max=args.n_max)
     res = {"lhs": lhs, "rhs": rhs, "relative_residual": resid,
            "normalization": "rhs = Gamma(s') (sqrt(Delta)/(4 pi))^{s'} "
                             "sum alpha(n) n^{-s'}"}
-    _emit(args, "mellin-check", {"sprime": args.sprime}, res,
-          {"y_cutoff": args.y_cutoff, "n_max": args.n_max})
-    return 0
+    return ({"sprime": args.sprime}, res,
+            {"y_cutoff": args.y_cutoff, "n_max": args.n_max}, 0)
 
 
 def cmd_constants(args):
     res = {}
     if args.kprime <= args.k:
         res["unfolding"] = unfolding_constant(args.k, args.kprime, args.j,
-                                              args.level, args.disc).to_json()
-    res["regulator"] = regulator_constant(args.k, args.kprime, args.j,
-                                          args.disc).to_json()
-    _emit(args, "constants",
-          {"k": args.k, "kprime": args.kprime, "j": args.j,
-           "N": args.level, "disc": args.disc}, res)
-    return 0
+                                              args.level, args.disc)
+    res["regulator"] = regulator_constant(args.k, args.kprime, args.j, args.disc)
+    return ({"k": args.k, "kprime": args.kprime, "j": args.j,
+             "N": args.level, "disc": args.disc}, res, {}, 0)
 
 
 def _ordinary_from_args(args):
     if args.form:
-        form = load_eigenform(args.form)
-        return stabilized_params(form, args.p)
+        return stabilized_params(load_eigenform(args.form), args.p)
     if args.alpha_p is None or args.alpha_q is None:
         raise UsageError("supply --form or both --alpha-p and --alpha-q")
     return OrdinaryData(p=args.p, k=args.k, kprime=args.kprime,
@@ -371,18 +341,13 @@ def cmd_padic_params(args):
         "m_p_eigenvalue": repr(data.m_p_eigenvalue()),
         "notes": data.notes,
     }
-    _emit(args, "padic-params", {"p": args.p}, res)
-    return 0
+    return {"p": args.p}, res, {}, 0
 
 
 def cmd_nez(args):
-    data = _ordinary_from_args(args)
-    holds, witness = check_NEZ(data)
-    res = {"nez": holds, "witness": witness}
-    _emit(args, "nez", {"p": args.p, "k": args.k, "kprime": args.kprime}, res)
-    if args.require and not holds:
-        return 2
-    return 0
+    holds, witness = check_NEZ(_ordinary_from_args(args))
+    return ({"p": args.p, "k": args.k, "kprime": args.kprime},
+            {"nez": holds, "witness": witness}, {}, 2 if args.require and not holds else 0)
 
 
 def _eta_arg(args):
@@ -401,42 +366,32 @@ def cmd_pr_factor(args):
         fac = pr_interp_factor(parse_rational(args.a_value), args.j, args.r, eta,
                                p=args.p, kprime=args.kprime)
     else:
-        data = _ordinary_from_args(args)
-        fac = pr_interp_factor(data, args.j, args.r, eta)
+        fac = pr_interp_factor(_ordinary_from_args(args), args.j, args.r, eta)
     res = {"scalar": repr(fac.scalar), "tag": fac.tag,
            "tag_constant": fac.tag_constant,
            "gauss_inverse": None if fac.gauss_inverse is None else repr(fac.gauss_inverse)}
     try:
-        num = fac.numeric()
-        res["numeric"] = [float(mpmath.re(num)), float(mpmath.im(num))]
+        res["numeric"] = fac.numeric()
     except PadicError:
         res["numeric"] = None
-    _emit(args, "pr-factor",
-          {"p": args.p, "j": args.j, "r": args.r, "eta": args.eta}, res)
-    return 0
+    return {"p": args.p, "j": args.j, "r": args.r, "eta": args.eta}, res, {}, 0
 
 
 def cmd_gauss_sum(args):
     eta = _eta_arg(args)
     g = gauss_sum(eta, args.p, args.r)
-    norm = (g * g.conjugate()).rational_value()
-    num = g.to_mpc()
-    res = {"gauss_sum": repr(g), "norm_squared": norm,
-           "numeric": [float(mpmath.re(num)), float(mpmath.im(num))],
+    res = {"gauss_sum": repr(g), "norm_squared": (g * g.conjugate()).rational_value(),
+           "numeric": g.to_mpc(),
            "character": {"modulus": eta.modulus, "exponents": eta.exponents,
                          "order": eta.order, "conductor": eta.conductor()}}
-    _emit(args, "gauss-sum", {"p": args.p, "r": args.r, "eta": args.eta}, res)
-    return 0
+    return {"p": args.p, "r": args.r, "eta": args.eta}, res, {}, 0
 
 
 def cmd_acceptance(args):
-    selection = None
-    if args.criteria:
-        selection = [int(x) for x in args.criteria.split(",")]
+    selection = [int(x) for x in args.criteria.split(",")] if args.criteria else None
     ok, results = run_acceptance(selection, echo=not args.quiet)
-    _emit(args, "acceptance", {"criteria": args.criteria},
-          {"all_passed": ok, "results": results})
-    return 0 if ok else 2
+    return ({"criteria": args.criteria}, {"all_passed": ok, "results": results}, {},
+            0 if ok else 2)
 
 
 # -- expression grammar ----------------------------------------------------------
@@ -564,9 +519,33 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser():
     """The argparse tree, built on first use and shared: it keeps no per-call state."""
-    parser = _Parser(prog="asailab", description=__doc__)
+    # the module docstring's last paragraph is for maintainers, not for --help
+    parser = _Parser(prog="asailab", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--out", help="write the JSON report to this path")
     sub = parser.add_subparsers(dest="cmd")
+    # option groups shared by several commands; children share a parent's action
+    # objects, so --bound (its default differs per command) is declared in each
+    local = argparse.ArgumentParser(add_help=False)
+    local.add_argument("--d", type=int, required=True)
+    local.add_argument("--ell", type=int, required=True)
+    local.add_argument("--lambda", dest="lam", action="append", required=True,
+                       help="lambda at a prime above ell (repeat for split primes)")
+    local.add_argument("--w", type=int, default=2, help="motivic weight w = k+2 (t = 0)")
+    local.add_argument("--eps", default="1")
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("--form")
+    form.add_argument("--delta", action="store_true",
+                      help="use the discriminant-form base change over Q(sqrt(d))")
+    form.add_argument("--d", type=int, default=5)
+    ordinary = argparse.ArgumentParser(add_help=False)
+    ordinary.add_argument("--form")
+    ordinary.add_argument("--p", type=int, required=True)
+    ordinary.add_argument("--k", type=int, default=0)
+    ordinary.add_argument("--kprime", type=int, default=0)
+    ordinary.add_argument("--alpha-p")
+    ordinary.add_argument("--alpha-q")
+    ordinary.add_argument("--eps-p", default="1")
+    ordinary.add_argument("--eps-q", default="1")
 
     p = sub.add_parser("field-info", help="real quadratic field invariants")
     p.add_argument("--d", type=int, required=True)
@@ -587,13 +566,7 @@ def build_parser():
     p.set_defaults(func=cmd_base_change)
 
     for name, fn in (("euler-factor", cmd_euler_factor), ("verify-pl", cmd_verify_pl)):
-        p = sub.add_parser(name, help="Asai Euler factor from local data")
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--ell", type=int, required=True)
-        p.add_argument("--lambda", dest="lam", action="append", required=True,
-                       help="lambda at a prime above ell (repeat for split primes)")
-        p.add_argument("--w", type=int, default=2, help="motivic weight w = k+2 (t = 0)")
-        p.add_argument("--eps", default="1")
+        p = sub.add_parser(name, help="Asai Euler factor from local data", parents=[local])
         p.set_defaults(func=fn)
 
     p = sub.add_parser("hecke-identity", help="normalise/compare symbolic expressions")
@@ -604,21 +577,13 @@ def build_parser():
                    help="also verify the split X^2 identity at this prime")
     p.set_defaults(func=cmd_hecke_identity)
 
-    p = sub.add_parser("norm-factor", help="Euler-system norm-relation scalar")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p = sub.add_parser("norm-factor", help="Euler-system norm-relation scalar",
+                       parents=[local])
     p.add_argument("--j", type=int, default=0)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", action="append", required=True)
-    p.add_argument("--w", type=int, default=2)
-    p.add_argument("--eps", default="1")
+    p.add_argument("--m", type=_positive_int, required=True)
     p.set_defaults(func=cmd_norm_factor)
 
-    p = sub.add_parser("lfun", help="imprimitive Asai L-value")
-    p.add_argument("--form")
-    p.add_argument("--delta", action="store_true",
-                   help="use the discriminant-form base change over Q(sqrt(d))")
-    p.add_argument("--d", type=int, default=5)
+    p = sub.add_parser("lfun", help="imprimitive Asai L-value", parents=[form])
     p.add_argument("--bound", type=_positive_int, default=4000,
                    help="coefficient bound for --delta; keep >= --n-cutoff")
     p.add_argument("--s", required=True)
@@ -634,7 +599,7 @@ def build_parser():
     p.add_argument("--s", default="0")
     p.add_argument("--method", choices=("lattice", "continued", "both"),
                    default="continued")
-    p.add_argument("--cutoff", type=int, default=200)
+    p.add_argument("--cutoff", type=_positive_int, default=200)
     p.set_defaults(func=cmd_eisenstein)
 
     p = sub.add_parser("kronecker-check", help="Kronecker-limit identity residual")
@@ -644,10 +609,8 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_kronecker_check)
 
-    p = sub.add_parser("mellin-check", help="diagonal Mellin / unfolding kernel")
-    p.add_argument("--form")
-    p.add_argument("--delta", action="store_true")
-    p.add_argument("--d", type=int, default=5)
+    p = sub.add_parser("mellin-check", help="diagonal Mellin / unfolding kernel",
+                       parents=[form])
     p.add_argument("--bound", type=_positive_int, default=800)
     p.add_argument("--sprime", type=float, default=14.0)
     p.add_argument("--y-cutoff", type=float, default=40.0)
@@ -658,38 +621,23 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kprime", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--N", dest="level", type=int, default=1)
-    p.add_argument("--disc", type=int, required=True)
+    p.add_argument("--N", dest="level", type=_positive_int, default=1)
+    p.add_argument("--disc", type=_positive_int, required=True)
     p.set_defaults(func=cmd_constants)
 
-    for name, fn in (("padic-params", cmd_padic_params), ("nez", cmd_nez)):
-        p = sub.add_parser(name, help="ordinary stabilisation data")
-        p.add_argument("--form")
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--k", type=int, default=0)
-        p.add_argument("--kprime", type=int, default=0)
-        p.add_argument("--alpha-p")
-        p.add_argument("--alpha-q")
-        p.add_argument("--eps-p", default="1")
-        p.add_argument("--eps-q", default="1")
-        if name == "nez":
-            p.add_argument("--require", action="store_true",
-                           help="exit 2 when (NEZ) fails")
-        p.set_defaults(func=fn)
+    p = sub.add_parser("padic-params", help="ordinary stabilisation data", parents=[ordinary])
+    p.set_defaults(func=cmd_padic_params)
 
-    p = sub.add_parser("pr-factor", help="Perrin-Riou interpolation factor")
-    p.add_argument("--p", type=int, required=True)
+    p = sub.add_parser("nez", help="ordinary stabilisation data", parents=[ordinary])
+    p.add_argument("--require", action="store_true", help="exit 2 when (NEZ) fails")
+    p.set_defaults(func=cmd_nez)
+
+    p = sub.add_parser("pr-factor", help="Perrin-Riou interpolation factor",
+                       parents=[ordinary])
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--kprime", type=int, default=0)
     p.add_argument("--a-value", help="alpha_p * beta_q directly")
-    p.add_argument("--alpha-p")
-    p.add_argument("--alpha-q")
-    p.add_argument("--eps-p", default="1")
-    p.add_argument("--eps-q", default="1")
     p.add_argument("--eta", help="comma-separated generator exponents")
-    p.add_argument("--form")
     p.set_defaults(func=cmd_pr_factor)
 
     p = sub.add_parser("gauss-sum", help="exact Gauss sum of a mod-p^r character")
@@ -706,40 +654,32 @@ def build_parser():
     return parser
 
 
-USAGE_EXIT = 64
-VALIDATION_EXIT = 1
-HYPOTHESIS_EXIT = 2
-
-_VALIDATION_ERRORS = (QuadFieldError, EigenformError, HeckeAlgError, AsaiRepError,
-                      LSeriesError, EisensteinError, PadicError, ValueError)
-_HYPOTHESIS_ERRORS = (NEZFailure, PoleError, EisensteinPole, NotPrincipalError,
-                      HypothesisError)
+# (exception kinds, error label, exit code), first match wins: every library error
+# is a ValueError, so usage errors and hypothesis failures come before validation
+_EXITS = (
+    (UsageError, "usage", 64),
+    ((NEZFailure, PoleError, EisensteinPole, NotPrincipalError, HypothesisError),
+     "hypothesis", 2),
+    (ValueError, "validation", 1),
+    (OSError, "io", 1),
+)
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return USAGE_EXIT
-    if not getattr(args, "cmd", None):
-        parser.print_help()
-        return USAGE_EXIT
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return USAGE_EXIT
-    except _HYPOTHESIS_ERRORS as exc:
-        print(json.dumps({"error": "hypothesis", "message": str(exc)}), file=sys.stderr)
-        return HYPOTHESIS_EXIT
-    except _VALIDATION_ERRORS as exc:
-        print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
-        return VALIDATION_EXIT
-    except OSError as exc:
-        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
-        return VALIDATION_EXIT
+        if not args.cmd:
+            parser.print_help()
+            return 64
+        inputs, result, cutoffs, code = args.func(args)
+        _emit(args, inputs, result, cutoffs)
+        return code
+    except (ValueError, OSError) as exc:  # every kind in _EXITS
+        label, code = next((label, code) for kinds, label, code in _EXITS
+                           if isinstance(exc, kinds))
+        print(json.dumps({"error": label, "message": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

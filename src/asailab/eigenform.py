@@ -394,6 +394,28 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
     return HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype, notes)
 
 
+def synthetic_form(field, weight, local_lambdas, eps_values=None):
+    """A level-1 form known only at a few primes and their squares.
+
+    local_lambdas maps a rational prime l to lambda(P) for the primes P above
+    l, in `primes_above` order; lambda(P^2) = lambda(P)^2 - N(P)^(w-1) eps(P)
+    with eps(P) = eps_values[l] (default 1).  The nebentype is stored only
+    when eps_values is given.
+    """
+    cf = CoefficientField(None)
+    eig = {}
+    neb = {}
+    for ell, lams in local_lambdas.items():
+        for p, lam in zip(field.primes_above(ell), lams):
+            lam = cf.element(lam)
+            eps = cf.element((eps_values or {}).get(ell, 1))
+            eig[p.hnf()] = lam
+            eig[(p * p).hnf()] = lam * lam - Fraction(p.norm() ** (weight.w - 1)) * eps
+            if eps_values:
+                neb[p.hnf()] = eps
+    return HilbertEigenform(field, weight, field.maximal_order(), cf, eig, neb)
+
+
 @lru_cache(maxsize=4)
 def discriminant_form_ap(bound):
     """tau(p) for primes p <= bound, from Delta = q (eta^3)^8.

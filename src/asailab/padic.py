@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .arith import sqrt_mod
+from .arith import is_prime, sqrt_mod
 from .coeffs import QuadElt, to_mpf
 from .cyclo import CyclotomicValue
 from .characters import RootOfUnity
@@ -254,6 +254,11 @@ def padic_valuation_of_value(value, p, embedding=None, precision=20):
 # -- ordinary stabilisation data ---------------------------------------------
 
 
+def _check_prime(p):
+    if not is_prime(p):
+        raise PadicError(f"p = {p} is not prime")
+
+
 @dataclass
 class OrdinaryData:
     """alpha/beta parameters of an ordinary p-stabilised form, p split."""
@@ -268,6 +273,7 @@ class OrdinaryData:
     notes: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
+        _check_prime(self.p)
         for name, val in (("alpha_p", self.alpha_p), ("alpha_q", self.alpha_q)):
             if padic_valuation_of_value(val, self.p) != 0:
                 raise PadicError(f"{name} is not a p-adic unit; form not ordinary")
@@ -452,6 +458,7 @@ def pr_interp_factor(data, j, r, eta=None, p=None, kprime=None):
     else:
         if p is None or kprime is None:
             raise PadicError("direct eigenvalue input needs p and kprime")
+        _check_prime(p)
         kp, a_val = int(kprime), data
     if a_val == 0:
         raise PadicError("eigenvalue A = 0; both factors divide by A")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,13 @@ def test_eta_exponent_count_is_a_usage_error(capsys, argv):
     ["lfun", "--delta", "--s", "14", "--bound", "-3"],
     ["mellin-check", "--delta", "--n-max", "0"],
     ["mellin-check", "--delta", "--bound", "0"],
+    ["eisenstein", "--method", "lattice", "--k", "4", "--alpha", "1/5", "--tau", "i",
+     "--cutoff", "-3"],
+    ["norm-factor", "--d", "5", "--ell", "3", "--m", "-5", "--lambda", "5"],
+    ["constants", "--k", "2", "--kprime", "2", "--j", "1", "--N", "0", "--disc", "8"],
+    ["constants", "--k", "2", "--kprime", "2", "--j", "1", "--N", "-2", "--disc", "8"],
+    ["constants", "--k", "2", "--kprime", "2", "--j", "1", "--disc", "0"],
+    ["constants", "--k", "2", "--kprime", "2", "--j", "1", "--disc", "-3"],
 ])
 def test_nonpositive_cutoffs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -95,6 +106,13 @@ def test_validation_error_exit(capsys):
     code, _, err = run_cli(capsys, "field-info", "--d", "12")
     assert code == 1
     assert json.loads(err)["error"] == "validation"
+
+
+def test_field_info_ell_zero_is_a_validation_error(capsys):
+    # ell = 0 reaches the splitting code instead of dropping the splitting block
+    code, out, err = run_cli(capsys, "field-info", "--d", "5", "--ell", "0")
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "validation", "message": "0 is not prime"}
 
 
 def test_hypothesis_error_exit(capsys):
@@ -210,6 +228,37 @@ def test_pr_factor_zero_eigenvalue_is_a_validation_error(capsys, extra):
     assert code == 1 and not out
     rep = json.loads(err)
     assert rep["error"] == "validation" and "A = 0" in rep["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nez", "--p", "0", "--k", "1", "--kprime", "0", "--alpha-p", "2", "--alpha-q", "3"],
+    ["pr-factor", "--p", "0", "--a-value", "2"],
+    ["padic-params", "--p", "-5", "--alpha-p", "2", "--alpha-q", "3"],
+    ["pr-factor", "--p", "4", "--r", "1", "--a-value", "2", "--eta", "1"],
+])
+def test_padic_p_must_be_prime(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "validation",
+                               "message": f"p = {argv[2]} is not prime"}
+
+
+def test_padic_p_one_exits_instead_of_hanging():
+    # p = 1 made the p-adic valuation loop forever, so run it where it can be killed
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "asailab", "nez", "--p", "1", "--k", "1",
+                           "--kprime", "0", "--alpha-p", "2", "--alpha-q", "3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and not proc.stdout
+    assert json.loads(proc.stderr) == {"error": "validation", "message": "p = 1 is not prime"}
+
+
+@pytest.mark.parametrize("labels", ['[1,2]', '{"l1": 5}', '"l1"', '{"l1": [11]}'])
+def test_hecke_labels_of_the_wrong_shape_are_validation_errors(capsys, labels):
+    code, out, err = run_cli(capsys, "hecke-identity", "--expr", "T(l1)", "--labels", labels)
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "validation"
+    assert "object of objects" in json.loads(err)["message"]
 
 
 def test_hecke_identity_command(capsys):

@@ -3,14 +3,18 @@
 `test_reports_byte_stable` compares two runs of one tree, so it cannot see a
 change of format or of digits; these files can.  Each was written by running
 `python -m asailab <argv> > <name>.json` inside tests/golden, and is rewritten
-the same way only when a report is meant to change.
+the same way only when a report is meant to change.  Every `asailab` example
+of README.md's CLI block has one, named after its argv (`readme_...`), apart
+from `acceptance`, whose report carries timings.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
-from asailab.cli import main
+from asailab.cli import build_parser, main
+from bench_record import readme_commands
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,6 +34,9 @@ CASES = {
     "pr_factor_p31_r1": ["pr-factor", "--p", "31", "--r", "1", "--alpha-p", "2",
                          "--alpha-q", "3", "--eta", "1", "--j", "1"],
     "pr_factor_p41_r1": ["pr-factor", "--p", "41", "--r", "1", "--a-value", "2", "--eta", "1"],
+    "base_change_d5_bound60": ["base-change", "--d", "5", "--bound", "60"],
+    **{"readme_" + re.sub(r"\W+", "_", " ".join(argv)).strip("_"): argv
+       for argv in readme_commands() if argv[0] != "acceptance"},
 }
 
 
@@ -38,3 +45,9 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     main(CASES[name])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_every_command_has_a_golden():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "cmd"]
+    pinned = {argv[0] for argv in CASES.values()}
+    assert set(sub.choices) - pinned == {"acceptance"}
