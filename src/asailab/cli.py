@@ -80,7 +80,8 @@ def _emit(args, inputs, result, cutoffs):
                        "precision": working_precision(None),
                        "cutoffs": cutoffs},
     }
-    text = json.dumps(report, indent=1, sort_keys=True, default=_json_default)
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False,
+                      default=_json_default)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -140,10 +141,14 @@ def cmd_field_info(args):
     field = RealQuadraticField(args.d)
     unit, nrm = field.fundamental_unit()
     a, b = field.omega_coords(unit)
+    theta1 = float(unit.to_mpf())
+    # a unit past the float range is reported by its regulator log(theta1)
+    size = ({"theta1": theta1} if mpmath.isfinite(theta1)
+            else {"log_theta1": float(mpmath.log(unit.to_mpf()))})
     res = {
         "d": field.d, "discriminant": field.disc,
         "omega": {"trace": field.omega_trace, "norm": field.omega_norm},
-        "fundamental_unit": {"a": a, "b": b, "theta1": float(unit.to_mpf()), "norm": nrm},
+        "fundamental_unit": {"a": a, "b": b, **size, "norm": nrm},
         "different": {"hnf": field.different().hnf(),
                       "norm": field.different().norm()},
     }

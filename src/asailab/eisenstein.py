@@ -10,7 +10,8 @@ is computed from the Fourier expansion: the m = 0 row is a pair of Hurwitz
 zetas, the r = 0 tower a Riemann zeta, and the oscillating modes carry
 confluent hypergeometric U-factors U(a, 2s+k, 4 pi n Im tau): at integer s
 z^-a times a polynomial in 1/z, otherwise taken down a Taylor ladder on
-Kummer's equation from the asymptotic series at the largest z.  The modes of
+Kummer's equation, in fixed-point integers, from the asymptotic series at the
+largest z.  The m = 0 row is memoised without its factor y^s.  The modes of
 level n = r m share their U-factors and q^n, so each level is one divisor sum
 over r | n of (2 pi r)^{2s+k-1} times a constant of r mod den(alpha), filled
 for every level by one sieve.
@@ -19,10 +20,12 @@ Poles only occur for k = 0 (at s = 1); every other apparent singularity of
 the pieces cancels and the cancelled limits are evaluated analytically.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .lseries import dirichlet_alpha_table
 from .precision import mp_context, working_precision
@@ -50,11 +53,11 @@ def _as_tau(tau):
     return t
 
 
-def eisenstein_lattice_sum(k, alpha, tau, s, cutoff, prec=None):
+def eisenstein_lattice_sum(k, alpha, tau, s, cutoff):
     """Truncated double sum over |m|, |n| <= cutoff, with the prefactor.
 
-    Requires absolute convergence: k + 2 Re(s) > 2.  Uses double precision
-    below 54 bits of working precision, mpmath above.
+    Requires absolute convergence: k + 2 Re(s) > 2.  Truncation error
+    dominates, so the sum runs in double precision.
     """
     k = int(k)
     alpha = _check_alpha(alpha)
@@ -62,11 +65,10 @@ def eisenstein_lattice_sum(k, alpha, tau, s, cutoff, prec=None):
     s_c = complex(s)
     if k + 2 * s_c.real <= 2:
         raise EisensteinError(f"lattice sum diverges at k={k}, Re(s)={s_c.real}")
-    # truncation error dominates here, so double precision is the default;
-    # pass prec explicitly to force an arbitrary-precision sum
-    if prec is None or working_precision(prec) <= 53:
-        return _lattice_float(k, float(alpha), tau_c, s_c, int(cutoff))
-    return _lattice_mp(k, alpha, tau, s, int(cutoff), prec)
+    return _lattice_float(k, float(alpha), tau_c, s_c, int(cutoff))
+
+
+_LATTICE_BLOCK = 16   # rows per numpy array: few Python steps, small temporaries
 
 
 def _lattice_float(k, alpha, tau, s, cutoff):
@@ -74,36 +76,22 @@ def _lattice_float(k, alpha, tau, s, cutoff):
     y = tau.imag
     ns = np.arange(-cutoff, cutoff + 1, dtype=np.complex128)
     tot = 0j
-    for m in range(-cutoff, cutoff + 1):
-        w = (m * tau + alpha) + ns
+    for lo in range(-cutoff, cutoff + 1, _LATTICE_BLOCK):
+        ms = np.arange(lo, min(lo + _LATTICE_BLOCK, cutoff + 1))
+        w = (ms[:, None] * tau + alpha) + ns
         val = np.ones_like(w)
         if k:
             val = w ** (-k)
         if s != 0:
             val = val * (w.real * w.real + w.imag * w.imag) ** (-s)
-        tot += complex(val.sum())
+        for row in val.sum(axis=1).tolist():   # row by row, in order of m
+            tot += row
     pref = (-2j * math.pi) ** (-k) * math.pi ** (-s) * _gamma_c(s + k)
     return pref * (y + 0j) ** s * tot
 
 
 def _gamma_c(z):
     return complex(mpmath.gamma(complex(z)))
-
-
-def _lattice_mp(k, alpha, tau, s, cutoff, prec):
-    with mp_context(prec):
-        tau = mpmath.mpc(tau)
-        s = mpmath.mpc(s)
-        y = mpmath.im(tau)
-        a = mpmath.mpf(alpha.numerator) / alpha.denominator
-        tot = mpmath.mpc(0)
-        for m in range(-cutoff, cutoff + 1):
-            base = m * tau + a
-            for n in range(-cutoff, cutoff + 1):
-                w = base + n
-                tot += w ** (-k) * abs(w) ** (-2 * s)
-        return (-2j * mpmath.pi) ** (-k) * mpmath.pi ** (-s) \
-            * mpmath.gamma(s + k) * y ** s * tot
 
 
 # -- analytic continuation ---------------------------------------------------
@@ -150,7 +138,6 @@ def _continued_impl(k, alpha, a_m, tau, s, prec):
     is_real, s_int, s_half2 = _classify_s(s)
     if is_real and s_int is not None:
         s = mpmath.mpf(s_int)
-    pref_k = (-2j * mpmath.pi) ** (-k)
 
     # genuine pole: k = 0 at s = 1 (the zeta(2s+k-1) pole that nothing cancels)
     if k == 0 and is_real and s_int == 1:
@@ -162,7 +149,7 @@ def _continued_impl(k, alpha, a_m, tau, s, prec):
 
     # m = 0 row:  Gamma(s+k) [zeta(k+2s, a) + (-1)^k zeta(k+2s, 1-a)] pi^-s y^s
     if not combined_cancel:
-        total += _m0_row(k, a_m, y, s, is_real, s_int, pref_k)
+        total += _m0_bracket(k, alpha, s, mpmath.mp.prec) * y ** s
 
     # r = 0 tower (even k): 2 (2pi)^{1-k} pi^-s y^s (2y)^{1-2s-k}
     #                        * Gamma(2s+k-1) zeta(2s+k-1) / Gamma(s)
@@ -170,14 +157,20 @@ def _continued_impl(k, alpha, a_m, tau, s, prec):
         total += _r0_tower(k, y, s, is_real, s_int)
 
     if combined_cancel:
-        total += _cancelled_pair(k, a_m, y, s, pref_k)
+        total += _cancelled_pair(k, a_m, y)
 
     total += _oscillating(k, alpha, tau, s, prec)
     return total
 
 
-def _m0_row(k, a_m, y, s, is_real, s_int, pref_k):
-    outer = pref_k * mpmath.pi ** (-s) * y ** s
+@functools.lru_cache(maxsize=1024)
+def _m0_bracket(k, alpha, s, prec):
+    """The m = 0 row without its y^s: (-2 pi i)^-k pi^-s Gamma(s+k) times the
+    Hurwitz pair, or its limit.  It does not depend on tau, so it is memoised;
+    `prec`, the working precision, is part of the key only."""
+    is_real, s_int, _ = _classify_s(s)
+    a_m = mpmath.mpf(alpha.numerator) / alpha.denominator
+    outer = (-2j * mpmath.pi) ** (-k) * mpmath.pi ** (-s)
     arg = k + 2 * s
     sign = (-1) ** k
     if is_real and s_int is not None and s_int + k <= 0:
@@ -222,7 +215,7 @@ def _r0_tower(k, y, s, is_real, s_int):
     return outer * mpmath.gamma(w) * mpmath.zeta(w) * mpmath.rgamma(s)
 
 
-def _cancelled_pair(k, a_m, y, s, pref_k):
+def _cancelled_pair(k, a_m, y):
     """m=0 row + r=0 tower at s0 = (1-k)/2 (even k): the poles cancel.
 
     The finite part is f(s0) * [psi((1+k)/2) + psi((1-k)/2) + 2 log(2y)
@@ -230,7 +223,7 @@ def _cancelled_pair(k, a_m, y, s, pref_k):
     with f(s0) = (-2 pi i)^{-k} pi^{-s0} y^{s0} Gamma((1+k)/2).
     """
     s0 = mpmath.mpf(1 - k) / 2
-    f0 = pref_k * mpmath.pi ** (-s0) * y ** s0 * mpmath.gamma(s0 + k)
+    f0 = (-2j * mpmath.pi) ** (-k) * mpmath.pi ** (-s0) * y ** s0 * mpmath.gamma(s0 + k)
     zeta_p0 = -mpmath.log(2 * mpmath.pi) / 2  # zeta'(0)
     bracket = (mpmath.psi(0, (1 + k) / mpmath.mpf(2))
                + mpmath.psi(0, (1 - k) / mpmath.mpf(2))
@@ -249,12 +242,18 @@ def _hyperu_values(a, b, z1, N):
     steps of -z1 on Kummer's equation z u'' + (b - z) u' - a u = 0 carry
     (U, U') down, from U' = -a U(a+1, b+1, z) (DLMF 13.3.22).  A step from
     m z1 converges at ratio 1/m; the other solution, ~e^z, decays going down,
-    and so does its share of the rounding error.
+    and so does its share of the rounding error.  The steps run in fixed
+    point on (re, im) pairs of Python ints: the coefficients scaled by 2^q,
+    q = prec + 20, and (U, -z1 U') by 2^p, p = q - mag(U) taken afresh each
+    step; products divide back with truncating division.
     """
     def series(a, b, n):   # at z = n z1; raises NoConvergence
         with mpmath.extraprec(10):
             z = n * z1
             return mpmath.hyp2f0(a, 1 + a - b, -1 / z, force_series=True) / z ** a
+
+    def fixed(x, scale):
+        return tuple(to_fixed(part, scale) for part in mpmath.mpc(x)._mpc_)
 
     vals = {}
     try:
@@ -268,21 +267,40 @@ def _hyperu_values(a, b, z1, N):
                 break
             except mpmath.mp.NoConvergence:
                 m += 1
-        eps = mpmath.ldexp(1, -mpmath.mp.prec - 4)
+        prec = mpmath.mp.prec
+        q = prec + 20
+        (zf, _), (azr, azi), (br, bi) = fixed(z1, q), fixed(a * z1, q), fixed(b, q)
+        p = q - int(mpmath.mag(u))
+        (ur, ui), (vr, vi) = fixed(u, p), fixed(-z1 * du, p)
         for m in range(m, 1, -1):
-            # terms t_j = c_j h^j of the step h = -z1 from m z1; U' = sum j t_j / h;
-            # the correction to u is summed apart, so it rounds at its own scale
-            bz, t0, t1 = b - m * z1, u, -z1 * du
-            tail, dsum, j, small, bound = t1, t1, 0, 0, eps * abs(u) * z1
+            # the terms t_j = c_j h^j of the step h = -z1 from m z1 follow
+            # t_{j+2} = ((j+a) z1 t_j + (j+1)(j+b-m z1) t_{j+1}) / (m (j+1)(j+2));
+            # U moves by their sum, -z1 U' becomes sum j t_j, and the step ends
+            # after two terms below 2^-(prec+4) |U| z1 / max(z1, j)
+            bzr, e1 = br - m * zf, max(abs(ur), abs(ui)) >> (prec + 4)
+            ez, jz = e1 * zf >> q, zf >> q                  # jz = floor(z1)
+            t0r, t0i, t1r, t1i, tailr, taili, dr, di = ur, ui, vr, vi, vr, vi, vr, vi
+            j = small = 0
             while small < 2:
-                t0, t1 = t1, ((j + a) * z1 * t0 + (j + 1) * (j + bz) * t1) \
-                    / (m * (j + 1) * (j + 2))
+                cr, er, ei = azr + j * zf, (j + 1) * ((j << q) + bzr), (j + 1) * bi
+                d = m * (j + 1) * (j + 2) << q
+                nr = cr * t0r - azi * t0i + er * t1r - ei * t1i
+                ni = cr * t0i + azi * t0r + er * t1i + ei * t1r
+                t0r, t0i = t1r, t1i
+                t1r = nr // d if nr >= 0 else -(-nr // d)
+                t1i = ni // d if ni >= 0 else -(-ni // d)
                 j += 1
-                tail += t1
-                dsum += (j + 1) * t1
-                small = small + 1 if abs(t1) * max(z1, j + 1) < bound else 0
-            u, du = u + tail, -dsum / z1
-            vals[m - 1] = u
+                tailr, taili = tailr + t1r, taili + t1i
+                dr, di = dr + (j + 1) * t1r, di + (j + 1) * t1i
+                size = abs(t1r) + abs(t1i)
+                small = small + 1 if (size < e1 if j < jz else size * (j + 1) < ez) else 0
+            ur, ui, vr, vi = ur + tailr, ui + taili, dr, di
+            re = mpmath.mp.make_mpf(from_man_exp(ur, -p, prec, "n"))
+            vals[m - 1] = mpmath.mp.make_mpc((re._mpf_, from_man_exp(ui, -p, prec, "n"))) \
+                if azi or bi else re
+            shift = q - max(abs(ur), abs(ui)).bit_length()   # rescale to the new |U|
+            ur, ui, vr, vi = (x << shift if shift >= 0 else x >> -shift for x in (ur, ui, vr, vi))
+            p += shift
     return [vals[n] for n in range(1, N + 1)]
 
 

@@ -384,6 +384,8 @@ def gauss_sum(eta, p=None, r=None):
     if p is not None or r is not None:
         if r == 0:
             raise PadicError("Gauss sums need r >= 1")
+        if p is not None:
+            _check_prime(p)
         if p is not None and r is not None and p ** r != modulus:
             raise PadicError(f"character modulus {modulus} is not {p}^{r}")
     if modulus < 2:

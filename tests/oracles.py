@@ -4,10 +4,12 @@ Everything here is deliberately written against different algorithms than the
 package: pentagonal-number eta expansion, brute-force Pell searches,
 Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
 the Leibniz expansion of a determinant, cyclotomic polynomials by long
-division of x^m - 1, Eisenstein Fourier modes pair by pair.
+division of x^m - 1, Eisenstein Fourier modes pair by pair, the float
+lattice sum one row at a time, and a JSON parser that refuses NaN.
 """
 
 import cmath
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -239,6 +241,32 @@ def shell_ordered_lattice_sum(k, alpha, tau, s, cutoff):
     pref = (-2j * math.pi) ** (-k) * math.pi ** (-s)
     gamma = math.gamma(s + k)
     return pref * gamma * (y + 0j) ** s * tot
+
+
+def lattice_by_rows(k, alpha, tau, s, cutoff):
+    """eisenstein._lattice_float one row m at a time: one numpy row per m,
+    its sum added to the total in order of m (alpha, tau, s as floats)."""
+    import numpy as np
+    import mpmath
+    ns = np.arange(-cutoff, cutoff + 1, dtype=np.complex128)
+    tot = 0j
+    for m in range(-cutoff, cutoff + 1):
+        w = (m * tau + alpha) + ns
+        val = np.ones_like(w)
+        if k:
+            val = w ** (-k)
+        if s != 0:
+            val = val * (w.real * w.real + w.imag * w.imag) ** (-s)
+        tot += complex(val.sum())
+    pref = (-2j * math.pi) ** (-k) * math.pi ** (-s) * complex(mpmath.gamma(s + k))
+    return pref * (tau.imag + 0j) ** s * tot
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not allow."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def kron_product_asai_roots(lam1, eps1, lam2, eps2, ell, w):

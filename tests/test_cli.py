@@ -11,6 +11,7 @@ from asailab.arith import is_prime
 from asailab.cli import build_parser, main, parse_complex, parse_hecke_expression
 from asailab import heckealg
 from asailab.quadfield import RealQuadraticField
+from oracles import strict_json
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +180,15 @@ def test_field_info_large_units(capsys, d):
     assert eps.norm() == unit["norm"]
 
 
+def test_field_info_huge_unit_is_strict_json(capsys):
+    # theta1(eps) overflows a float here, so its log is reported instead
+    code, out, _ = run_cli(capsys, "field-info", "--d", "100000007")
+    assert code == 0
+    unit = strict_json(out)["result"]["fundamental_unit"]
+    assert "theta1" not in unit
+    assert 7674 < unit["log_theta1"] < 7675
+
+
 def test_field_info_non_principal_primes(capsys):
     # class number 2: the primes above 3 in Q(sqrt 10) have no generator
     code, out, _ = run_cli(capsys, "field-info", "--d", "10", "--ell", "3")
@@ -235,6 +245,7 @@ def test_pr_factor_zero_eigenvalue_is_a_validation_error(capsys, extra):
     ["pr-factor", "--p", "0", "--a-value", "2"],
     ["padic-params", "--p", "-5", "--alpha-p", "2", "--alpha-q", "3"],
     ["pr-factor", "--p", "4", "--r", "1", "--a-value", "2", "--eta", "1"],
+    ["gauss-sum", "--p", "4", "--r", "1", "--eta", "1"],
 ])
 def test_padic_p_must_be_prime(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -4,13 +4,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from asailab.eisenstein import (EisensteinError, EisensteinPole, _oscillating,
-                                diagonal_mellin_check, eisenstein_continued,
-                                eisenstein_lattice_sum, kronecker_limit_check,
-                                siegel_unit)
+from asailab.eisenstein import (EisensteinError, EisensteinPole, _lattice_float,
+                                _m0_bracket, _oscillating, diagonal_mellin_check,
+                                eisenstein_continued, eisenstein_lattice_sum,
+                                kronecker_limit_check, siegel_unit)
 from asailab.precision import mp_context
 from oracles import (check_hyperu_ladder, classical_eisenstein_q_series,
-                     oscillating_by_divisor_pairs, shell_ordered_lattice_sum)
+                     lattice_by_rows, oscillating_by_divisor_pairs,
+                     shell_ordered_lattice_sum)
 
 
 def test_lattice_cutoff_self_convergence():
@@ -34,6 +35,17 @@ def test_lattice_reordered_summation_oracle():
     sq = eisenstein_lattice_sum(0, Fraction(1, 4), 1j, 2, 120)
     sh = shell_ordered_lattice_sum(0, Fraction(1, 4), 1j, 2, 120)
     assert abs(sq - sh) < 1e-9
+
+
+@pytest.mark.parametrize("cutoff", [7, 16, 17, 80])
+@pytest.mark.parametrize("k,s", [(k, s) for k in (0, 1, 5)
+                                 for s in (0, 1, 2.5, complex(1.5, 0.7))
+                                 if (k, s) != (0, 0)])   # Gamma(s + k) has its pole there
+def test_blocked_lattice_is_bit_identical_to_rows(k, s, cutoff):
+    # blocks of rows sum each row as the row loop does, and add the rows in
+    # the same order, so the doubles agree exactly
+    args = (k, 2 / 7, -0.31 + 0.45j, complex(s), cutoff)
+    assert _lattice_float(*args) == lattice_by_rows(*args)
 
 
 def test_lattice_domain_errors():
@@ -233,11 +245,28 @@ def test_mellin_normalisation_documented(bc_form_500):
         * sum(float(bc_form_500.alpha(n)) * n ** -sprime for n in range(1, 201))
     assert abs(rhs - direct) < 1e-12 * abs(direct)
 
-def test_lattice_high_precision_path():
-    # explicit prec > 53 routes through the mpmath lattice sum
-    lat = eisenstein_lattice_sum(5, Fraction(1, 5), 1j, 0, 60, prec=80)
+
+def test_lattice_matches_high_precision_continuation():
+    # the double-precision lattice sum against an 80-bit continuation
+    lat = eisenstein_lattice_sum(5, Fraction(1, 5), 1j, 0, 60)
     con = eisenstein_continued(5, Fraction(1, 5), 1j, 0, prec=80)
-    assert abs(complex(lat) - complex(con)) < 1e-9
+    assert abs(lat - complex(con)) < 1e-9
+
+
+def test_m0_bracket_memo_is_keyed_on_precision():
+    # the tau-free m = 0 bracket is memoised; a 64-bit entry must not serve a
+    # 200-bit call, and distinct alpha or s must not share an entry
+    args = (3, Fraction(1, 5), 0.2 + 0.7j, Fraction(5, 2))
+    eisenstein_continued(*args, prec=64)
+    after_64 = eisenstein_continued(*args, prec=200)
+    _m0_bracket.cache_clear()
+    assert eisenstein_continued(*args, prec=200) == after_64
+    with mpmath.workprec(120):
+        s, t = mpmath.mpf(2.5), mpmath.mpf(1.5)
+        base = _m0_bracket(3, Fraction(1, 5), s, 120)
+        assert _m0_bracket(3, Fraction(2, 5), s, 120) != base
+        assert _m0_bracket(3, Fraction(1, 5), t, 120) != base
+        assert _m0_bracket(3, Fraction(1, 5), s, 120) == base
 
 @pytest.mark.parametrize("k,s", [(1, 0), (3, -1), (2, -2), (4, -1),
                                  (0, -2), (2, 0), (4, 0)])
@@ -272,6 +301,10 @@ def _series_converges(a, b, z, prec):
     (0.5, 3, 0.6, 0, 120),                    # N = 0
     # production length: n_max of _oscillating at Im tau = 0.2, prec = 64
     (0.5, 2, 0.2, int((64 + 25) * math.log(2) / (2 * math.pi * 0.2)), 64),
+    # values spanning about z^-9.5 from n = 1 to N
+    (2.5, 7, 0.2, int((64 + 25) * math.log(2) / (2 * math.pi * 0.2)), 64),
+    # a < 0: U has real zeros on the ladder
+    (-2.5, 1, 0.3, int((64 + 25) * math.log(2) / (2 * math.pi * 0.3)), 64),
 ])
 def test_hyperu_ladder_matches_oracle(s, k, y, N, prec):
     z1 = 4 * math.pi * y

@@ -15,6 +15,7 @@ import pytest
 
 from asailab.cli import build_parser, main
 from bench_record import readme_commands
+from oracles import strict_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -45,6 +46,13 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     main(CASES[name])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_goldens_are_strict_json():
+    files = sorted(GOLDEN.glob("*.json"))
+    assert files
+    for path in files:
+        strict_json(path.read_text())
 
 
 def test_every_command_has_a_golden():
