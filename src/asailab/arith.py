@@ -1,5 +1,6 @@
 """Elementary arithmetic of rational integers shared by the package:
-factorisation, divisors, primality, square roots mod p and sieves."""
+factorisation, divisors, deterministic primality, square roots mod p and
+sieves."""
 
 
 def factorise(n):
@@ -41,8 +42,44 @@ def sqrt_mod(a, p):
     return r
 
 
+# Miller-Rabin to the bases of the first k primes is exact for n below
+# _MR_BOUNDS[k - 1] (Jaeschke, Math. Comp. 61 (1993); the last two bounds are
+# Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051,
+              3825123056546413051, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981)
+PRIMALITY_LIMIT = _MR_BOUNDS[-1]
+
+
 def is_prime(n):
-    return n >= 2 and factorise(n) == [(n, 1)]
+    """Deterministic primality for n < PRIMALITY_LIMIT (about 3.3e24):
+    trial division by the first 13 primes, then Miller-Rabin to the fewest of
+    them proven exact for the size of n.  Raises ValueError above the limit."""
+    n = int(n)
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"primality of {n} is decided only below {PRIMALITY_LIMIT}")
+    for p in _MR_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_PRIMES[-1] ** 2:
+        return n > 1
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    k = next(k for k, bound in enumerate(_MR_BOUNDS, 1) if n < bound)
+    for a in _MR_PRIMES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_squarefree(n):

@@ -320,7 +320,7 @@ class GroupRingElement:
         with mp_context(prec):
             acc = mpmath.mpc(0)
             for a, c in self.coeffs.items():
-                acc += to_mpf(c, prec) * chi.value_mpc(a if self.modulus > 1 else 1, prec)
+                acc += to_mpf(c) * chi.value_mpc(a if self.modulus > 1 else 1, prec)
             return acc
 
     def to_json(self):

@@ -292,12 +292,7 @@ class QuadElt:
 
     def to_mpf(self, prec=None):
         with mp_context(prec):
-            if not self.y:
-                return mpmath.mpf(self.x) / self.den
-            a, b = self.a, self.b
-            root = mpmath.sqrt(self.field.e)
-            return (mpmath.mpf(a.numerator) / a.denominator
-                    + root * b.numerator / b.denominator)
+            return to_mpf(self)
 
     def __float__(self):
         return float(self.to_mpf())
@@ -308,11 +303,16 @@ class QuadElt:
         return {"a": format_rational(self.a), "b": format_rational(self.b)}
 
 
-def to_mpf(x, prec=None):
-    """An exact value (QuadElt, int or Fraction) as an mpf; a rational is
-    rounded once at the current working precision."""
+def to_mpf(x):
+    """An exact value (QuadElt, int or Fraction) as an mpf at the working
+    precision of the caller's mpmath context, which it does not re-enter."""
     if isinstance(x, QuadElt):
-        return x.to_mpf(prec)
+        if not x.y:
+            # dividing a rounded value by 1 leaves it as it is
+            return mpmath.mpf(x.x) if x.den == 1 else mpmath.mpf(x.x) / x.den
+        a, b = x.a, x.b
+        return (mpmath.mpf(a.numerator) / a.denominator
+                + mpmath.sqrt(x.field.e) * b.numerator / b.denominator)
     x = Fraction(x)
     return mpmath.mpf(x.numerator) / x.denominator
 

@@ -358,40 +358,52 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
         if not isinstance(a_ell, QuadElt):
             a_ell = cfield.element(Fraction(a_ell))
         st = field.splitting_type(ell)
-        for p in st.primes:
-            if st.is_split:
-                lam_p = a_ell
-            elif st.is_inert:
-                lam_p = a_ell * a_ell - 2 * Fraction(ell ** (k_cl - 1)) * eps_at(ell)
-            else:
-                lam_p = a_ell
-                ramified_used.append(ell)
-            eps_p = eps_at(p.norm())
-            if eps_cl is not None and eps_cl.modulus > 1:
+        if st.is_split:
+            lam_p = a_ell
+        elif st.is_inert:
+            lam_p = a_ell * a_ell - 2 * Fraction(ell ** (k_cl - 1)) * eps_at(ell)
+        else:
+            lam_p = a_ell
+            ramified_used.append(ell)
+        # P and Pbar of a split ell have one norm, one lambda and one eps, so
+        # one run of the recursion serves both: they share its values
+        np = st.primes[0].norm()
+        eps_p = eps_at(np)
+        if eps_cl is not None and eps_cl.modulus > 1:
+            for p in st.primes:
                 nebentype[p.hnf()] = eps_p
-            # fill powers by the recursion far enough that lambda((n)) exists
-            # for all n <= bound: inert/ramified primes above l | n enter (n)
-            # with norms up to bound^2
-            np = p.norm()
-            max_norm = bound if st.is_split else bound * bound
-            prev = cfield.one()
-            cur = lam_p
-            power = p
-            r = 1
-            while np ** r <= max_norm:
-                eigenvalues[power.hnf()] = cur
-                if np ** (r + 1) > max_norm:
-                    break
-                nxt = lam_p * cur - Fraction(np ** (weight.w - 1)) * eps_p * prev
-                prev, cur = cur, nxt
-                power = power * p
-                r += 1
+        # fill powers by the recursion far enough that lambda((n)) exists
+        # for all n <= bound: inert/ramified primes above l | n enter (n)
+        # with norms up to bound^2
+        max_norm = bound if st.is_split else bound * bound
+        prev, cur, r = cfield.one(), lam_p, 1
+        while True:
+            for key in _prime_power_keys(field, ell, r):
+                eigenvalues[key] = cur
+            if np ** (r + 1) > max_norm:
+                break
+            nxt = lam_p * cur - Fraction(np ** (weight.w - 1)) * eps_p * prev
+            prev, cur, r = cur, nxt, r + 1
     notes = {}
     if ramified_used:
         notes["ramified_convention"] = (
             f"lambda(P) = a_l used at ramified l in {sorted(set(ramified_used))}; "
             "unverified convention")
     return HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype, notes)
+
+
+@lru_cache(maxsize=None)
+def _prime_power_keys(field, ell, e):
+    """HNF keys of P^e for the primes P above ell, in primes_above order.
+
+    Every base change over one field stores its eigenvalues under these same
+    tuples.  Like quadfield._norm_ell_power_ideals, the memo holds one entry
+    for each (field, ell, e) the process has asked for."""
+    primes = field.primes_above(ell)
+    if e == 1:
+        return tuple(p.hnf() for p in primes)
+    return tuple((IdealRep(field, *key) * p).hnf()
+                 for key, p in zip(_prime_power_keys(field, ell, e - 1), primes))
 
 
 def synthetic_form(field, weight, local_lambdas, eps_values=None):

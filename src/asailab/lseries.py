@@ -120,32 +120,49 @@ def imprimitive_L(form, s, n_cutoff=4000, chi=None, prec=None):
         if mpmath.re(s_m) <= kk / 2 + 2:
             raise LSeriesError(f"series truncation needs Re(s) > {kk / 2 + 2}")
         table = series.alpha_table(n_cutoff)
-        dirichlet = mpmath.mpc(0)
-        for n in range(1, n_cutoff + 1):
-            a_n = table[n]
-            if a_n:
-                dirichlet += to_mpf(a_n, prec) * mpmath.power(n, -s_m)
+        dirichlet = _dirichlet_sum((to_mpf(a) if a else None for a in table[1:]), s_m,
+                                   n_cutoff)
         u = series.zeta_argument(s_m)
         lch = _dirichlet_l_truncated(series.chi, u, n_cutoff, prec)
-        value = lch * dirichlet
+        value = mpmath.mpc(lch * dirichlet)  # an mpc, as at complex s or chi
         report = {"n_cutoff": n_cutoff, "zeta_argument": complex(u),
                   "chi_modulus": series.chi.modulus,
                   "normalization": "L_(N)(chi, 2s-2-k-k') * sum alpha(n) n^-s"}
-        return +value, report
+        return value, report
 
 
 def _dirichlet_l_truncated(chi, u, n_cutoff, prec=None):
-    """Plain partial sum of L_(N)(chi, u); adequate at large real arguments."""
-    acc = mpmath.mpc(0)
-    for n in range(1, n_cutoff + 1):
-        v = chi(n)
-        if v is None:
-            continue
-        if v.is_real():
-            acc += int(v.as_rational()) * mpmath.power(n, -u)
-        else:
-            acc += v.to_mpc(prec) * mpmath.power(n, -u)
-    return acc
+    """Plain partial sum of L_(N)(chi, u); adequate at large real arguments.
+    chi is evaluated and converted once per residue class."""
+    m = chi.modulus
+    by_residue = []
+    for v in map(chi, range(m)):
+        if v is not None:
+            v = mpmath.mpf(int(v.as_rational())) if v.is_real() else v.to_mpc(prec)
+        by_residue.append(v)
+    return _dirichlet_sum((by_residue[n % m] for n in range(1, n_cutoff + 1)), u, n_cutoff)
+
+
+def _dirichlet_sum(values, s, n_max):
+    """sum_{n <= n_max} c_n n^{-s} at the working precision, where values
+    yields the mpmath numbers c_1, ..., c_{n_max} (None adds nothing).
+
+    n^{-s} is an mpmath power at primes and a product along smallest prime
+    factors elsewhere; only n <= n_max / 2 are kept, since no larger n is a
+    factor of another.  The sum is one fdot, whose exact products are
+    rounded once in total."""
+    spf = smallest_prime_factors(n_max)
+    powers = [None] * (n_max // 2 + 1)
+
+    def terms():
+        for n, c in zip(range(1, n_max + 1), values):
+            p = spf[n]
+            x = mpmath.power(n, -s) if p == n else powers[p] * powers[n // p]
+            if n < len(powers):
+                powers[n] = x
+            if c:
+                yield c, x
+    return mpmath.fdot(terms())
 
 
 def _ramified_local_factor_series(form, ell, order):
@@ -218,11 +235,11 @@ def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False
             if n_level % ell == 0:
                 if ell not in bad.c_polys:
                     raise LSeriesError(f"missing bad factor C_l at l = {ell}")
-                c_val = _poly_eval_mp(bad.c_polys[ell], x, prec)
+                c_val = _poly_eval_mp(bad.c_polys[ell], x)
                 if primitive or ell in bad.p_polys:
                     if ell not in bad.p_polys:
                         raise LSeriesError(f"primitive mode needs P_l at l = {ell}")
-                    p_val = _poly_eval_mp(bad.p_polys[ell], x, prec)
+                    p_val = _poly_eval_mp(bad.p_polys[ell], x)
                     total *= (1 if primitive else c_val) / p_val
                 else:
                     total *= c_val
@@ -232,19 +249,19 @@ def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False
                     raise LSeriesError(
                         f"primitive local factor at ramified l = {ell} needs inertia data")
                 coeffs = _ramified_local_factor_series(form, ell, 40)
-                total *= _poly_eval_mp(coeffs, x, prec)
+                total *= _poly_eval_mp(coeffs, x)
                 continue
             pl = asai_charpoly(form, ell)
-            total *= 1 / _poly_eval_mp(pl.coeffs, x, prec)
+            total *= 1 / _poly_eval_mp(pl.coeffs, x)
         report = {"ell_cutoff": int(ell_cutoff), "primitive": primitive,
                   "bad_primes": sorted(bad.c_polys)}
         return +total, report
 
 
-def _poly_eval_mp(coeffs, x, prec=None):
+def _poly_eval_mp(coeffs, x):
     acc = mpmath.mpc(0)
     for c in reversed(list(coeffs)):
-        acc = acc * x + to_mpf(c, prec)
+        acc = acc * x + to_mpf(c)
     return acc
 
 
@@ -316,7 +333,7 @@ def check_Cl_divisibility(bad, k, kprime, prec=None, tol=1e-8):
         if ell in bad.p_polys:
             entry["divides"] = _poly_divides(c_poly, bad.p_polys[ell])
         with mp_context(prec):
-            coeffs = [to_mpf(c, prec) for c in c_poly]
+            coeffs = [to_mpf(c) for c in c_poly]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             if len(coeffs) > 1:

@@ -432,7 +432,7 @@ class InterpFactor:
         with mp_context(prec):
             if isinstance(self.scalar, PadicNumber):
                 raise PadicError("p-adic scalar has no archimedean embedding")
-            s = to_mpf(self.scalar, prec)
+            s = to_mpf(self.scalar)
             if self.gauss_inverse is not None:
                 return s * self.gauss_inverse.to_mpc(prec)
             return mpmath.mpc(s)

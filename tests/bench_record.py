@@ -12,7 +12,9 @@ records:
 - for each workload of BENCHMARK.json, every end-to-end metric of
   `perfbench/run.py --trace 0` for its `run_seconds`, run in PAIRS
   parent/change pairs that alternate which side goes first, one seed per
-  pair (7001, 7002, ...), with the median and quartiles of each side;
+  pair (7001, 7002, ...), with the median and quartiles of each side; next
+  to them the number of tasks `attempted`, so that a `peak_rss_mb` can be
+  read against the work done in the run;
 - the `elapsed_s` of each acceptance criterion, in both checkouts;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
   as `python -m asailab` in a fresh process, CLI_REPEATS times per checkout
@@ -59,8 +61,9 @@ def bench(root, workload, seed, seconds):
     proc = _run(root, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                 "--seconds", str(seconds), "--trace", "0")
     proc.check_returncode()
-    metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
-    return {name: m["value"] for name, m in metrics.items()}
+    out = json.loads(proc.stdout.splitlines()[-1])
+    return {"attempted": out["attempted"],
+            **{name: m["value"] for name, m in out["metrics"].items()}}
 
 
 def summary(runs):

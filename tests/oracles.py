@@ -5,7 +5,8 @@ package: pentagonal-number eta expansion, brute-force Pell searches,
 Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
 the Leibniz expansion of a determinant, cyclotomic polynomials by long
 division of x^m - 1, Eisenstein Fourier modes pair by pair, the float
-lattice sum one row at a time, and a JSON parser that refuses NaN.
+lattice sum one row at a time, Dirichlet sums one power n^{-s} at a time,
+primality by trial division, and a JSON parser that refuses NaN.
 """
 
 import cmath
@@ -260,6 +261,44 @@ def lattice_by_rows(k, alpha, tau, s, cutoff):
         tot += complex(val.sum())
     pref = (-2j * math.pi) ** (-k) * math.pi ** (-s) * complex(mpmath.gamma(s + k))
     return pref * (tau.imag + 0j) ** s * tot
+
+
+def imprimitive_L_by_terms(series, s, n_cutoff, prec=None):
+    """lseries.imprimitive_L one term at a time: an mpmath power for every
+    n <= n_cutoff, each term rounded and added in turn, in both the Dirichlet
+    sum and the chi-zeta factor."""
+    import mpmath
+    from asailab.coeffs import to_mpf
+    from asailab.precision import mp_context
+    with mp_context(prec):
+        s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
+        table = series.alpha_table(n_cutoff)
+        dirichlet = mpmath.mpc(0)
+        for n in range(1, n_cutoff + 1):
+            if table[n]:
+                dirichlet += to_mpf(table[n]) * mpmath.power(n, -s_m)
+        u = series.zeta_argument(s_m)
+        return +(dirichlet_l_by_terms(series.chi, u, n_cutoff, prec) * dirichlet)
+
+
+def dirichlet_l_by_terms(chi, u, n_cutoff, prec=None):
+    """The partial sum of L_(N)(chi, u) one term at a time, chi converted at
+    every n.  Call it inside mp_context(prec)."""
+    import mpmath
+    acc = mpmath.mpc(0)
+    for n in range(1, n_cutoff + 1):
+        v = chi(n)
+        if v is None:
+            continue
+        if v.is_real():
+            acc += int(v.as_rational()) * mpmath.power(n, -u)
+        else:
+            acc += v.to_mpc(prec) * mpmath.power(n, -u)
+    return acc
+
+
+def is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def strict_json(text):

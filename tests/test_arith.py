@@ -1,0 +1,54 @@
+import random
+import time
+
+import pytest
+
+from asailab.arith import PRIMALITY_LIMIT, is_prime
+from oracles import is_prime_by_trial_division
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_by_trial_division(n) for n in range(-10, 200_000))
+
+
+@pytest.mark.parametrize("n", [
+    # strong pseudoprimes to the first k prime bases, k = 1, ..., 12: each
+    # is the bound below which those k bases suffice
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+])
+def test_strong_pseudoprimes_are_rejected(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_sympy_up_to_the_limit():
+    # every size class of base sets, at random values and at primes
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for digits in range(4, 26):
+        for _ in range(40):
+            n = rng.randrange(10 ** (digits - 1), min(10 ** digits, PRIMALITY_LIMIT))
+            assert is_prime(n) == sympy.isprime(n), n
+            p = sympy.prevprime(n)
+            assert is_prime(p), p
+    for n in (10 ** 12 + 39, 10 ** 14 + 31, 2 ** 61 - 1, 2 ** 67 - 1, PRIMALITY_LIMIT - 1):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_takes_microseconds_at_fourteen_digits():
+    # trial division to sqrt(n) took 1.6 s (2-core x86, Python 3.11.7)
+    best = min(_seconds(is_prime, 10 ** 14 + 31) for _ in range(3))
+    assert is_prime(10 ** 14 + 31) and best < 0.010
+
+
+def test_is_prime_refuses_above_its_limit():
+    assert PRIMALITY_LIMIT == 3317044064679887385961981
+    for n in (PRIMALITY_LIMIT, PRIMALITY_LIMIT + 1, 10 ** 30):
+        with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+            is_prime(n)
+
+
+def _seconds(f, *args):
+    started = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - started

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from asailab.arith import is_prime
+from asailab.arith import PRIMALITY_LIMIT, is_prime
 from asailab.cli import build_parser, main, parse_complex, parse_hecke_expression
 from asailab import heckealg
 from asailab.quadfield import RealQuadraticField
@@ -252,6 +252,17 @@ def test_padic_p_must_be_prime(capsys, argv):
     assert code == 1 and not out
     assert json.loads(err) == {"error": "validation",
                                "message": f"p = {argv[2]} is not prime"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--d", "5", "--ell", str(PRIMALITY_LIMIT)],
+    ["padic-params", "--p", str(10 ** 30 + 57), "--alpha-p", "2", "--alpha-q", "3"],
+])
+def test_primes_past_the_primality_limit_are_validation_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    rep = json.loads(err)
+    assert rep["error"] == "validation" and str(PRIMALITY_LIMIT) in rep["message"]
 
 
 def test_padic_p_one_exits_instead_of_hanging():

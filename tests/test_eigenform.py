@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -225,3 +227,37 @@ def test_nebentype_lookup(field5):
     assert form.eps_of(p11 * q11) == 1
     plain = HilbertEigenform(field5, w, field5.maximal_order(), CF, dict(eig))
     assert plain.eps_of(p11) == 1
+
+
+def test_base_change_forms_are_small_and_share_their_keys():
+    # forms of one field store their eigenvalues under the same key tuples,
+    # and P^r, Pbar^r of a split prime under one value: four forms built
+    # with warm caches retain at most 55 KB each (68 KB when each form held
+    # its own keys and ran the recursion once per prime above a split l)
+    field, bound = RealQuadraticField(5), 1350
+    ap = discriminant_form_ap(bound)
+    warm = base_change(ap, 12, None, field, bound=bound)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forms = [base_change(ap, 12, None, field, bound=bound) for _ in range(4)]
+        gc.collect()
+        per_form = (tracemalloc.get_traced_memory()[0] - before) / len(forms)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert per_form <= 55 * 1024, per_form
+    for form in forms:
+        assert form.eigenvalues == warm.eigenvalues
+        assert all(a is b for a, b in zip(form.eigenvalues, warm.eigenvalues))
+    split = [st for st in map(field.splitting_type, primes_up_to(bound)) if st.is_split]
+    assert split
+    for st in split:
+        p, pbar = st.primes
+        r = 1
+        while st.ell ** r <= bound:
+            assert warm.stored(p ** r) is warm.stored(pbar ** r), (st.ell, r)
+            r += 1

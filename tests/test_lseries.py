@@ -15,7 +15,10 @@ from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap)
 from asailab.coeffs import CoefficientField, QuadElt
 from asailab.quadfield import RealQuadraticField
-from oracles import sym2_times_twisted_zeta
+from asailab.characters import DirichletCharacter
+from asailab.lseries import _dirichlet_l_truncated
+from asailab.precision import mp_context
+from oracles import dirichlet_l_by_terms, imprimitive_L_by_terms, sym2_times_twisted_zeta
 
 
 def test_alpha_table_matches_direct():
@@ -267,26 +270,70 @@ def test_imprimitive_zero_function():
     assert val == 0
 
 
+def _mp(x):
+    """An exact value (QuadElt, Fraction, int) at the current mpmath precision."""
+    if isinstance(x, QuadElt):
+        return _mp(x.a) + mpmath.sqrt(x.field.e or 0) * _mp(x.b)
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _reference_L(series, s, n_cutoff):
+    """imprimitive_L summed term by term at 400 bits, chi from exp(2 pi i e/n)."""
+    with mpmath.workprec(400):
+        table = series.alpha_table(n_cutoff)
+        u = series.zeta_argument(s)
+        dirichlet = mpmath.fsum(_mp(table[n]) * mpmath.power(n, -s)
+                                for n in range(1, n_cutoff + 1) if table[n])
+        lch = mpmath.fsum(mpmath.expjpi(2 * mpmath.mpf(v.e) / v.n) * mpmath.power(n, -u)
+                          for n in range(1, n_cutoff + 1) if (v := series.chi(n)) is not None)
+        return dirichlet * lch
+
+
 def test_imprimitive_L_converts_at_the_callers_precision():
     # at prec = 200 every coefficient and character value is converted at
     # 200 bits, so the value meets a 400-bit sum far below the 80-bit level
     form = base_change(discriminant_form_ap(600), 12, None, RealQuadraticField(5), bound=600)
     series = AsaiLSeries(form)
     got, _ = imprimitive_L(series, 14, n_cutoff=600, prec=200)
-    with mpmath.workprec(400):
-        def mp(x):
-            if isinstance(x, QuadElt):
-                return mp(x.a) + mpmath.sqrt(x.field.e or 0) * mp(x.b)
-            x = Fraction(x)
-            return mpmath.mpf(x.numerator) / x.denominator
-        table = series.alpha_table(600)
-        u = series.zeta_argument(14)
-        dirichlet = mpmath.fsum(mp(table[n]) * mpmath.power(n, -14)
-                                for n in range(1, 601) if table[n])
-        lch = mpmath.fsum(mp(v.as_rational()) * mpmath.power(n, -u)
-                          for n in range(1, 601) if (v := series.chi(n)) is not None)
-        want = dirichlet * lch
-        assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")
+    want = _reference_L(series, 14, 600)
+    assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")
+
+
+@pytest.mark.parametrize("s", [14, 13.7, 14 + 1j])
+@pytest.mark.parametrize("n_cutoff", [1, 2, 97, 600, 4000])
+def test_dirichlet_sums_match_the_per_term_oracle(bc_form_4000, s, n_cutoff):
+    # powers along smallest prime factors and one fdot give the doubles of
+    # the per-term sum at working precision, and agree far below it at 200 bits
+    series = AsaiLSeries(bc_form_4000)
+    got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff)
+    assert complex(got) == complex(imprimitive_L_by_terms(series, s, n_cutoff))
+    got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff, prec=200)
+    want = imprimitive_L_by_terms(series, s, n_cutoff, prec=200)
+    assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190)
+
+
+def test_imprimitive_L_with_a_complex_character():
+    # a quartic chi mod 5 runs the complex branch of the chi-zeta factor.
+    # The eigenvalues are those of the level-1 base change put at level (5):
+    # only the two sums are under test, not the arithmetic of the form
+    field = RealQuadraticField(5)
+    base = base_change(discriminant_form_ap(600), 12, None, field, bound=600)
+    form = HilbertEigenform(field, base.weight, field.ideal(5), base.coefficient_field,
+                            base.eigenvalues)
+    chi = DirichletCharacter(5, [1])
+    assert chi.order == 4
+    series = AsaiLSeries(form, chi)
+    got, _ = imprimitive_L(series, 14, n_cutoff=600, prec=200)
+    want = _reference_L(series, 14, 600)
+    assert mpmath.im(want) != 0
+    assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")
+    got, _ = imprimitive_L(series, 14, n_cutoff=600)
+    assert complex(got) == complex(imprimitive_L_by_terms(series, 14, 600))
+    with mp_context():
+        u = series.zeta_argument(mpmath.mpf(14))
+        assert complex(_dirichlet_l_truncated(chi, u, 600)) == \
+            complex(dirichlet_l_by_terms(chi, u, 600))
 
 
 @pytest.mark.parametrize("d", [d for d in range(2, 30) if is_squarefree(d)])
