@@ -2,6 +2,8 @@
 factorisation, divisors, deterministic primality, square roots mod p and
 sieves."""
 
+import math
+
 
 def factorise(n):
     """Prime factorisation of |n| as [(p, e), ...], p ascending ([] for 0, 1)."""
@@ -83,7 +85,20 @@ def is_prime(n):
 
 
 def is_squarefree(n):
-    return n != 0 and all(e == 1 for _, e in factorise(n))
+    """n != 0 with no square factor > 1.  Trial division runs only while
+    d^3 <= the cofactor left: that cofactor then has at most two prime
+    factors, so it is squarefree unless it is the square of a prime."""
+    n = abs(int(n))
+    if n == 0:
+        return False
+    d = 2
+    while d * d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return False
+        d += 1 if d == 2 else 2
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 def divisors(n):

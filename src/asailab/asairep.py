@@ -18,7 +18,7 @@ ell^{-k(t+t')}.
 from fractions import Fraction
 
 from .coeffs import QuadElt, to_mpf
-from .quadfield import totally_positive_generator, NotPrincipalError
+from .quadfield import totally_positive_generator
 
 
 class AsaiRepError(ValueError):
@@ -350,15 +350,8 @@ def euler_system_norm_factor(form, ell, j, m):
     st = form.field.splitting_type(ell)
     if st.is_ramified:
         raise AsaiRepError(f"ell = {ell} is ramified")
-    if st.is_split:
-        for p in st.primes:
-            try:
-                gen = totally_positive_generator(p)
-            except NotPrincipalError:
-                gen = None
-            if gen is None:
-                raise HypothesisError(
-                    f"prime above {ell} is not narrowly principal; hypothesis fails")
+    if st.is_split and None in map(totally_positive_generator, st.primes):
+        raise HypothesisError(f"prime above {ell} is not narrowly principal; hypothesis fails")
     pl = asai_charpoly(form, ell)
     eps_l = _eps_rational(form, st)
     kk2j = w.k + w.kprime - 2 * j

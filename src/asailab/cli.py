@@ -24,7 +24,7 @@ from . import __version__
 from .precision import working_precision
 from .coeffs import parse_rational
 from .quadfield import (RealQuadraticField, IdealRep, ideal_label,
-                        totally_positive_generator, NotPrincipalError)
+                        totally_positive_generator)
 from .eigenform import (Weight, base_change, check_hecke_relations,
                         discriminant_form_ap, load_eigenform, synthetic_form)
 from . import heckealg
@@ -158,14 +158,9 @@ def cmd_field_info(args):
                             "primes": [{"hnf": p.hnf(), "label": ideal_label(p)}
                                        for p in st.primes]}
         if st.is_split:
-            gens = []
-            for p in st.primes:
-                try:
-                    g = totally_positive_generator(p)
-                except NotPrincipalError:
-                    g = None
-                gens.append(None if g is None else dict(zip("ab", field.omega_coords(g))))
-            res["splitting"]["totally_positive_generators"] = gens
+            res["splitting"]["totally_positive_generators"] = [
+                None if g is None else dict(zip("ab", field.omega_coords(g)))
+                for g in map(totally_positive_generator, st.primes)]
     return {"d": args.d, "ell": args.ell}, res, {}, 0
 
 
@@ -663,8 +658,7 @@ def build_parser():
 # is a ValueError, so usage errors and hypothesis failures come before validation
 _EXITS = (
     (UsageError, "usage", 64),
-    ((NEZFailure, PoleError, EisensteinPole, NotPrincipalError, HypothesisError),
-     "hypothesis", 2),
+    ((NEZFailure, PoleError, EisensteinPole, HypothesisError), "hypothesis", 2),
     (ValueError, "validation", 1),
     (OSError, "io", 1),
 )

@@ -22,7 +22,7 @@ from functools import lru_cache
 from .arith import factorise, primes_up_to
 from .coeffs import CoefficientField, QuadElt
 from .quadfield import (RealQuadraticField, IdealRep, ideal_from_label,
-                        ideal_label)
+                        ideal_label, prime_powers)
 
 
 class EigenformError(ValueError):
@@ -102,13 +102,16 @@ class HilbertEigenform:
     def lambda_rational(self, n):
         """The T(n)-eigenvalue lambda((n)) for a positive integer n: the
         product over l^e || n of the stored values at the prime-power parts of
-        (l^e), in the order of an ideal factorisation of (n)."""
+        (l^e) = P^e Pbar^e, (l)^e or P^{2e}, in the order of an ideal
+        factorisation of (n)."""
         n = int(n)
         if n < 1:
             raise EigenformError("need n >= 1")
         out = self.coefficient_field.one()
         for ell, e in factorise(n):
-            for key, p, k in _rational_prime_power_parts(self.field, ell, e):
+            st = self.field.splitting_type(ell)
+            k = 2 * e if st.is_ramified else e
+            for p, (_, key) in zip(st.primes, prime_powers(self.field, ell, k)):
                 val = self.eigenvalues.get(key)
                 if val is None:
                     raise MissingEigenvalueError(
@@ -225,18 +228,6 @@ def load_eigenform(source):
     return form
 
 
-@lru_cache(maxsize=4096)
-def _rational_prime_power_parts(field, ell, e):
-    """(HNF key, prime P, exponent k) for each P^k in the factorisation of
-    (ell^e): P^e and Pbar^e when ell splits, (ell)^e when it is inert, P^{2e}
-    when it ramifies."""
-    st = field.splitting_type(ell)
-    if st.is_split:
-        return tuple(((p if e == 1 else p ** e).hnf(), p, e) for p in st.primes)
-    p, = st.primes
-    return ((field.ideal(ell ** e).hnf(), p, e if st.is_inert else 2 * e),)
-
-
 def _composite_product(form, ideal):
     """Product of the stored eigenvalues at the prime-power parts of ideal;
     None for a prime power or when some part is not stored."""
@@ -279,21 +270,19 @@ def check_hecke_relations(form, bound):
     w = form.weight.w
     level_norm = form.level.norm()
     for ell in primes_up_to(bound):
-        for p in form.field.primes_above(ell):
+        for i, p in enumerate(form.field.primes_above(ell)):
             np = p.norm()
             if np > bound or level_norm % ell == 0:
                 continue
             eps_p = form.eps_of(p)
-            power = p
             values = [form.coefficient_field.one()]
             r = 1
-            while (np ** (r)) <= bound:
-                key = power.hnf()
+            while np ** r <= bound:
+                key = prime_powers(form.field, ell, r)[i][1]
                 if key not in form.eigenvalues:
                     raise MissingEigenvalueError(
                         f"eigenvalue missing at {ideal_label(p)}^{r} within bound {bound}")
                 values.append(form.eigenvalues[key])
-                power = power * p
                 r += 1
             for r in range(1, len(values) - 1):
                 lhs = values[1] * values[r]
@@ -378,7 +367,7 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
         max_norm = bound if st.is_split else bound * bound
         prev, cur, r = cfield.one(), lam_p, 1
         while True:
-            for key in _prime_power_keys(field, ell, r):
+            for _, key in prime_powers(field, ell, r):
                 eigenvalues[key] = cur
             if np ** (r + 1) > max_norm:
                 break
@@ -390,20 +379,6 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
             f"lambda(P) = a_l used at ramified l in {sorted(set(ramified_used))}; "
             "unverified convention")
     return HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype, notes)
-
-
-@lru_cache(maxsize=None)
-def _prime_power_keys(field, ell, e):
-    """HNF keys of P^e for the primes P above ell, in primes_above order.
-
-    Every base change over one field stores its eigenvalues under these same
-    tuples.  Like quadfield._norm_ell_power_ideals, the memo holds one entry
-    for each (field, ell, e) the process has asked for."""
-    primes = field.primes_above(ell)
-    if e == 1:
-        return tuple(p.hnf() for p in primes)
-    return tuple((IdealRep(field, *key) * p).hnf()
-                 for key, p in zip(_prime_power_keys(field, ell, e - 1), primes))
 
 
 def synthetic_form(field, weight, local_lambdas, eps_values=None):

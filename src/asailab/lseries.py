@@ -10,8 +10,7 @@ at good unramified l; with it the Euler product over good primes of
 P_l(F, l^{-s})^{-1} reproduces the Dirichlet series exactly.
 
 At a ramified good prime the local factor is the rational function forced by
-the recursion: (1 + l^{w-1} eps(P) Y) / ((1 - a^2 Y)(1 - b^2 Y)) times the
-zeta factor, Y = l^{-2(t+t')} X^2, a b = l^{w-1} eps(P), a + b = lambda(P).
+the recursion (AsaiLSeries.local_factor), which both Euler-product routes read.
 """
 
 import math
@@ -23,7 +22,7 @@ import mpmath
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
 from .coeffs import QuadElt, to_mpf
-from .precision import mp_context
+from .precision import GUARD_BITS, mp_context
 
 
 class LSeriesError(ValueError):
@@ -73,11 +72,9 @@ class BadFactorSet:
     p_polys: dict = dataclass_field(default_factory=dict)
 
     def add(self, ell, c_poly, p_poly=None):
-        self.c_polys[int(ell)] = [Fraction(c) if not isinstance(c, QuadElt) else c
-                                  for c in c_poly]
-        if p_poly is not None:
-            self.p_polys[int(ell)] = [Fraction(c) if not isinstance(c, QuadElt) else c
-                                      for c in p_poly]
+        for polys, poly in ((self.c_polys, c_poly), (self.p_polys, p_poly)):
+            if poly is not None:
+                polys[int(ell)] = [c if isinstance(c, QuadElt) else Fraction(c) for c in poly]
         return self
 
 
@@ -106,14 +103,39 @@ class AsaiLSeries:
     def zeta_argument(self, s):
         return 2 * s - 2 - self.shift_weight
 
+    def local_factor(self, ell):
+        """The local factor of L^imp at a good prime l, zeta factor included,
+        as exact polynomials (num, den) in X = l^{-s}.
 
-def imprimitive_L(form, s, n_cutoff=4000, chi=None, prec=None):
+        Unramified l: ([1], P_l(F, X)).  Ramified l, (l) = P^2: alpha(l^j) =
+        l^{-j(t+t')} lambda(P^{2j}) gives, with Xt = l^{-(t+t')} X,
+            num = 1 + ab Xt,
+            den = (1 - a^2 Xt)(1 - b^2 Xt)(1 - chi(l) l^{k+k'+2} X^2),
+        a + b = lambda(P), ab = l^{w-1} eps(P), chi(l) = eps(P)^2.  Only
+        lambda(P) and eps(P) are read, never a stored lambda(P^e) with e >= 2.
+        """
+        form = self.form
+        one = form.coefficient_field.one()
+        st = form.field.splitting_type(ell)
+        if not st.is_ramified:
+            return [one], asai_charpoly(form, ell).coeffs
+        p, = st.primes
+        w = form.weight
+        lam, eps = form.lambda_of(p), form.eps_of(p)
+        # ab Xt = u X, (a^2 + b^2) Xt = v X and chi(l) l^{k+k'+2} X^2 = z X^2
+        xt = Fraction(ell) ** -(w.t1 + w.t2)
+        u = xt * Fraction(ell ** (w.w - 1)) * eps
+        v = xt * (lam * lam) - 2 * u
+        z = Fraction(ell ** (self.shift_weight + 2)) * (eps * eps)
+        return [one, u], [one, -v, u * u - z, z * v, -(z * (u * u))]
+
+
+def imprimitive_L(series, s, n_cutoff=4000, prec=None):
     """Truncated L_(N)(chi, 2s-2-k-k') * sum_{n <= n_cutoff} alpha(n) n^{-s}.
 
     Requires Re(s) > (k+k')/2 + 2 for a meaningful truncation.  Returns
     (value, report) with the truncation data.
     """
-    series = form if hasattr(form, "alpha_table") else AsaiLSeries(form, chi)
     with mp_context(prec):
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         kk = series.shift_weight
@@ -165,68 +187,29 @@ def _dirichlet_sum(values, s, n_max):
     return mpmath.fdot(terms())
 
 
-def _ramified_local_factor_series(form, ell, order):
-    """Power-series coefficients (in X = l^{-s}) of the imprimitive local
-    factor at a ramified good prime, zeta factor included.
-
-    alpha(l^j) = l^{-j(t+t')} lambda(P^{2j}) gives, with Xt = l^{-(t+t')} X,
-        sum_j alpha(l^j) X^j = (1 + ab Xt) / ((1 - a^2 Xt)(1 - b^2 Xt)),
-    a + b = lambda(P), ab = l^{w-1} eps(P); the zeta factor contributes
-    (1 - chi(l) l^{k+k'+2} X^2)^{-1} with chi(l) = eps(P)^2.
-    """
-    p = form.field.primes_above(ell)[0]
-    w = form.weight
-    lam = form.lambda_of(p)
-    eps = form.eps_of(p)
-    tw = Fraction(ell) ** -(w.t1 + w.t2)
-    ab = Fraction(ell ** (w.w - 1)) * eps          # a b
-    s2 = lam * lam - 2 * ab                        # a^2 + b^2
-    chi_l = eps * eps
-    kk = w.k + w.kprime
-    one = form.coefficient_field.one()
-    num = [one, tw * ab]
-    den = [one, -(tw * s2), (tw * tw) * (ab * ab)]
-    series = _series_div(num, den, order + 1)
-    zeta_den = [one, one * 0, -(Fraction(ell ** (kk + 2)) * chi_l)]
-    return _series_div(series, zeta_den, order + 1)
-
-
 def _series_div(num, den, order):
-    """Power series num/den to the given order (den[0] must be a unit)."""
-    num = list(num) + [num[0] * 0] * max(0, order - len(num))
-    out = []
-    inv0 = den[0]
-    if inv0 != 1:
+    """Power series num/den to the given order (den[0] must be 1), by long
+    division: rem[i] is final once the terms before it are subtracted."""
+    if den[0] != 1:
         raise LSeriesError("local factor series needs unit constant term")
-    rem = list(num[:order])
+    rem = list(num[:order]) + [num[0] * 0] * max(0, order - len(num))
     for i in range(order):
-        c = rem[i]
-        out.append(c)
         for j in range(1, min(len(den), order - i)):
-            rem[i + j] = rem[i + j] - c * den[j]
-    return out
+            rem[i + j] = rem[i + j] - rem[i] * den[j]
+    return rem
 
 
-def _series_inverse(poly, order):
-    one = poly[0] * 0 + 1
-    return _series_div([one], poly, order)
-
-
-def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False,
-                    prec=None):
+def euler_product_L(series, s, ell_cutoff=500, bad=None, primitive=False, prec=None):
     """Truncated Euler product of the (im)primitive Asai L-function.
 
-    Good unramified l: P_l(F, l^{-s})^{-1}.  Ramified good l: the forced
-    rational local factor.  For l | N the bad set must supply C_l (and the
-    primitive P_l when primitive=True); the imprimitive local factor used is
-    C_l(X) * P_l(X)^{-1} when both are present, C_l alone with a warning
-    diagnostic otherwise.
+    Good l: series.local_factor(l) at X = l^{-s}.  For l | N the bad set must
+    supply C_l (and the primitive P_l when primitive=True); the imprimitive
+    local factor used is C_l(X) * P_l(X)^{-1} when both are present, C_l
+    alone with a warning diagnostic otherwise.
     """
-    series = form if hasattr(form, "alpha_table") else AsaiLSeries(form, chi)
-    form = series.form
     bad = bad or BadFactorSet()
     n_level = series.rational_level
-    disc = form.field.disc
+    disc = series.form.field.disc
     with mp_context(prec):
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         total = mpmath.mpc(1)
@@ -244,15 +227,15 @@ def euler_product_L(form, s, ell_cutoff=500, bad=None, chi=None, primitive=False
                 else:
                     total *= c_val
                 continue
-            if disc % ell == 0:
-                if primitive:
-                    raise LSeriesError(
-                        f"primitive local factor at ramified l = {ell} needs inertia data")
-                coeffs = _ramified_local_factor_series(form, ell, 40)
-                total *= _poly_eval_mp(coeffs, x)
-                continue
-            pl = asai_charpoly(form, ell)
-            total *= 1 / _poly_eval_mp(pl.coeffs, x)
+            if primitive and disc % ell == 0:
+                raise LSeriesError(
+                    f"primitive local factor at ramified l = {ell} needs inertia data")
+            num, den = series.local_factor(ell)
+            # num/den is formed with guard bits and rounded once: the quotient
+            # of two values rounded near 1 could be off by more than an ulp
+            with mpmath.extraprec(GUARD_BITS):
+                factor = _poly_eval_mp(num, x) / _poly_eval_mp(den, x)
+            total *= +factor
         report = {"ell_cutoff": int(ell_cutoff), "primitive": primitive,
                   "bad_primes": sorted(bad.c_polys)}
         return +total, report
@@ -265,38 +248,27 @@ def _poly_eval_mp(coeffs, x):
     return acc
 
 
-def euler_product_coefficients(form, n_max, chi=None):
+def euler_product_coefficients(series, n_max):
     """Dirichlet coefficients of the Euler product, exact, up to n_max.
 
-    Expands prod over good l of P_l(F, X)^{-1} (and the forced ramified
-    factors) as a Dirichlet series; used to cross-check multiplicativity.
-    The local power series come from asai_charpoly and the ramified factor
-    alone, never from the alpha table or stored lambda(P^e) with e >= 2, so
-    the comparison with the Dirichlet coefficients stays independent.
+    Expands the product over good l of series.local_factor(l) as a Dirichlet
+    series; used to cross-check multiplicativity.  The local factors read
+    lambda(P) and eps(P) alone, never the alpha table or a stored lambda(P^e)
+    with e >= 2, so the comparison with the Dirichlet coefficients stays
+    independent.
     """
-    series = form if hasattr(form, "alpha_table") else AsaiLSeries(form, chi)
-    form = series.form
     n_level = series.rational_level
-    disc = form.field.disc
-    one = form.coefficient_field.one()
     local = {}
     for ell in primes_up_to(n_max):
         if n_level % ell == 0:
             raise LSeriesError("coefficient expansion only at good levels")
-        order = 0
-        pe = 1
-        while pe * ell <= n_max:
-            pe *= ell
+        order = 1
+        while ell ** (order + 1) <= n_max:
             order += 1
-        if disc % ell == 0:
-            coeffs = _ramified_local_factor_series(form, ell, order)
-        else:
-            pl = asai_charpoly(form, ell)
-            coeffs = _series_inverse([one * c if not isinstance(c, QuadElt) else c
-                                      for c in pl.coeffs], order + 1)
+        coeffs = _series_div(*series.local_factor(ell), order + 1)
         for e in range(1, order + 1):
             local[ell, e] = coeffs[e]
-    return _multiplicative_table(n_max, one, local)
+    return _multiplicative_table(n_max, series.form.coefficient_field.one(), local)
 
 
 def imprimitive_coefficients(series, n_max):
@@ -352,27 +324,20 @@ def check_Cl_divisibility(bad, k, kprime, prec=None, tol=1e-8):
 
 def _poly_divides(c_poly, p_poly):
     """Exact divisibility of polynomials with unit constant terms."""
-    deg_c = _degree(c_poly)
-    deg_p = _degree(p_poly)
+    deg_c, deg_p = _degree(c_poly), _degree(p_poly)
     if deg_c > deg_p:
         return False
     quot = _series_div(list(p_poly), list(c_poly), deg_p - deg_c + 1)
-    # verify: quot * c == p exactly
-    prod = [Fraction(0)] * (deg_p + 1)
+    prod = [Fraction(0)] * (deg_p + 1)  # quot * c_poly, which must be p_poly
     for i, a in enumerate(quot):
         for j, b in enumerate(c_poly):
             if i + j <= deg_p:
-                prod[i + j] += Fraction(a) * Fraction(b) if not isinstance(a, QuadElt) \
-                    else a * b
-    return all(prod[d] == (list(p_poly) + [0] * (deg_p + 1))[d] for d in range(deg_p + 1))
+                prod[i + j] += a * b
+    return prod == list(p_poly)[:deg_p + 1]
 
 
 def _degree(poly):
-    deg = 0
-    for i, c in enumerate(poly):
-        if c != 0:
-            deg = i
-    return deg
+    return max((i for i, c in enumerate(poly) if c != 0), default=0)
 
 
 def forced_vanishing_order(form, j):

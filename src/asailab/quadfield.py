@@ -273,25 +273,20 @@ class IdealRep:
         x1, x2 = self.generators()
         return _hnf_from_generators(self.field, [x1.conjugate(), x2.conjugate()])
 
-    def valuation(self, prime):
-        """Exponent of a prime ideal in self (by repeated containment)."""
-        v = 0
-        power = prime
-        while power.divides(self):
-            v += 1
-            power = power * prime
-            if power.norm() > self.norm() * prime.norm():
-                break
-        return v
-
     def factor(self):
-        """List of (prime IdealRep, exponent); needs the norm to factor over Z."""
+        """List of (prime IdealRep, exponent), ell ascending and primes_above
+        order; needs the norm to factor over Z.  For ell^e || Nm(self) the
+        ell-part is (ell)^(e/2) at an inert ell, P^e at a ramified one and the
+        one P^a Pbar^(e-a) dividing self at a split one."""
         out = []
-        for ell, _ in factorise(self.norm()):
-            for p in primes_above(self.field, ell):
-                v = self.valuation(p)
-                if v:
-                    out.append((p, v))
+        for ell, e in factorise(self.norm()):
+            st = splitting_type(self.field, ell)
+            if not st.is_split:
+                out.append((st.primes[0], e // 2 if st.is_inert else e))
+                continue
+            a = next(a for a, part in enumerate(_norm_ell_power_ideals(self.field, ell, e))
+                     if part.divides(self))
+            out += [(p, v) for p, v in zip(st.primes, (a, e - a)) if v]
         check = 1
         for p, v in out:
             check *= p.norm() ** v
@@ -457,35 +452,47 @@ def find_generator(ideal):
 
 
 def totally_positive_generator(ideal):
-    """A totally positive generator if one exists, else None.
+    """A totally positive generator if one exists, else None (also for a
+    non-principal ideal).
 
     Exhausts sign flips and unit multiples of one generator; complete because
     the sign patterns of units are {±1, ±eps}-patterns.
     """
-    x = find_generator(ideal)
-    f = ideal.field
-    eps, _ = f.fundamental_unit()
-    for cand in (x, -x, eps * x, -(eps * x)):
-        if cand.is_totally_positive():
-            return cand
-    return None
+    try:
+        x = find_generator(ideal)
+    except NotPrincipalError:
+        return None
+    eps, _ = ideal.field.fundamental_unit()
+    return next((c for c in (x, -x, eps * x, -(eps * x)) if c.is_totally_positive()), None)
+
+
+@lru_cache(maxsize=None)
+def prime_powers(field, ell, e):
+    """(P^e, HNF key of P^e) for each prime P above ell, in primes_above
+    order (P^0 = O_F).  The one memo of the prime-power ideals above ell:
+    every caller, and every form over one field, gets the same tuples; it
+    holds one entry for each (field, ell, e) the process has asked for."""
+    primes = splitting_type(field, ell).primes
+    if e == 0:
+        powers = [field.maximal_order()] * len(primes)
+    elif e == 1:
+        powers = primes
+    else:
+        powers = [q * p for (q, _), p in zip(prime_powers(field, ell, e - 1), primes)]
+    return tuple((q, q.hnf()) for q in powers)
 
 
 @lru_cache(maxsize=None)
 def _norm_ell_power_ideals(field, ell, e):
-    """Ideals of norm ell^e supported above ell, as a tuple."""
+    """Ideals of norm ell^e supported above ell, as a tuple; at a split ell
+    P^a Pbar^(e-a) for a = 0, ..., e."""
     st = splitting_type(field, ell)
-    out = []
     if st.is_split:
-        p, pbar = st.primes
-        for a in range(e + 1):
-            out.append((p ** a) * (pbar ** (e - a)))
-    elif st.is_inert:
-        if e % 2 == 0:
-            out.append(st.primes[0] ** (e // 2))
-    else:
-        out.append(st.primes[0] ** e)
-    return tuple(out)
+        return tuple(prime_powers(field, ell, a)[0][0] * prime_powers(field, ell, e - a)[1][0]
+                     for a in range(e + 1))
+    if st.is_inert and e % 2:
+        return ()
+    return (prime_powers(field, ell, e // 2 if st.is_inert else e)[0][0],)
 
 
 def ideals_of_norm(field, n):

@@ -6,7 +6,9 @@ Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
 the Leibniz expansion of a determinant, cyclotomic polynomials by long
 division of x^m - 1, Eisenstein Fourier modes pair by pair, the float
 lattice sum one row at a time, Dirichlet sums one power n^{-s} at a time,
-primality by trial division, and a JSON parser that refuses NaN.
+primality and squarefreeness by trial division, ideal factorisation by
+repeated containment, ramified Euler factors and the Euler product by
+truncated power series, and a JSON parser that refuses NaN.
 """
 
 import cmath
@@ -459,3 +461,83 @@ def cyclotomic_polynomial_by_division(m):
                 raise ArithmeticError(f"Phi_{d} does not divide x^{m} - 1 exactly")
             poly = quo
     return tuple(poly)
+
+
+def is_squarefree_by_factorisation(n):
+    """n != 0 with every exponent of its trial-division factorisation 1."""
+    from asailab.arith import factorise
+    return n != 0 and all(e == 1 for _, e in factorise(n))
+
+
+def ideal_factor_by_valuation(ideal):
+    """IdealRep.factor by repeated containment: for each ell | Nm(ideal),
+    ascending, and each P above ell in primes_above order, the largest v with
+    P^v | ideal."""
+    from asailab.arith import factorise
+    out = []
+    for ell, _ in factorise(ideal.norm()):
+        for p in ideal.field.primes_above(ell):
+            v, power = 0, p
+            while power.divides(ideal):
+                v, power = v + 1, power * p
+            if v:
+                out.append((p, v))
+    return out
+
+
+def power_series_quotient(num, den, n_terms):
+    """The first n_terms coefficients of num/den by long division (den[0] = 1)."""
+    rem = list(num) + [num[0] * 0] * max(0, n_terms - len(num))
+    out = []
+    for i in range(n_terms):
+        out.append(rem[i])
+        for j in range(1, min(len(den), n_terms - i)):
+            rem[i + j] = rem[i + j] - rem[i] * den[j]
+    return out
+
+
+def ramified_local_factor_series(form, ell, order):
+    """Coefficients c_0, ..., c_order in X = l^{-s} of the local factor of
+    L^imp at a ramified good prime l, zeta factor included, as two long
+    divisions: with Xt = l^{-(t+t')} X, a + b = lambda(P), ab = l^{w-1} eps(P),
+        sum_j alpha(l^j) X^j = (1 + ab Xt) / ((1 - a^2 Xt)(1 - b^2 Xt)),
+    then division by 1 - eps(P)^2 l^{k+k'+2} X^2."""
+    p, = form.field.primes_above(ell)
+    w = form.weight
+    lam, eps = form.lambda_of(p), form.eps_of(p)
+    tw = Fraction(ell) ** -(w.t1 + w.t2)
+    ab = Fraction(ell ** (w.w - 1)) * eps
+    one = form.coefficient_field.one()
+    alphas = power_series_quotient(
+        [one, tw * ab], [one, -(tw * (lam * lam - 2 * ab)), (tw * tw) * (ab * ab)], order + 1)
+    zeta = Fraction(ell ** (w.k + w.kprime + 2)) * (eps * eps)
+    return power_series_quotient(alphas, [one, one * 0, -zeta], order + 1)
+
+
+def euler_product_L_by_series(series, s, ell_cutoff, prec=None):
+    """lseries.euler_product_L at a level-1 form by power series: 1 / P_l(F, x)
+    at unramified l and the 40-term ramified_local_factor_series at ramified
+    l, each polynomial evaluated by Horner's rule at x = l^{-s}."""
+    import mpmath
+    from asailab.arith import primes_up_to
+    from asailab.asairep import asai_charpoly
+    from asailab.coeffs import to_mpf
+    from asailab.precision import mp_context
+
+    def horner(coeffs, x):
+        acc = mpmath.mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * x + to_mpf(c)
+        return acc
+
+    form = series.form
+    with mp_context(prec):
+        s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
+        total = mpmath.mpc(1)
+        for ell in primes_up_to(ell_cutoff):
+            x = mpmath.power(ell, -s_m)
+            if form.field.disc % ell:
+                total *= 1 / horner(asai_charpoly(form, ell).coeffs, x)
+            else:
+                total *= horner(ramified_local_factor_series(form, ell, 40), x)
+        return +total

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from asailab.arith import PRIMALITY_LIMIT, is_prime
-from oracles import is_prime_by_trial_division
+from asailab.arith import PRIMALITY_LIMIT, is_prime, is_squarefree
+from oracles import is_prime_by_trial_division, is_squarefree_by_factorisation
 
 
 def test_is_prime_matches_trial_division():
@@ -46,6 +46,30 @@ def test_is_prime_refuses_above_its_limit():
     for n in (PRIMALITY_LIMIT, PRIMALITY_LIMIT + 1, 10 ** 30):
         with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
             is_prime(n)
+
+
+def test_is_squarefree_matches_factorisation():
+    assert all(is_squarefree(n) == is_squarefree_by_factorisation(n)
+               for n in range(-10, 200_000))
+
+
+@pytest.mark.parametrize("n, want", [
+    # cofactors left past the cube root: a prime square, with and without a
+    # small factor, a product of two large primes, a large prime
+    (3 * (10 ** 7 + 19) ** 2, False), (1000003 ** 2, False), (2 * 1000003 ** 2, False),
+    (1000003 * (10 ** 7 + 19), True), (10 ** 14 + 31, True), (-(10 ** 14 + 31), True),
+    (10 ** 15 + 37, True),
+])
+def test_is_squarefree_past_the_cube_root(n, want):
+    assert is_squarefree(n) is want
+
+
+def test_is_squarefree_stops_at_the_cube_root():
+    # trial division to sqrt(n) took 0.9 s at 10^14 + 31 and 2.8 s at
+    # 10^15 + 37 (2-core x86, Python 3.11.7); the cube root takes milliseconds
+    for n in (10 ** 14 + 31, 10 ** 15 + 37):
+        best = min(_seconds(is_squarefree, n) for _ in range(3))
+        assert best < 0.1, (n, best)
 
 
 def _seconds(f, *args):

@@ -128,6 +128,14 @@ def test_hypothesis_error_exit(capsys):
     assert code == 2
 
 
+def test_non_principal_split_prime_is_a_hypothesis_failure(capsys):
+    # class number 2: the primes above 3 in Q(sqrt 10) have no generator at all
+    code, out, err = run_cli(capsys, "norm-factor", "--d", "10", "--ell", "3",
+                             "--m", "7", "--lambda", "1", "--lambda", "1")
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "hypothesis"
+
+
 def test_negative_values_need_no_equals_sign(capsys):
     # a value starting with '-' and a digit or '.' is a value, not an option
     spaced = run_cli(capsys, "eisenstein", "--k", "2", "--alpha", "1/5",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -9,16 +10,27 @@ from asailab.lseries import (AsaiLSeries, BadFactorSet, LSeriesError,
                              euler_product_coefficients, forced_vanishing_order,
                              imprimitive_L, imprimitive_coefficients,
                              regulator_constant, unfolding_constant)
-from asailab.arith import is_squarefree, primes_up_to
+from asailab.arith import factorise, is_squarefree, primes_up_to
 from asailab.asairep import asai_charpoly
 from asailab.eigenform import (Weight, HilbertEigenform, base_change,
-                               discriminant_form_ap)
+                               discriminant_form_ap, synthetic_form)
 from asailab.coeffs import CoefficientField, QuadElt
 from asailab.quadfield import RealQuadraticField
 from asailab.characters import DirichletCharacter
 from asailab.lseries import _dirichlet_l_truncated
 from asailab.precision import mp_context
-from oracles import dirichlet_l_by_terms, imprimitive_L_by_terms, sym2_times_twisted_zeta
+from oracles import (dirichlet_l_by_terms, euler_product_L_by_series, imprimitive_L_by_terms,
+                     power_series_quotient, ramified_local_factor_series,
+                     sym2_times_twisted_zeta)
+
+SQUAREFREE_BELOW_30 = [d for d in range(2, 30) if is_squarefree(d)]
+
+
+@lru_cache(maxsize=None)
+def _delta_over(d):
+    """The base change of Delta to Q(sqrt d), data to norm 1000."""
+    return base_change(discriminant_form_ap(1000), 12, None, RealQuadraticField(d),
+                       bound=1000)
 
 
 def test_alpha_table_matches_direct():
@@ -336,14 +348,51 @@ def test_imprimitive_L_with_a_complex_character():
             complex(dirichlet_l_by_terms(chi, u, 600))
 
 
-@pytest.mark.parametrize("d", [d for d in range(2, 30) if is_squarefree(d)])
+@pytest.mark.parametrize("d", SQUAREFREE_BELOW_30)
 def test_delta_base_change_is_sym2_times_twisted_zeta(d):
     # L^imp of the base change of Delta is L(Sym^2 Delta, s) L(eps_F, s - 11)
     # coefficient by coefficient, ramified n included: this pins the
     # convention lambda(P) = a_l at a ramified P
     n_max = 1000
-    form = base_change(discriminant_form_ap(n_max), 12, None, RealQuadraticField(d),
-                       bound=n_max)
-    got = imprimitive_coefficients(AsaiLSeries(form), n_max)
+    got = imprimitive_coefficients(AsaiLSeries(_delta_over(d)), n_max)
     want = sym2_times_twisted_zeta(d, n_max)
     assert all(got[n] == want[n] for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("d", SQUAREFREE_BELOW_30)
+def test_euler_coefficients_are_sym2_times_twisted_zeta(d):
+    # the Euler side alone, local factors expanded exactly, ramified l included
+    got = euler_product_coefficients(AsaiLSeries(_delta_over(d)), 500)
+    want = sym2_times_twisted_zeta(d, 500)
+    assert all(got[n] == want[n] for n in range(1, 501))
+
+
+def _forms_with_ramified_primes():
+    """The Delta base changes over d < 30, the one over Q(sqrt 5) twisted to
+    t + t' = 1 and -2, and a synthetic form over Q(sqrt 3) with eps(P) = -1
+    at both ramified primes and t + t' = 1."""
+    yield from (_delta_over(d) for d in SQUAREFREE_BELOW_30)
+    base = _delta_over(5)
+    for weight in (Weight(14, 12, 0, 1), Weight(10, 10, -1, -1)):
+        yield HilbertEigenform(base.field, weight, base.level, base.coefficient_field,
+                               base.eigenvalues)
+    yield synthetic_form(RealQuadraticField(3), Weight(4, 2, 0, 1), {2: [3], 3: [5]},
+                         eps_values={2: -1, 3: -1})
+
+
+def test_ramified_local_factor_matches_the_series_oracle():
+    for form in _forms_with_ramified_primes():
+        series = AsaiLSeries(form, DirichletCharacter.trivial(1))
+        for ell, _ in factorise(form.field.disc):
+            got = power_series_quotient(*series.local_factor(ell), 41)
+            want = ramified_local_factor_series(form, ell, 40)
+            assert got == want, (form.field, form.weight, ell)
+
+
+@pytest.mark.parametrize("d", SQUAREFREE_BELOW_30)
+def test_euler_product_L_matches_the_power_series_route(d):
+    # the closed-form ramified factor gives the doubles of the 40-term series
+    series = AsaiLSeries(_delta_over(d))
+    for s in (14, 14 + 1j, 13.5, 20):
+        got, _ = euler_product_L(series, s, ell_cutoff=500)
+        assert complex(got) == complex(euler_product_L_by_series(series, s, 500)), s

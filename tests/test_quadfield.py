@@ -8,9 +8,10 @@ from asailab.arith import is_squarefree
 from asailab.quadfield import (IdealRep, NotPrincipalError, QuadFieldError,
                                RealQuadraticField, discriminant, find_generator,
                                fundamental_unit, ideal_from_label, ideal_label,
-                               ideals_of_norm, primes_above, splitting_type,
-                               totally_positive_generator)
-from oracles import (legendre_symbol, naive_totally_positive_search, pell_fundamental_unit,
+                               ideals_of_norm, prime_powers, primes_above,
+                               splitting_type, totally_positive_generator)
+from oracles import (ideal_factor_by_valuation, legendre_symbol,
+                     naive_totally_positive_search, pell_fundamental_unit,
                      shortest_generator_oracle)
 
 
@@ -220,6 +221,26 @@ def test_ideal_factorisation_round_trip():
         assert out == ideal
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 13, 15, 17])
+def test_factor_matches_the_valuation_oracle(d):
+    # d = 10 and 15 have class number 2; primes, exponents and order must agree
+    f = RealQuadraticField(d)
+    for n in range(1, 500):
+        for ideal in ideals_of_norm(f, n):
+            assert ideal.factor() == ideal_factor_by_valuation(ideal), (d, ideal)
+
+
+def test_prime_powers_is_one_memo():
+    # Q(sqrt 10): 2 ramifies, 3 splits, 7 is inert
+    f = RealQuadraticField(10)
+    for ell in (2, 3, 7):
+        for e in range(5):
+            got = prime_powers(f, ell, e)
+            assert got is prime_powers(RealQuadraticField(10), ell, e)
+            assert [q for q, _ in got] == [p ** e for p in primes_above(f, ell)]
+            assert [key for _, key in got] == [q.hnf() for q, _ in got]
+
+
 def test_element_arithmetic_and_signs():
     f5 = RealQuadraticField(5)
     w = f5.omega()
@@ -258,6 +279,7 @@ def test_non_principal_primes_of_q_sqrt_10():
             assert shortest_generator_oracle(f, p) is None
             with pytest.raises(NotPrincipalError):
                 find_generator(p)
+            assert totally_positive_generator(p) is None
 
 
 def test_find_generator_is_shortest_and_theta1_positive():
