@@ -216,12 +216,7 @@ def criterion_6():
             continue
         pl = asai_charpoly(form, ell)
         chi = kronecker_symbol(form.field.disc, ell)
-        try:
-            quot = pl.divide_by_linear(Fraction(chi * ell ** 11))
-        except Exception:
-            factor_fail.append(ell)
-            continue
-        if len(quot) != 4:
+        if pl(Fraction(1, chi * ell ** 11)) != 0:  # (1 - c X) | P_l iff P_l(1/c) = 0
             factor_fail.append(ell)
     passed = not violations and not factor_fail
     return _result("6 base-change pipeline: Hecke relations to 500 + "

@@ -5,9 +5,16 @@ sieves."""
 import math
 
 
+_EARLY_EXIT_FROM = 1 << 16  # below it, trial division is as cheap as a primality test
+
+
 def factorise(n):
-    """Prime factorisation of |n| as [(p, e), ...], p ascending ([] for 0, 1)."""
+    """Prime factorisation of |n| as [(p, e), ...], p ascending ([] for 0, 1).
+    Trial division ends early at a cofactor >= _EARLY_EXIT_FROM (tested at the
+    start and after each prime removed) that is a prime or a prime square."""
     n = abs(int(n))
+    if n >= _EARLY_EXIT_FROM and (last := _prime_or_prime_square(n)):
+        return [last]
     out = []
     d = 2
     while d * d <= n:
@@ -17,10 +24,21 @@ def factorise(n):
                 n //= d
                 e += 1
             out.append((d, e))
+            if n >= _EARLY_EXIT_FROM and (last := _prime_or_prime_square(n)):
+                return out + [last]
         d += 1 if d == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _prime_or_prime_square(n):
+    """(p, e) when n = p^e, p a prime below PRIMALITY_LIMIT, e in (1, 2); else None."""
+    r = math.isqrt(n)
+    for p, e in ((n, 1), (r, 2)):
+        if p ** e == n and p < PRIMALITY_LIMIT and is_prime(p):
+            return p, e
+    return None
 
 
 def sqrt_mod(a, p):

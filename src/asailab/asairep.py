@@ -15,6 +15,7 @@ the matrix: the X^k coefficient of the untwisted determinant is scaled by
 ell^{-k(t+t')}.
 """
 
+import math
 from fractions import Fraction
 
 from .coeffs import QuadElt, to_mpf
@@ -126,16 +127,6 @@ class AsaiCharPoly:
     def __repr__(self):
         return " + ".join(f"({c})*X^{d}" for d, c in enumerate(self.coeffs) if c != 0)
 
-    def divide_by_linear(self, root_coeff):
-        """Exact quotient by (1 - root_coeff*X); raises if not divisible."""
-        # synthetic division in the variable X for polynomials with c0 = 1
-        quot = [self.coeffs[0]]
-        for d in range(1, 5):
-            quot.append(self.coeffs[d] + quot[-1] * root_coeff)
-        if quot[-1] != 0:
-            raise AsaiRepError("polynomial is not divisible by the given linear factor")
-        return quot[:-1]
-
 
 def _local_data(form, ell):
     """[(lambda(P), eps(P), Nm(P))] for the primes above a good ell, plus weight data."""
@@ -144,10 +135,7 @@ def _local_data(form, ell):
         raise AsaiRepError(f"ell = {ell} ramifies in Q(sqrt({form.field.d}))")
     if form.level.norm() % ell == 0:
         raise AsaiRepError(f"ell = {ell} divides the level")
-    out = []
-    for p in st.primes:
-        out.append((form.lambda_of(p), form.eps_of(p), p.norm()))
-    return st, out
+    return st, [(form.lambda_of(p), form.eps_of(p), p.norm()) for p in st.primes]
 
 
 def asai_charpoly(form, ell):
@@ -237,8 +225,7 @@ class GroupRingElement:
                 self.coeffs[a % self.modulus] = c
 
     def _check_unit(self, a):
-        from math import gcd
-        if self.modulus > 1 and gcd(a, self.modulus) != 1:
+        if self.modulus > 1 and math.gcd(a, self.modulus) != 1:
             raise AsaiRepError(f"{a} is not a unit mod {self.modulus}")
 
     @classmethod
@@ -340,9 +327,8 @@ def euler_system_norm_factor(form, ell, j, m):
     level norm, and l inert, or split with both primes above it narrowly
     principal.
     """
-    from math import gcd
     ell, j, m = int(ell), int(j), int(m)
-    if gcd(ell, m) != 1 or form.level.norm() % ell == 0:
+    if math.gcd(ell, m) != 1 or form.level.norm() % ell == 0:
         raise AsaiRepError(f"need ell = {ell} coprime to m and the level")
     w = form.weight
     if not 0 <= j <= min(w.k, w.kprime):
@@ -353,7 +339,7 @@ def euler_system_norm_factor(form, ell, j, m):
     if st.is_split and None in map(totally_positive_generator, st.primes):
         raise HypothesisError(f"prime above {ell} is not narrowly principal; hypothesis fails")
     pl = asai_charpoly(form, ell)
-    eps_l = _eps_rational(form, st)
+    eps_l = math.prod(map(form.eps_of, st.primes))  # eps((ell))
     kk2j = w.k + w.kprime - 2 * j
     sig = lambda e: GroupRingElement.sigma(m, ell, e)
     one = GroupRingElement.unit(m)
@@ -365,29 +351,19 @@ def euler_system_norm_factor(form, ell, j, m):
     return sig(1) * Fraction(ell ** j) * bracket
 
 
-def _eps_rational(form, st):
-    """eps((ell)) as the product over the primes above ell."""
-    val = None
-    for p in st.primes:
-        e = form.eps_of(p)
-        val = e if val is None else val * e
-    return val
-
-
 def c_factor(c, j, k, kprime, eps_value, m, coprime_to=None):
     """The interpolation factor c^2 - c^{2j-k-k'} eps(c) sigma_c^2 mod m.
 
     coprime_to, when supplied by the caller, carries the full coprimality
     requirement (6 p m Nm(N)); gcd(c, coprime_to) != 1 is rejected.
     """
-    from math import gcd
     c, m = int(c), int(m)
     if c <= 1:
         raise AsaiRepError("need c > 1")
     check = coprime_to if coprime_to is not None else 6 * m
-    if gcd(c, check) != 1:
+    if math.gcd(c, check) != 1:
         raise AsaiRepError(f"c = {c} is not coprime to {check}")
-    if m > 1 and gcd(c, m) != 1:
+    if m > 1 and math.gcd(c, m) != 1:
         raise AsaiRepError(f"c = {c} shares a factor with m = {m}")
     e = 2 * j - k - kprime
     scale = Fraction(c ** e) if e >= 0 else Fraction(1, c ** (-e))

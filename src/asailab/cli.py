@@ -37,7 +37,7 @@ from .eisenstein import (EisensteinPole, diagonal_mellin_check,
 from .lseries import (AsaiLSeries, euler_product_L, imprimitive_L,
                       regulator_constant, unfolding_constant)
 from .characters import DirichletCharacter, unit_group_structure
-from .padic import (NEZFailure, OrdinaryData, PadicError, PoleError, check_NEZ,
+from .padic import (NEZFailure, OrdinaryData, PadicError, check_NEZ,
                     gauss_sum, pr_interp_factor, stabilized_params)
 from .acceptance import run_acceptance
 
@@ -132,6 +132,17 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    """argparse type for real cutoffs: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -554,14 +565,14 @@ def build_parser():
 
     p = sub.add_parser("form-validate", help="load a form and check Hecke relations")
     p.add_argument("--form", required=True)
-    p.add_argument("--bound", type=int, default=100)
+    p.add_argument("--bound", type=_positive_int, default=100)
     p.set_defaults(func=cmd_form_validate)
 
     p = sub.add_parser("base-change", help="synthesise a base-change eigenform")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--weight", type=int, default=12)
     p.add_argument("--ap-file")
-    p.add_argument("--bound", type=int, default=500)
+    p.add_argument("--bound", type=_positive_int, default=500)
     p.add_argument("--save")
     p.set_defaults(func=cmd_base_change)
 
@@ -605,7 +616,7 @@ def build_parser():
     p = sub.add_parser("kronecker-check", help="Kronecker-limit identity residual")
     p.add_argument("--alpha", required=True)
     p.add_argument("--tau", required=True)
-    p.add_argument("--terms", type=int, default=200)
+    p.add_argument("--terms", type=_positive_int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_kronecker_check)
 
@@ -613,7 +624,7 @@ def build_parser():
                        parents=[form])
     p.add_argument("--bound", type=_positive_int, default=800)
     p.add_argument("--sprime", type=float, default=14.0)
-    p.add_argument("--y-cutoff", type=float, default=40.0)
+    p.add_argument("--y-cutoff", type=_positive_float, default=40.0)
     p.add_argument("--n-max", type=_positive_int, default=600)
     p.set_defaults(func=cmd_mellin_check)
 
@@ -658,7 +669,7 @@ def build_parser():
 # is a ValueError, so usage errors and hypothesis failures come before validation
 _EXITS = (
     (UsageError, "usage", 64),
-    ((NEZFailure, PoleError, EisensteinPole, HypothesisError), "hypothesis", 2),
+    ((NEZFailure, EisensteinPole, HypothesisError), "hypothesis", 2),
     (ValueError, "validation", 1),
     (OSError, "io", 1),
 )

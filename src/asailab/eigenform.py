@@ -2,12 +2,12 @@
 
 A form stores exact Hecke eigenvalues lambda(n) keyed by prime-power ideals
 (HNF tuples), a level ideal, a nebentype table and a weight (r1, r2, t1, t2)
-with r1 + 2 t1 = r2 + 2 t2 = w.  Eigenvalues at composite ideals are derived
-by coprime multiplicativity over an ideal factorisation (`lambda_of`).  The
-Dirichlet coefficient lambda((n)) for rational n needs no ideal
-factorisation: it is the product over l^e || n of the stored values read off
-the splitting type of l -- lambda(P^e) lambda(Pbar^e) for split l,
-lambda((l)^e) for inert l and lambda(P^{2e}) for ramified l (P^2 = (l)).
+with r1 + 2 t1 = r2 + 2 t2 = w.  One method multiplies stored values over
+prime powers P^e, keyed by `quadfield.prime_powers`: `lambda_of` gives it an
+HNF factorisation, the checks their prime powers, and `lambda_rational` the
+parts of (n) read off the splitting type of each l^e || n, with no ideal
+factorisation -- P^e Pbar^e for split l, (l)^e for inert l and P^{2e} for
+ramified l (P^2 = (l)).
 The weight-12 discriminant form's tau(p) comes from (eta^3)^8 by J.C.P.
 Miller's power recurrence over the sparse q-expansion of eta^3.
 
@@ -22,7 +22,7 @@ from functools import lru_cache
 from .arith import factorise, primes_up_to
 from .coeffs import CoefficientField, QuadElt
 from .quadfield import (RealQuadraticField, IdealRep, ideal_from_label,
-                        ideal_label, prime_powers)
+                        ideal_label, prime_powers, splitting_type)
 
 
 class EigenformError(ValueError):
@@ -82,22 +82,25 @@ class HilbertEigenform:
     # -- eigenvalue access --------------------------------------------------
 
     def stored(self, ideal):
-        key = ideal.hnf() if isinstance(ideal, IdealRep) else tuple(ideal)
-        return self.eigenvalues.get(key)
+        return self.eigenvalues.get(ideal.hnf())
 
-    def lambda_of(self, ideal):
-        """lambda at an integral ideal, via coprime multiplicativity."""
-        val = self.stored(ideal)
-        if val is not None:
-            return val
-        out = self.coefficient_field.one()
-        for p, e in ideal.factor():
-            key = (p ** e).hnf()
-            if key not in self.eigenvalues:
+    def _stored_product(self, parts):
+        """Product of the stored values at P^e over the (P, e) in parts, each
+        key read from `prime_powers` at the rational prime P.n under P."""
+        field, out = self.field, self.coefficient_field.one()
+        for p, e in parts:
+            i = splitting_type(field, p.n).primes.index(p)
+            val = self.eigenvalues.get(prime_powers(field, p.n, e)[i][1])
+            if val is None:
                 raise MissingEigenvalueError(
                     f"no eigenvalue stored at {ideal_label(p)}^{e} (norm {p.norm() ** e})")
-            out = out * self.eigenvalues[key]
+            out = out * val
         return out
+
+    def lambda_of(self, ideal):
+        """lambda at an integral ideal: stored, or multiplied over its HNF factorisation."""
+        val = self.stored(ideal)
+        return self._stored_product(ideal.factor()) if val is None else val
 
     def lambda_rational(self, n):
         """The T(n)-eigenvalue lambda((n)) for a positive integer n: the
@@ -107,17 +110,12 @@ class HilbertEigenform:
         n = int(n)
         if n < 1:
             raise EigenformError("need n >= 1")
-        out = self.coefficient_field.one()
+        parts = []
         for ell, e in factorise(n):
-            st = self.field.splitting_type(ell)
+            st = splitting_type(self.field, ell)
             k = 2 * e if st.is_ramified else e
-            for p, (_, key) in zip(st.primes, prime_powers(self.field, ell, k)):
-                val = self.eigenvalues.get(key)
-                if val is None:
-                    raise MissingEigenvalueError(
-                        f"no eigenvalue stored at {ideal_label(p)}^{k} (norm {p.norm() ** k})")
-                out = out * val
-        return out
+            parts += [(p, k) for p in st.primes]
+        return self._stored_product(parts)
 
     def alpha(self, n):
         """Dirichlet coefficient alpha(n) = n^{-(t+t')} lambda(n)."""
@@ -145,39 +143,29 @@ class HilbertEigenform:
         Only trivial and rational (quadratic) nebentypes are representable; the
         stored table is consulted through principal ideals (n).
         """
-        n_rat = self.rational_level()
         from .characters import DirichletCharacter
         if not self.nebentype:
-            return DirichletCharacter.trivial(n_rat)
+            return DirichletCharacter.trivial(self.rational_level())
         raise EigenformError("nontrivial nebentype restriction not implemented; "
                              "supply chi explicitly")
 
     def rational_level(self):
         """Positive generator of (level ideal) intersected with Z."""
-        lv = self.level
-        n = lv.n  # smallest positive rational integer in the HNF module is n
-        return n
+        return self.level.n  # the smallest positive integer in the HNF module
 
     # -- serialisation -------------------------------------------------------
 
     def to_json(self):
-        eig = []
-        for key in sorted(self.eigenvalues):
-            ideal = IdealRep(self.field, *key)
-            eig.append({"ideal": ideal_label(ideal),
-                        "lambda": self.eigenvalues[key].to_json()})
-        neb = []
-        for key in sorted(self.nebentype):
-            ideal = IdealRep(self.field, *key)
-            neb.append({"ideal": ideal_label(ideal),
-                        "value": self.nebentype[key].to_json()})
+        def table(values, name):  # one entry per stored key, in HNF order
+            return [{"ideal": ideal_label(IdealRep(self.field, *key)),
+                     name: values[key].to_json()} for key in sorted(values)]
         return {
             "d": self.field.d,
             "weight": [self.weight.r1, self.weight.r2, self.weight.t1, self.weight.t2],
             "level": {"norm": self.level.norm(), "hnf": list(self.level.hnf())},
             "coefficient_field": self.coefficient_field.to_json(),
-            "nebentype": neb,
-            "eigenvalues": eig,
+            "nebentype": table(self.nebentype, "value"),
+            "eigenvalues": table(self.eigenvalues, "lambda"),
             **({"notes": self.notes} if self.notes else {}),
         }
 
@@ -224,34 +212,31 @@ def load_eigenform(source):
         nebentype[ideal.hnf()] = cfield.parse_value(entry["value"])
     form = HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype,
                             notes=data.get("notes"))
-    _validate_multiplicativity(form)
+    bad = next(_multiplicativity_violations(form), None)
+    if bad:
+        raise EigenformError(f"multiplicativity violated at {bad['ideal']}: "
+                             f"stored {bad['lhs']}, product {bad['rhs']}")
     return form
 
 
-def _composite_product(form, ideal):
-    """Product of the stored eigenvalues at the prime-power parts of ideal;
-    None for a prime power or when some part is not stored."""
-    fac = ideal.factor()
-    if len(fac) < 2:
-        return None
-    prod = form.coefficient_field.one()
-    for p, e in fac:
-        pk = (p ** e).hnf()
-        if pk not in form.eigenvalues:
-            return None
-        prod = prod * form.eigenvalues[pk]
-    return prod
-
-
-def _validate_multiplicativity(form):
-    """Stored composites must equal the product over their prime-power parts."""
-    for key in list(form.eigenvalues):
+def _multiplicativity_violations(form, bound=None):
+    """Yield, in HNF order, each stored composite of norm <= bound (any norm
+    when bound is None) whose value is not the product of the stored values
+    at its prime-power parts; composites with a part not stored are skipped."""
+    for key in sorted(form.eigenvalues):
         ideal = IdealRep(form.field, *key)
-        prod = _composite_product(form, ideal)
-        if prod is not None and prod != form.eigenvalues[key]:
-            raise EigenformError(
-                f"multiplicativity violated at {ideal_label(ideal)}: "
-                f"stored {form.eigenvalues[key]}, product {prod}")
+        if bound is not None and ideal.norm() > bound:
+            continue
+        parts = ideal.factor()
+        if len(parts) < 2:
+            continue
+        try:
+            prod = form._stored_product(parts)
+        except MissingEigenvalueError:
+            continue
+        if prod != form.eigenvalues[key]:
+            yield {"ideal": ideal_label(ideal), "power": None,
+                   "lhs": repr(form.eigenvalues[key]), "rhs": repr(prod)}
 
 
 # -- Hecke-relation checking --------------------------------------------------
@@ -261,28 +246,24 @@ def check_hecke_relations(form, bound):
 
     For every prime p not dividing the level and every r >= 1 with
     Nm(p^{r+1}) <= bound, checks
-        lambda(p) lambda(p^r) = lambda(p^{r+1}) + Nm(p)^{w-1} eps(p) lambda(p^{r-1}).
-    Returns the list of violations (empty on success); raises when an
-    eigenvalue within the bound is missing.
+        lambda(p) lambda(p^r) = lambda(p^{r+1}) + Nm(p)^{w-1} eps(p) lambda(p^{r-1}),
+    and every stored composite of norm <= bound against the product over its
+    prime-power parts.  Returns the list of violations (empty on success);
+    raises when an eigenvalue within the bound is missing.
     """
     bound = int(bound)
     violations = []
     w = form.weight.w
     level_norm = form.level.norm()
     for ell in primes_up_to(bound):
-        for i, p in enumerate(form.field.primes_above(ell)):
+        for p in form.field.primes_above(ell):
             np = p.norm()
             if np > bound or level_norm % ell == 0:
                 continue
             eps_p = form.eps_of(p)
-            values = [form.coefficient_field.one()]
-            r = 1
+            values, r = [], 0
             while np ** r <= bound:
-                key = prime_powers(form.field, ell, r)[i][1]
-                if key not in form.eigenvalues:
-                    raise MissingEigenvalueError(
-                        f"eigenvalue missing at {ideal_label(p)}^{r} within bound {bound}")
-                values.append(form.eigenvalues[key])
+                values.append(form._stored_product([(p, r)]))
                 r += 1
             for r in range(1, len(values) - 1):
                 lhs = values[1] * values[r]
@@ -291,16 +272,7 @@ def check_hecke_relations(form, bound):
                     violations.append({
                         "prime": ideal_label(p), "power": r + 1,
                         "lhs": repr(lhs), "rhs": repr(rhs)})
-    # coprime multiplicativity of everything stored within the bound
-    for key in sorted(form.eigenvalues):
-        ideal = IdealRep(form.field, *key)
-        if ideal.norm() > bound:
-            continue
-        prod = _composite_product(form, ideal)
-        if prod is not None and prod != form.eigenvalues[key]:
-            violations.append({"ideal": ideal_label(ideal), "power": None,
-                               "lhs": repr(form.eigenvalues[key]), "rhs": repr(prod)})
-    return violations
+    return violations + list(_multiplicativity_violations(form, bound))
 
 
 # -- base change ---------------------------------------------------------------
@@ -393,11 +365,12 @@ def synthetic_form(field, weight, local_lambdas, eps_values=None):
     eig = {}
     neb = {}
     for ell, lams in local_lambdas.items():
-        for p, lam in zip(field.primes_above(ell), lams):
+        for p, lam, (_, key2) in zip(field.primes_above(ell), lams,
+                                     prime_powers(field, ell, 2)):
             lam = cf.element(lam)
             eps = cf.element((eps_values or {}).get(ell, 1))
             eig[p.hnf()] = lam
-            eig[(p * p).hnf()] = lam * lam - Fraction(p.norm() ** (weight.w - 1)) * eps
+            eig[key2] = lam * lam - Fraction(p.norm() ** (weight.w - 1)) * eps
             if eps_values:
                 neb[p.hnf()] = eps
     return HilbertEigenform(field, weight, field.maximal_order(), cf, eig, neb)

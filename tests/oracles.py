@@ -6,9 +6,10 @@ Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
 the Leibniz expansion of a determinant, cyclotomic polynomials by long
 division of x^m - 1, Eisenstein Fourier modes pair by pair, the float
 lattice sum one row at a time, Dirichlet sums one power n^{-s} at a time,
-primality and squarefreeness by trial division, ideal factorisation by
-repeated containment, ramified Euler factors and the Euler product by
-truncated power series, and a JSON parser that refuses NaN.
+factorisation, primality and squarefreeness by trial division, ideal
+factorisation by repeated containment, eigenvalues at composite ideals from
+ideal powers, ramified Euler factors and the Euler product by truncated
+power series, and a JSON parser that refuses NaN.
 """
 
 import cmath
@@ -299,6 +300,25 @@ def dirichlet_l_by_terms(chi, u, n_cutoff, prec=None):
     return acc
 
 
+def factorise_by_trial_division(n):
+    """Prime factorisation of |n| as [(p, e), ...], p ascending, by trial
+    division to the square root of the cofactor left."""
+    n = abs(int(n))
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def is_prime_by_trial_division(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
@@ -465,23 +485,37 @@ def cyclotomic_polynomial_by_division(m):
 
 def is_squarefree_by_factorisation(n):
     """n != 0 with every exponent of its trial-division factorisation 1."""
-    from asailab.arith import factorise
-    return n != 0 and all(e == 1 for _, e in factorise(n))
+    return n != 0 and all(e == 1 for _, e in factorise_by_trial_division(n))
 
 
 def ideal_factor_by_valuation(ideal):
     """IdealRep.factor by repeated containment: for each ell | Nm(ideal),
     ascending, and each P above ell in primes_above order, the largest v with
     P^v | ideal."""
-    from asailab.arith import factorise
     out = []
-    for ell, _ in factorise(ideal.norm()):
+    for ell, _ in factorise_by_trial_division(ideal.norm()):
         for p in ideal.field.primes_above(ell):
             v, power = 0, p
             while power.divides(ideal):
                 v, power = v + 1, power * p
             if v:
                 out.append((p, v))
+    return out
+
+
+def lambda_of_by_ideal_powers(form, ideal):
+    """lambda at an integral ideal: the stored value, else the product of the
+    values stored under (p ** e).hnf() over the factorisation of the ideal by
+    repeated containment; None when some part is not stored."""
+    val = form.stored(ideal)
+    if val is not None:
+        return val
+    out = form.coefficient_field.one()
+    for p, e in ideal_factor_by_valuation(ideal):
+        part = form.eigenvalues.get((p ** e).hnf())
+        if part is None:
+            return None
+        out = out * part
     return out
 
 

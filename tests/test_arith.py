@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from asailab.arith import PRIMALITY_LIMIT, is_prime, is_squarefree
-from oracles import is_prime_by_trial_division, is_squarefree_by_factorisation
+from asailab.arith import PRIMALITY_LIMIT, factorise, is_prime, is_squarefree
+from oracles import (factorise_by_trial_division, is_prime_by_trial_division,
+                     is_squarefree_by_factorisation)
 
 
 def test_is_prime_matches_trial_division():
@@ -70,6 +71,40 @@ def test_is_squarefree_stops_at_the_cube_root():
     for n in (10 ** 14 + 31, 10 ** 15 + 37):
         best = min(_seconds(is_squarefree, n) for _ in range(3))
         assert best < 0.1, (n, best)
+
+
+def test_factorise_matches_trial_division():
+    # below 2^16 factorise is trial division; above, it also stops at a large
+    # prime or prime-square cofactor
+    assert all(factorise(n) == factorise_by_trial_division(n) for n in range(-10, 200_000))
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randrange(2 ** 20, 2 ** 34)
+        assert factorise(n) == factorise_by_trial_division(n), n
+
+
+P9, P12, P14 = 10 ** 9 + 7, 10 ** 12 + 39, 10 ** 14 + 31
+
+
+@pytest.mark.parametrize("n, want", [
+    # a large prime or prime square, alone or after small factors, ends the
+    # list; other cofactors fall back to trial division
+    (P9 ** 2, [(P9, 2)]), (P14, [(P14, 1)]), (P12 ** 2, [(P12, 2)]),
+    (-(P14 ** 2), [(P14, 2)]), (2 ** 5 * 3 * P14, [(2, 5), (3, 1), (P14, 1)]),
+    (18 * (10 ** 7 + 19) ** 2, [(2, 1), (3, 2), (10 ** 7 + 19, 2)]),
+    (1000003 * (10 ** 7 + 19), [(1000003, 1), (10 ** 7 + 19, 1)]),
+    (1000003 ** 3, [(1000003, 3)]), (7 * 1000003 ** 4, [(7, 1), (1000003, 4)]),
+])
+def test_factorise_large_cofactors(n, want):
+    assert factorise(n) == want
+
+
+def test_factorise_stops_at_a_large_prime_or_prime_square():
+    # trial division to the prime took 2.0 s at 10^14 + 31 and did not finish
+    # in 60 s at (10^9 + 7)^2 (2-core x86, Python 3.11.7)
+    for n in (P9 ** 2, P14, P12 ** 2):
+        best = min(_seconds(factorise, n) for _ in range(3))
+        assert best < 0.01, (n, best)
 
 
 def _seconds(f, *args):

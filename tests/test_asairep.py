@@ -246,11 +246,11 @@ def test_asai_charpoly_class_constraints():
         AsaiCharPoly([1, 2, 3])
     with pytest.raises(AsaiRepError):
         AsaiCharPoly([2, 0, 0, 0, 0])
-    pl = AsaiCharPoly([Fraction(1), Fraction(-6), Fraction(15),
-                       Fraction(-150), Fraction(625)])
-    # division by (1 - 5X) fails, by an actual root coefficient succeeds
-    with pytest.raises(AsaiRepError):
-        pl.divide_by_linear(Fraction(7))
+    # (1 - 5X)(1 - X + 7X^2 - 2X^3): (1 - cX) divides it iff it vanishes at 1/c
+    pl = AsaiCharPoly([Fraction(1), Fraction(-6), Fraction(12),
+                       Fraction(-37), Fraction(10)])
+    assert pl(Fraction(1, 5)) == 0
+    assert pl(Fraction(1, 7)) != 0
 
 
 def test_companion_matches_charpoly():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,12 +95,25 @@ def test_eta_exponent_count_is_a_usage_error(capsys, argv):
     ["constants", "--k", "2", "--kprime", "2", "--j", "1", "--N", "-2", "--disc", "8"],
     ["constants", "--k", "2", "--kprime", "2", "--j", "1", "--disc", "0"],
     ["constants", "--k", "2", "--kprime", "2", "--j", "1", "--disc", "-3"],
+    ["base-change", "--d", "5", "--bound", "0"],
+    ["base-change", "--d", "5", "--bound", "-4"],
+    ["form-validate", "--form", "form.json", "--bound", "0"],
+    ["kronecker-check", "--alpha", "1/5", "--tau", "i", "--terms", "0"],
 ])
 def test_nonpositive_cutoffs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 64 and not out
     assert json.loads(err)["error"] == "usage"
     assert "must be >= 1" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_y_cutoff_must_be_finite_and_positive(capsys, value):
+    # -1 made numpy warn on stderr and the report fail on a NaN
+    code, out, err = run_cli(capsys, "mellin-check", "--delta", f"--y-cutoff={value}")
+    assert code == 64 and not out
+    assert json.loads(err) == {
+        "error": "usage", "message": f"argument --y-cutoff: must be finite and > 0, got {value}"}
 
 
 def test_validation_error_exit(capsys):
@@ -195,6 +209,19 @@ def test_field_info_huge_unit_is_strict_json(capsys):
     unit = strict_json(out)["result"]["fundamental_unit"]
     assert "theta1" not in unit
     assert 7674 < unit["log_theta1"] < 7675
+
+
+@pytest.mark.parametrize("ell, kind", [(10 ** 9 + 7, "inert"), (10 ** 14 + 31, "split")])
+def test_field_info_at_a_large_ell(capsys, ell, kind):
+    # labelling the primes above ell factorised Nm = ell^2 or ell by trial
+    # division: no answer in 60 s (inert) and 2.0 s (split) on 2-core x86
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "field-info", "--d", "5", "--ell", str(ell))
+    assert code == 0 and time.perf_counter() - started < 2
+    splitting = strict_json(out)["result"]["splitting"]
+    assert splitting["kind"] == kind
+    assert [p["label"] for p in splitting["primes"]] == (
+        [f"{ell * ell}.0"] if kind == "inert" else [f"{ell}.0", f"{ell}.1"])
 
 
 def test_field_info_non_principal_primes(capsys):

@@ -1,5 +1,7 @@
 import gc
 import json
+import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from asailab.eigenform import (EigenformError, HilbertEigenform,
                                discriminant_form_ap, is_ordinary, load_eigenform)
 from asailab.arith import primes_up_to
 from asailab.quadfield import RealQuadraticField, ideal_label
-from oracles import tau_oracle
+from oracles import lambda_of_by_ideal_powers, tau_oracle
 
 CF = CoefficientField(None)
 
@@ -92,6 +94,16 @@ def test_check_hecke_relations(field5, bc_form_500):
     assert check_hecke_relations(bc_form_500, 1) == []
 
 
+def test_check_hecke_relations_reports_a_broken_composite_within_its_bound(field5):
+    form = base_change(discriminant_form_ap(150), 12, None, field5, bound=150)
+    six = field5.ideal(6)  # (2)(3), both inert: norm 36
+    want = form.lambda_of(six)
+    form.eigenvalues[six.hnf()] = want + 1
+    assert check_hecke_relations(form, 36) == [
+        {"ideal": ideal_label(six), "power": None, "lhs": repr(want + 1), "rhs": repr(want)}]
+    assert check_hecke_relations(form, 35) == []
+
+
 def test_check_hecke_relations_missing_data(field5):
     ap = discriminant_form_ap(20)
     form = base_change(ap, 12, None, field5, bound=20)
@@ -147,7 +159,8 @@ def test_load_validation_errors(tmp_path, field5):
     bad = json.loads(json.dumps(data))
     six = field5.ideal(6)
     bad["eigenvalues"].append({"ideal": ideal_label(six), "lambda": "1"})
-    with pytest.raises(EigenformError):
+    with pytest.raises(EigenformError,
+                       match=rf"multiplicativity violated at {re.escape(ideal_label(six))}:"):
         load_eigenform(bad)
     # missing schema field
     with pytest.raises(EigenformError):
@@ -157,6 +170,34 @@ def test_load_validation_errors(tmp_path, field5):
 def test_lambda_of_identity(bc_form_500, field5):
     assert bc_form_500.lambda_of(field5.maximal_order()) == 1
     assert bc_form_500.lambda_rational(1) == 1
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 17])
+def test_lambda_of_matches_the_ideal_power_oracle(d):
+    # d = 10 has class number 2, so non-principal composites are covered.  The
+    # keys of a base change to 100 (split primes of norm 101..499 are missing)
+    # get random values, so P^e and Pbar^e differ and no Hecke relation hides
+    # a part read from the wrong key
+    field = RealQuadraticField(d)
+    bc = base_change(discriminant_form_ap(100), 12, None, field, bound=100)
+    rng = random.Random(d)
+    form = HilbertEigenform(field, bc.weight, bc.level, CF,
+                            {key: CF.element(rng.randint(-999, 999)) for key in bc.eigenvalues
+                             if key != (1, 0, 1)})
+    missing = 0
+    for norm in range(1, 500):
+        for ideal in field.ideals_of_norm(norm):
+            want = lambda_of_by_ideal_powers(form, ideal)
+            if want is None:
+                missing += 1
+                with pytest.raises(MissingEigenvalueError):
+                    form.lambda_of(ideal)
+            else:
+                assert form.lambda_of(ideal) == want, (d, ideal)
+    assert missing
+    for n in range(1, 23):
+        want = lambda_of_by_ideal_powers(form, field.ideal(n))
+        assert want is None or form.lambda_rational(n) == want, (d, n)
 
 
 @pytest.mark.parametrize("d, bound, n", [
