@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
@@ -135,6 +136,19 @@ def imprimitive_L(series, s, n_cutoff=4000, prec=None):
 
     Requires Re(s) > (k+k')/2 + 2 for a meaningful truncation.  Returns
     (value, report) with the truncation data.
+
+    Both sums run on integers scaled by 2^W, and their product is rounded
+    once.  p^{-s} is an mpmath power with GUARD_BITS more at primes p only, and
+    X_n = X_p X_{n/p} >> W along smallest prime factors (kept for n <= N/2).
+    The alpha sum adds x X_n // den and, apart, y X_n // den for alpha(n) =
+    (x + y sqrt(e)) / den; the chi-zeta sum adds n^{-u} = n^{k+k'+2} X_n^2
+    2^{-2W}, u = 2s-2-k-k', per residue class, and reads chi once a class.
+    X_n is off by at most 2 log2(N) units of 2^-W, so with |alpha(n)| < 2^B
+    and W = P + GUARD_BITS + B + ceil((k+k'+2)/2 bits(N)), P the working
+    precision, the alpha sum is off by at most N (2 log2 N + 2) 2^{B-W} and
+    the chi-zeta sum, which scales it by 2 n^{k+k'+2-Re s} < 2 N^{(k+k')/2},
+    by 4 log2(N) N^{(k+k')/2+1} 2^-W: both below 2^-P, besides the relative
+    error 2^-(P+GUARD_BITS) of each power.
     """
     with mp_context(prec):
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
@@ -142,49 +156,82 @@ def imprimitive_L(series, s, n_cutoff=4000, prec=None):
         if mpmath.re(s_m) <= kk / 2 + 2:
             raise LSeriesError(f"series truncation needs Re(s) > {kk / 2 + 2}")
         table = series.alpha_table(n_cutoff)
-        dirichlet = _dirichlet_sum((to_mpf(a) if a else None for a in table[1:]), s_m,
-                                   n_cutoff)
-        u = series.zeta_argument(s_m)
-        lch = _dirichlet_l_truncated(series.chi, u, n_cutoff, prec)
-        value = mpmath.mpc(lch * dirichlet)  # an mpc, as at complex s or chi
-        report = {"n_cutoff": n_cutoff, "zeta_argument": complex(u),
+        e = series.form.coefficient_field.e or 0
+        w = (mpmath.mp.prec + GUARD_BITS - (-(kk + 2) * int(n_cutoff).bit_length() // 2)
+             + max(max(abs(x), abs(y)).bit_length() for x, y, _ in map(_coords, table[1:]))
+             + (e or 1).bit_length())
+        chi, m = series.chi, series.chi.modulus
+        by_residue = [0 if v is None else int(v.as_rational()) << w if v.is_real()
+                      else _fixed(v.to_mpc(prec), w) for v in map(chi, range(m))]
+        spf = smallest_prime_factors(n_cutoff)
+        powers = [None] * (n_cutoff // 2 + 1)
+        sx, sy, zeta = 0, 0, [0] * m
+        with mpmath.extraprec(GUARD_BITS):
+            for n in range(1, n_cutoff + 1):
+                p = spf[n]
+                xn = _fixed(mpmath.power(n, -s_m), w) if p == n else \
+                    powers[p] * powers[n // p] >> w
+                if n < len(powers):
+                    powers[n] = xn
+                x, y, den = _coords(table[n])
+                sx += x * xn // den
+                sy += y * xn // den
+                zeta[n % m] += n ** (kk + 2) * xn * xn
+        lch = sum(c * z for c, z in zip(by_residue, zeta))  # scaled 2^{3W}
+        dirichlet = sx * (1 << w) + sy * math.isqrt(e << 2 * w)  # 2^{2W}
+        report = {"n_cutoff": n_cutoff, "zeta_argument": complex(series.zeta_argument(s_m)),
                   "chi_modulus": series.chi.modulus,
                   "normalization": "L_(N)(chi, 2s-2-k-k') * sum alpha(n) n^-s"}
-        return value, report
+        return _from_fixed(lch * dirichlet, 5 * w), report
 
 
-def _dirichlet_l_truncated(chi, u, n_cutoff, prec=None):
-    """Plain partial sum of L_(N)(chi, u); adequate at large real arguments.
-    chi is evaluated and converted once per residue class."""
-    m = chi.modulus
-    by_residue = []
-    for v in map(chi, range(m)):
-        if v is not None:
-            v = mpmath.mpf(int(v.as_rational())) if v.is_real() else v.to_mpc(prec)
-        by_residue.append(v)
-    return _dirichlet_sum((by_residue[n % m] for n in range(1, n_cutoff + 1)), u, n_cutoff)
+def _coords(c):
+    """(x, y, den) with c = (x + y sqrt(e)) / den, for a QuadElt, Fraction or int."""
+    return (c.x, c.y, c.den) if isinstance(c, QuadElt) else (c.numerator, 0, c.denominator)
 
 
-def _dirichlet_sum(values, s, n_max):
-    """sum_{n <= n_max} c_n n^{-s} at the working precision, where values
-    yields the mpmath numbers c_1, ..., c_{n_max} (None adds nothing).
+def _fixed(x, bits):
+    """x 2^bits rounded down: an int for an mpf x, a _Gauss for an mpc."""
+    if isinstance(x, mpmath.mpc):
+        return _Gauss(*(to_fixed(part, bits) for part in x._mpc_))
+    return to_fixed(x._mpf_, bits)
 
-    n^{-s} is an mpmath power at primes and a product along smallest prime
-    factors elsewhere; only n <= n_max / 2 are kept, since no larger n is a
-    factor of another.  The sum is one fdot, whose exact products are
-    rounded once in total."""
-    spf = smallest_prime_factors(n_max)
-    powers = [None] * (n_max // 2 + 1)
 
-    def terms():
-        for n, c in zip(range(1, n_max + 1), values):
-            p = spf[n]
-            x = mpmath.power(n, -s) if p == n else powers[p] * powers[n // p]
-            if n < len(powers):
-                powers[n] = x
-            if c:
-                yield c, x
-    return mpmath.fdot(terms())
+def _from_fixed(v, bits):
+    """v 2^-bits for an int or _Gauss v, as an mpc rounded once per part."""
+    return mpmath.mp.make_mpc(tuple(from_man_exp(part, -bits, mpmath.mp.prec, "n")
+                                    for part in (v.real, v.imag)))
+
+
+class _Gauss:
+    """A Gaussian integer real + imag i: the scalar of both fixed-point routes
+    at complex s or chi, where they use ints (whose imag is 0) otherwise."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other):
+        return _Gauss(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other):
+        return _Gauss(self.real - other.real, self.imag - other.imag)
+
+    def __mul__(self, other):
+        a, b = other.real, other.imag
+        return _Gauss(self.real * a - self.imag * b, self.real * b + self.imag * a)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rshift__(self, bits):
+        return _Gauss(self.real >> bits, self.imag >> bits)
+
+    def __floordiv__(self, n):
+        return _Gauss(self.real // n, self.imag // n)
+
+    def conjugate(self):
+        return _Gauss(self.real, -self.imag)
 
 
 def _series_div(num, den, order):
@@ -205,47 +252,64 @@ def euler_product_L(series, s, ell_cutoff=500, bad=None, primitive=False, prec=N
     Good l: series.local_factor(l) at X = l^{-s}.  For l | N the bad set must
     supply C_l (and the primitive P_l when primitive=True); the imprimitive
     local factor used is C_l(X) * P_l(X)^{-1} when both are present, C_l
-    alone with a warning diagnostic otherwise.
+    alone with a warning diagnostic otherwise.  Each factor is exact at the
+    rounded l^{-s} but for its last unit, and the product runs on integers
+    scaled by 2^W, W = GUARD_BITS more than the working precision, losing at
+    most two units of 2^-W (times its size) per prime.
     """
     bad = bad or BadFactorSet()
     n_level = series.rational_level
     disc = series.form.field.disc
     with mp_context(prec):
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
-        total = mpmath.mpc(1)
+        w = mpmath.mp.prec + GUARD_BITS
+        total = 1 << w
         for ell in primes_up_to(int(ell_cutoff)):
-            x = mpmath.power(ell, -s_m)
             if n_level % ell == 0:
                 if ell not in bad.c_polys:
                     raise LSeriesError(f"missing bad factor C_l at l = {ell}")
-                c_val = _poly_eval_mp(bad.c_polys[ell], x)
+                num, den = bad.c_polys[ell], [1]
                 if primitive or ell in bad.p_polys:
                     if ell not in bad.p_polys:
                         raise LSeriesError(f"primitive mode needs P_l at l = {ell}")
-                    p_val = _poly_eval_mp(bad.p_polys[ell], x)
-                    total *= (1 if primitive else c_val) / p_val
-                else:
-                    total *= c_val
-                continue
-            if primitive and disc % ell == 0:
+                    num, den = [1] if primitive else num, bad.p_polys[ell]
+            elif primitive and disc % ell == 0:
                 raise LSeriesError(
                     f"primitive local factor at ramified l = {ell} needs inertia data")
-            num, den = series.local_factor(ell)
-            # num/den is formed with guard bits and rounded once: the quotient
-            # of two values rounded near 1 could be off by more than an ulp
-            with mpmath.extraprec(GUARD_BITS):
-                factor = _poly_eval_mp(num, x) / _poly_eval_mp(den, x)
-            total *= +factor
+            else:
+                num, den = series.local_factor(ell)
+            total = total * _local_value(num, den, mpmath.power(ell, -s_m), w) >> w
         report = {"ell_cutoff": int(ell_cutoff), "primitive": primitive,
                   "bad_primes": sorted(bad.c_polys)}
-        return +total, report
+        return _from_fixed(total, w), report
 
 
-def _poly_eval_mp(coeffs, x):
-    acc = mpmath.mpc(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + to_mpf(c)
-    return acc
+def _local_value(num, den, x, bits):
+    """num(x) / den(x) 2^bits rounded down, for polynomials (low degree first)
+    over Q or one Q(sqrt(e)): at x = M 2^-E exactly, M an int or _Gauss, each
+    is (a + b sqrt(e)) / q on integers, and sqrt(e) leaves the divisor by its
+    conjugate before the one division."""
+    shift = max(0, *(-part[2] for part in (x._mpc_ if isinstance(x, mpmath.mpc)
+                                           else (x._mpf_,))))
+    m = _fixed(x, shift)
+    (a, b, qa), (c, d, qc) = (_poly_at(poly, m, shift) for poly in (num, den))
+    e = next((k.field.e for k in (*num, *den) if isinstance(k, QuadElt) and k.y), 0)
+    # (a + b r) / (c + d r) = (ac - e bd + (bc - ad) r) / (c^2 - e d^2), r = sqrt(e)
+    top = (a * c - e * b * d) * (1 << bits) + (b * c - a * d) * math.isqrt(e << 2 * bits)
+    norm = c * c - e * d * d
+    return top * qc * norm.conjugate() // (qa * (norm.real ** 2 + norm.imag ** 2))
+
+
+def _poly_at(coeffs, m, shift):
+    """(a, b, q) with (a + b sqrt(e)) / q the polynomial at m 2^-shift: Horner
+    on the integer coordinates of its coefficients over their common denominator."""
+    coords = [_coords(c) for c in coeffs]
+    lcm = math.lcm(*(den for *_, den in coords))
+    a = b = 0
+    for i, (x, y, den) in enumerate(reversed(coords)):
+        a = a * m + (x * (lcm // den) << i * shift)
+        b = b * m + (y * (lcm // den) << i * shift)
+    return a, b, lcm << (len(coords) - 1) * shift
 
 
 def euler_product_coefficients(series, n_max):

@@ -51,6 +51,8 @@ class RealQuadraticField:
         else:  # omega = sqrt d
             self.omega_trace, self.omega_norm = 0, -self.d
         self._unit = None
+        # every per-field memo hashes the field on each hit
+        self._hash = hash(("RealQuadraticField", self.d))
 
     def __repr__(self):
         return f"RealQuadraticField(d={self.d})"
@@ -59,7 +61,7 @@ class RealQuadraticField:
         return isinstance(other, RealQuadraticField) and self.d == other.d
 
     def __hash__(self):
-        return hash(("RealQuadraticField", self.d))
+        return self._hash
 
     # -- elements ----------------------------------------------------------
 

@@ -15,6 +15,8 @@ records:
   pair (7001, 7002, ...), with the median and quartiles of each side; next
   to them the number of tasks `attempted`, so that a `peak_rss_mb` can be
   read against the work done in the run;
+- for each workload, the per-layer metrics of one `perfbench/run.py
+  --trace 1 --seed 7001` run per side, under `layers`;
 - the `elapsed_s` of each acceptance criterion, in both checkouts;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
   as `python -m asailab` in a fresh process, CLI_REPEATS times per checkout
@@ -57,10 +59,14 @@ def compile_tree(root):
     proc.check_returncode()
 
 
-def bench(root, workload, seed, seconds):
-    proc = _run(root, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", "0")
-    proc.check_returncode()
+def perfbench(sides, side, workload, seed, seconds, trace):
+    """The summary line of one perfbench/run.py run; exits with its stderr,
+    the workload, the side and the seed when the run fails."""
+    proc = _run(sides[side], "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds), "--trace", str(trace))
+    if proc.returncode:
+        sys.exit(f"perfbench/run.py failed (exit {proc.returncode}): workload {workload}, "
+                 f"side {side}, seed {seed}, trace {trace}\n{proc.stderr}")
     out = json.loads(proc.stdout.splitlines()[-1])
     return {"attempted": out["attempted"],
             **{name: m["value"] for name, m in out["metrics"].items()}}
@@ -125,7 +131,9 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload, per_side in runs.items():
             for side in order:
-                per_side[side].append(bench(sides[side], workload, 7001 + i, seconds))
+                per_side[side].append(perfbench(sides, side, workload, 7001 + i, seconds, 0))
+    layers = {w: {side: perfbench(sides, side, w, 7001, seconds, 1) for side in sides}
+              for w in runs}
     started = time.perf_counter()
     tier1 = _run(CHANGE, *TIER1)
     tier1_s = round(time.perf_counter() - started, 1)
@@ -135,6 +143,7 @@ def main(argv=None):
                         "seeds": [7001 + i for i in range(PAIRS)]},
         "workloads": {w: {side: summary(rs) for side, rs in per_side.items()}
                       for w, per_side in runs.items()},
+        "layers": layers,
         "acceptance_elapsed_s": {side: acceptance(root) for side, root in sides.items()},
         "cli_s": cli_times(sides),
         "tier1": {"wall_s": tier1_s,

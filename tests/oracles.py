@@ -9,7 +9,8 @@ lattice sum one row at a time, Dirichlet sums one power n^{-s} at a time,
 factorisation, primality and squarefreeness by trial division, ideal
 factorisation by repeated containment, eigenvalues at composite ideals from
 ideal powers, ramified Euler factors and the Euler product by truncated
-power series, and a JSON parser that refuses NaN.
+power series, the Euler product by Horner's rule in mpmath, and a JSON
+parser that refuses NaN.
 """
 
 import cmath
@@ -555,14 +556,7 @@ def euler_product_L_by_series(series, s, ell_cutoff, prec=None):
     import mpmath
     from asailab.arith import primes_up_to
     from asailab.asairep import asai_charpoly
-    from asailab.coeffs import to_mpf
     from asailab.precision import mp_context
-
-    def horner(coeffs, x):
-        acc = mpmath.mpc(0)
-        for c in reversed(coeffs):
-            acc = acc * x + to_mpf(c)
-        return acc
 
     form = series.form
     with mp_context(prec):
@@ -571,7 +565,46 @@ def euler_product_L_by_series(series, s, ell_cutoff, prec=None):
         for ell in primes_up_to(ell_cutoff):
             x = mpmath.power(ell, -s_m)
             if form.field.disc % ell:
-                total *= 1 / horner(asai_charpoly(form, ell).coeffs, x)
+                total *= 1 / _horner(asai_charpoly(form, ell).coeffs, x)
             else:
-                total *= horner(ramified_local_factor_series(form, ell, 40), x)
+                total *= _horner(ramified_local_factor_series(form, ell, 40), x)
         return +total
+
+
+def euler_product_L_by_horner(series, s, ell_cutoff, bad=None, primitive=False, prec=None):
+    """lseries.euler_product_L in mpmath, one prime at a time: each local
+    factor num(x) / den(x) at x = l^{-s} by Horner's rule on the converted
+    coefficients, with GUARD_BITS more at good l, and the product of the
+    rounded factors."""
+    import mpmath
+    from asailab.arith import primes_up_to
+    from asailab.precision import GUARD_BITS, mp_context
+
+    with mp_context(prec):
+        s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
+        total = mpmath.mpc(1)
+        for ell in primes_up_to(ell_cutoff):
+            x = mpmath.power(ell, -s_m)
+            if series.rational_level % ell == 0:
+                c_val = _horner(bad.c_polys[ell], x)
+                if primitive or ell in bad.p_polys:
+                    total *= (1 if primitive else c_val) / _horner(bad.p_polys[ell], x)
+                else:
+                    total *= c_val
+                continue
+            num, den = series.local_factor(ell)
+            with mpmath.extraprec(GUARD_BITS):
+                factor = _horner(num, x) / _horner(den, x)
+            total *= +factor
+        return +total
+
+
+def _horner(coeffs, x):
+    """An exact polynomial (low degree first) at an mpmath x by Horner's rule,
+    each coefficient converted at the working precision."""
+    import mpmath
+    from asailab.coeffs import to_mpf
+    acc = mpmath.mpc(0)
+    for c in reversed(list(coeffs)):
+        acc = acc * x + to_mpf(c)
+    return acc

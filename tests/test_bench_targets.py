@@ -42,3 +42,16 @@ def test_tracer_installs_and_restores(spans):
         tracer.install()
     finally:
         tracer.restore()
+
+
+def test_bench_record_names_a_failed_run(capsys):
+    # a perfbench run that fails stops the record with its stderr, workload,
+    # side and seed, where check_returncode() gave the exit status alone
+    if not SPANS.exists():
+        pytest.skip("perfbench/ not in this checkout")
+    from bench_record import CHANGE, perfbench
+    with pytest.raises(SystemExit) as exc:
+        perfbench({"change": CHANGE}, "change", "no-such-workload", 7001, 1, 0)
+    message = str(exc.value.code)
+    assert "workload no-such-workload, side change, seed 7001" in message
+    assert "unknown workload 'no-such-workload'" in message

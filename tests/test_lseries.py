@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,9 +18,9 @@ from asailab.eigenform import (Weight, HilbertEigenform, base_change,
 from asailab.coeffs import CoefficientField, QuadElt
 from asailab.quadfield import RealQuadraticField
 from asailab.characters import DirichletCharacter
-from asailab.lseries import _dirichlet_l_truncated
 from asailab.precision import mp_context
-from oracles import (dirichlet_l_by_terms, euler_product_L_by_series, imprimitive_L_by_terms,
+from oracles import (dirichlet_l_by_terms, euler_product_L_by_horner,
+                     euler_product_L_by_series, imprimitive_L_by_terms,
                      power_series_quotient, ramified_local_factor_series,
                      sym2_times_twisted_zeta)
 
@@ -325,14 +326,26 @@ def test_dirichlet_sums_match_the_per_term_oracle(bc_form_4000, s, n_cutoff):
     assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190)
 
 
-def test_imprimitive_L_with_a_complex_character():
-    # a quartic chi mod 5 runs the complex branch of the chi-zeta factor.
-    # The eigenvalues are those of the level-1 base change put at level (5):
-    # only the two sums are under test, not the arithmetic of the form
+class _ZetaOnly(AsaiLSeries):
+    """alpha(1) = 1 and alpha(n) = 0 for n > 1, as Fractions: imprimitive_L
+    is then the chi-zeta sum alone."""
+
+    def alpha_table(self, n_max):
+        return [None, Fraction(1)] + [Fraction(0)] * (n_max - 1)
+
+
+def _level5_form():
+    """The eigenvalues of the level-1 base change over Q(sqrt 5) put at level
+    (5): only the sums are under test, not the arithmetic of the form."""
     field = RealQuadraticField(5)
     base = base_change(discriminant_form_ap(600), 12, None, field, bound=600)
-    form = HilbertEigenform(field, base.weight, field.ideal(5), base.coefficient_field,
+    return HilbertEigenform(field, base.weight, field.ideal(5), base.coefficient_field,
                             base.eigenvalues)
+
+
+def test_imprimitive_L_with_a_complex_character():
+    # a quartic chi mod 5 runs the complex branch of the chi-zeta factor
+    form = _level5_form()
     chi = DirichletCharacter(5, [1])
     assert chi.order == 4
     series = AsaiLSeries(form, chi)
@@ -342,10 +355,95 @@ def test_imprimitive_L_with_a_complex_character():
     assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")
     got, _ = imprimitive_L(series, 14, n_cutoff=600)
     assert complex(got) == complex(imprimitive_L_by_terms(series, 14, 600))
+    zeta_only, _ = imprimitive_L(_ZetaOnly(form, chi), 14, n_cutoff=600)
     with mp_context():
         u = series.zeta_argument(mpmath.mpf(14))
-        assert complex(_dirichlet_l_truncated(chi, u, 600)) == \
-            complex(dirichlet_l_by_terms(chi, u, 600))
+        assert complex(zeta_only) == complex(dirichlet_l_by_terms(chi, u, 600))
+
+
+def _irrational_form():
+    """The level-1 base change over Q(sqrt 5) with every stored eigenvalue
+    but lambda(1) times (1 + 3 sqrt 2)/6, so that alpha(n) has y != 0 and
+    den != 1; again only the sums are under test."""
+    base = base_change(discriminant_form_ap(600), 12, None, RealQuadraticField(5), bound=600)
+    cf = CoefficientField(2)
+    scale = cf.element(Fraction(1, 6), Fraction(1, 2))
+    eig = {key: val if key == (1, 0, 1) else val * scale
+           for key, val in base.eigenvalues.items()}
+    return HilbertEigenform(base.field, base.weight, base.level, cf, eig)
+
+
+def _route_series(case):
+    if case == "irrational":
+        return AsaiLSeries(_irrational_form())
+    if case == "twisted":  # t + t' = 1: alpha(n) = lambda(n) / n
+        base = _level5_form()
+        return AsaiLSeries(HilbertEigenform(base.field, Weight(14, 12, 0, 1),
+                                            base.field.maximal_order(),
+                                            base.coefficient_field, base.eigenvalues))
+    chi = DirichletCharacter(5, [1])
+    form = _level5_form()
+    return (_ZetaOnly if case == "zeta only" else AsaiLSeries)(form, chi)
+
+
+@pytest.mark.parametrize("case", ["irrational", "twisted", "quartic chi", "zeta only"])
+@pytest.mark.parametrize("n_cutoff", [1, 2, 600])
+def test_dirichlet_sums_off_the_workload_path(case, n_cutoff):
+    # inputs the benchmark never reaches: sqrt(e) and den != 1 coefficients,
+    # Fraction coefficients, a complex chi, s far up the critical strip and
+    # s just right of the abscissa; doubles as the per-term sum at working
+    # precision, and within 2^-190 of it at 200 bits
+    series = _route_series(case)
+    kk = series.shift_weight
+    for s in (14 + 40j, kk / 2 + 2.01):
+        got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff)
+        assert complex(got) == complex(imprimitive_L_by_terms(series, s, n_cutoff)), s
+        got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff, prec=200)
+        want = imprimitive_L_by_terms(series, s, n_cutoff, prec=200)
+        assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), s
+
+
+def _bad_sets():
+    """C_5 alone; C_5 over Q(sqrt 2) with P_5; P_5 for the primitive product."""
+    cf = CoefficientField(2)
+    c_poly = [Fraction(1), Fraction(-5 ** 11)]
+    p_poly = [Fraction(1), Fraction(-6 * 5 ** 10), Fraction(5 ** 22)]
+    yield BadFactorSet().add(5, c_poly), False
+    yield BadFactorSet().add(5, [cf.one(), cf.element(-5 ** 11, 5 ** 10)], p_poly), False
+    yield BadFactorSet().add(5, c_poly, p_poly), True
+
+
+@pytest.mark.parametrize("s", [14, 13.5, 14 + 40j])
+def test_euler_product_L_matches_the_horner_route(s):
+    # the irrational form and every bad-factor branch, against mpmath Horner
+    # per prime: the same doubles, and within 2^-190 at 200 bits
+    cases = [(AsaiLSeries(_irrational_form()), None, False)]
+    level5 = AsaiLSeries(_level5_form(), DirichletCharacter.trivial(5))
+    cases += [(level5, bad, primitive) for bad, primitive in _bad_sets()]
+    for series, bad, primitive in cases:
+        got, _ = euler_product_L(series, s, ell_cutoff=300, bad=bad, primitive=primitive)
+        want = euler_product_L_by_horner(series, s, 300, bad, primitive)
+        assert complex(got) == complex(want), (bad, primitive)
+        got, _ = euler_product_L(series, s, ell_cutoff=300, bad=bad, primitive=primitive,
+                                 prec=200)
+        want = euler_product_L_by_horner(series, s, 300, bad, primitive, prec=200)
+        assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), (bad, primitive)
+
+
+def test_imprimitive_L_keeps_no_list_of_terms(bc_form_4000):
+    # the transient peak of a call at N = 4000 is the alpha table (0.56 MB)
+    # and the n^{-s} table; an fdot that kept every exact product peaked at
+    # 1.58 MB above its start
+    series = AsaiLSeries(bc_form_4000)
+    imprimitive_L(series, 14)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        imprimitive_L(series, 14)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_BELOW_30)

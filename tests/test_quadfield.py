@@ -260,6 +260,15 @@ def test_rational_elements_hash_as_fractions():
     assert hash(f5.element(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
+def test_field_hash_is_fixed_at_construction():
+    # the per-field memos hash the field on every hit, so the hash is computed
+    # once; equal fields still hash alike and find each other's entries
+    f, g = RealQuadraticField(13), RealQuadraticField(13)
+    assert f == g and hash(f) == hash(g) == hash(("RealQuadraticField", 13))
+    assert f != RealQuadraticField(17) and {f: "memo"}[g] == "memo"
+    assert splitting_type(f, 11) is splitting_type(g, 11)
+
+
 def test_hnf_invariants():
     f5 = RealQuadraticField(5)
     p, q = primes_above(f5, 11)
