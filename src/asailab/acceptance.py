@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import mpmath
 
-from .arith import is_prime
-from .quadfield import RealQuadraticField, splitting_type
+from .arith import is_prime, primes_up_to
+from .quadfield import RealQuadraticField, splitting_type, totally_positive_generator
 from .eigenform import (Weight, base_change, check_hecke_relations,
                         discriminant_form_ap, synthetic_form)
 from . import heckealg
@@ -266,6 +266,37 @@ def criterion_8():
 
 # -- 9: norm-relation scalars ----------------------------------------------------------
 
+def _symbolic_norm_factor(form, ell, j, m):
+    """euler_system_norm_factor by the Hecke-algebra route: the symbolic norm
+    relation, each sigma_l-part specialised at the form's eigenvalues and
+    sigma_l^e sent to its class in the group ring of (Z/m)^x.
+
+    Split l = P Pbar: T(lam) -> l^{-(t+t')} lambda(P), T(lambar) -> lambda(Pbar),
+    S(lam) -> l^{w-2-2(t+t')} eps(P), S(lambar) -> l^{w-2} eps(Pbar).
+    Inert l: T -> l^{-(t+t')} lambda((l)), S -> l^{k+k'} eps((l)).
+    """
+    w = form.weight
+    st = splitting_type(form.field, ell)
+    twist = Fraction(ell) ** -(w.t1 + w.t2)
+    if st.is_split:
+        labels = heckealg.split_labels(ell)
+        (p, pbar), (lam, lambar) = st.primes, labels
+        t_values = {lam.name: twist * form.lambda_of(p), lambar.name: form.lambda_of(pbar)}
+        s_values = {lam.name: twist ** 2 * ell ** (w.w - 2) * form.eps_of(p),
+                    lambar.name: ell ** (w.w - 2) * form.eps_of(pbar)}
+    else:
+        labels = heckealg.inert_label(ell)
+        (p,) = st.primes
+        t_values = {labels.name: twist * form.lambda_of(p)}
+        s_values = {labels.name: ell ** (w.k + w.kprime) * form.eps_of(p)}
+    relation = heckealg.norm_relation_symbolic(ell, j, w.k, w.kprime, st, labels)
+    out = GroupRingElement(m)
+    for e, part in relation.sigma_decomposition().items():
+        value = part.specialize(t_values, s_values).get(0, 0)  # no X is left
+        out = out + GroupRingElement.sigma(m, ell, e) * value
+    return out
+
+
 def criterion_9():
     started = time.perf_counter()
     form = synthetic_form(_field(5), Weight(2, 2, 0, 0), {3: [5]})
@@ -274,10 +305,36 @@ def criterion_9():
                                   4: Fraction(-5), 2: Fraction(-2)})
     fixture_ok = got == expect
     annihilation_ok = euler_system_norm_factor(form, 3, 0, 4).is_zero()
-    passed = fixture_ok and annihilation_ok
-    return _result("9 Euler-system norm-relation scalar fixtures (m = 5, m = 4)",
+    # random synthetic forms as in criterion 1, twisted weights and k != k'
+    # included: the group-ring scalar against the specialised Hecke relation
+    rng = random.Random(20261019)
+    fields = {d: _field(d) for d in (2, 3, 5, 13)}
+    weights = [Weight(2, 2, 0, 0), Weight(4, 4, 0, 0), Weight(2, 2, 1, 1),
+               Weight(6, 4, 0, 1), Weight(5, 3, 0, 1)]
+    primes = primes_up_to(59)
+    cases, failures = 0, []
+    while cases < 200:
+        d, ell = rng.choice(list(fields)), rng.choice(primes)
+        field = fields[d]
+        if field.disc % ell == 0:
+            continue
+        st = splitting_type(field, ell)
+        if st.is_split and None in map(totally_positive_generator, st.primes):
+            continue
+        w = rng.choice(weights)
+        j = rng.randint(0, min(w.k, w.kprime))
+        m = rng.choice([q for q in range(1, 13) if q % ell])
+        lams = [Fraction(rng.randint(-50, 50)) for _ in st.primes]
+        form = synthetic_form(field, w, {ell: lams}, {ell: rng.choice([1, -1])})
+        if _symbolic_norm_factor(form, ell, j, m) != euler_system_norm_factor(form, ell, j, m):
+            failures.append((d, ell, [w.r1, w.r2, w.t1, w.t2], j, m, [str(x) for x in lams]))
+        cases += 1
+    passed = fixture_ok and annihilation_ok and not failures
+    return _result("9 Euler-system norm-relation scalar: fixtures (m = 5, m = 4) + "
+                   "200 random cases against the symbolic norm relation",
                    passed, started, m5=str(got), m5_matches=fixture_ok,
-                   m4_annihilates=annihilation_ok)
+                   m4_annihilates=annihilation_ok, symbolic_cases=cases,
+                   symbolic_failures=failures[:3])
 
 
 # -- 10: p-adic bookkeeping --------------------------------------------------------------

@@ -3,6 +3,7 @@ factorisation, divisors, deterministic primality, square roots mod p and
 sieves."""
 
 import math
+from functools import lru_cache
 
 
 _EARLY_EXIT_FROM = 1 << 16  # below it, trial division is as cheap as a primality test
@@ -132,8 +133,11 @@ def divisors(n):
     return small + large[::-1]
 
 
+@lru_cache(maxsize=1)
 def smallest_prime_factors(n):
-    """spf[m] is the smallest prime factor of m, for 2 <= m <= n."""
+    """spf[m] is the smallest prime factor of m, for 2 <= m <= n, as a tuple.
+    The last sieve is kept, so the callers of one computation at one n
+    (`primes_up_to`, the Dirichlet tables) share a single pass."""
     spf = list(range(n + 1))
     p = 2
     while p * p <= n:
@@ -142,7 +146,7 @@ def smallest_prime_factors(n):
                 if spf[q] == q:
                     spf[q] = p
         p += 1
-    return spf
+    return tuple(spf)
 
 
 def primes_up_to(n):

@@ -37,10 +37,6 @@ def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def companion_frobenius(trace, det):
     """2x2 matrix with the given trace and determinant."""
     return [[trace * 0, -det], [trace * 0 + 1, trace]]
@@ -349,23 +345,3 @@ def euler_system_norm_factor(form, ell, j, m):
     bracket = (one - sig(-2) * (Fraction(ell ** kk2j) * eps_l)) * Fraction(ell - 1) \
         - p_at * Fraction(ell)
     return sig(1) * Fraction(ell ** j) * bracket
-
-
-def c_factor(c, j, k, kprime, eps_value, m, coprime_to=None):
-    """The interpolation factor c^2 - c^{2j-k-k'} eps(c) sigma_c^2 mod m.
-
-    coprime_to, when supplied by the caller, carries the full coprimality
-    requirement (6 p m Nm(N)); gcd(c, coprime_to) != 1 is rejected.
-    """
-    c, m = int(c), int(m)
-    if c <= 1:
-        raise AsaiRepError("need c > 1")
-    check = coprime_to if coprime_to is not None else 6 * m
-    if math.gcd(c, check) != 1:
-        raise AsaiRepError(f"c = {c} is not coprime to {check}")
-    if m > 1 and math.gcd(c, m) != 1:
-        raise AsaiRepError(f"c = {c} shares a factor with m = {m}")
-    e = 2 * j - k - kprime
-    scale = Fraction(c ** e) if e >= 0 else Fraction(1, c ** (-e))
-    return GroupRingElement.unit(m, 1, Fraction(c * c)) \
-        - GroupRingElement.sigma(m, c, 2) * (scale * eps_value)

@@ -211,9 +211,6 @@ class DirichletCharacter:
         return DirichletCharacter(self.modulus,
                                   [(-e) % order for e, (_, order) in zip(self.exponents, gens)])
 
-    def is_trivial(self):
-        return all(e == 0 for e in self.exponents)
-
     def conductor(self):
         """Smallest f | m with the character trivial on units = 1 mod f."""
         for f in divisors(self.modulus):

@@ -348,7 +348,7 @@ def cmd_padic_params(args):
         "frobenius_eigenvalues": {n: repr(v) for n, v in data.frobenius_eigenvalues()},
         "valuations": data.valuations(),
         "alpha_p(F)": repr(data.alpha_rational()),
-        "m_p_choice": data.m_choice,
+        "m_p_choice": "alpha_p_beta_q",
         "m_p_eigenvalue": repr(data.m_p_eigenvalue()),
         "notes": data.notes,
     }

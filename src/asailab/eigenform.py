@@ -401,23 +401,3 @@ def discriminant_form_ap(bound):
         eta24[n] = acc // n
     # Delta = q * eta24(q): tau(n) = eta24[n-1]
     return {p: eta24[p - 1] for p in primes_up_to(bound)}
-
-
-def is_ordinary(form, p, v_embedding=None, precision=20):
-    """(ordinary?, alpha_p) with alpha_p = p^{-(t+t')} lambda(U(p)).
-
-    Requires p | level; the U(p)-eigenvalue is the stored value at (p).
-    For quadratic coefficient fields, v_embedding selects the Hensel root of
-    x^2 - e mod p (any residue with r^2 = e mod p); omitted means the smaller
-    root.
-    """
-    p = int(p)
-    if form.rational_level() % p != 0:
-        raise EigenformError(f"p = {p} does not divide the level")
-    lam_up = form.stored(form.field.ideal(p))
-    if lam_up is None:
-        raise MissingEigenvalueError(f"lambda(U({p})) not stored")
-    alpha_p = Fraction(p) ** -(form.weight.t1 + form.weight.t2) * lam_up
-    from .padic import padic_valuation_of_value
-    val = padic_valuation_of_value(alpha_p, p, v_embedding, precision)
-    return val == 0, alpha_p

@@ -191,31 +191,23 @@ class HeckePolynomial:
             out = out + piece
         return out
 
-    def _split_by(self, kind):
-        """{total exponent of `kind`: the polynomial of the remaining factors}."""
+    def sigma_decomposition(self):
+        """Split a normalised polynomial by total sigma-exponent:
+        {exponent: the polynomial of the remaining factors}."""
         out = {}
         for mono, c in self.terms.items():
-            deg = sum(e for gid, e in mono if _GENS[gid][0] == kind)
-            rest = tuple((gid, e) for gid, e in mono if _GENS[gid][0] != kind)
+            deg = sum(e for gid, e in mono if _GENS[gid][0] == "G")
+            rest = tuple((gid, e) for gid, e in mono if _GENS[gid][0] != "G")
             out.setdefault(deg, {})
             out[deg][rest] = out[deg].get(rest, 0) + c
         return {deg: HeckePolynomial(t) for deg, t in sorted(out.items())}
 
-    def sigma_decomposition(self):
-        """Split a normalised polynomial by total sigma-exponent."""
-        return self._split_by("G")
-
-    def x_coefficients(self):
-        """Coefficients by X-degree, as a dict degree -> HeckePolynomial."""
-        return self._split_by("X")
-
-    def specialize(self, t_values, s_values, sigma=None, d_values=None, r_values=None):
-        """Evaluate a normalised polynomial at eigenvalue data.
+    def specialize(self, t_values, s_values):
+        """Evaluate a normalised, sigma-free polynomial at eigenvalue data.
 
         t_values: {label name: value of T(p)};  s_values: {label name: value of
-        S(p)} applied to matched D(p)^a R(p)^a pairs.  Unpaired D/R powers need
-        explicit d_values/r_values.  X stays formal: the result is a dict
-        X-degree -> value.  sigma, if given, maps sigma powers to values.
+        S(p)} applied to matched D(p)^a R(p)^a pairs; an unpaired D/R power
+        raises.  X stays formal: the result is a dict X-degree -> value.
         """
         out = {}
         for mono, c in self.terms.items():
@@ -232,26 +224,15 @@ class HeckePolynomial:
                         raise HeckeAlgError("specialize needs a normalised polynomial")
                     val = val * (t_values[lab.name] ** e)
                 elif kind in ("D", "R"):
-                    dr.setdefault(payload.name, [payload, 0, 0])
-                    dr[payload.name][1 if kind == "D" else 2] += e
-                elif kind == "G":
-                    if sigma is None:
-                        raise HeckeAlgError("sigma value missing")
-                    val = val * (sigma ** e)
+                    dr.setdefault(payload.name, [0, 0])
+                    dr[payload.name][0 if kind == "D" else 1] += e
                 else:
                     raise HeckeAlgError(f"cannot specialize symbol kind {kind}")
-            for name, (lab, dd, rr) in dr.items():
-                paired = min(dd, rr)
-                if paired:
-                    val = val * (s_values[name] ** paired)
-                if dd - paired:
-                    if not d_values or name not in d_values:
-                        raise HeckeAlgError(f"unpaired diamond power at {name}")
-                    val = val * (d_values[name] ** (dd - paired))
-                if rr - paired:
-                    if not r_values or name not in r_values:
-                        raise HeckeAlgError(f"unpaired R power at {name}")
-                    val = val * (r_values[name] ** (rr - paired))
+            for name, (dd, rr) in dr.items():
+                if dd != rr:
+                    raise HeckeAlgError(f"unpaired {'diamond' if dd > rr else 'R'} "
+                                        f"power at {name}")
+                val = val * (s_values[name] ** dd)
             out[xdeg] = out.get(xdeg, 0) + val
         return {k: v for k, v in out.items() if v != 0}
 

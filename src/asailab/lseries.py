@@ -1,6 +1,5 @@
-"""The imprimitive Asai L-function: Dirichlet series, Euler product, bad-prime
-error polynomials, forced-vanishing bookkeeping, and the closed-form
-unfolding/regulator constants.
+"""The imprimitive Asai L-function: Dirichlet series, Euler product, and the
+closed-form unfolding/regulator constants.
 
 L^imp(F, s) = L_(N)(chi, 2s - 2 - k - k') * sum_{n>=1} alpha(n) n^{-s},
 chi the nebentype restricted to (Z/N)^x, N the positive generator of
@@ -14,7 +13,7 @@ the recursion (AsaiLSeries.local_factor), which both Euler-product routes read.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +21,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
-from .coeffs import QuadElt, to_mpf
+from .coeffs import QuadElt
 from .precision import GUARD_BITS, mp_context
 
 
@@ -61,22 +60,6 @@ def _multiplicative_table(n_max, c1, local):
             m, e = m // ell, e + 1
         table[n] = local[ell, e] * table[m] if m > 1 else local[ell, e]
     return table
-
-
-@dataclass
-class BadFactorSet:
-    """C_l error polynomials at l | N, with optional primitive P_l data.
-
-    Polynomials are coefficient lists in X, constant term first, exact.
-    """
-    c_polys: dict = dataclass_field(default_factory=dict)
-    p_polys: dict = dataclass_field(default_factory=dict)
-
-    def add(self, ell, c_poly, p_poly=None):
-        for polys, poly in ((self.c_polys, c_poly), (self.p_polys, p_poly)):
-            if poly is not None:
-                polys[int(ell)] = [c if isinstance(c, QuadElt) else Fraction(c) for c in poly]
-        return self
 
 
 class AsaiLSeries:
@@ -246,41 +229,26 @@ def _series_div(num, den, order):
     return rem
 
 
-def euler_product_L(series, s, ell_cutoff=500, bad=None, primitive=False, prec=None):
-    """Truncated Euler product of the (im)primitive Asai L-function.
-
-    Good l: series.local_factor(l) at X = l^{-s}.  For l | N the bad set must
-    supply C_l (and the primitive P_l when primitive=True); the imprimitive
-    local factor used is C_l(X) * P_l(X)^{-1} when both are present, C_l
-    alone with a warning diagnostic otherwise.  Each factor is exact at the
-    rounded l^{-s} but for its last unit, and the product runs on integers
-    scaled by 2^W, W = GUARD_BITS more than the working precision, losing at
-    most two units of 2^-W (times its size) per prime.
+def euler_product_L(series, s, ell_cutoff=500, prec=None):
+    """Truncated Euler product of the imprimitive Asai L-function over the
+    good primes l <= ell_cutoff, each factor series.local_factor(l) at
+    X = l^{-s}; a prime l | N, whose factor is not known here, raises.  Each
+    factor is exact at the rounded l^{-s} but for its last unit, and the
+    product runs on integers scaled by 2^W, W = GUARD_BITS more than the
+    working precision, losing at most two units of 2^-W (times its size) per
+    prime.
     """
-    bad = bad or BadFactorSet()
     n_level = series.rational_level
-    disc = series.form.field.disc
     with mp_context(prec):
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         w = mpmath.mp.prec + GUARD_BITS
         total = 1 << w
         for ell in primes_up_to(int(ell_cutoff)):
             if n_level % ell == 0:
-                if ell not in bad.c_polys:
-                    raise LSeriesError(f"missing bad factor C_l at l = {ell}")
-                num, den = bad.c_polys[ell], [1]
-                if primitive or ell in bad.p_polys:
-                    if ell not in bad.p_polys:
-                        raise LSeriesError(f"primitive mode needs P_l at l = {ell}")
-                    num, den = [1] if primitive else num, bad.p_polys[ell]
-            elif primitive and disc % ell == 0:
-                raise LSeriesError(
-                    f"primitive local factor at ramified l = {ell} needs inertia data")
-            else:
-                num, den = series.local_factor(ell)
+                raise LSeriesError(f"missing bad factor C_l at l = {ell}")
+            num, den = series.local_factor(ell)
             total = total * _local_value(num, den, mpmath.power(ell, -s_m), w) >> w
-        report = {"ell_cutoff": int(ell_cutoff), "primitive": primitive,
-                  "bad_primes": sorted(bad.c_polys)}
+        report = {"ell_cutoff": int(ell_cutoff), "primitive": False, "bad_primes": []}
         return _from_fixed(total, w), report
 
 
@@ -353,72 +321,6 @@ def imprimitive_coefficients(series, n_max):
             m += 1
         out[n] = acc
     return out
-
-
-# -- C_l divisibility and forced vanishing ------------------------------------
-
-def check_Cl_divisibility(bad, k, kprime, prec=None, tol=1e-8):
-    """Per-prime report: exact C_l | P_l division and root-location check.
-
-    Root check: every root of C_l(l^{-s}) must have Re(s) in
-    [(k+k')/2, (k+k'+2)/2], i.e. |X-root| in [l^{-(k+k'+2)/2}, l^{-(k+k')/2}].
-    """
-    report = {}
-    for ell, c_poly in sorted(bad.c_polys.items()):
-        entry = {"divides": None, "roots_in_window": None, "root_moduli": []}
-        if ell in bad.p_polys:
-            entry["divides"] = _poly_divides(c_poly, bad.p_polys[ell])
-        with mp_context(prec):
-            coeffs = [to_mpf(c) for c in c_poly]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if len(coeffs) > 1:
-                roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200,
-                                         extraprec=80)
-                lo = mpmath.power(ell, -Fraction(k + kprime + 2, 2))
-                hi = mpmath.power(ell, -Fraction(k + kprime, 2))
-                ok = all(lo - tol <= abs(r) <= hi + tol for r in roots)
-                entry["roots_in_window"] = bool(ok)
-                entry["root_moduli"] = [float(abs(r)) for r in roots]
-            else:
-                entry["roots_in_window"] = True
-        report[ell] = entry
-    return report
-
-
-def _poly_divides(c_poly, p_poly):
-    """Exact divisibility of polynomials with unit constant terms."""
-    deg_c, deg_p = _degree(c_poly), _degree(p_poly)
-    if deg_c > deg_p:
-        return False
-    quot = _series_div(list(p_poly), list(c_poly), deg_p - deg_c + 1)
-    prod = [Fraction(0)] * (deg_p + 1)  # quot * c_poly, which must be p_poly
-    for i, a in enumerate(quot):
-        for j, b in enumerate(c_poly):
-            if i + j <= deg_p:
-                prod[i + j] += a * b
-    return prod == list(p_poly)[:deg_p + 1]
-
-
-def _degree(poly):
-    return max((i for i, c in enumerate(poly) if c != 0), default=0)
-
-
-def forced_vanishing_order(form, j):
-    """Order-1 vanishing assertion at s = 1 + j under |k - k'| >= 3.
-
-    Propagates the analytic statement with its hypothesis trail; no numeric
-    verification is attempted on synthetic data.
-    """
-    w = form.weight
-    j = int(j)
-    if not 0 <= j <= min(w.k, w.kprime):
-        raise LSeriesError(f"need 0 <= j <= min(k, k') = {min(w.k, w.kprime)}")
-    if abs(w.k - w.kprime) >= 3:
-        return {"applicable": True, "order": 1, "at": f"s = {1 + j}",
-                "hypothesis": f"|k - k'| = {abs(w.k - w.kprime)} >= 3"}
-    return {"applicable": False, "order": None, "at": f"s = {1 + j}",
-            "hypothesis": f"|k - k'| = {abs(w.k - w.kprime)} < 3: no claim"}
 
 
 # -- closed-form constants -----------------------------------------------------

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .arith import is_prime, sqrt_mod
 from .coeffs import QuadElt, to_mpf
 from .cyclo import CyclotomicValue
-from .characters import RootOfUnity
 
 
 class PadicError(ValueError):
@@ -134,10 +133,6 @@ class PadicNumber:
     def _coerce(self, other):
         return to_padic(other, self.p, self.prec)
 
-    def unit_is(self, target):
-        """Whether the unit part equals the rational target to stored precision."""
-        return PadicNumber(self.p, 0, self.unit, self.prec) == target
-
     def __eq__(self, other):
         try:
             other = self._coerce(other)
@@ -242,15 +237,6 @@ def to_padic(value, p, prec=20, embedding=None):
     return PadicNumber.from_rational(value, p, prec)
 
 
-def padic_valuation_of_value(value, p, embedding=None, precision=20):
-    """Exact p-adic valuation of a nonzero exact value under an embedding."""
-    if isinstance(value, PadicNumber):
-        return value.val
-    if isinstance(value, QuadElt) and not value.is_rational:
-        return to_padic(value, p, precision, embedding).val
-    return vp_fraction(value, p)
-
-
 # -- ordinary stabilisation data ---------------------------------------------
 
 
@@ -269,13 +255,12 @@ class OrdinaryData:
     alpha_q: object            # unit eigenvalue at the conjugate prime
     eps_p: object = 1
     eps_q: object = 1
-    m_choice: str = "alpha_p_beta_q"   # quotient used for M_p in the equal case
     notes: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         _check_prime(self.p)
         for name, val in (("alpha_p", self.alpha_p), ("alpha_q", self.alpha_q)):
-            if padic_valuation_of_value(val, self.p) != 0:
+            if to_padic(val, self.p).val != 0:
                 raise PadicError(f"{name} is not a p-adic unit; form not ordinary")
 
     @property
@@ -300,19 +285,14 @@ class OrdinaryData:
         ]
 
     def m_p_eigenvalue(self):
-        """The product attached to the chosen 1-dimensional quotient M_p."""
-        if self.m_choice == "alpha_p_beta_q":
-            return self.alpha_p * self.beta_q
-        if self.m_choice == "beta_p_alpha_q":
-            return self.beta_p * self.alpha_q
-        raise PadicError(f"unknown m_choice {self.m_choice!r}")
+        """alpha_frak-p * beta_frak-q, the eigenvalue on the 1-dimensional quotient M_p."""
+        return self.alpha_p * self.beta_q
 
     def valuations(self):
-        return sorted(padic_valuation_of_value(v, self.p)
-                      for _, v in self.frobenius_eigenvalues())
+        return sorted(to_padic(v, self.p).val for _, v in self.frobenius_eigenvalues())
 
 
-def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q", embedding=None):
+def stabilized_params(form, p, precision=20, embedding=None):
     """OrdinaryData for a split p.
 
     If p divides the level, the stored U-eigenvalues are used (exactly when the
@@ -343,13 +323,12 @@ def stabilized_params(form, p, precision=20, m_choice="alpha_p_beta_q", embeddin
             alpha = hensel_unit_root(to_padic(mu, p, precision, embedding), const, p, precision)
         else:
             alpha = mu
-            if padic_valuation_of_value(alpha, p, embedding, precision) != 0:
+            if to_padic(alpha, p, precision, embedding).val != 0:
                 raise PadicError(f"form is not ordinary at {p}")
         values.append(alpha)
     return OrdinaryData(p=p, k=w.k, kprime=w.kprime,
                         alpha_p=values[0], alpha_q=values[1],
                         eps_p=eps_vals[0], eps_q=eps_vals[1],
-                        m_choice=m_choice,
                         notes={"stabilised_on_the_fly": stabilised_here,
                                "t_normalisation": "alpha_frak = p^{-t} U(frak) per embedding"})
 
@@ -367,7 +346,7 @@ def check_NEZ(data):
     if data.k != data.kprime:
         return True, None
     for name, val in data.frobenius_eigenvalues():
-        unit = val / Fraction(data.p) ** padic_valuation_of_value(val, data.p)
+        unit = val / Fraction(data.p) ** to_padic(val, data.p).val
         if unit == 1 or unit == -1:
             return False, name
     return True, None
@@ -483,53 +462,3 @@ def pr_interp_factor(data, j, r, eta=None, p=None, kprime=None):
     ratio = Fraction(p) ** ((1 + j) * r) / a_val ** r
     return InterpFactor(j, r, eta, ratio, ginv, tag, tag_const,
                         meta={"gauss_norm": gnorm})
-
-
-class PoleError(PadicError):
-    pass
-
-
-def motivic_padic_L_prefactors(data, c, j, eta=None, eps_c=1):
-    """The scalar (c^2 - c^{2j-k-k'} eps(c) eta(c)^2)^{-1} * pr_interp_factor.
-
-    eta is the finite-order part of the specialisation (None = trivial, r = 0).
-    Raises PoleError when the specialisation hits a zero of the c-factor.
-    """
-    c = int(c)
-    if c <= 1:
-        raise PadicError("need c > 1")
-    p = data.p
-    r = 0
-    eta_c_sq = Fraction(1)
-    if eta is not None and not eta.is_trivial():
-        cond = eta.conductor()
-        r = 0
-        while p ** r < cond:
-            r += 1
-        if p ** r != cond:
-            raise PadicError("eta conductor is not a power of p")
-        val = eta(c)
-        if val is None:
-            raise PadicError(f"c = {c} not coprime to the conductor of eta")
-        sq = val * val
-        if sq.is_real():
-            eta_c_sq = sq.as_rational()
-        else:
-            eta_c_sq = sq  # RootOfUnity; forces numeric handling below
-    e = 2 * j - data.k - data.kprime
-    scale = Fraction(c ** e) if e >= 0 else Fraction(1, c ** (-e))
-    if isinstance(eta_c_sq, RootOfUnity):
-        import mpmath
-        cfac = c * c - float(scale) * complex(mpmath.mpc(eta_c_sq.to_mpc())) * float(eps_c)
-        if abs(cfac) < 1e-12:
-            raise PoleError(f"c-factor vanishes at (j, eta) = ({j}, {eta})")
-        interp = pr_interp_factor(data, j, r, eta)
-        return {"c_factor": cfac, "interp": interp, "exact": False}
-    cfac = Fraction(c * c) - scale * eta_c_sq * eps_c
-    if cfac == 0:
-        raise PoleError(f"c-factor vanishes at (j, eta) = ({j}, {eta}); "
-                        f"pole of the motivic p-adic L-function")
-    interp = pr_interp_factor(data, j, r, eta)
-    scalar = interp.scalar / cfac
-    return {"c_factor": cfac, "interp": interp, "combined_scalar": scalar,
-            "exact": not isinstance(scalar, PadicNumber)}

@@ -84,13 +84,6 @@ class RealQuadraticField:
     def one(self):
         return self.element(1)
 
-    def omega(self):
-        return self.element(0, 1)
-
-    def sqrt_d(self):
-        """sqrt(d) as a field element."""
-        return QuadElt(0, 1, self)
-
     def sqrt_disc(self):
         """sqrt(Delta) = 2*omega - Tr(omega); generates the different."""
         return self.element(-self.omega_trace, 2)

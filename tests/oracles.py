@@ -571,7 +571,7 @@ def euler_product_L_by_series(series, s, ell_cutoff, prec=None):
         return +total
 
 
-def euler_product_L_by_horner(series, s, ell_cutoff, bad=None, primitive=False, prec=None):
+def euler_product_L_by_horner(series, s, ell_cutoff, prec=None):
     """lseries.euler_product_L in mpmath, one prime at a time: each local
     factor num(x) / den(x) at x = l^{-s} by Horner's rule on the converted
     coefficients, with GUARD_BITS more at good l, and the product of the
@@ -585,13 +585,6 @@ def euler_product_L_by_horner(series, s, ell_cutoff, bad=None, primitive=False, 
         total = mpmath.mpc(1)
         for ell in primes_up_to(ell_cutoff):
             x = mpmath.power(ell, -s_m)
-            if series.rational_level % ell == 0:
-                c_val = _horner(bad.c_polys[ell], x)
-                if primitive or ell in bad.p_polys:
-                    total *= (1 if primitive else c_val) / _horner(bad.p_polys[ell], x)
-                else:
-                    total *= c_val
-                continue
             num, den = series.local_factor(ell)
             with mpmath.extraprec(GUARD_BITS):
                 factor = _horner(num, x) / _horner(den, x)

@@ -10,8 +10,9 @@ import pytest
 from asailab.coeffs import CoefficientField
 from asailab.eigenform import (EigenformError, HilbertEigenform,
                                MissingEigenvalueError, Weight, base_change, check_hecke_relations,
-                               discriminant_form_ap, is_ordinary, load_eigenform)
+                               discriminant_form_ap, load_eigenform)
 from asailab.arith import primes_up_to
+from asailab.padic import PadicError, stabilized_params, to_padic
 from asailab.quadfield import RealQuadraticField, ideal_label
 from oracles import lambda_of_by_ideal_powers, tau_oracle
 
@@ -223,37 +224,33 @@ def test_lambda_rational_names_missing_ideal(d, bound, n):
 
 
 def test_is_ordinary_examples(field5):
-    p = 5
-    w = Weight(2, 2, 0, 0)
-    level = field5.ideal(p)
-    five = field5.ideal(5)
-    # lambda(U(p)) = p: valuation 1, not ordinary
-    form = HilbertEigenform(field5, w, level, CF, {five.hnf(): CF.element(p)})
-    ordinary, alpha = is_ordinary(form, p)
-    assert not ordinary and alpha == p
-    # lambda(U(p)) = 1 + p: unit
-    form = HilbertEigenform(field5, w, level, CF, {five.hnf(): CF.element(1 + p)})
-    ordinary, alpha = is_ordinary(form, p)
-    assert ordinary and alpha == 1 + p
-    # p does not divide the level
-    form = HilbertEigenform(field5, w, field5.maximal_order(), CF,
-                            {five.hnf(): CF.element(1 + p)})
-    with pytest.raises(EigenformError):
-        is_ordinary(form, p)
+    # p = 11 splits and divides the level: alpha at each prime above p is its
+    # stored U-eigenvalue, and the form is ordinary only when that is a unit
+    above = field5.primes_above(11)
+
+    def form(*lams):
+        eig = {P.hnf(): CF.element(lam) for P, lam in zip(above, lams)}
+        return HilbertEigenform(field5, Weight(2, 2, 0, 0), field5.ideal(11), CF, eig)
+    data = stabilized_params(form(12, 13), 11)
+    assert (data.alpha_p, data.alpha_q) == (12, 13)
+    assert not data.notes["stabilised_on_the_fly"]
+    with pytest.raises(PadicError, match="not ordinary"):
+        stabilized_params(form(12, 11), 11)
+    with pytest.raises(PadicError, match="missing"):
+        stabilized_params(form(12), 11)
 
 
-def test_is_ordinary_quadratic_coefficients(field5):
-    # coefficient field Q(sqrt 2), p = 7: sqrt2 = 3 or 4 mod 7
-    cf = CoefficientField(2)
-    w = Weight(2, 2, 0, 0)
-    level = field5.ideal(7)
-    seven = field5.ideal(7)
-    val = cf.element(4, -1)  # 4 - sqrt2 = 1 mod 7 under sqrt2 -> 3: unit
-    form = HilbertEigenform(field5, w, level, cf, {seven.hnf(): val})
-    ordinary, _ = is_ordinary(form, 7, v_embedding=3)
-    assert ordinary
-    ordinary2, _ = is_ordinary(form, 7, v_embedding=4)  # 4 - 4 = 0 mod 7
-    assert not ordinary2
+def test_is_ordinary_quadratic_coefficients():
+    # coefficient field Q(sqrt 2), p = 7 split in Q(sqrt 2) and dividing the
+    # level: U = 4 - sqrt2 is 1 mod 7 under sqrt2 -> 3, 0 under sqrt2 -> 4
+    field, cf = RealQuadraticField(2), CoefficientField(2)
+    u = cf.element(4, -1)
+    eig = {P.hnf(): u for P in field.primes_above(7)}
+    form = HilbertEigenform(field, Weight(2, 2, 0, 0), field.ideal(7), cf, eig)
+    data = stabilized_params(form, 7, embedding=3)
+    assert data.alpha_p == u and to_padic(u, 7, embedding=3).val == 0
+    with pytest.raises(PadicError, match="not ordinary"):
+        stabilized_params(form, 7, embedding=4)
 
 
 def test_nebentype_lookup(field5):

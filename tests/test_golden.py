@@ -21,7 +21,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # field-info: both residues of d mod 4, half-integral units (13, 181, 421),
 # the non-principal primes above 3 in Q(sqrt 10) and large units (94, 421);
-# the Q(sqrt 2)-coefficient form prints exact values and 31-adic ones; Gauss
+# the Q(sqrt 2)-coefficient form prints exact values and 31-adic ones; the Delta
+# base change over Q(sqrt 5) (written by `base-change --d 5 --bound 60 --save`)
+# at the split ordinary p = 11, where alpha_P = alpha_Pbar makes
+# beta_P alpha_Pbar = 11^11 exactly, the exceptional zero of the
+# L(eps_F, s - 11) factor, so (NEZ) fails; Gauss
 # sums and r = 1 interpolation factors pin exact cyclotomic reprs (M up to
 # 1640) and the digits of their complex embeddings
 CASES = {
@@ -30,6 +34,8 @@ CASES = {
                       (421, 3))},
     "form_validate_qsqrt2": ["form-validate", "--form", "qsqrt2_form.json", "--bound", "16"],
     "padic_params_qsqrt2": ["padic-params", "--form", "qsqrt2_form.json", "--p", "31"],
+    "padic_params_delta_d5_p11": ["padic-params", "--form", "delta_d5_form.json", "--p", "11"],
+    "nez_delta_d5_p11": ["nez", "--form", "delta_d5_form.json", "--p", "11"],
     "gauss_sum_p11_r2": ["gauss-sum", "--p", "11", "--r", "2"],
     "gauss_sum_p2_r4": ["gauss-sum", "--p", "2", "--r", "4", "--eta", "1,1"],
     "pr_factor_p31_r1": ["pr-factor", "--p", "31", "--r", "1", "--alpha-p", "2",
@@ -59,3 +65,9 @@ def test_every_command_has_a_golden():
     (sub,) = [a for a in build_parser()._actions if a.dest == "cmd"]
     pinned = {argv[0] for argv in CASES.values()}
     assert set(sub.choices) - pinned == {"acceptance"}
+
+
+def test_delta_form_is_the_saved_base_change(tmp_path, capsys):
+    saved = tmp_path / "delta_d5_form.json"
+    main(["base-change", "--d", "5", "--bound", "60", "--save", str(saved)])
+    assert saved.read_text() == (GOLDEN / "delta_d5_form.json").read_text()

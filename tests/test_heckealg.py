@@ -103,21 +103,21 @@ def test_split_x2_identity_rejects_inert_style_input():
 
 
 def test_asai_euler_symbolic_inert():
+    # at T = t, S = s: (1 - t X + 9 s X^2)(1 - 9 s X^2)
     p = asai_euler_symbolic(3, "inert")
-    coeffs = p.x_coefficients()
-    lab = inert_label(3)
-    assert coeffs[1] == (-T(lab)).normalize()
+    t, s = Fraction(2), Fraction(3)
+    coeffs = p.specialize({"q3": t}, {"q3": s})
     # X^2 coefficient cancels for the inert shape
-    assert 2 not in coeffs
-    assert coeffs[4] == (-81 * diamond({lab: 2}) * R({lab: 2})).normalize()
+    assert coeffs == {0: 1, 1: -t, 3: 9 * s * t, 4: -81 * s * s}
 
 
 def test_asai_euler_symbolic_split():
+    # the X^3 coefficient is -121 S(l) T(l) with T(l) = T(lam) T(lambar)
     p = asai_euler_symbolic(11, "split")
     lam, lambar = split_labels(11)
-    x3 = p.x_coefficients()[3]
-    want = (-121 * S({lam: 1, lambar: 1}) * T(lam) * T(lambar)).normalize()
-    assert x3 == want
+    t_values = {lam.name: Fraction(2), lambar.name: Fraction(3)}
+    s_values = {lam.name: Fraction(5), lambar.name: Fraction(7)}
+    assert p.specialize(t_values, s_values)[3] == -121 * 35 * 6
 
 
 def test_asai_euler_symbolic_ramified_rejected():
@@ -154,9 +154,8 @@ def test_norm_relation_kill_hecke_terms():
     for ell, j in ((3, 0), (7, 1)):
         nr = norm_relation_symbolic(ell, j, 2, 2, "inert")
         lab_name = f"q{ell}"
-        spec = nr.specialize({lab_name: Fraction(0)}, {lab_name: Fraction(0)},
-                             sigma=Fraction(1))
-        got = spec.get(0, 0)
+        got = sum(part.specialize({lab_name: Fraction(0)}, {lab_name: Fraction(0)}).get(0, 0)
+                  for part in nr.sigma_decomposition().values())
         assert got == Fraction(ell ** j) * (ell - 1) - Fraction(ell ** (1 + j))
 
 

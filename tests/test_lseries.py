@@ -5,13 +5,12 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from asailab.lseries import (AsaiLSeries, BadFactorSet, LSeriesError,
-                             SymbolicConstant, check_Cl_divisibility,
+from asailab.lseries import (AsaiLSeries, LSeriesError, SymbolicConstant,
                              dirichlet_alpha_table, euler_product_L,
-                             euler_product_coefficients, forced_vanishing_order,
-                             imprimitive_L, imprimitive_coefficients,
-                             regulator_constant, unfolding_constant)
-from asailab.arith import factorise, is_squarefree, primes_up_to
+                             euler_product_coefficients, imprimitive_L,
+                             imprimitive_coefficients, regulator_constant,
+                             unfolding_constant)
+from asailab.arith import factorise, is_squarefree, primes_up_to, smallest_prime_factors
 from asailab.asairep import asai_charpoly
 from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap, synthetic_form)
@@ -109,61 +108,13 @@ def test_ramified_local_factor_against_recursion(bc_form_500, field5):
 
 
 def test_euler_product_bad_factor_handling(bc_form_500):
-    series = AsaiLSeries(bc_form_500)
-    # empty bad set with level-1 input: primitive = imprimitive at good cutoffs
-    v_imp, _ = euler_product_L(series, 14, ell_cutoff=100)
-    v_prim, _ = euler_product_L(series, 14, ell_cutoff=100, bad=BadFactorSet())
-    assert v_imp == v_prim
-    # primitive mode at a ramified prime needs inertia data
-    with pytest.raises(LSeriesError):
-        euler_product_L(series, 14, ell_cutoff=100, primitive=True)
-
-
-def test_cl_divisibility():
-    bad = BadFactorSet()
-    pl = [Fraction(1), Fraction(-6), Fraction(15), Fraction(-150), Fraction(625)]
-    bad.add(11, [Fraction(1)], pl)                       # C = 1 divides
-    bad.add(13, pl, pl)                                  # C = P divides
-    bad.add(17, [Fraction(1), Fraction(1), Fraction(15),
-                 Fraction(-150), Fraction(625)], pl)     # C = P + X fails
-    report = check_Cl_divisibility(bad, 0, 0)
-    assert report[11]["divides"] is True
-    assert report[13]["divides"] is True
-    assert report[17]["divides"] is False
-
-
-def test_cl_root_window():
-    # C_l(X) = 1 - l^{(k+k')/2+1} X has its s-root at Re(s) = (k+k')/2 + 1
-    bad = BadFactorSet().add(7, [Fraction(1), Fraction(-7)])
-    report = check_Cl_divisibility(bad, 0, 0)
-    assert report[7]["roots_in_window"] is True
-    # root outside the window
-    bad2 = BadFactorSet().add(7, [Fraction(1), Fraction(-343)])
-    report2 = check_Cl_divisibility(bad2, 0, 0)
-    assert report2[7]["roots_in_window"] is False
-
-
-def _form_with_weight(k, kprime):
-    field = __import__("asailab.quadfield", fromlist=["RealQuadraticField"]) \
-        .RealQuadraticField(5)
-    cf = CoefficientField(None)
-    t1 = 0
-    t2 = (k - kprime) // 2
-    w = Weight(k + 2, kprime + 2, t1, t2)
-    return HilbertEigenform(field, w, field.maximal_order(), cf, {})
-
-
-def test_forced_vanishing_order():
-    # |k - k'| >= 3 with k = k' mod 2 forces |k - k'| >= 4; (4, 0) is the
-    # smallest instance compatible with the weight parity
-    form = _form_with_weight(4, 0)
-    out = forced_vanishing_order(form, 0)
-    assert out["applicable"] and out["order"] == 1
-    form22 = _form_with_weight(2, 2)
-    out22 = forced_vanishing_order(form22, 1)
-    assert not out22["applicable"]
-    with pytest.raises(LSeriesError):
-        forced_vanishing_order(form22, 3)
+    # no bad factor is known here: a prime dividing the level raises, and a
+    # level-1 report names no bad prime
+    _, report = euler_product_L(AsaiLSeries(bc_form_500), 14, ell_cutoff=100)
+    assert report == {"ell_cutoff": 100, "primitive": False, "bad_primes": []}
+    level5 = AsaiLSeries(_level5_form(), DirichletCharacter.trivial(5))
+    with pytest.raises(LSeriesError, match="l = 5"):
+        euler_product_L(level5, 14, ell_cutoff=100)
 
 
 def test_unfolding_constant_fixture():
@@ -403,31 +354,26 @@ def test_dirichlet_sums_off_the_workload_path(case, n_cutoff):
         assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), s
 
 
-def _bad_sets():
-    """C_5 alone; C_5 over Q(sqrt 2) with P_5; P_5 for the primitive product."""
-    cf = CoefficientField(2)
-    c_poly = [Fraction(1), Fraction(-5 ** 11)]
-    p_poly = [Fraction(1), Fraction(-6 * 5 ** 10), Fraction(5 ** 22)]
-    yield BadFactorSet().add(5, c_poly), False
-    yield BadFactorSet().add(5, [cf.one(), cf.element(-5 ** 11, 5 ** 10)], p_poly), False
-    yield BadFactorSet().add(5, c_poly, p_poly), True
-
-
 @pytest.mark.parametrize("s", [14, 13.5, 14 + 40j])
 def test_euler_product_L_matches_the_horner_route(s):
-    # the irrational form and every bad-factor branch, against mpmath Horner
-    # per prime: the same doubles, and within 2^-190 at 200 bits
-    cases = [(AsaiLSeries(_irrational_form()), None, False)]
-    level5 = AsaiLSeries(_level5_form(), DirichletCharacter.trivial(5))
-    cases += [(level5, bad, primitive) for bad, primitive in _bad_sets()]
-    for series, bad, primitive in cases:
-        got, _ = euler_product_L(series, s, ell_cutoff=300, bad=bad, primitive=primitive)
-        want = euler_product_L_by_horner(series, s, 300, bad, primitive)
-        assert complex(got) == complex(want), (bad, primitive)
-        got, _ = euler_product_L(series, s, ell_cutoff=300, bad=bad, primitive=primitive,
-                                 prec=200)
-        want = euler_product_L_by_horner(series, s, 300, bad, primitive, prec=200)
-        assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), (bad, primitive)
+    # the irrational and the twisted form against mpmath Horner per prime:
+    # the same doubles, and within 2^-190 at 200 bits
+    for case in ("irrational", "twisted"):
+        series = _route_series(case)
+        got, _ = euler_product_L(series, s, ell_cutoff=300)
+        assert complex(got) == complex(euler_product_L_by_horner(series, s, 300)), case
+        got, _ = euler_product_L(series, s, ell_cutoff=300, prec=200)
+        want = euler_product_L_by_horner(series, s, 300, prec=200)
+        assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), case
+
+
+def test_imprimitive_L_sieves_once(bc_form_500):
+    # the alpha table's primes, its multiplicative assembly and the n^{-s}
+    # ladder all read one sieve of 1..N
+    series = AsaiLSeries(bc_form_500)
+    smallest_prime_factors.cache_clear()
+    imprimitive_L(series, 14, n_cutoff=500)
+    assert smallest_prime_factors.cache_info().misses == 1
 
 
 def test_imprimitive_L_keeps_no_list_of_terms(bc_form_4000):

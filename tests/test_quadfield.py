@@ -70,7 +70,7 @@ def test_fundamental_unit(d, expected_norm):
 def test_fundamental_unit_values():
     f5 = RealQuadraticField(5)
     u5, _ = fundamental_unit(f5)
-    assert u5 == f5.omega()  # (1+sqrt5)/2
+    assert u5 == f5.element(0, 1)  # omega = (1+sqrt5)/2
     f3 = RealQuadraticField(3)
     u3, _ = fundamental_unit(f3)
     assert u3 == f3.element(2, 1)  # 2 + sqrt3
@@ -243,13 +243,13 @@ def test_prime_powers_is_one_memo():
 
 def test_element_arithmetic_and_signs():
     f5 = RealQuadraticField(5)
-    w = f5.omega()
+    w = f5.element(0, 1)  # omega
     assert w * w == w + 1  # omega^2 = omega + 1 for d = 5
     assert w.norm() == -1 and w.trace() == 1
     x = f5.element(Fraction(3, 2), Fraction(-1, 2))
     assert x * x.inverse() == f5.one()
     assert (x.conjugate().conjugate()) == x
-    sqrt5 = f5.sqrt_d()
+    sqrt5 = f5.element(-1, 2)  # 2 omega - 1
     assert sqrt5.sign_theta1() == 1 and sqrt5.sign_theta2() == -1
     assert sqrt5 * sqrt5 == f5.element(5)
 
