@@ -23,7 +23,7 @@ from .eisenstein import (diagonal_mellin_check, eisenstein_continued,
                          eisenstein_lattice_sum, kronecker_limit_check)
 from .lseries import (AsaiLSeries, euler_product_coefficients, euler_product_L,
                       imprimitive_coefficients, imprimitive_L)
-from .characters import DirichletCharacter, kronecker_symbol
+from .characters import DirichletCharacter
 from .padic import (OrdinaryData, check_NEZ, gauss_sum, pr_interp_factor)
 
 
@@ -215,7 +215,7 @@ def criterion_6():
         if not is_prime(ell) or ell == 5:
             continue
         pl = asai_charpoly(form, ell)
-        chi = kronecker_symbol(form.field.disc, ell)
+        chi = 1 if splitting_type(form.field, ell).is_split else -1  # chi_D(l), l unramified
         if pl(Fraction(1, chi * ell ** 11)) != 0:  # (1 - c X) | P_l iff P_l(1/c) = 0
             factor_fail.append(ell)
     passed = not violations and not factor_fail

@@ -2,8 +2,8 @@
 
 The unit group is decomposed into cyclic factors (CRT plus primitive roots;
 2-power moduli use the (-1, 5) generators).  A character is stored by its
-exponent on each cyclic generator; its value at a is the root of unity
-zeta_ord^e, kept exactly as the pair (e, ord).
+exponent on each cyclic generator and tabulated once over the unit group; its
+value at a is the root of unity zeta_ord^e, kept exactly as the pair (e, ord).
 """
 
 import math
@@ -63,35 +63,6 @@ def unit_group_structure(m):
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _discrete_log_table(m):
-    """Map a -> exponent tuple over the cyclic generators of (Z/m)^x."""
-    gens = unit_group_structure(m)
-    table = {1 % m: (0,) * len(gens)}
-    frontier = [(1 % m, (0,) * len(gens))]
-    # enumerate the whole group by multiplying generators
-    for i, (g, order) in enumerate(gens):
-        new = dict(table)
-        for a, exps in table.items():
-            x = a
-            for e in range(1, order):
-                x = (x * g) % m
-                ne = list(exps)
-                ne[i] = e
-                new[x] = tuple(ne)
-        table = new
-    if len(table) != _euler_phi(m):
-        raise CharacterError(f"unit group enumeration failed mod {m}")
-    return table
-
-
-def _euler_phi(m):
-    out = m
-    for p, _ in factorise(m):
-        out -= out // p
-    return out
-
-
 class RootOfUnity:
     """Exact root of unity exp(2*pi*i*e/n)."""
 
@@ -100,22 +71,8 @@ class RootOfUnity:
     def __init__(self, e, n):
         n = int(n)
         e = int(e) % n
-        g = math.gcd(e, n) or n
-        self.e, self.n = e // g if g else 0, n // g if g else 1
-        if self.e == 0:
-            self.n = 1
-
-    def __mul__(self, other):
-        if isinstance(other, RootOfUnity):
-            n = self.n * other.n // math.gcd(self.n, other.n)
-            return RootOfUnity(self.e * (n // self.n) + other.e * (n // other.n), n)
-        return NotImplemented
-
-    def __pow__(self, k):
-        return RootOfUnity(self.e * int(k), self.n)
-
-    def inverse(self):
-        return RootOfUnity(-self.e, self.n)
+        g = math.gcd(e, n)  # n when e = 0, so zeta^0 is stored as (0, 1)
+        self.e, self.n = e // g, n // g
 
     def __eq__(self, other):
         if isinstance(other, RootOfUnity):
@@ -152,17 +109,31 @@ class RootOfUnity:
 
 
 class DirichletCharacter:
-    """Character of (Z/m)^x given by exponents on the cyclic generators."""
+    """Character of (Z/m)^x given by exponents on the cyclic generators.
 
-    __slots__ = ("modulus", "exponents")
+    Its values are tabulated once: `_values[a]` is the k with chi(a) = zeta_order^k,
+    for each unit a mod m."""
+
+    __slots__ = ("modulus", "exponents", "order", "_values")
 
     def __init__(self, modulus, exponents):
-        self.modulus = int(modulus)
-        gens = unit_group_structure(self.modulus)
+        self.modulus = m = int(modulus)
+        gens = unit_group_structure(m)
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != len(gens):
-            raise CharacterError(f"need {len(gens)} exponents for modulus {self.modulus}")
-        self.exponents = tuple(e % order for e, (_, order) in zip(exponents, gens))
+            raise CharacterError(f"need {len(gens)} exponents for modulus {m}")
+        self.exponents = tuple(e % n for e, (_, n) in zip(exponents, gens))
+        self.order = math.lcm(*(n // math.gcd(e, n) for e, (_, n) in zip(self.exponents, gens)))
+        # walk (Z/m)^x from 1 along each generator g: chi(g) = zeta_n^e = zeta_order^step
+        values = {1 % m: 0}
+        for e, (g, n) in zip(self.exponents, gens):
+            step, walked = e * self.order // n, {}
+            for a, k in values.items():
+                for _ in range(n):
+                    walked[a] = k
+                    a, k = a * g % m, (k + step) % self.order
+            values = walked
+        self._values = values
 
     @classmethod
     def trivial(cls, modulus):
@@ -176,29 +147,10 @@ class DirichletCharacter:
             chars = [c + (e,) for c in chars for e in range(order)]
         return [cls(modulus, c) for c in chars]
 
-    @property
-    def order(self):
-        gens = unit_group_structure(self.modulus)
-        n = 1
-        for e, (_, order) in zip(self.exponents, gens):
-            if e:
-                k = order // math.gcd(e, order)
-                n = n * k // math.gcd(n, k)
-        return n
-
     def __call__(self, a):
         """Exact value at a, or None when gcd(a, m) > 1."""
-        a = int(a) % self.modulus
-        if self.modulus == 1:
-            return RootOfUnity(0, 1)
-        if math.gcd(a, self.modulus) != 1:
-            return None
-        gens = unit_group_structure(self.modulus)
-        exps = _discrete_log_table(self.modulus)[a]
-        val = RootOfUnity(0, 1)
-        for e_char, e_elt, (_, order) in zip(self.exponents, exps, gens):
-            val = val * RootOfUnity(e_char * e_elt, order)
-        return val
+        k = self._values.get(int(a) % self.modulus)
+        return None if k is None else RootOfUnity(k, self.order)
 
     def value_mpc(self, a, prec=None):
         v = self(a)
@@ -213,11 +165,8 @@ class DirichletCharacter:
 
     def conductor(self):
         """Smallest f | m with the character trivial on units = 1 mod f."""
-        for f in divisors(self.modulus):
-            if all(self(a) == 1 for a in range(1, self.modulus + 1)
-                   if math.gcd(a, self.modulus) == 1 and a % f == 1 % f):
-                return f
-        return self.modulus
+        return next(f for f in divisors(self.modulus)
+                    if all(k == 0 for a, k in self._values.items() if a % f == 1 % f))
 
     def is_primitive(self):
         return self.conductor() == self.modulus
@@ -231,35 +180,3 @@ class DirichletCharacter:
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, exponents {self.exponents})"
-
-
-def kronecker_symbol(a, n):
-    """Kronecker symbol (a/n); the quadratic character attached to a discriminant."""
-    a, n = int(a), int(n)
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0

@@ -52,23 +52,27 @@ def parse_complex(text):
     if not t:
         raise UsageError("empty complex literal")
     if not t.endswith(("i", "j")):
-        return complex(float(parse_rational(t)), 0.0)
-    body = t[:-1]
-    # split into real + imaginary at the last +/- that is not an exponent or leading
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/*eE":
-            re_part, im_part = body[:pos], body[pos:]
-            break
+        re_part, im = t, Fraction(0)
     else:
-        re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = parse_rational(im_part)
+        body = t[:-1]
+        # split into real + imaginary at the last +/- that is not an exponent or leading
+        for pos in range(len(body) - 1, 0, -1):
+            if body[pos] in "+-" and body[pos - 1] not in "+-/*eE":
+                re_part, im_part = body[:pos], body[pos:]
+                break
+        else:
+            re_part, im_part = "", body
+        if im_part in ("", "+"):
+            im = Fraction(1)
+        elif im_part == "-":
+            im = Fraction(-1)
+        else:
+            im = parse_rational(im_part)
     re = parse_rational(re_part) if re_part else Fraction(0)
-    return complex(float(re), float(im))
+    try:
+        return complex(float(re), float(im))
+    except OverflowError:
+        raise UsageError(f"complex literal {text!r} is past the double range") from None
 
 
 def _emit(args, inputs, result, cutoffs):
@@ -228,7 +232,10 @@ def cmd_verify_pl(args):
 
 def _labels_arg(text):
     """The --labels header: a JSON object of {"norm", "unit", "conj"} objects."""
-    spec = json.loads(text)
+    try:
+        spec = json.loads(text)
+    except RecursionError:
+        raise HeckeAlgError("--labels is nested too deeply") from None
     if not isinstance(spec, dict) or not all(isinstance(v, dict) for v in spec.values()):
         raise HeckeAlgError('--labels must be a JSON object of objects, '
                             'e.g. {"l1": {"norm": 11}}')
@@ -356,8 +363,9 @@ def cmd_padic_params(args):
 
 
 def cmd_nez(args):
-    holds, witness = check_NEZ(_ordinary_from_args(args))
-    return ({"p": args.p, "k": args.k, "kprime": args.kprime},
+    data = _ordinary_from_args(args)
+    holds, witness = check_NEZ(data)
+    return ({"p": args.p, "k": data.k, "kprime": data.kprime},
             {"nez": holds, "witness": witness}, {}, 2 if args.require and not holds else 0)
 
 
@@ -438,6 +446,9 @@ def parse_hecke_expression(text, labels):
         return node
 
     def parse_factor():
+        if peek() == "-":  # looser than ^: -x^2 = -(x^2)
+            take("-")
+            return -parse_factor()
         node = parse_atom()
         if peek() == "^":
             take("^")
@@ -451,8 +462,6 @@ def parse_hecke_expression(text, labels):
             node = parse_expr()
             take(")")
             return node
-        if tok == "-":
-            return -parse_atom()
         if tok in ("T", "S", "U", "R", "D", "SIG"):
             take("(")
             arg = parse_arg()
@@ -487,7 +496,10 @@ def parse_hecke_expression(text, labels):
                 continue
             return arg
 
-    node = parse_expr()
+    try:
+        node = parse_expr()
+    except RecursionError:
+        raise HeckeAlgError("expression nested too deeply") from None
     if pos[0] != len(tokens):
         raise HeckeAlgError(f"trailing input at token {pos[0]}")
     return node

@@ -9,8 +9,9 @@ lattice sum one row at a time, Dirichlet sums one power n^{-s} at a time,
 factorisation, primality and squarefreeness by trial division, ideal
 factorisation by repeated containment, eigenvalues at composite ideals from
 ideal powers, ramified Euler factors and the Euler product by truncated
-power series, the Euler product by Horner's rule in mpmath, and a JSON
-parser that refuses NaN.
+power series, the Euler product by Horner's rule in mpmath, quadratic
+characters multiplied up from Legendre symbols, Dirichlet characters as a
+product over discrete logarithms, and a JSON parser that refuses NaN.
 """
 
 import cmath
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from asailab.characters import kronecker_symbol
+from asailab.characters import unit_group_structure
 
 
 def eta_qexp(n_terms):
@@ -74,6 +75,7 @@ def sym2_times_twisted_zeta(d, n_max):
     for V restricted to F (Asai 1977; Zagier, LNM 627).  tau(n^2) is multiplicative,
     with tau(p^2e) from the Hecke recursion on tau(p)."""
     disc = d if d % 4 == 1 else 4 * d
+    chi = kronecker_table(disc, n_max)
     tau = tau_oracle(n_max + 1)
     tau_sq = [0] * (n_max + 1)  # tau(n^2)
     for n in range(1, n_max + 1):
@@ -96,7 +98,7 @@ def sym2_times_twisted_zeta(d, n_max):
     for m in range(1, math.isqrt(n_max) + 1):
         for a in range(1, n_max // (m * m) + 1):
             for b in range(1, n_max // (m * m * a) + 1):
-                out[m * m * a * b] += m ** 22 * tau_sq[a] * kronecker_symbol(disc, b) * b ** 11
+                out[m * m * a * b] += m ** 22 * tau_sq[a] * chi[b] * b ** 11
     return out
 
 
@@ -131,6 +133,55 @@ def legendre_symbol(a, p):
     if a == 0:
         return 0
     return 1 if any((x * x) % p == a for x in range(1, p)) else -1
+
+
+def kronecker_table(disc, n_max):
+    """chi_D(n) = (D/n) for n = 0..n_max, D a fundamental discriminant: completely
+    multiplicative from its primes, (D/p) the Legendre symbol at odd p and, at
+    p = 2, 0 for even D and +1 or -1 as D = 1 or 5 mod 8."""
+    chi = [0, 1] + [0] * (n_max - 1)
+    for n in range(2, n_max + 1):
+        p = next(q for q in range(2, n + 1) if n % q == 0)
+        if p < n:
+            chi[n] = chi[p] * chi[n // p]
+        elif p == 2:
+            chi[n] = 0 if disc % 2 == 0 else 1 if disc % 8 == 1 else -1
+        else:
+            chi[n] = legendre_symbol(disc, p)
+    return chi
+
+
+def character_by_discrete_log(modulus, exponents, a):
+    """chi(a) as (e, n) with chi(a) = exp(2 pi i e/n) in lowest terms (None when
+    gcd(a, m) > 1): the discrete logs of a on the generators of
+    `unit_group_structure` by enumeration of the group, then a product of roots
+    of unity zeta_order^(exponent * log), one per generator."""
+    a %= modulus
+    if math.gcd(a, modulus) != 1:
+        return None
+    gens = unit_group_structure(modulus)
+    logs = _discrete_log_table(modulus)[a]
+    num, den = 0, 1  # the value exp(2 pi i num/den)
+    for e_char, e_elt, (_, order) in zip(exponents, logs, gens):
+        num, den = num * order + e_char * e_elt * den, den * order
+    g = math.gcd(num % den, den)
+    return num % den // g, den // g
+
+
+@lru_cache(maxsize=None)
+def _discrete_log_table(m):
+    """Map a -> exponent tuple over the cyclic generators of (Z/m)^x."""
+    gens = unit_group_structure(m)
+    table = {1 % m: (0,) * len(gens)}
+    for i, (g, order) in enumerate(gens):
+        new = dict(table)
+        for a, exps in table.items():
+            x = a
+            for e in range(1, order):
+                x = (x * g) % m
+                new[x] = exps[:i] + (e,) + exps[i + 1:]
+        table = new
+    return table
 
 
 def scan_sqrt_lift(e, p, prec):

@@ -333,6 +333,34 @@ def test_hecke_identity_command(capsys):
     assert code == 2
 
 
+def test_unary_minus_binds_looser_than_power(capsys):
+    # -T(l1)^2 was read as (-T(l1))^2 = T(l1)^2
+    code, out, _ = run_cli(capsys, "hecke-identity", "--expr=-T(l1)^2", "--expr2=T(l1)^2",
+                           "--labels", '{"l1": {"norm": 11}}')
+    rep = json.loads(out)["result"]
+    assert code == 2 and rep["equal"] is False
+    assert rep["normal_form"] == "-1*T(l1)^2"
+
+
+LABELS = '{"l1": {"norm": 11}}'
+
+
+@pytest.mark.parametrize("argv, code, label, message", [
+    (["hecke-identity", "--expr", "(" * 400 + "T(l1)" + ")" * 400, "--labels", LABELS],
+     1, "validation", "expression nested too deeply"),
+    (["hecke-identity", "--expr", "T(l1)", "--labels", "[" * 3000 + "]" * 3000],
+     1, "validation", "--labels is nested too deeply"),
+    (["eisenstein", "--k", "2", "--alpha", "1/5", "--tau", "1e400i"],
+     64, "usage", "complex literal '1e400i' is past the double range"),
+], ids=["nested-parentheses", "nested-labels", "tau-overflow"])
+def test_hostile_input_ends_in_a_json_error(capsys, argv, code, label, message):
+    # each of these ended in an uncaught RecursionError or OverflowError
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and not out
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": label, "message": message}
+
+
 def test_grammar_parser():
     labels = {"l1": heckealg.PrimeLabel("l1", 11), "l1b": heckealg.PrimeLabel("l1b", 11)}
     expr = parse_hecke_expression("T(l1)^2 - T(l1^2) - 11*D(l1)*R(l1)", labels)
