@@ -22,7 +22,7 @@ import mpmath
 
 from . import __version__
 from .precision import working_precision
-from .coeffs import parse_rational
+from .coeffs import CoefficientError, parse_rational
 from .quadfield import (RealQuadraticField, IdealRep, ideal_label,
                         totally_positive_generator)
 from .eigenform import (Weight, base_change, check_hecke_relations,
@@ -197,7 +197,14 @@ def cmd_base_change(args):
     field = RealQuadraticField(args.d)
     if args.ap_file:
         with open(args.ap_file, "r", encoding="utf-8") as fh:
-            ap = {int(p): parse_rational(v) for p, v in json.load(fh).items()}
+            try:
+                spec = json.load(fh)
+            except RecursionError:
+                raise CoefficientError("--ap-file is nested too deeply") from None
+        if not isinstance(spec, dict):
+            raise CoefficientError('--ap-file must be a JSON object of a_p values, '
+                                   'e.g. {"2": "-24"}')
+        ap = {int(p): parse_rational(v) for p, v in spec.items()}
     else:
         ap = discriminant_form_ap(args.bound)
         if args.weight != 12:
@@ -239,8 +246,8 @@ def _labels_arg(text):
     if not isinstance(spec, dict) or not all(isinstance(v, dict) for v in spec.values()):
         raise HeckeAlgError('--labels must be a JSON object of objects, '
                             'e.g. {"l1": {"norm": 11}}')
-    return {name: heckealg.PrimeLabel(name, int(info.get("norm", 1)),
-                                      bool(info.get("unit", False)), info.get("conj"))
+    return {name: heckealg.PrimeLabel(name, info.get("norm", 1), info.get("unit", False),
+                                      info.get("conj"))
             for name, info in spec.items()}
 
 
@@ -506,26 +513,11 @@ def parse_hecke_expression(text, labels):
 
 
 def _tokenise(text):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            out.append(ch)
-            i += 1
-            continue
-        j = i
-        while j < len(text) and (text[j].isalnum() or text[j] in "_/"):
-            j += 1
-        word = text[i:j]
-        if not word:
-            raise HeckeAlgError(f"stray character {ch!r}")
-        out.append(word)
-        i = j
-    return out
+    """Operators, and words of letters, digits, '_' and '/'; spaces separate."""
+    stray = re.search(r"[^-+*^()\w/\s]", text)
+    if stray:
+        raise HeckeAlgError(f"stray character {stray.group()!r}")
+    return re.findall(r"[-+*^()]|[\w/]+", text)
 
 
 # -- argument parser ---------------------------------------------------------------

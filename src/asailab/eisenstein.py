@@ -25,10 +25,9 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp, to_fixed
 
 from .lseries import dirichlet_alpha_table
-from .precision import mp_context, working_precision
+from .precision import fixed, from_fixed, mp_context, working_precision
 
 
 class EisensteinError(ValueError):
@@ -86,12 +85,8 @@ def _lattice_float(k, alpha, tau, s, cutoff):
             val = val * (w.real * w.real + w.imag * w.imag) ** (-s)
         for row in val.sum(axis=1).tolist():   # row by row, in order of m
             tot += row
-    pref = (-2j * math.pi) ** (-k) * math.pi ** (-s) * _gamma_c(s + k)
+    pref = (-2j * math.pi) ** (-k) * math.pi ** (-s) * complex(mpmath.gamma(complex(s + k)))
     return pref * (y + 0j) ** s * tot
-
-
-def _gamma_c(z):
-    return complex(mpmath.gamma(complex(z)))
 
 
 # -- analytic continuation ---------------------------------------------------
@@ -243,17 +238,15 @@ def _hyperu_values(a, b, z1, N):
     (U, U') down, from U' = -a U(a+1, b+1, z) (DLMF 13.3.22).  A step from
     m z1 converges at ratio 1/m; the other solution, ~e^z, decays going down,
     and so does its share of the rounding error.  The steps run in fixed
-    point on (re, im) pairs of Python ints: the coefficients scaled by 2^q,
-    q = prec + 20, and (U, -z1 U') by 2^p, p = q - mag(U) taken afresh each
-    step; products divide back with truncating division.
+    point on one scalar of `precision`, an int at real a and b and a Gauss at
+    complex ones: the coefficients scaled by 2^q, q = prec + 20, and
+    (U, -z1 U') by 2^p, p = q - mag(U) taken afresh each step; each term
+    divides back with floor division, off by at most one unit.
     """
     def series(a, b, n):   # at z = n z1; raises NoConvergence
         with mpmath.extraprec(10):
             z = n * z1
             return mpmath.hyp2f0(a, 1 + a - b, -1 / z, force_series=True) / z ** a
-
-    def fixed(x, scale):
-        return tuple(to_fixed(part, scale) for part in mpmath.mpc(x)._mpc_)
 
     vals = {}
     try:
@@ -269,37 +262,30 @@ def _hyperu_values(a, b, z1, N):
                 m += 1
         prec = mpmath.mp.prec
         q = prec + 20
-        (zf, _), (azr, azi), (br, bi) = fixed(z1, q), fixed(a * z1, q), fixed(b, q)
+        zf, az, bf = fixed(z1, q), fixed(a * z1, q), fixed(b, q)
         p = q - int(mpmath.mag(u))
-        (ur, ui), (vr, vi) = fixed(u, p), fixed(-z1 * du, p)
+        u, v = fixed(u, p), fixed(-z1 * du, p)
         for m in range(m, 1, -1):
             # the terms t_j = c_j h^j of the step h = -z1 from m z1 follow
             # t_{j+2} = ((j+a) z1 t_j + (j+1)(j+b-m z1) t_{j+1}) / (m (j+1)(j+2));
             # U moves by their sum, -z1 U' becomes sum j t_j, and the step ends
             # after two terms below 2^-(prec+4) |U| z1 / max(z1, j)
-            bzr, e1 = br - m * zf, max(abs(ur), abs(ui)) >> (prec + 4)
+            bz, e1 = bf - m * zf, max(abs(u.real), abs(u.imag)) >> (prec + 4)
             ez, jz = e1 * zf >> q, zf >> q                  # jz = floor(z1)
-            t0r, t0i, t1r, t1i, tailr, taili, dr, di = ur, ui, vr, vi, vr, vi, vr, vi
+            t0, t1, tail, dv = u, v, v, v
             j = small = 0
             while small < 2:
-                cr, er, ei = azr + j * zf, (j + 1) * ((j << q) + bzr), (j + 1) * bi
-                d = m * (j + 1) * (j + 2) << q
-                nr = cr * t0r - azi * t0i + er * t1r - ei * t1i
-                ni = cr * t0i + azi * t0r + er * t1i + ei * t1r
-                t0r, t0i = t1r, t1i
-                t1r = nr // d if nr >= 0 else -(-nr // d)
-                t1i = ni // d if ni >= 0 else -(-ni // d)
+                t0, t1 = t1, ((az + j * zf) * t0 + (j + 1) * ((j << q) + bz) * t1) \
+                    // (m * (j + 1) * (j + 2) << q)
                 j += 1
-                tailr, taili = tailr + t1r, taili + t1i
-                dr, di = dr + (j + 1) * t1r, di + (j + 1) * t1i
-                size = abs(t1r) + abs(t1i)
+                tail, dv = tail + t1, dv + (j + 1) * t1
+                size = abs(t1.real) + abs(t1.imag)
                 small = small + 1 if (size < e1 if j < jz else size * (j + 1) < ez) else 0
-            ur, ui, vr, vi = ur + tailr, ui + taili, dr, di
-            re = mpmath.mp.make_mpf(from_man_exp(ur, -p, prec, "n"))
-            vals[m - 1] = mpmath.mp.make_mpc((re._mpf_, from_man_exp(ui, -p, prec, "n"))) \
-                if azi or bi else re
-            shift = q - max(abs(ur), abs(ui)).bit_length()   # rescale to the new |U|
-            ur, ui, vr, vi = (x << shift if shift >= 0 else x >> -shift for x in (ur, ui, vr, vi))
+            u, v = u + tail, dv
+            value = from_fixed(u, p)
+            vals[m - 1] = value.real if isinstance(u, int) else value
+            shift = q - max(abs(u.real), abs(u.imag)).bit_length()   # rescale to the new |U|
+            u, v = (u << shift, v << shift) if shift >= 0 else (u >> -shift, v >> -shift)
             p += shift
     return [vals[n] for n in range(1, N + 1)]
 
@@ -308,10 +294,12 @@ def _oscillating(k, alpha, tau, s, prec):
     """The r != 0 Fourier modes, with hypergeometric-U coefficients.
 
     Level n = r m (r | n) is D[n] (u1_n q_n + (-1)^k poch u2_n conj q_n), with
-    q_n = e^{2 pi i n tau}, Z_r = e^{2 pi i r alpha} and the divisor convolution
-    D[n] = sum_{r | n} (2 pi r)^{2s+k-1} (Z_r + (-1)^k conj Z_r).  Z_r depends
-    on r num(alpha) mod den(alpha) only, and one sieve over r fills D.  Each U-column comes from one ladder; U(0, b, z) = 1 and the Pochhammer
-    zero at nonpositive integer s shortcut the holomorphic specialisations.
+    q_n = e^{2 pi i n tau} = q_1^n (a running product), Z_r = e^{2 pi i r alpha}
+    and the divisor convolution D[n] = sum_{r | n} (2 pi r)^{2s+k-1} (Z_r +
+    (-1)^k conj Z_r).  Z_r depends on r num(alpha) mod den(alpha) only, and one
+    sieve over r fills D.  Each U-column comes from one ladder; U(0, b, z) = 1
+    and the Pochhammer zero at nonpositive integer s shortcut the holomorphic
+    specialisations.
     """
     y = mpmath.im(tau)
     pref = y ** s * (2 * mpmath.pi) ** (1 - k) * mpmath.pi ** (-s)
@@ -331,9 +319,9 @@ def _oscillating(k, alpha, tau, s, prec):
         term = (two_pi * r) ** (2 * s + k - 1) * cs[r * num % den]
         for n in range(r, n_max + 1, r):
             dsum[n] += term
-    acc = mpmath.mpc(0)
+    acc, q1, q = mpmath.mpc(0), mpmath.expjpi(2 * tau), 1
     for n, u1, u2 in zip(range(1, n_max + 1), us1, us2):
-        q = mpmath.expjpi(2 * n * tau)
+        q *= q1
         col = u1 * q if u2 is None else u1 * q + sign * poch * u2 * mpmath.conj(q)
         acc += dsum[n] * col
     return pref * acc

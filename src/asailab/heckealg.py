@@ -38,6 +38,10 @@ class PrimeLabel:
     conj: str | None = None
 
     def __post_init__(self):
+        if type(self.norm) is not int or type(self.unit) is not bool \
+                or not isinstance(self.conj, (str, type(None))):
+            raise HeckeAlgError(f"prime label {self.name} needs an integer norm, "
+                                f"a boolean unit and a string or null conj")
         if not self.unit and self.norm < 2:
             raise HeckeAlgError(f"prime label {self.name} needs norm >= 2")
 

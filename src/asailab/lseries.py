@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp, to_fixed
 
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
 from .coeffs import QuadElt
-from .precision import GUARD_BITS, mp_context
+from .precision import GUARD_BITS, exact_fixed, fixed, from_fixed, mp_context
 
 
 class LSeriesError(ValueError):
@@ -145,14 +144,14 @@ def imprimitive_L(series, s, n_cutoff=4000, prec=None):
              + (e or 1).bit_length())
         chi, m = series.chi, series.chi.modulus
         by_residue = [0 if v is None else int(v.as_rational()) << w if v.is_real()
-                      else _fixed(v.to_mpc(prec), w) for v in map(chi, range(m))]
+                      else fixed(v.to_mpc(prec), w) for v in map(chi, range(m))]
         spf = smallest_prime_factors(n_cutoff)
         powers = [None] * (n_cutoff // 2 + 1)
         sx, sy, zeta = 0, 0, [0] * m
         with mpmath.extraprec(GUARD_BITS):
             for n in range(1, n_cutoff + 1):
                 p = spf[n]
-                xn = _fixed(mpmath.power(n, -s_m), w) if p == n else \
+                xn = fixed(mpmath.power(n, -s_m), w) if p == n else \
                     powers[p] * powers[n // p] >> w
                 if n < len(powers):
                     powers[n] = xn
@@ -165,56 +164,12 @@ def imprimitive_L(series, s, n_cutoff=4000, prec=None):
         report = {"n_cutoff": n_cutoff, "zeta_argument": complex(series.zeta_argument(s_m)),
                   "chi_modulus": series.chi.modulus,
                   "normalization": "L_(N)(chi, 2s-2-k-k') * sum alpha(n) n^-s"}
-        return _from_fixed(lch * dirichlet, 5 * w), report
+        return from_fixed(lch * dirichlet, 5 * w), report
 
 
 def _coords(c):
     """(x, y, den) with c = (x + y sqrt(e)) / den, for a QuadElt, Fraction or int."""
     return (c.x, c.y, c.den) if isinstance(c, QuadElt) else (c.numerator, 0, c.denominator)
-
-
-def _fixed(x, bits):
-    """x 2^bits rounded down: an int for an mpf x, a _Gauss for an mpc."""
-    if isinstance(x, mpmath.mpc):
-        return _Gauss(*(to_fixed(part, bits) for part in x._mpc_))
-    return to_fixed(x._mpf_, bits)
-
-
-def _from_fixed(v, bits):
-    """v 2^-bits for an int or _Gauss v, as an mpc rounded once per part."""
-    return mpmath.mp.make_mpc(tuple(from_man_exp(part, -bits, mpmath.mp.prec, "n")
-                                    for part in (v.real, v.imag)))
-
-
-class _Gauss:
-    """A Gaussian integer real + imag i: the scalar of both fixed-point routes
-    at complex s or chi, where they use ints (whose imag is 0) otherwise."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag):
-        self.real, self.imag = real, imag
-
-    def __add__(self, other):
-        return _Gauss(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other):
-        return _Gauss(self.real - other.real, self.imag - other.imag)
-
-    def __mul__(self, other):
-        a, b = other.real, other.imag
-        return _Gauss(self.real * a - self.imag * b, self.real * b + self.imag * a)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __rshift__(self, bits):
-        return _Gauss(self.real >> bits, self.imag >> bits)
-
-    def __floordiv__(self, n):
-        return _Gauss(self.real // n, self.imag // n)
-
-    def conjugate(self):
-        return _Gauss(self.real, -self.imag)
 
 
 def _series_div(num, den, order):
@@ -249,17 +204,15 @@ def euler_product_L(series, s, ell_cutoff=500, prec=None):
             num, den = series.local_factor(ell)
             total = total * _local_value(num, den, mpmath.power(ell, -s_m), w) >> w
         report = {"ell_cutoff": int(ell_cutoff), "primitive": False, "bad_primes": []}
-        return _from_fixed(total, w), report
+        return from_fixed(total, w), report
 
 
 def _local_value(num, den, x, bits):
     """num(x) / den(x) 2^bits rounded down, for polynomials (low degree first)
-    over Q or one Q(sqrt(e)): at x = M 2^-E exactly, M an int or _Gauss, each
+    over Q or one Q(sqrt(e)): at x = M 2^-E exactly, M an int or Gauss, each
     is (a + b sqrt(e)) / q on integers, and sqrt(e) leaves the divisor by its
     conjugate before the one division."""
-    shift = max(0, *(-part[2] for part in (x._mpc_ if isinstance(x, mpmath.mpc)
-                                           else (x._mpf_,))))
-    m = _fixed(x, shift)
+    m, shift = exact_fixed(x)
     (a, b, qa), (c, d, qc) = (_poly_at(poly, m, shift) for poly in (num, den))
     e = next((k.field.e for k in (*num, *den) if isinstance(k, QuadElt) and k.y), 0)
     # (a + b r) / (c + d r) = (ac - e bd + (bc - ad) r) / (c^2 - e d^2), r = sqrt(e)

@@ -1,4 +1,7 @@
-"""Working-precision plumbing shared by the numeric evaluators.
+"""Working-precision plumbing shared by the numeric evaluators, and the one
+fixed-point layer of both L-value routes and the U-ladder: integers scaled by
+2^bits, ints at real arguments and `Gauss` at complex ones.  Only this module
+reads mpmath's raw numbers.
 
 Precision is measured in bits of significand.  The default is 64 bits and can
 be overridden globally through the ASAILAB_PRECISION environment variable or
@@ -9,6 +12,7 @@ import os
 from contextlib import contextmanager
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 DEFAULT_PRECISION = 64
 GUARD_BITS = 16
@@ -33,3 +37,56 @@ def mp_context(prec=None):
     bits = working_precision(prec) + GUARD_BITS
     with mpmath.workprec(bits):
         yield mpmath.mp
+
+
+def fixed(x, bits):
+    """x 2^bits rounded down: an int for an mpf x, a Gauss for an mpc."""
+    if isinstance(x, mpmath.mpc):
+        return Gauss(*(to_fixed(part, bits) for part in x._mpc_))
+    return to_fixed(x._mpf_, bits)
+
+
+def exact_fixed(x):
+    """(M, E) with x = M 2^-E exactly and E >= 0, M as `fixed` makes it."""
+    parts = x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_,)
+    bits = max(0, *(-part[2] for part in parts))
+    return fixed(x, bits), bits
+
+
+def from_fixed(v, bits):
+    """v 2^-bits for an int or Gauss v, as an mpc rounded once per part."""
+    return mpmath.mp.make_mpc(tuple(from_man_exp(part, -bits, mpmath.mp.prec, "n")
+                                    for part in (v.real, v.imag)))
+
+
+class Gauss:
+    """A Gaussian integer real + imag i (a plain int has real and imag too)."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other):
+        return Gauss(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other):
+        return Gauss(self.real - other.real, self.imag - other.imag)
+
+    def __mul__(self, other):
+        a, b = other.real, other.imag
+        return Gauss(self.real * a - self.imag * b, self.real * b + self.imag * a)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __lshift__(self, bits):
+        return Gauss(self.real << bits, self.imag << bits)
+
+    def __rshift__(self, bits):
+        return Gauss(self.real >> bits, self.imag >> bits)
+
+    def __floordiv__(self, n):
+        return Gauss(self.real // n, self.imag // n)
+
+    def conjugate(self):
+        return Gauss(self.real, -self.imag)

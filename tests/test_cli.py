@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from asailab.arith import PRIMALITY_LIMIT, is_prime
-from asailab.cli import build_parser, main, parse_complex, parse_hecke_expression
+from asailab.cli import (_tokenise, build_parser, main, parse_complex,
+                         parse_hecke_expression)
 from asailab import heckealg
 from asailab.quadfield import RealQuadraticField
 from oracles import strict_json
@@ -352,13 +353,29 @@ LABELS = '{"l1": {"norm": 11}}'
      1, "validation", "--labels is nested too deeply"),
     (["eisenstein", "--k", "2", "--alpha", "1/5", "--tau", "1e400i"],
      64, "usage", "complex literal '1e400i' is past the double range"),
-], ids=["nested-parentheses", "nested-labels", "tau-overflow"])
+    *((["hecke-identity", "--expr", "T(l1)", "--labels", labels], 1, "validation",
+       "prime label l1 needs an integer norm, a boolean unit and a string or null conj")
+      for labels in ('{"l1": {"norm": 1e400}}', '{"l1": {"norm": 11.5}}',
+                     '{"l1": {"norm": 11, "unit": "no"}}')),
+], ids=["nested-parentheses", "nested-labels", "tau-overflow",
+        "label-norm-overflow", "label-norm-fraction", "label-unit-string"])
 def test_hostile_input_ends_in_a_json_error(capsys, argv, code, label, message):
-    # each of these ended in an uncaught RecursionError or OverflowError
+    # each of these ended in an uncaught RecursionError or OverflowError, or
+    # (a fractional norm, a string unit) was read as something else
     got, out, err = run_cli(capsys, *argv)
     assert got == code and not out
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": label, "message": message}
+
+
+def test_ap_file_must_be_an_object(capsys, tmp_path):
+    # a JSON array ended in an AttributeError traceback
+    path = tmp_path / "ap.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "base-change", "--d", "5", "--ap-file", str(path))
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "validation", "message":
+                               '--ap-file must be a JSON object of a_p values, e.g. {"2": "-24"}'}
 
 
 def test_grammar_parser():
@@ -370,6 +387,10 @@ def test_grammar_parser():
         parse_hecke_expression("T(xx)", labels)
     with pytest.raises(heckealg.HeckeAlgError):
         parse_hecke_expression("T(l1", labels)
+    with pytest.raises(heckealg.HeckeAlgError, match=r"stray character '\$'"):
+        parse_hecke_expression("T(l1)\t+ 2 $ 3", labels)
+    assert _tokenise(" 11/2*T(l1^2)-x_y2\n") == \
+        ["11/2", "*", "T", "(", "l1", "^", "2", ")", "-", "x_y2"]
 
 
 def test_mellin_command(capsys):

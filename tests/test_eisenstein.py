@@ -269,10 +269,12 @@ def test_m0_bracket_memo_is_keyed_on_precision():
         assert _m0_bracket(3, Fraction(1, 5), s, 120) == base
 
 @pytest.mark.parametrize("k,s", [(1, 0), (3, -1), (2, -2), (4, -1),
-                                 (0, -2), (2, 0), (4, 0)])
+                                 (0, -2), (2, 0), (4, 0),
+                                 (0, -0.5), (2, -1.5), (4, -2.5)])
 def test_special_point_branches_are_continuous(k, s):
     # every removable singularity of the expansion (Gamma poles against
-    # Bernoulli zeros, the odd-k psi branch at k+2s = 1, the tower limits)
+    # Bernoulli zeros, the odd-k psi branch at k+2s = 1, the tower limits,
+    # and the tower's Gamma(2s+k-1) pole against a trivial zero of zeta)
     # must agree with the midpoint of a small neighbourhood
     tau = 0.21 + 1.07j
     v0 = complex(eisenstein_continued(k, Fraction(1, 5), tau, s, prec=90))

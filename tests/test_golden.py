@@ -8,12 +8,14 @@ of README.md's CLI block has one, named after its argv (`readme_...`), apart
 from `acceptance`, whose report carries timings.
 """
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from asailab.cli import build_parser, main
+from asailab.eigenform import discriminant_form_ap
 from bench_record import readme_commands
 from oracles import strict_json
 
@@ -71,3 +73,11 @@ def test_delta_form_is_the_saved_base_change(tmp_path, capsys):
     saved = tmp_path / "delta_d5_form.json"
     main(["base-change", "--d", "5", "--bound", "60", "--save", str(saved)])
     assert saved.read_text() == (GOLDEN / "delta_d5_form.json").read_text()
+
+
+def test_ap_file_gives_the_built_in_base_change(tmp_path, capsys, monkeypatch):
+    ap = tmp_path / "ap.json"
+    ap.write_text(json.dumps({str(p): str(a) for p, a in discriminant_form_ap(60).items()}))
+    monkeypatch.chdir(GOLDEN)
+    main(["base-change", "--d", "5", "--bound", "60", "--ap-file", str(ap)])
+    assert capsys.readouterr().out == (GOLDEN / "base_change_d5_bound60.json").read_text()
