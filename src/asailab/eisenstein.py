@@ -20,6 +20,7 @@ Poles only occur for k = 0 (at s = 1); every other apparent singularity of
 the pieces cancels and the cancelled limits are evaluated analytically.
 """
 
+import cmath
 import functools
 import math
 from fractions import Fraction
@@ -56,7 +57,8 @@ def eisenstein_lattice_sum(k, alpha, tau, s, cutoff):
     """Truncated double sum over |m|, |n| <= cutoff, with the prefactor.
 
     Requires absolute convergence: k + 2 Re(s) > 2.  Truncation error
-    dominates, so the sum runs in double precision.
+    dominates, so it runs in double precision: |w|^-2s as the real (|w|^2)^-Re s,
+    times a phase at complex s, and w^-k as (conj w / |w|^2)^k; overflow raises.
     """
     k = int(k)
     alpha = _check_alpha(alpha)
@@ -64,7 +66,10 @@ def eisenstein_lattice_sum(k, alpha, tau, s, cutoff):
     s_c = complex(s)
     if k + 2 * s_c.real <= 2:
         raise EisensteinError(f"lattice sum diverges at k={k}, Re(s)={s_c.real}")
-    return _lattice_float(k, float(alpha), tau_c, s_c, int(cutoff))
+    val = _lattice_float(k, float(alpha), tau_c, s_c, int(cutoff))
+    if not cmath.isfinite(val):
+        raise EisensteinError(f"lattice sum at k={k}, s={s} overflows double precision")
+    return val
 
 
 _LATTICE_BLOCK = 16   # rows per numpy array: few Python steps, small temporaries
@@ -72,21 +77,30 @@ _LATTICE_BLOCK = 16   # rows per numpy array: few Python steps, small temporarie
 
 def _lattice_float(k, alpha, tau, s, cutoff):
     import numpy as np
-    y = tau.imag
-    ns = np.arange(-cutoff, cutoff + 1, dtype=np.complex128)
+    ns = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
     tot = 0j
-    for lo in range(-cutoff, cutoff + 1, _LATTICE_BLOCK):
-        ms = np.arange(lo, min(lo + _LATTICE_BLOCK, cutoff + 1))
-        w = (ms[:, None] * tau + alpha) + ns
-        val = np.ones_like(w)
-        if k:
-            val = w ** (-k)
-        if s != 0:
-            val = val * (w.real * w.real + w.imag * w.imag) ** (-s)
-        for row in val.sum(axis=1).tolist():   # row by row, in order of m
-            tot += row
+    with np.errstate(all="ignore"):   # an overflow shows as a non-finite total
+        for lo in range(-cutoff, cutoff + 1, _LATTICE_BLOCK):
+            ms = np.arange(lo, min(lo + _LATTICE_BLOCK, cutoff + 1), dtype=np.float64)[:, None]
+            u, v = (ms * tau.real + alpha) + ns, ms * tau.imag
+            r2 = u * u + v * v
+            val = 1.0 if s == 0 else r2 ** -s.real
+            if s.imag:
+                val = val * np.exp(-1j * s.imag * np.log(r2))
+            if k:
+                z = np.empty_like(u, dtype=np.complex128)
+                z.real, z.imag = (u / r2, -v / r2) if k > 0 else (u, v)
+                e = abs(k)   # z^e by repeated squaring
+                zk = z if e & 1 else None
+                while e > 1:
+                    z, e = z * z, e >> 1
+                    if e & 1:
+                        zk = z if zk is None else zk * z
+                val = zk * val
+            for row in val.sum(axis=1).tolist():   # row by row, in order of m
+                tot += row
     pref = (-2j * math.pi) ** (-k) * math.pi ** (-s) * complex(mpmath.gamma(complex(s + k)))
-    return pref * (y + 0j) ** s * tot
+    return pref * (tau.imag + 0j) ** s * tot
 
 
 # -- analytic continuation ---------------------------------------------------

@@ -17,9 +17,10 @@ records:
   read against the work done in the run;
 - for each workload, the per-layer metrics of one `perfbench/run.py
   --trace 1 --seed 7001` run per side, under `layers`;
-- the `elapsed_s` of each acceptance criterion, in both checkouts;
+- the `elapsed_s` of each acceptance criterion, from REPEATS runs of the
+  suite per checkout (alternating which side goes first), with the median;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
-  as `python -m asailab` in a fresh process, CLI_REPEATS times per checkout
+  as `python -m asailab` in a fresh process, REPEATS times per checkout
   (alternating which side goes first), with the median;
 - the Tier-1 wall time (ROADMAP.md) of the change;
 - the `src/` line count of both, `nproc` and the Python version.
@@ -41,7 +42,7 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
-CLI_REPEATS = 3
+REPEATS = 3
 ACCEPTANCE = ("import json; from asailab.acceptance import CRITERIA; "
               "print(json.dumps([c()['elapsed_s'] for c in CRITERIA]))")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
@@ -81,10 +82,28 @@ def summary(runs):
     return out
 
 
+def alternate(sides, measure):
+    """measure(side), REPEATS times per side, alternating which side goes
+    first: {side: [result, ...]}."""
+    runs = {side: [] for side in sides}
+    for i in range(REPEATS):
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            runs[side].append(measure(side))
+    return runs
+
+
 def acceptance(root):
     proc = _run(root, "-c", ACCEPTANCE)
     proc.check_returncode()
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def acceptance_times(sides):
+    """Per side, one {"median_s", "runs_s"} per criterion, in order."""
+    runs = alternate(sides, lambda side: acceptance(sides[side]))
+    return {side: [{"median_s": statistics.median(rs), "runs_s": list(rs)}
+                   for rs in zip(*per_run)]
+            for side, per_run in runs.items()}
 
 
 def readme_commands():
@@ -98,16 +117,15 @@ def readme_commands():
 def cli_times(sides):
     out = []
     for argv in readme_commands():
-        runs = {side: [] for side in sides}
-        codes = {}
-        for i in range(CLI_REPEATS):
-            for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-                started = time.perf_counter()
-                codes[side] = _run(sides[side], "-m", "asailab", *argv).returncode
-                runs[side].append(round(time.perf_counter() - started, 3))
+        def timed(side):
+            started = time.perf_counter()
+            code = _run(sides[side], "-m", "asailab", *argv).returncode
+            return round(time.perf_counter() - started, 3), code
+        runs = alternate(sides, timed)
         out.append({"command": shlex.join(["asailab", *argv]),
-                    **{side: {"median_s": statistics.median(rs), "runs_s": rs,
-                              "exit_code": codes[side]} for side, rs in runs.items()}})
+                    **{side: {"median_s": statistics.median(t for t, _ in rs),
+                              "runs_s": [t for t, _ in rs], "exit_code": rs[-1][1]}
+                       for side, rs in runs.items()}})
     return out
 
 
@@ -144,7 +162,7 @@ def main(argv=None):
         "workloads": {w: {side: summary(rs) for side, rs in per_side.items()}
                       for w, per_side in runs.items()},
         "layers": layers,
-        "acceptance_elapsed_s": {side: acceptance(root) for side, root in sides.items()},
+        "acceptance_elapsed_s": acceptance_times(sides),
         "cli_s": cli_times(sides),
         "tier1": {"wall_s": tier1_s,
                   "exit_code": tier1.returncode,

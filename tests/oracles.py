@@ -5,13 +5,14 @@ package: pentagonal-number eta expansion, brute-force Pell searches,
 Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
 the Leibniz expansion of a determinant, cyclotomic polynomials by long
 division of x^m - 1, Eisenstein Fourier modes pair by pair, the float
-lattice sum one row at a time, Dirichlet sums one power n^{-s} at a time,
-factorisation, primality and squarefreeness by trial division, ideal
-factorisation by repeated containment, eigenvalues at composite ideals from
-ideal powers, ramified Euler factors and the Euler product by truncated
-power series, the Euler product by Horner's rule in mpmath, quadratic
-characters multiplied up from Legendre symbols, Dirichlet characters as a
-product over discrete logarithms, and a JSON parser that refuses NaN.
+lattice sum one row at a time and by numpy's complex powers, Dirichlet sums
+one power n^{-s} at a time, factorisation, primality and squarefreeness by
+trial division, ideal factorisation by repeated containment, eigenvalues at
+composite ideals from ideal powers, ramified Euler factors and the Euler
+product by truncated power series, the Euler product by Horner's rule in
+mpmath, quadratic characters multiplied up from Legendre symbols, Dirichlet
+characters as a product over discrete logarithms, and a JSON parser that
+refuses NaN.
 """
 
 import cmath
@@ -300,8 +301,40 @@ def shell_ordered_lattice_sum(k, alpha, tau, s, cutoff):
 
 
 def lattice_by_rows(k, alpha, tau, s, cutoff):
-    """eisenstein._lattice_float one row m at a time: one numpy row per m,
-    its sum added to the total in order of m (alpha, tau, s as floats)."""
+    """eisenstein._lattice_float one row m at a time: the same per-term
+    arithmetic (the real power r2^-Re(s), the phase at complex s, and
+    (conj w / r2)^k by repeated squaring) on one numpy row per m, its sum added
+    to the total in order of m (alpha, tau, s as floats)."""
+    import numpy as np
+    import mpmath
+    ns = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
+    tot = 0j
+    for m in range(-cutoff, cutoff + 1):
+        u = (float(m) * tau.real + alpha) + ns
+        v = float(m) * tau.imag
+        r2 = u * u + v * v
+        val = 1.0 if s == 0 else r2 ** -s.real
+        if s.imag:
+            val = val * np.exp(-1j * s.imag * np.log(r2))
+        if k:
+            z = (u / r2 - 1j * (v / r2)) if k > 0 else u + 1j * v
+            base, e, zk = z, abs(k), None
+            while e:
+                if e & 1:
+                    zk = base if zk is None else zk * base
+                e >>= 1
+                if e:
+                    base = base * base
+            val = zk * val
+        tot += complex(val.sum())
+    pref = (-2j * math.pi) ** (-k) * math.pi ** (-s) * complex(mpmath.gamma(s + k))
+    return pref * (tau.imag + 0j) ** s * tot
+
+
+def lattice_by_complex_power(k, alpha, tau, s, cutoff):
+    """The truncated lattice sum by numpy's complex powers: w^-k, and |w|^2
+    raised to the complex exponent -s even at real s, on one numpy row per m,
+    its sum added to the total in order of m."""
     import numpy as np
     import mpmath
     ns = np.arange(-cutoff, cutoff + 1, dtype=np.complex128)

@@ -357,11 +357,18 @@ LABELS = '{"l1": {"norm": 11}}'
        "prime label l1 needs an integer norm, a boolean unit and a string or null conj")
       for labels in ('{"l1": {"norm": 1e400}}', '{"l1": {"norm": 11.5}}',
                      '{"l1": {"norm": 11, "unit": "no"}}')),
+    *((["eisenstein", "--k", k, "--alpha", "1/5", "--tau", "i", "--s", s, "--method", "lattice",
+        "--cutoff", "60"], 1, "validation",
+       f"lattice sum at k={k}, s={value} overflows double precision")
+      for k, s, value in (("200", "1/2", 0.5), ("2", "400", 400.0))),
 ], ids=["nested-parentheses", "nested-labels", "tau-overflow",
-        "label-norm-overflow", "label-norm-fraction", "label-unit-string"])
+        "label-norm-overflow", "label-norm-fraction", "label-unit-string",
+        "lattice-gamma-overflow", "lattice-power-overflow"])
+@pytest.mark.filterwarnings("error")   # nothing from numpy on the way
 def test_hostile_input_ends_in_a_json_error(capsys, argv, code, label, message):
     # each of these ended in an uncaught RecursionError or OverflowError, or
-    # (a fractional norm, a string unit) was read as something else
+    # (a fractional norm, a string unit) was read as something else, or (a
+    # lattice value past the double range) in numpy warnings and a NaN message
     got, out, err = run_cli(capsys, *argv)
     assert got == code and not out
     assert err.count("\n") == 1

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from asailab.eisenstein import (EisensteinError, EisensteinPole, _lattice_float,
                                 kronecker_limit_check, siegel_unit)
 from asailab.precision import mp_context
 from oracles import (check_hyperu_ladder, classical_eisenstein_q_series,
-                     lattice_by_rows, oscillating_by_divisor_pairs,
-                     shell_ordered_lattice_sum)
+                     lattice_by_complex_power, lattice_by_rows,
+                     oscillating_by_divisor_pairs, shell_ordered_lattice_sum)
 
 
 def test_lattice_cutoff_self_convergence():
@@ -40,12 +41,28 @@ def test_lattice_reordered_summation_oracle():
 @pytest.mark.parametrize("cutoff", [7, 16, 17, 80])
 @pytest.mark.parametrize("k,s", [(k, s) for k in (0, 1, 5)
                                  for s in (0, 1, 2.5, complex(1.5, 0.7))
-                                 if (k, s) != (0, 0)])   # Gamma(s + k) has its pole there
+                                 if (k, s) != (0, 0)]   # Gamma(s + k) has its pole there
+                         + [(-1, 2.5), (160, 2.5)])
 def test_blocked_lattice_is_bit_identical_to_rows(k, s, cutoff):
     # blocks of rows sum each row as the row loop does, and add the rows in
     # the same order, so the doubles agree exactly
     args = (k, 2 / 7, -0.31 + 0.45j, complex(s), cutoff)
     assert _lattice_float(*args) == lattice_by_rows(*args)
+
+
+@pytest.mark.parametrize("cutoff", [7, 16, 17, 80, 350])
+@pytest.mark.parametrize("k,s", [(k, s) for k in (-1, 0, 1, 5, 7, 40, 120, 160)
+                                 for s in (0, 1, 2.5, complex(1.5, 0.7))
+                                 if k + 2 * complex(s).real > 2])
+def test_real_arithmetic_lattice_matches_complex_powers(k, s, cutoff):
+    # the real power, the phase and (conj w / |w|^2)^k against numpy's complex
+    # powers, to roundoff, and finite wherever those are (at k = 160, s = 5/2
+    # the value is about 9e247)
+    args = (k, 2 / 7, -0.31 + 0.45j, complex(s), cutoff)
+    want = lattice_by_complex_power(*args)
+    got = eisenstein_lattice_sum(k, Fraction(2, 7), args[2], s, cutoff)
+    assert cmath.isfinite(want)
+    assert abs(got - want) <= 1e-13 * max(1, abs(want))
 
 
 def test_lattice_domain_errors():
