@@ -128,15 +128,20 @@ def _load_form_arg(args):
     raise UsageError("supply --form FILE or --delta")
 
 
-def _positive_int(text):
-    """argparse type for counts and cutoffs: an integer >= 1."""
+def _positive_int(text, limit=None):
+    """argparse type for counts and cutoffs: an integer >= 1, and <= limit if given."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
     return value
+
+
+_lattice_cutoff = functools.partial(_positive_int, limit=2500)   # 2.4 s of lattice at most
 
 
 def _positive_float(text):
@@ -614,7 +619,7 @@ def build_parser():
     p.add_argument("--s", default="0")
     p.add_argument("--method", choices=("lattice", "continued", "both"),
                    default="continued")
-    p.add_argument("--cutoff", type=_positive_int, default=200)
+    p.add_argument("--cutoff", type=_lattice_cutoff, default=200)
     p.set_defaults(func=cmd_eisenstein)
 
     p = sub.add_parser("kronecker-check", help="Kronecker-limit identity residual")

@@ -9,12 +9,13 @@ for 0 < alpha < 1 rational, converging for k + 2 Re(s) > 2.  The continuation
 is computed from the Fourier expansion: the m = 0 row is a pair of Hurwitz
 zetas, the r = 0 tower a Riemann zeta, and the oscillating modes carry
 confluent hypergeometric U-factors U(a, 2s+k, 4 pi n Im tau): at integer s
-z^-a times a polynomial in 1/z, otherwise taken down a Taylor ladder on
-Kummer's equation, in fixed-point integers, from the asymptotic series at the
-largest z.  The m = 0 row is memoised without its factor y^s.  The modes of
-level n = r m share their U-factors and q^n, so each level is one divisor sum
-over r | n of (2 pi r)^{2s+k-1} times a constant of r mod den(alpha), filled
-for every level by one sieve.
+z^-a times an integer polynomial in 1/z, otherwise taken down a Taylor ladder
+on Kummer's equation from the asymptotic series at the largest z.  The m = 0
+row is memoised without its factor y^s.  The modes of level n = r m share
+their U-factors and q^n, so each level is one divisor sum over r | n of
+(2 pi r)^{2s+k-1} times a constant of r mod den(alpha), filled for every level
+by one sieve; one Horner sum in q adds the levels.  All of it runs on the
+fixed-point integers of `precision`.
 
 Poles only occur for k = 0 (at s = 1); every other apparent singularity of
 the pieces cancels and the cancelled limits are evaluated analytically.
@@ -28,7 +29,7 @@ from fractions import Fraction
 import mpmath
 
 from .lseries import dirichlet_alpha_table
-from .precision import fixed, from_fixed, mp_context, working_precision
+from .precision import Gauss, fixed, from_fixed, mp_context, working_precision
 
 
 class EisensteinError(ValueError):
@@ -132,8 +133,7 @@ def eisenstein_continued(k, alpha, tau, s, prec=None):
     alpha = _check_alpha(alpha)
     _as_tau(tau)
     with mp_context(prec):
-        extra = 10 + k
-        with mpmath.extraprec(extra * 4):
+        with mpmath.extraprec(4 * (10 + k)):
             tau_m = mpmath.mpc(complex(tau))
             s_m = mpmath.mpc(complex(s)) if complex(s).imag else mpmath.mpf(complex(s).real)
             a_m = mpmath.mpf(alpha.numerator) / alpha.denominator
@@ -152,22 +152,16 @@ def _continued_impl(k, alpha, a_m, tau, s, prec):
     if k == 0 and is_real and s_int == 1:
         raise EisensteinPole("E^(0) has its pole at s = 1")
 
-    combined_cancel = (k % 2 == 0) and is_real and s_half2 == 1 - k and s_int is None
-
     total = mpmath.mpc(0)
-
-    # m = 0 row:  Gamma(s+k) [zeta(k+2s, a) + (-1)^k zeta(k+2s, 1-a)] pi^-s y^s
-    if not combined_cancel:
-        total += _m0_bracket(k, alpha, s, mpmath.mp.prec) * y ** s
-
-    # r = 0 tower (even k): 2 (2pi)^{1-k} pi^-s y^s (2y)^{1-2s-k}
-    #                        * Gamma(2s+k-1) zeta(2s+k-1) / Gamma(s)
-    if k % 2 == 0 and not combined_cancel:
-        total += _r0_tower(k, y, s, is_real, s_int)
-
-    if combined_cancel:
+    if k % 2 == 0 and is_real and s_half2 == 1 - k and s_int is None:
         total += _cancelled_pair(k, a_m, y)
-
+    else:
+        # m = 0 row:  Gamma(s+k) [zeta(k+2s, a) + (-1)^k zeta(k+2s, 1-a)] pi^-s y^s
+        total += _m0_bracket(k, alpha, s, mpmath.mp.prec) * y ** s
+        # r = 0 tower (even k): 2 (2pi)^{1-k} pi^-s y^s (2y)^{1-2s-k}
+        #                        * Gamma(2s+k-1) zeta(2s+k-1) / Gamma(s)
+        if k % 2 == 0:
+            total += _r0_tower(k, y, s, is_real, s_int)
     total += _oscillating(k, alpha, tau, s, prec)
     return total
 
@@ -242,21 +236,48 @@ def _cancelled_pair(k, a_m, y):
     return f0 * bracket
 
 
-def _hyperu_values(a, b, z1, N):
-    """[U(a, b, n z1) for n = 1..N] from one downward ladder.
+def _hyperu_values(a, b, z1, N, bits):
+    """[U(a, b, n z1) 2^bits for n = 1..N], ints at real a and b and Gauss at
+    complex ones, as close as the routes below: a unit or two, or a few units
+    in the last place of the series or the ladder.
 
-    Down from n = N, each value is the asymptotic series z^-a 2F0(a, 1+a-b;;
-    -1/z) (DLMF 13.7.3) while it converges at working precision (everywhere
-    when it terminates: a or 1+a-b a nonpositive integer).  Below, Taylor
-    steps of -z1 on Kummer's equation z u'' + (b - z) u' - a u = 0 carry
-    (U, U') down, from U' = -a U(a+1, b+1, z) (DLMF 13.3.22).  A step from
-    m z1 converges at ratio 1/m; the other solution, ~e^z, decays going down,
-    and so does its share of the rounding error.  The steps run in fixed
-    point on one scalar of `precision`, an int at real a and b and a Gauss at
-    complex ones: the coefficients scaled by 2^q, q = prec + 20, and
-    (U, -z1 U') by 2^p, p = q - mag(U) taken afresh each step; each term
-    divides back with floor division, off by at most one unit.
+    If the asymptotic series z^-a 2F0(a, 1+a-b;; -1/z) (DLMF 13.7.3) terminates
+    (a or 1+a-b a nonpositive integer: integer s) within degree 32, U is
+    z^-a P(1/z) with integer coefficients (a)_j (1+a-b)_j (-1)^j / j!, so each
+    level is one Horner pass and one floor division; U(0, b, z) = 1 is the
+    degree-0 case.  Past degree 32 those ints, about bits * degree bits, cost
+    more than mpmath's series.  Otherwise, down from n = N, each value is that
+    series while it converges at working precision.  Below, Taylor steps of -z1
+    on Kummer's equation z u'' + (b - z) u' - a u = 0 carry (U, U') down, from
+    U' = -a U(a+1, b+1, z) (DLMF 13.3.22).  A step from m z1 converges at ratio
+    1/m; the other solution, ~e^z, decays going down, and so does its share of
+    the rounding error.  The steps run in fixed point on one scalar of
+    `precision`, an int at real a and b and a Gauss at complex ones: the
+    coefficients scaled by 2^q, q = prec + 20, and (U, -z1 U') by 2^p,
+    p = q - mag(U) taken afresh each step; each term divides back with floor
+    division, off by at most one unit.
     """
+    c = 1 + a - b
+    ends = [-int(x) for x in (a, c) if mpmath.isint(x) and x <= 0]
+    if ends and min(ends) <= 32:   # U = sum_j t_j z^(-a-j) = z^-e h(z), e >= 0
+        deg, a, c, zf = min(ends), int(a), int(c), fixed(z1, bits)
+        t = [1]
+        for j in range(deg):
+            t.append(-t[j] * (a + j) * (c + j) // (j + 1))
+        e, lo, up = max(a + deg, 0), max(-a - deg, 0), bits * (a + 1)
+        # 2^(bits (deg+lo)) h(n z1) in powers of n; U 2^bits is that 2^(bits (a+1)) / (n zf)^e
+        coef = [tj * zf ** (deg - j + lo) << bits * j for j, tj in enumerate(t)] + [0] * lo
+        lift, drop, zfe = max(up, 0), max(-up, 0), zf ** e
+        vals = []
+        for n in range(1, N + 1):
+            h = 0
+            for cj in coef:
+                h = h * n + cj
+            den = n ** e * zfe << drop
+            cut = max(0, den.bit_length() - 2 * bits)   # keep 2 bits bits of the divisor
+            vals.append((h << lift >> cut) // (den >> cut))
+        return vals
+
     def series(a, b, n):   # at z = n z1; raises NoConvergence
         with mpmath.extraprec(10):
             z = n * z1
@@ -265,7 +286,7 @@ def _hyperu_values(a, b, z1, N):
     vals = {}
     try:
         for n in range(N, 0, -1):
-            vals[n] = series(a, b, n)
+            vals[n] = fixed(series(a, b, n), bits)
     except mpmath.mp.NoConvergence:
         m = n + 1   # the ladder starts where both series converge, above z_N if need be
         while True:
@@ -296,8 +317,7 @@ def _hyperu_values(a, b, z1, N):
                 size = abs(t1.real) + abs(t1.imag)
                 small = small + 1 if (size < e1 if j < jz else size * (j + 1) < ez) else 0
             u, v = u + tail, dv
-            value = from_fixed(u, p)
-            vals[m - 1] = value.real if isinstance(u, int) else value
+            vals[m - 1] = u << bits - p if bits >= p else u >> p - bits
             shift = q - max(abs(u.real), abs(u.imag)).bit_length()   # rescale to the new |U|
             u, v = (u << shift, v << shift) if shift >= 0 else (u >> -shift, v >> -shift)
             p += shift
@@ -307,38 +327,50 @@ def _hyperu_values(a, b, z1, N):
 def _oscillating(k, alpha, tau, s, prec):
     """The r != 0 Fourier modes, with hypergeometric-U coefficients.
 
-    Level n = r m (r | n) is D[n] (u1_n q_n + (-1)^k poch u2_n conj q_n), with
-    q_n = e^{2 pi i n tau} = q_1^n (a running product), Z_r = e^{2 pi i r alpha}
-    and the divisor convolution D[n] = sum_{r | n} (2 pi r)^{2s+k-1} (Z_r +
-    (-1)^k conj Z_r).  Z_r depends on r num(alpha) mod den(alpha) only, and one
-    sieve over r fills D.  Each U-column comes from one ladder; U(0, b, z) = 1
-    and the Pochhammer zero at nonpositive integer s shortcut the holomorphic
-    specialisations.
+    Level n = r m (r | n) is D[n] (u1_n q^n + (-1)^k poch u2_n conj q^n), q =
+    e^{2 pi i tau}, with the divisor convolution D[n] = sum_{r | n} (2 pi r)^w
+    c_r, w = 2s+k-1.  c_r = Z_r + (-1)^k conj Z_r, Z_r = e^{2 pi i r alpha}, is
+    2 cos(2 pi r alpha) (2i sin at odd k), a function of r num(alpha) mod
+    den(alpha); (2 pi)^w moves into the prefactor, which becomes (4 pi y)^s.
+    The rest runs on ints scaled by 2^bits, in real and imaginary lanes, with
+    guard bits for the smallest U, r^w and |q|: r^w is exact at an integer
+    w >= 0, one sieve over r fills D, and each column is a Horner sum in q
+    (conj q), which damps each rounding error by |q| per level still to go;
+    from_fixed rounds each column once.
     """
     y = mpmath.im(tau)
-    pref = y ** s * (2 * mpmath.pi) ** (1 - k) * mpmath.pi ** (-s)
     poch = mpmath.rf(s, k)
-    cutoff = (working_precision(prec) + 25) * mpmath.log(2)
-    two_pi = 2 * mpmath.pi
-    n_max = int(cutoff / (two_pi * y))
-    z1 = 4 * mpmath.pi * y
-    us1 = [mpmath.mpf(1)] * n_max if s == 0 else _hyperu_values(s, 2 * s + k, z1, n_max)
-    us2 = [None] * n_max if poch == 0 else _hyperu_values(s + k, 2 * s + k, z1, n_max)
-    sign = (-1) ** k
+    n_max = int((working_precision(prec) + 25) * mpmath.log(2) / (2 * mpmath.pi * y))
+    z1, w, rs, re_s = 4 * mpmath.pi * y, 2 * s + k - 1, range(1, n_max + 1), float(mpmath.re(s))
+    # 20 guard bits over the working precision, plus the bits by which the smallest
+    # U (z^-Re a at the largest z), r^w and |q| = e^{-2 pi y} (if a level is kept) fall below 1
+    bits = mpmath.mp.prec + 20 + math.ceil(max(0, re_s + k) * math.log2(max(1, n_max * z1))
+                                           + max(0, 1 - 2 * re_s - k) * math.log2(max(1, n_max))
+                                           + min(n_max, 1) * 2 * math.pi * float(y) / math.log(2))
+    us1 = _hyperu_values(s, 2 * s + k, z1, n_max, bits)
+    us2 = [] if poch == 0 else _hyperu_values(s + k, 2 * s + k, z1, n_max, bits)
     num, den = alpha.numerator, alpha.denominator
-    zs = (mpmath.expjpi(mpmath.mpf(2 * j) / den) for j in range(den))
-    cs = [z + sign * mpmath.conj(z) for z in zs]
-    dsum = [0] * (n_max + 1)
-    for r in range(1, n_max + 1):
-        term = (two_pi * r) ** (2 * s + k - 1) * cs[r * num % den]
-        for n in range(r, n_max + 1, r):
-            dsum[n] += term
-    acc, q1, q = mpmath.mpc(0), mpmath.expjpi(2 * tau), 1
-    for n, u1, u2 in zip(range(1, n_max + 1), us1, us2):
-        q *= q1
-        col = u1 * q if u2 is None else u1 * q + sign * poch * u2 * mpmath.conj(q)
-        acc += dsum[n] * col
-    return pref * acc
+    trig = mpmath.sinpi if k % 2 else mpmath.cospi
+    cs = [fixed(2 * trig(mpmath.mpf(2 * j) / den), bits) for j in range(den)]
+    if mpmath.isint(w):   # r^w 2^bits, exact or floored
+        w = int(w)
+        pw = [r ** w << bits if w >= 0 else (1 << bits) // r ** -w for r in rs]
+    else:
+        pw = [fixed(mpmath.mpf(r) ** w, bits) for r in rs]
+    dr, di = [0] * n_max, [0] * n_max
+    for r, p in zip(rs, pw):
+        for lane, t in ((dr, p.real * cs[r * num % den]), (di, p.imag * cs[r * num % den])):
+            for n in range(r - 1, n_max, r) if t else ():
+                lane[n] += t
+    q, cols = fixed(mpmath.expjpi(2 * tau), bits), []
+    for us, qr, qi in ((us1, q.real, q.imag), (us2, q.real, -q.imag)):
+        hr = hi = 0
+        for x, z, u in zip(reversed(dr), reversed(di), reversed(us)):
+            ar = hr + (x * u.real - z * u.imag >> 2 * bits)
+            ai = hi + (x * u.imag + z * u.real >> 2 * bits)
+            hr, hi = (ar * qr - ai * qi) >> bits, (ar * qi + ai * qr) >> bits
+        cols.append(from_fixed(Gauss(hr, hi), bits))
+    return z1 ** s * (1j if k % 2 else 1) * (cols[0] + (-1) ** k * poch * cols[1])
 
 
 # -- Siegel units and the Kronecker limit --------------------------------------
@@ -346,8 +378,10 @@ def _oscillating(k, alpha, tau, s, prec):
 def siegel_unit(alpha, tau, terms=200, prec=None):
     """g_{0,alpha}(tau) = q^{1/12} (1 - q_a) prod_{n>=1} (1 - q^n q_a)(1 - q^n/q_a).
 
-    Truncated after `terms` product factors.  Only |g| is canonical (the
-    q^{1/12} branch is fixed as exp(2 pi i tau / 12)).
+    At most `terms` factors, and none with |q^n| < 2^-2P at the P-bit working
+    precision: such a factor rounds to 1 + i delta, |delta| < 2^(1-2P), and
+    leaves g as it was unless one part of g is over 2^(P-2) times the other.
+    Only |g| is canonical; the q^{1/12} branch is exp(2 pi i tau / 12).
     """
     alpha = _check_alpha(alpha)
     _as_tau(tau)
@@ -358,8 +392,9 @@ def siegel_unit(alpha, tau, terms=200, prec=None):
         q = mpmath.exp(2j * mpmath.pi * tau_m)
         qa = mpmath.expjpi(2 * mpmath.mpf(alpha.numerator) / alpha.denominator)
         g = mpmath.exp(2j * mpmath.pi * tau_m / 12) * (1 - qa)
+        stop = mpmath.mp.prec * mpmath.log(2) / (mpmath.pi * tau_m.imag)   # |q^stop| = 2^-2P
         qn = mpmath.mpc(1)
-        for _ in range(1, int(terms)):
+        for _ in range(1, min(int(terms), int(stop) + 1)):
             qn *= q
             g *= (1 - qn * qa) * (1 - qn / qa)
         return +g

@@ -15,8 +15,10 @@ records:
   pair (7001, 7002, ...), with the median and quartiles of each side; next
   to them the number of tasks `attempted`, so that a `peak_rss_mb` can be
   read against the work done in the run;
-- for each workload, the per-layer metrics of one `perfbench/run.py
-  --trace 1 --seed 7001` run per side, under `layers`;
+- for each workload, the per-layer metrics of REPEATS `perfbench/run.py
+  --trace 1 --seed 7001` runs per side (alternating which side goes first),
+  with the median and quartiles of each, under `layers`: one traced run is
+  too noisy for a claim about a layer;
 - the `elapsed_s` of each acceptance criterion, from REPEATS runs of the
   suite per checkout (alternating which side goes first), with the median;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
@@ -150,7 +152,8 @@ def main(argv=None):
         for workload, per_side in runs.items():
             for side in order:
                 per_side[side].append(perfbench(sides, side, workload, 7001 + i, seconds, 0))
-    layers = {w: {side: perfbench(sides, side, w, 7001, seconds, 1) for side in sides}
+    layers = {w: {side: summary(rs) for side, rs in alternate(
+                      sides, lambda side: perfbench(sides, side, w, 7001, seconds, 1)).items()}
               for w in runs}
     started = time.perf_counter()
     tier1 = _run(CHANGE, *TIER1)

@@ -231,39 +231,48 @@ def hyperu_reference(a, b, z1, N, prec):
 
 def check_hyperu_ladder(s, k, y, N, prec):
     """Assert both U-columns of the package's Fourier modes at z1 = 4 pi y
-    match hyperu_reference to 2^-(prec-8) relative.  U(a, b, z) has real
-    zeros when a < 0, so next to one the error is measured against the
-    larger neighbour."""
+    match hyperu_reference to 2^-(prec-8) relative.  The columns are fixed
+    point, so they are asked for at enough bits that the smallest value keeps
+    prec of them.  U(a, b, z) has real zeros when a < 0, so next to one the
+    error is measured against the larger neighbour."""
     import mpmath
     from asailab.eisenstein import _hyperu_values
+    from asailab.precision import from_fixed
     with mpmath.workprec(prec):
         s, z1 = mpmath.mpmathify(s), 4 * mpmath.pi * y
         for a in {s, s + k}:
-            got = _hyperu_values(a, 2 * s + k, z1, N)
             want = hyperu_reference(a, 2 * s + k, z1, N, prec)
+            scales = [max(abs(v) for v in want[max(n - 1, 0):n + 2]) for n in range(N)]
+            bits = prec - min((int(mpmath.mag(x)) for x in scales), default=0)
+            got = [from_fixed(u, bits) for u in _hyperu_values(a, 2 * s + k, z1, N, bits)]
             assert len(got) == N
-            for n, (g, w) in enumerate(zip(got, want)):
-                scale = max(abs(v) for v in want[max(n - 1, 0):n + 2])
+            for n, (g, w, scale) in enumerate(zip(got, want, scales)):
                 assert abs(g - w) <= mpmath.ldexp(scale, 8 - prec), (a, n + 1, prec)
 
 
 def oscillating_by_divisor_pairs(k, a_m, x, y, s, prec):
     """The r != 0 Fourier modes of eisenstein_continued, pair by pair: two
     exponentials and one power for every (n, r | n), with alpha as an mpf
-    a_m.  Call it where eisenstein._oscillating runs (inside mp_context(prec)
-    and its extra precision)."""
+    a_m, and q^n as an mpmath exponential per level.  Call it where
+    eisenstein._oscillating runs (inside mp_context(prec) and its extra
+    precision)."""
     import mpmath
     from asailab.arith import divisors
     from asailab.eisenstein import _hyperu_values
-    from asailab.precision import working_precision
+    from asailab.precision import from_fixed, working_precision
     pref = y ** s * (2 * mpmath.pi) ** (1 - k) * mpmath.pi ** (-s)
     poch = mpmath.rf(s, k)
     cutoff = (working_precision(prec) + 25) * mpmath.log(2)
     two_pi = 2 * mpmath.pi
     n_max = int(cutoff / (two_pi * y))
-    z1 = 4 * mpmath.pi * y
-    us1 = [mpmath.mpf(1)] * n_max if s == 0 else _hyperu_values(s, 2 * s + k, z1, n_max)
-    us2 = [None] * n_max if poch == 0 else _hyperu_values(s + k, 2 * s + k, z1, n_max)
+    # 8 bits per unit of s + k: U falls to about z^-(s+k), and z < 2^8 up to prec 160
+    z1, bits = 4 * mpmath.pi * y, 4 * mpmath.mp.prec + 8 * max(0, int(mpmath.re(s)) + k)
+
+    def column(a):
+        return [from_fixed(u, bits) for u in _hyperu_values(a, 2 * s + k, z1, n_max, bits)]
+
+    us1 = [mpmath.mpf(1)] * n_max if s == 0 else column(s)
+    us2 = [None] * n_max if poch == 0 else column(s + k)
     acc = mpmath.mpc(0)
     sign = (-1) ** k
     for n, u1, u2 in zip(range(1, n_max + 1), us1, us2):
@@ -278,6 +287,23 @@ def oscillating_by_divisor_pairs(k, a_m, x, y, s, prec):
                 row += base * poch * u2 * (mpmath.conj(e1) + sign * mpmath.conj(e2))
         acc += expo * row
     return pref * acc
+
+
+def siegel_unit_by_all_factors(alpha, tau, terms=200, prec=None):
+    """eisenstein.siegel_unit with every one of its `terms` product factors:
+    q^{1/12} (1 - q_a) prod_{n < terms} (1 - q^n q_a)(1 - q^n/q_a)."""
+    import mpmath
+    from asailab.precision import mp_context
+    with mp_context(prec):
+        tau_m = mpmath.mpc(complex(tau))
+        q = mpmath.exp(2j * mpmath.pi * tau_m)
+        qa = mpmath.expjpi(2 * mpmath.mpf(alpha.numerator) / alpha.denominator)
+        g = mpmath.exp(2j * mpmath.pi * tau_m / 12) * (1 - qa)
+        qn = mpmath.mpc(1)
+        for _ in range(1, int(terms)):
+            qn *= q
+            g *= (1 - qn * qa) * (1 - qn / qa)
+        return +g
 
 
 def shell_ordered_lattice_sum(k, alpha, tau, s, cutoff):

@@ -108,6 +108,35 @@ def test_nonpositive_cutoffs_are_usage_errors(capsys, argv):
     assert "must be >= 1" in json.loads(err)["message"]
 
 
+def test_lattice_cutoff_over_its_limit_is_a_usage_error(capsys, monkeypatch):
+    # the lattice's time grows as cutoff^2: 2500 is about 2 s at most, and a
+    # larger cutoff is refused by the parser, before any lattice term is summed
+    monkeypatch.setattr("asailab.cli.eisenstein_lattice_sum", lambda *a: pytest.fail("summed"))
+    argv = ["eisenstein", "--method", "lattice", "--k", "4", "--alpha", "1/5", "--tau", "i"]
+    code, out, err = run_cli(capsys, *argv, "--cutoff", "2501")
+    assert code == 64 and not out
+    assert json.loads(err) == {"error": "usage",
+                               "message": "argument --cutoff: must be <= 2500, got 2501"}
+    code, out, _ = run_cli(capsys, *argv[:2], "continued", *argv[3:], "--cutoff", "2500")
+    assert code == 0 and json.loads(out)["provenance"]["cutoffs"] == {"cutoff": 2500}
+
+
+def test_kronecker_terms_past_the_working_precision_cost_nothing(capsys):
+    # the Siegel product stops once |q^n| < 2^-2P, so a billion terms at
+    # Im tau = 1 end as fast as 200, with the same result
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "kronecker-check", "--alpha", "1/5", "--tau", "i",
+                           "--terms", "1000000000")
+    assert code == 0 and time.perf_counter() - started < 2
+    code200, out200, _ = run_cli(capsys, "kronecker-check", "--alpha", "1/5", "--tau", "i",
+                                 "--terms", "200")
+    big, small = json.loads(out), json.loads(out200)
+    assert code200 == 0 and big["result"] == small["result"]
+    assert big["provenance"].pop("cutoffs") == {"terms": 1000000000}
+    assert small["provenance"].pop("cutoffs") == {"terms": 200}
+    assert big == small
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_y_cutoff_must_be_finite_and_positive(capsys, value):
     # -1 made numpy warn on stderr and the report fail on a NaN

@@ -12,7 +12,8 @@ from asailab.eisenstein import (EisensteinError, EisensteinPole, _lattice_float,
 from asailab.precision import mp_context
 from oracles import (check_hyperu_ladder, classical_eisenstein_q_series,
                      lattice_by_complex_power, lattice_by_rows,
-                     oscillating_by_divisor_pairs, shell_ordered_lattice_sum)
+                     oscillating_by_divisor_pairs, shell_ordered_lattice_sum,
+                     siegel_unit_by_all_factors)
 
 
 def test_lattice_cutoff_self_convergence():
@@ -152,8 +153,28 @@ def _convolution_grid():
         cases.append((k, s_values[i % len(s_values)], Fraction(num, den),
                       taus[i % len(taus)], prec))
     # alpha = 1/2 at odd k: c_r = e(r/2) - e(-r/2) = 0, so every mode vanishes
-    return cases + [(1, Fraction(3, 2), Fraction(1, 2), -0.3 + 0.06j, 64),
-                    (5, 0.3, Fraction(1, 2), -0.1 + 0.2j, 200)]
+    cases += [(1, Fraction(3, 2), Fraction(1, 2), -0.3 + 0.06j, 64),
+              (5, 0.3, Fraction(1, 2), -0.1 + 0.2j, 200)]
+    # the benchmark's dearest geometry: Im tau = 0.06, so n_max = 163 > 150 at
+    # prec 64, and Re tau near -1/7; every k = 0..7 at each s, integer s on
+    # the polynomial U-columns and r^w exact, s = 3/2 and 1.5+0.7i on the ladder
+    for i, (k, s) in enumerate((k, s) for k in range(8)
+                               for s in (0, 1, 2, 3, Fraction(3, 2), complex(1.5, 0.7))):
+        if (k, s) != (0, 1):   # E^(0) has its pole there
+            alpha = (Fraction(1, 4), Fraction(1, 5), Fraction(1, 7), Fraction(2, 7))[i % 4]
+            cases.append((k, s, alpha, complex((-0.14, -0.13, -0.12)[i % 3], 0.06), 64))
+    # large |s|: U falls to about z^-40 and r^w to n^-41 over the levels, which
+    # fixed point keeps only with guard bits for them; past degree 32 the
+    # terminating series is summed by mpmath (s = 30, 40), and at s = 201/2 U
+    # reaches 2^483, above the ladder's 2^q
+    return cases + [(2, Fraction(201, 2), Fraction(1, 5), 0.3 + 0.2j, 64),
+                    (0, 20, Fraction(3, 8), -0.14 + 0.2j, 64),
+                    (2, 25, Fraction(3, 8), 0.3 + 0.3j, 64),
+                    (5, 30, Fraction(3, 8), 0.1 + 0.5j, 64),
+                    (0, 40, Fraction(3, 8), 0.25 + 0.25j, 64),
+                    (1, complex(20, 3), Fraction(2, 7), 0.2 + 0.25j, 64),
+                    (0, -20, Fraction(1, 4), 0.1 + 0.3j, 64),
+                    (2, Fraction(-41, 2), Fraction(1, 4), -0.2 + 0.1j, 64)]
 
 
 @pytest.mark.parametrize("k,s,alpha,tau,prec", _convolution_grid())
@@ -168,6 +189,14 @@ def test_oscillating_matches_divisor_pairs(k, s, alpha, tau, prec):
         assert abs(got - want) <= mpmath.ldexp(max(1, abs(want)), 8 - prec)
         if alpha == Fraction(1, 2) and k % 2:
             assert abs(got) <= mpmath.ldexp(1, 8 - prec)
+
+
+@pytest.mark.parametrize("y", [16.0, 1e12, 1e300])
+def test_no_fourier_level_at_large_im_tau(y):
+    # past Im tau = 9.8 at prec 64 no level is kept, and no guard bit is added
+    # for |q|, so the modes are 0 at once however large Im tau is
+    with mp_context(64), mpmath.extraprec(48):
+        assert _oscillating(2, Fraction(1, 5), mpmath.mpc(0.3, y), mpmath.mpf(1.5), 64) == 0
 
 
 def test_conjugation_symmetry():
@@ -333,6 +362,28 @@ def test_hyperu_ladder_matches_oracle(s, k, y, N, prec):
         assert not _series_converges(s, 2 * s + k, z1, prec + 10)
         assert _series_converges(s, 2 * s + k, N * z1, prec + 10) != (prec == 200)
     check_hyperu_ladder(s, k, y, N, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 120])
+@pytest.mark.parametrize("s", range(-2, 4))
+def test_terminating_hyperu_columns_match_oracle(s, prec):
+    # at integer s both columns are z^-a times an integer polynomial in 1/z
+    # (U(0, b, z) = 1 at a = 0); k = 0..7 on the first 8 levels at Im tau =
+    # 0.2, z from 2.5 to 20
+    for k in range(8):
+        check_hyperu_ladder(s, k, 0.2, 8, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 80, 120])
+@pytest.mark.parametrize("alpha,tau", KRONECKER_GRID + [
+    (Fraction(1, 4), -0.14 + 0.2j), (Fraction(2, 7), 0.37 + 0.31j),
+    (Fraction(1, 5), -0.5 + 0.63j), (Fraction(1, 7), 0.05 + 2j)])
+def test_siegel_product_stop_leaves_the_value_unchanged(alpha, tau, prec):
+    # the factors past |q^n| < 2^-2P are 1 at working precision: the stopped
+    # product equals every one of the 200 factors, bit for bit (Im tau from
+    # 0.2, the benchmark's lowest, to 2); a smaller terms still truncates
+    assert siegel_unit(alpha, tau, prec=prec) == siegel_unit_by_all_factors(alpha, tau, prec=prec)
+    assert siegel_unit(alpha, tau, 5, prec) == siegel_unit_by_all_factors(alpha, tau, 5, prec)
 
 
 def test_fourier_cutoff_follows_prec(monkeypatch):
