@@ -27,14 +27,15 @@ from .characters import DirichletCharacter
 from .padic import (OrdinaryData, check_NEZ, gauss_sum, pr_interp_factor)
 
 
-def _result(name, passed, started, **details):
+def _result(name, passed, started, budget=None, **details):
+    """The report of one criterion.  With a budget in seconds it passes only
+    within it, and its details add the budget and the headroom budget / elapsed."""
+    elapsed = time.perf_counter() - started
+    if budget is not None:
+        passed = passed and elapsed < budget
+        details.update(runtime_budget_s=budget, headroom=round(budget / max(elapsed, 1e-9), 2))
     return {"criterion": name, "passed": bool(passed),
-            "elapsed_s": round(time.perf_counter() - started, 3), "details": details}
-
-
-def _headroom(budget, elapsed):
-    """budget / elapsed: how many times the elapsed time fits in the budget."""
-    return round(budget / max(elapsed, 1e-9), 2)
+            "elapsed_s": round(elapsed, 3), "details": details}
 
 
 @lru_cache(maxsize=2)
@@ -83,12 +84,9 @@ def criterion_1():
     fixed_split = asai_charpoly(f_split, 5).coeffs == [1, -6, 15, -150, 625]
     f_inert = synthetic_form(_field(5), Weight(2, 2, 0, 0), {3: [5]})
     fixed_inert = asai_charpoly(f_inert, 3).coeffs == [1, -5, 0, 45, -81]
-    elapsed = time.perf_counter() - started
-    passed = not failures and fixed_split and fixed_inert and elapsed < 10.0
     return _result("1 tensor-induction == Euler factor (200 split + 200 inert)",
-                   passed, started, failures=failures[:3],
-                   fixed_split=fixed_split, fixed_inert=fixed_inert,
-                   runtime_budget_s=10.0, headroom=_headroom(10.0, elapsed))
+                   not failures and fixed_split and fixed_inert, started, 10.0,
+                   failures=failures[:3], fixed_split=fixed_split, fixed_inert=fixed_inert)
 
 
 # -- 2: split X^2 identity -------------------------------------------------------
@@ -108,11 +106,9 @@ def criterion_2():
             if not heckealg.verify_split_x2_identity(lam, lambar):
                 failures.append((d, ell))
             checked += 1
-    elapsed = time.perf_counter() - started
-    passed = not failures and checked > 0 and elapsed < 5.0
     return _result("2 split X^2-coefficient identity (split ell < 200, d in {2,3,5,13})",
-                   passed, started, pairs_checked=checked, failures=failures,
-                   runtime_budget_s=5.0, headroom=_headroom(5.0, elapsed))
+                   not failures and checked > 0, started, 5.0,
+                   pairs_checked=checked, failures=failures)
 
 
 # -- 3: rewrite confluence -------------------------------------------------------
@@ -166,11 +162,8 @@ def criterion_4():
             resid = float(kronecker_limit_check(alpha, tau))
             grid.append({"alpha": str(alpha), "tau": str(tau), "residual": resid})
             worst = max(worst, resid)
-    elapsed = time.perf_counter() - started
-    passed = worst < KRONECKER_TOL and elapsed < 30.0
-    return _result("4 Kronecker-limit identity (9 grid points)", passed, started,
-                   worst_residual=worst, tolerance=KRONECKER_TOL, grid=grid,
-                   runtime_budget_s=30.0, headroom=_headroom(30.0, elapsed))
+    return _result("4 Kronecker-limit identity (9 grid points)", worst < KRONECKER_TOL,
+                   started, 30.0, worst_residual=worst, tolerance=KRONECKER_TOL, grid=grid)
 
 
 # -- 5: Eisenstein dual method + invariance ----------------------------------------

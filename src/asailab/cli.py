@@ -144,6 +144,21 @@ def _positive_int(text, limit=None):
 _lattice_cutoff = functools.partial(_positive_int, limit=2500)   # 2.4 s of lattice at most
 
 
+# the continuation runs 9.8 / Im tau Fourier levels and the Siegel product up to
+# 17.7 / Im tau factors: at this limit a call ends in about 2 s at most
+_MIN_IM_TAU = Fraction(1, 300)
+
+
+def _continuation_tau(text):
+    """--tau of the continuation: Im tau >= _MIN_IM_TAU, checked before any work
+    (Im tau <= 0 is left to the evaluators, which refuse it)."""
+    tau = parse_complex(text)
+    if 0 < tau.imag < float(_MIN_IM_TAU):   # the float of '1/300' passes
+        raise UsageError(f"--tau: Im tau must be >= {_MIN_IM_TAU} for the continuation, "
+                         f"got {tau.imag:g}")
+    return tau
+
+
 def _positive_float(text):
     """argparse type for real cutoffs: a finite float > 0."""
     try:
@@ -221,7 +236,7 @@ def cmd_base_change(args):
            "eigenvalues_stored": len(form.eigenvalues),
            "sample": {ideal_label(IdealRep(field, *key)): form.eigenvalues[key]
                       for key in sorted(form.eigenvalues)[:8]},
-           "saved_to": args.save, "notes": form.notes}
+           "saved_to": args.save}
     return {"d": args.d, "weight": args.weight}, res, {"bound": args.bound}, 0
 
 
@@ -304,7 +319,7 @@ def cmd_lfun(args):
 
 def cmd_eisenstein(args):
     alpha = parse_rational(args.alpha)
-    tau = parse_complex(args.tau)
+    tau = (parse_complex if args.method == "lattice" else _continuation_tau)(args.tau)
     s = parse_complex(args.s)
     s = s.real if s.imag == 0 else s
     res = {}
@@ -320,7 +335,7 @@ def cmd_eisenstein(args):
 
 def cmd_kronecker_check(args):
     alpha = parse_rational(args.alpha)
-    tau = parse_complex(args.tau)
+    tau = _continuation_tau(args.tau)
     resid = float(kronecker_limit_check(alpha, tau, terms=args.terms))
     res = {"residual": resid, "tolerance": args.tol, "passes": resid < args.tol,
            "siegel_unit_abs": float(abs(siegel_unit(alpha, tau, terms=args.terms)))}

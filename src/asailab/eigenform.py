@@ -66,14 +66,13 @@ class HilbertEigenform:
     """Eigenvalue table of a Hilbert modular eigenform over Q(sqrt(d))."""
 
     def __init__(self, field, weight, level, coefficient_field,
-                 eigenvalues, nebentype=None, notes=None):
+                 eigenvalues, nebentype=None):
         self.field = field
         self.weight = weight
         self.level = level
         self.coefficient_field = coefficient_field
         self.eigenvalues = dict(eigenvalues)   # hnf tuple -> QuadElt
         self.nebentype = dict(nebentype or {})  # hnf tuple of a prime -> QuadElt
-        self.notes = dict(notes or {})
         one = (1, 0, 1)
         if one in self.eigenvalues and self.eigenvalues[one] != 1:
             raise EigenformError("lambda(O_F) must be 1")
@@ -166,7 +165,6 @@ class HilbertEigenform:
             "coefficient_field": self.coefficient_field.to_json(),
             "nebentype": table(self.nebentype, "value"),
             "eigenvalues": table(self.eigenvalues, "lambda"),
-            **({"notes": self.notes} if self.notes else {}),
         }
 
     def save(self, path):
@@ -210,8 +208,7 @@ def load_eigenform(source):
     for entry in data.get("nebentype", []):
         ideal = ideal_from_label(field, entry["ideal"])
         nebentype[ideal.hnf()] = cfield.parse_value(entry["value"])
-    form = HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype,
-                            notes=data.get("notes"))
+    form = HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype)
     bad = next(_multiplicativity_violations(form), None)
     if bad:
         raise EigenformError(f"multiplicativity violated at {bad['ideal']}: "
@@ -282,8 +279,11 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
 
     ap maps rational primes to a_p values; k_cl >= 2 is the classical weight.
     For split l: lambda(P) = lambda(Pbar) = a_l.  For inert l:
-    lambda(l O_F) = a_l^2 - 2 l^{k_cl - 1} eps(l).  For ramified P the
-    convention lambda(P) = a_l is used (unverified; flagged in the notes).
+    lambda(l O_F) = a_l^2 - 2 l^{k_cl - 1} eps(l).  For ramified l = P^2:
+    lambda(P) = a_l, because P has residue degree 1 and the classical form is
+    unramified at l, so Frob_P acts as Frob_l.  (The Asai L-series sees only
+    lambda(P)^2, so test_delta_base_change_is_sym2_times_twisted_zeta checks
+    lambda(P)^2 = a_l^2, not the sign.)
     Higher prime powers are filled by the Hecke recursion so that lambda((n))
     is available for every n <= bound.
     """
@@ -310,7 +310,6 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
         else field.ideal(eps_cl.modulus)
     eigenvalues = {}
     nebentype = {}
-    ramified_used = []
     bound = int(bound)
     for ell in primes_up_to(bound):
         if ell not in ap:
@@ -319,13 +318,10 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
         if not isinstance(a_ell, QuadElt):
             a_ell = cfield.element(Fraction(a_ell))
         st = field.splitting_type(ell)
-        if st.is_split:
-            lam_p = a_ell
-        elif st.is_inert:
+        if st.is_inert:
             lam_p = a_ell * a_ell - 2 * Fraction(ell ** (k_cl - 1)) * eps_at(ell)
         else:
             lam_p = a_ell
-            ramified_used.append(ell)
         # P and Pbar of a split ell have one norm, one lambda and one eps, so
         # one run of the recursion serves both: they share its values
         np = st.primes[0].norm()
@@ -345,12 +341,7 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
                 break
             nxt = lam_p * cur - Fraction(np ** (weight.w - 1)) * eps_p * prev
             prev, cur, r = cur, nxt, r + 1
-    notes = {}
-    if ramified_used:
-        notes["ramified_convention"] = (
-            f"lambda(P) = a_l used at ramified l in {sorted(set(ramified_used))}; "
-            "unverified convention")
-    return HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype, notes)
+    return HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype)
 
 
 def synthetic_form(field, weight, local_lambdas, eps_values=None):

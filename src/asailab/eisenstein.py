@@ -8,9 +8,10 @@ E_alpha^(k)(tau, s) = (-2 pi i)^{-k} pi^{-s} Gamma(s+k)
 for 0 < alpha < 1 rational, converging for k + 2 Re(s) > 2.  The continuation
 is computed from the Fourier expansion: the m = 0 row is a pair of Hurwitz
 zetas, the r = 0 tower a Riemann zeta, and the oscillating modes carry
-confluent hypergeometric U-factors U(a, 2s+k, 4 pi n Im tau): at integer s
-z^-a times an integer polynomial in 1/z, otherwise taken down a Taylor ladder
-on Kummer's equation from the asymptotic series at the largest z.  The m = 0
+confluent hypergeometric U-factors U(a, 2s+k, 4 pi n Im tau): z^-a times an
+integer polynomial in 1/z where the asymptotic series terminates within degree
+32, otherwise taken down a Taylor ladder on Kummer's equation from that series
+at the first level from the top where it converges.  The m = 0
 row is memoised without its factor y^s.  The modes of level n = r m share
 their U-factors and q^n, so each level is one divisor sum over r | n of
 (2 pi r)^{2s+k-1} times a constant of r mod den(alpha), filled for every level
@@ -132,38 +133,30 @@ def eisenstein_continued(k, alpha, tau, s, prec=None):
         raise EisensteinError("negative weights unsupported; use the alpha -> -alpha symmetry")
     alpha = _check_alpha(alpha)
     _as_tau(tau)
-    with mp_context(prec):
-        with mpmath.extraprec(4 * (10 + k)):
-            tau_m = mpmath.mpc(complex(tau))
-            s_m = mpmath.mpc(complex(s)) if complex(s).imag else mpmath.mpf(complex(s).real)
-            a_m = mpmath.mpf(alpha.numerator) / alpha.denominator
-            val = _continued_impl(k, alpha, a_m, tau_m, s_m, prec)
-        # E^(0) is real at real s; drop the roundoff in its imaginary part
-        return +mpmath.re(val) if k == 0 and not complex(s).imag else +val
-
-
-def _continued_impl(k, alpha, a_m, tau, s, prec):
-    y = mpmath.im(tau)
     is_real, s_int, s_half2 = _classify_s(s)
-    if is_real and s_int is not None:
-        s = mpmath.mpf(s_int)
-
     # genuine pole: k = 0 at s = 1 (the zeta(2s+k-1) pole that nothing cancels)
     if k == 0 and is_real and s_int == 1:
         raise EisensteinPole("E^(0) has its pole at s = 1")
-
-    total = mpmath.mpc(0)
-    if k % 2 == 0 and is_real and s_half2 == 1 - k and s_int is None:
-        total += _cancelled_pair(k, a_m, y)
-    else:
-        # m = 0 row:  Gamma(s+k) [zeta(k+2s, a) + (-1)^k zeta(k+2s, 1-a)] pi^-s y^s
-        total += _m0_bracket(k, alpha, s, mpmath.mp.prec) * y ** s
-        # r = 0 tower (even k): 2 (2pi)^{1-k} pi^-s y^s (2y)^{1-2s-k}
-        #                        * Gamma(2s+k-1) zeta(2s+k-1) / Gamma(s)
-        if k % 2 == 0:
-            total += _r0_tower(k, y, s, is_real, s_int)
-    total += _oscillating(k, alpha, tau, s, prec)
-    return total
+    with mp_context(prec):
+        with mpmath.extraprec(4 * (10 + k)):
+            tau_m = mpmath.mpc(complex(tau))
+            y = tau_m.imag
+            if not is_real:
+                s_m = mpmath.mpc(complex(s))
+            else:
+                s_m = mpmath.mpf(complex(s).real if s_int is None else s_int)
+            if k % 2 == 0 and s_half2 == 1 - k and s_int is None:
+                total = _cancelled_pair(k, mpmath.mpf(alpha.numerator) / alpha.denominator, y)
+            else:
+                # m = 0 row:  Gamma(s+k) [zeta(k+2s, a) + (-1)^k zeta(k+2s, 1-a)] pi^-s y^s
+                total = _m0_bracket(k, alpha, s_m, mpmath.mp.prec) * y ** s_m
+                # r = 0 tower (even k): 2 (2pi)^{1-k} pi^-s y^s (2y)^{1-2s-k}
+                #                        * Gamma(2s+k-1) zeta(2s+k-1) / Gamma(s)
+                if k % 2 == 0:
+                    total += _r0_tower(k, y, s_m, is_real, s_int)
+            val = total + _oscillating(k, alpha, tau_m, s_m, prec)
+        # E^(0) is real at real s; drop the roundoff in its imaginary part
+        return +mpmath.re(val) if k == 0 and is_real else +val
 
 
 @functools.lru_cache(maxsize=1024)
@@ -238,24 +231,24 @@ def _cancelled_pair(k, a_m, y):
 
 def _hyperu_values(a, b, z1, N, bits):
     """[U(a, b, n z1) 2^bits for n = 1..N], ints at real a and b and Gauss at
-    complex ones, as close as the routes below: a unit or two, or a few units
-    in the last place of the series or the ladder.
+    complex ones, a unit or two off, or a few units in the last place of the
+    ladder.  Each column takes one of two routes, chosen from a and b.
 
     If the asymptotic series z^-a 2F0(a, 1+a-b;; -1/z) (DLMF 13.7.3) terminates
     (a or 1+a-b a nonpositive integer: integer s) within degree 32, U is
     z^-a P(1/z) with integer coefficients (a)_j (1+a-b)_j (-1)^j / j!, so each
     level is one Horner pass and one floor division; U(0, b, z) = 1 is the
     degree-0 case.  Past degree 32 those ints, about bits * degree bits, cost
-    more than mpmath's series.  Otherwise, down from n = N, each value is that
-    series while it converges at working precision.  Below, Taylor steps of -z1
-    on Kummer's equation z u'' + (b - z) u' - a u = 0 carry (U, U') down, from
-    U' = -a U(a+1, b+1, z) (DLMF 13.3.22).  A step from m z1 converges at ratio
-    1/m; the other solution, ~e^z, decays going down, and so does its share of
-    the rounding error.  The steps run in fixed point on one scalar of
-    `precision`, an int at real a and b and a Gauss at complex ones: the
-    coefficients scaled by 2^q, q = prec + 20, and (U, -z1 U') by 2^p,
-    p = q - mag(U) taken afresh each step; each term divides back with floor
-    division, off by at most one unit.
+    more than the ladder.  Every other column is one ladder: U and U' = -a
+    U(a+1, b+1, z) (DLMF 13.3.22) are that series at the first level m >= N
+    where both converge at working precision, and Taylor steps of -z1 on
+    Kummer's equation z u'' + (b - z) u' - a u = 0 carry (U, U') down to z1.
+    A step from m z1 converges at ratio 1/m; the other solution, ~e^z, decays
+    going down, and so does its share of the rounding error.  The steps run in
+    fixed point on one scalar of `precision`, an int at real a and b and a
+    Gauss at complex ones: the coefficients scaled by 2^q, q = prec + 20, and
+    (U, -z1 U') by 2^p, p = q - mag(U) taken afresh each step; each term
+    divides back with floor division, off by at most one unit.
     """
     c = 1 + a - b
     ends = [-int(x) for x in (a, c) if mpmath.isint(x) and x <= 0]
@@ -278,49 +271,51 @@ def _hyperu_values(a, b, z1, N, bits):
             vals.append((h << lift >> cut) // (den >> cut))
         return vals
 
-    def series(a, b, n):   # at z = n z1; raises NoConvergence
+    if N < 1:
+        return []
+
+    def series(a, b, m):   # at z = m z1; raises NoConvergence
         with mpmath.extraprec(10):
-            z = n * z1
+            z = m * z1
             return mpmath.hyp2f0(a, 1 + a - b, -1 / z, force_series=True) / z ** a
 
-    vals = {}
-    try:
-        for n in range(N, 0, -1):
-            vals[n] = fixed(series(a, b, n), bits)
-    except mpmath.mp.NoConvergence:
-        m = n + 1   # the ladder starts where both series converge, above z_N if need be
-        while True:
-            try:
-                u, du = series(a, b, m), -a * series(a + 1, b + 1, m)
-                break
-            except mpmath.mp.NoConvergence:
-                m += 1
-        prec = mpmath.mp.prec
-        q = prec + 20
-        zf, az, bf = fixed(z1, q), fixed(a * z1, q), fixed(b, q)
-        p = q - int(mpmath.mag(u))
-        u, v = fixed(u, p), fixed(-z1 * du, p)
-        for m in range(m, 1, -1):
-            # the terms t_j = c_j h^j of the step h = -z1 from m z1 follow
-            # t_{j+2} = ((j+a) z1 t_j + (j+1)(j+b-m z1) t_{j+1}) / (m (j+1)(j+2));
-            # U moves by their sum, -z1 U' becomes sum j t_j, and the step ends
-            # after two terms below 2^-(prec+4) |U| z1 / max(z1, j)
-            bz, e1 = bf - m * zf, max(abs(u.real), abs(u.imag)) >> (prec + 4)
-            ez, jz = e1 * zf >> q, zf >> q                  # jz = floor(z1)
-            t0, t1, tail, dv = u, v, v, v
-            j = small = 0
-            while small < 2:
-                t0, t1 = t1, ((az + j * zf) * t0 + (j + 1) * ((j << q) + bz) * t1) \
-                    // (m * (j + 1) * (j + 2) << q)
-                j += 1
-                tail, dv = tail + t1, dv + (j + 1) * t1
-                size = abs(t1.real) + abs(t1.imag)
-                small = small + 1 if (size < e1 if j < jz else size * (j + 1) < ez) else 0
-            u, v = u + tail, dv
-            vals[m - 1] = u << bits - p if bits >= p else u >> p - bits
-            shift = q - max(abs(u.real), abs(u.imag)).bit_length()   # rescale to the new |U|
-            u, v = (u << shift, v << shift) if shift >= 0 else (u >> -shift, v >> -shift)
-            p += shift
+    m = N   # the ladder starts at the first level from N up where both series converge
+    while True:
+        try:
+            u, du = series(a, b, m), -a * series(a + 1, b + 1, m)
+            break
+        except mpmath.mp.NoConvergence:
+            m += 1
+    vals = {m: fixed(u, bits)}
+    prec = mpmath.mp.prec
+    q = prec + 20
+    zf, az, bf = fixed(z1, q), fixed(a * z1, q), fixed(b, q)
+    p = q - int(mpmath.mag(u))
+    u, v = fixed(u, p), fixed(-z1 * du, p)
+    for m in range(m, 1, -1):
+        # the terms t_j = c_j h^j of the step h = -z1 from m z1 follow
+        # t_{j+2} = ((j+a) z1 t_j + (j+1)(j+b-m z1) t_{j+1}) / (m (j+1)(j+2));
+        # U moves by their sum, -z1 U' becomes sum j t_j, and the step ends
+        # after two terms below 2^-(prec+4) |U| z1 / max(z1, j), or below 8
+        # units: floor division holds a term at a few units, at small z1 above
+        # that bound
+        bz, e1 = bf - m * zf, max(abs(u.real), abs(u.imag)) >> (prec + 4)
+        ez, jz = e1 * zf >> q, zf >> q                  # jz = floor(z1)
+        t0, t1, tail, dv = u, v, v, v
+        j = small = 0
+        while small < 2:
+            t0, t1 = t1, ((az + j * zf) * t0 + (j + 1) * ((j << q) + bz) * t1) \
+                // (m * (j + 1) * (j + 2) << q)
+            j += 1
+            tail, dv = tail + t1, dv + (j + 1) * t1
+            size = abs(t1.real) + abs(t1.imag)
+            tiny = size < e1 if j < jz else size * (j + 1) < ez or size < 8
+            small = small + 1 if tiny else 0
+        u, v = u + tail, dv
+        vals[m - 1] = u << bits - p if bits >= p else u >> p - bits
+        shift = q - max(abs(u.real), abs(u.imag)).bit_length()   # rescale to the new |U|
+        u, v = (u << shift, v << shift) if shift >= 0 else (u >> -shift, v >> -shift)
+        p += shift
     return [vals[n] for n in range(1, N + 1)]
 
 
@@ -406,7 +401,7 @@ def kronecker_limit_check(alpha, tau, prec=None, terms=200):
     with mp_context(prec):
         e0 = eisenstein_continued(0, alpha, tau, 0, prec)
         g = siegel_unit(alpha, tau, terms, prec)
-        return abs(mpmath.re(e0) + 2 * mpmath.log(abs(g))) + abs(mpmath.im(e0))
+        return abs(e0 + 2 * mpmath.log(abs(g)))   # e0 is real at real s
 
 
 # -- diagonal Mellin / unfolding kernel -----------------------------------------

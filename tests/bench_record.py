@@ -6,8 +6,10 @@
 Run from anywhere; the change is the checkout holding this file, and DIR is
 a checkout of the parent commit (for example made with
 `git archive <parent> | tar -x -C DIR`).  Both checkouts are byte-compiled
-first, so neither side's import pays for writing `__pycache__`.  The file
-records:
+first, so neither side's import pays for writing `__pycache__`; a `.py` file
+under src/, perfbench/ or tests/ of either side that changes after that would
+run from source, so the script then exits non-zero and writes no record.  The
+file records:
 
 - for each workload of BENCHMARK.json, every end-to-end metric of
   `perfbench/run.py --trace 0` for its `run_seconds`, run in PAIRS
@@ -32,6 +34,7 @@ this file (its name has no test_ prefix).
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -60,6 +63,12 @@ def _run(root, *args):
 def compile_tree(root):
     proc = _run(root, "-m", "compileall", "-q", "src", "tests", "perfbench")
     proc.check_returncode()
+
+
+def sources(root):
+    """{path: sha256} of every .py file that the compiled tree covers."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for d in ("src", "perfbench", "tests") for p in sorted((root / d).rglob("*.py"))}
 
 
 def perfbench(sides, side, workload, seed, seconds, trace):
@@ -145,6 +154,7 @@ def main(argv=None):
     seconds = config["run_seconds"]
     for root in sides.values():
         compile_tree(root)
+    compiled = {side: sources(root) for side, root in sides.items()}
 
     runs = {w["name"]: {"parent": [], "change": []} for w in config["workloads"]}
     for i in range(PAIRS):
@@ -172,6 +182,12 @@ def main(argv=None):
                   "summary": (tier1.stdout.strip().splitlines() or [""])[-1]},
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
     }
+    now = {side: sources(root) for side, root in sides.items()}
+    changed = [f"{side}: {path}" for side in sides
+               for path in sorted(compiled[side].keys() | now[side].keys())
+               if compiled[side].get(path) != now[side].get(path)]
+    if changed:
+        sys.exit("sources changed after byte-compiling, no record written:\n" + "\n".join(changed))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

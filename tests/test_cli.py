@@ -137,6 +137,18 @@ def test_kronecker_terms_past_the_working_precision_cost_nothing(capsys):
     assert big == small
 
 
+def test_continuation_at_the_im_tau_limit(capsys):
+    # the continuation runs 9.8 / Im tau Fourier levels: Im tau = 1/300 is
+    # accepted, and the Kronecker-limit identity holds there; the lattice's
+    # cost depends on --cutoff alone, so it takes any Im tau > 0
+    code, out, _ = run_cli(capsys, "kronecker-check", "--alpha", "1/5", "--tau", "3/10+1/300i",
+                           "--terms", "1000000000")
+    assert code == 0 and json.loads(out)["result"]["passes"]
+    code, out, _ = run_cli(capsys, "eisenstein", "--method", "lattice", "--k", "4", "--alpha",
+                           "1/5", "--tau", "3/10+1/1000000i", "--cutoff", "10")
+    assert code == 0
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_y_cutoff_must_be_finite_and_positive(capsys, value):
     # -1 made numpy warn on stderr and the report fail on a NaN
@@ -390,9 +402,14 @@ LABELS = '{"l1": {"norm": 11}}'
         "--cutoff", "60"], 1, "validation",
        f"lattice sum at k={k}, s={value} overflows double precision")
       for k, s, value in (("200", "1/2", 0.5), ("2", "400", 400.0))),
+    *(([cmd, *args, "--alpha", "1/5", "--tau", tau], 64, "usage",
+       "--tau: Im tau must be >= 1/300 for the continuation, got 1e-06")
+      for cmd, tau, args in (("eisenstein", "3/10+1/1000000i", ["--k", "2"]),
+                             ("kronecker-check", "1/1000000i", ["--terms", "1000000000"]))),
 ], ids=["nested-parentheses", "nested-labels", "tau-overflow",
         "label-norm-overflow", "label-norm-fraction", "label-unit-string",
-        "lattice-gamma-overflow", "lattice-power-overflow"])
+        "lattice-gamma-overflow", "lattice-power-overflow",
+        "continuation-tiny-im-tau", "kronecker-tiny-im-tau"])
 @pytest.mark.filterwarnings("error")   # nothing from numpy on the way
 def test_hostile_input_ends_in_a_json_error(capsys, argv, code, label, message):
     # each of these ended in an uncaught RecursionError or OverflowError, or

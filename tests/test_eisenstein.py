@@ -5,12 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from asailab.eisenstein import (EisensteinError, EisensteinPole, _lattice_float,
-                                _m0_bracket, _oscillating, diagonal_mellin_check,
-                                eisenstein_continued, eisenstein_lattice_sum,
-                                kronecker_limit_check, siegel_unit)
-from asailab.precision import mp_context
-from oracles import (check_hyperu_ladder, classical_eisenstein_q_series,
+from asailab.eisenstein import (EisensteinError, EisensteinPole, _hyperu_values,
+                                _lattice_float, _m0_bracket, _oscillating,
+                                diagonal_mellin_check, eisenstein_continued,
+                                eisenstein_lattice_sum, kronecker_limit_check, siegel_unit)
+from asailab.precision import from_fixed, mp_context
+from oracles import (check_hyperu_ladder, classical_eisenstein_q_series, hyperu_reference,
                      lattice_by_complex_power, lattice_by_rows,
                      oscillating_by_divisor_pairs, shell_ordered_lattice_sum,
                      siegel_unit_by_all_factors)
@@ -372,6 +372,53 @@ def test_terminating_hyperu_columns_match_oracle(s, prec):
     # 0.2, z from 2.5 to 20
     for k in range(8):
         check_hyperu_ladder(s, k, 0.2, 8, prec)
+
+
+def test_ladder_column_reads_the_series_once(monkeypatch):
+    # U(3/2, 5, n z1) at Im tau = 0.2, as _oscillating asks for it at k = 2 and
+    # prec 64: the series converges at z_N, N = 49, and gives U and U' there;
+    # every lower level comes from the ladder, with no series call of its own
+    calls = []
+    hyp2f0 = mpmath.hyp2f0
+    monkeypatch.setattr(mpmath, "hyp2f0", lambda *a, **kw: calls.append(a) or hyp2f0(*a, **kw))
+    n_max = int((64 + 25) * math.log(2) / (2 * math.pi * 0.2))
+    with mp_context(64), mpmath.extraprec(4 * (10 + 2)):
+        us = _hyperu_values(mpmath.mpf(1.5), mpmath.mpf(5), 4 * mpmath.pi * 0.2, n_max,
+                            mpmath.mp.prec + 20)
+    assert (n_max, len(us), len(calls)) == (49, 49, 2)
+
+
+def test_ladder_steps_where_the_series_converges_at_every_level():
+    # at z1 = 40 pi the series converges from z1 up, so no level needs the
+    # ladder, and yet it carries every level below z_N
+    assert _series_converges(0.5, 1, 4 * math.pi * 10, 74)
+    check_hyperu_ladder(0.5, 0, 10, 3, 64)
+
+
+@pytest.mark.parametrize("s", [40, -40])
+@pytest.mark.parametrize("k", [0, 7])
+@pytest.mark.parametrize("y", [0.2, 1])
+def test_terminating_columns_past_degree_32_take_the_ladder(s, k, y):
+    # a or 1+a-b a nonpositive integer past degree 32: the series terminates,
+    # converges at z_N, and the ladder carries it down
+    check_hyperu_ladder(s, k, y, 4, 64)
+
+
+def test_ladder_step_ends_in_floor_division_noise():
+    # at Im tau = 1/500 (k = 7, s = 3/2+7/10i, the U(s+k, 2s+k) column at the
+    # precision of eisenstein_continued) the last step's terms settle at a few
+    # units, above the bound 2^-(prec+4) |U| z1 / j once j passes about
+    # 2^15 z1, so the step summed them without end; bits keep prec of them at
+    # the smallest U, about z_N^-8.5 = 2^-59
+    prec, y, s, k = 64 + 16 + 4 * (10 + 7), 0.002, mpmath.mpc(1.5, 0.7), 7
+    n_max, bits = int((64 + 25) * math.log(2) / (2 * math.pi * y)), prec + 60
+    with mpmath.workprec(prec):
+        z1 = 4 * mpmath.pi * y
+        got = _hyperu_values(s + k, 2 * s + k, z1, n_max, bits)
+        for n in (1, 2, 3, 50, n_max):
+            (want,) = hyperu_reference(s + k, 2 * s + k, n * z1, 1, prec)
+            err = abs(from_fixed(got[n - 1], bits) - want)
+            assert err <= mpmath.ldexp(abs(want), 8 - prec), n
 
 
 @pytest.mark.parametrize("prec", [64, 80, 120])

@@ -395,8 +395,8 @@ def test_imprimitive_L_keeps_no_list_of_terms(bc_form_4000):
 @pytest.mark.parametrize("d", SQUAREFREE_BELOW_30)
 def test_delta_base_change_is_sym2_times_twisted_zeta(d):
     # L^imp of the base change of Delta is L(Sym^2 Delta, s) L(eps_F, s - 11)
-    # coefficient by coefficient, ramified n included: this pins the
-    # convention lambda(P) = a_l at a ramified P
+    # coefficient by coefficient, ramified n included; at a ramified P it sees
+    # lambda(P) only through lambda(P)^2, so it checks lambda(P)^2 = a_l^2
     n_max = 1000
     got = imprimitive_coefficients(AsaiLSeries(_delta_over(d)), n_max)
     want = sym2_times_twisted_zeta(d, n_max)
