@@ -296,14 +296,14 @@ class GroupRingElement:
             return "0"
         return " + ".join(f"({c})*[{a}]" for a, c in sorted(self.coeffs.items()))
 
-    def apply_character(self, chi, prec=None):
+    def apply_character(self, chi):
         """Complex value sum_a coeff(a) * chi(a)."""
         import mpmath
         from .precision import mp_context
-        with mp_context(prec):
+        with mp_context():
             acc = mpmath.mpc(0)
             for a, c in self.coeffs.items():
-                acc += to_mpf(c) * chi.value_mpc(a if self.modulus > 1 else 1, prec)
+                acc += to_mpf(c) * chi.value_mpc(a if self.modulus > 1 else 1)
             return acc
 
     def to_json(self):

@@ -93,9 +93,6 @@ class RootOfUnity:
             return "-1"
         return f"zeta({self.n})^{self.e}"
 
-    def is_real(self):
-        return self.n in (1, 2)
-
     def as_rational(self):
         if self.n == 1:
             return Fraction(1)
@@ -103,8 +100,8 @@ class RootOfUnity:
             return Fraction(-1)
         raise CharacterError(f"{self} is not rational")
 
-    def to_mpc(self, prec=None):
-        with mp_context(prec):
+    def to_mpc(self):
+        with mp_context():
             return mpmath.exp(2j * mpmath.pi * self.e / self.n)
 
 
@@ -152,11 +149,11 @@ class DirichletCharacter:
         k = self._values.get(int(a) % self.modulus)
         return None if k is None else RootOfUnity(k, self.order)
 
-    def value_mpc(self, a, prec=None):
+    def value_mpc(self, a):
         v = self(a)
         if v is None:
             return mpmath.mpc(0)
-        return v.to_mpc(prec)
+        return v.to_mpc()
 
     def inverse(self):
         gens = unit_group_structure(self.modulus)

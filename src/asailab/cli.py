@@ -3,8 +3,8 @@
 Every subcommand validates its inputs, computes, and writes one deterministic
 JSON report to stdout (or --out).  Exit codes: 0 success, 1 validation
 failure, 2 computational hypothesis failure (e.g. a required (NEZ) check came
-back false, or a pole was hit), 64 usage errors.  ASAILAB_PRECISION overrides
-the default working precision (bits).
+back false, or a pole was hit), 64 usage errors.  ASAILAB_PRECISION sets the
+working precision, from 24 to 192 bits (default 64).
 
 Each handler `cmd_<name>(args)` returns `(inputs, result, cutoffs, exit_code)`;
 `main` alone builds, encodes and writes the report, and maps an exception to
@@ -14,6 +14,7 @@ its exit code through `_EXITS`.
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .precision import working_precision
+from .precision import MIN_PRECISION, working_precision
 from .coeffs import CoefficientError, parse_rational
 from .quadfield import (RealQuadraticField, IdealRep, ideal_label,
                         totally_positive_generator)
@@ -81,7 +82,7 @@ def _emit(args, inputs, result, cutoffs):
         "inputs": inputs,
         "result": result,
         "provenance": {"version": __version__,
-                       "precision": working_precision(None),
+                       "precision": working_precision(),
                        "cutoffs": cutoffs},
     }
     text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False,
@@ -143,18 +144,20 @@ def _positive_int(text, limit=None):
 
 _lattice_cutoff = functools.partial(_positive_int, limit=2500)   # 2.4 s of lattice at most
 
-
-# the continuation runs 9.8 / Im tau Fourier levels and the Siegel product up to
-# 17.7 / Im tau factors: at this limit a call ends in about 2 s at most
-_MIN_IM_TAU = Fraction(1, 300)
+# at P bits the continuation runs (P + 25) ln 2 / (2 pi Im tau) Fourier levels, at
+# most 2945 above the Im tau limit (P + 25) / 26700 (1/300 at 64 bits), and a level
+# costs more at more bits: the dearest call there (k = 7, complex s) takes 2-3 s
+# from 64 to 192 bits, and 1.2-1.8 times its 64-bit time at 256
+_MAX_PRECISION = 192
 
 
 def _continuation_tau(text):
-    """--tau of the continuation: Im tau >= _MIN_IM_TAU, checked before any work
-    (Im tau <= 0 is left to the evaluators, which refuse it)."""
+    """--tau of the continuation: Im tau at least the limit at the working precision,
+    checked before any work (Im tau <= 0 is left to the evaluators, which refuse it)."""
     tau = parse_complex(text)
-    if 0 < tau.imag < float(_MIN_IM_TAU):   # the float of '1/300' passes
-        raise UsageError(f"--tau: Im tau must be >= {_MIN_IM_TAU} for the continuation, "
+    limit = Fraction(working_precision() + 25, 26700)
+    if 0 < tau.imag < float(limit):   # the float of '1/300' passes
+        raise UsageError(f"--tau: Im tau must be >= {limit} for the continuation, "
                          f"got {tau.imag:g}")
     return tau
 
@@ -699,6 +702,17 @@ _EXITS = (
 )
 
 
+def _check_precision():
+    """ASAILAB_PRECISION from MIN_PRECISION to _MAX_PRECISION bits, before any work."""
+    try:
+        if working_precision() <= _MAX_PRECISION:
+            return
+    except ValueError:
+        pass
+    raise UsageError(f"ASAILAB_PRECISION must be an integer from {MIN_PRECISION} to "
+                     f"{_MAX_PRECISION}, got {os.environ['ASAILAB_PRECISION']!r}")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -706,6 +720,7 @@ def main(argv=None):
         if not args.cmd:
             parser.print_help()
             return 64
+        _check_precision()
         inputs, result, cutoffs, code = args.func(args)
         _emit(args, inputs, result, cutoffs)
         return code

@@ -290,8 +290,8 @@ class QuadElt:
 
     # -- numeric / wire --------------------------------------------------
 
-    def to_mpf(self, prec=None):
-        with mp_context(prec):
+    def to_mpf(self):
+        with mp_context():
             return to_mpf(self)
 
     def __float__(self):

@@ -145,8 +145,7 @@ class HilbertEigenform:
         from .characters import DirichletCharacter
         if not self.nebentype:
             return DirichletCharacter.trivial(self.rational_level())
-        raise EigenformError("nontrivial nebentype restriction not implemented; "
-                             "supply chi explicitly")
+        raise EigenformError("nontrivial nebentype restriction not implemented")
 
     def rational_level(self):
         """Positive generator of (level ideal) intersected with Z."""

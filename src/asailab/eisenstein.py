@@ -107,9 +107,9 @@ def _lattice_float(k, alpha, tau, s, cutoff):
 
 # -- analytic continuation ---------------------------------------------------
 
-def _near_int(x, tol=1e-10):
+def _near_int(x):
     r = round(float(x))
-    return r if abs(float(x) - r) < tol else None
+    return r if abs(float(x) - r) < 1e-10 else None
 
 
 def _classify_s(s):
@@ -122,7 +122,7 @@ def _classify_s(s):
     return True, n, h
 
 
-def eisenstein_continued(k, alpha, tau, s, prec=None):
+def eisenstein_continued(k, alpha, tau, s):
     """E_alpha^(k)(tau, s) by the Fourier expansion, valid for all s.
 
     Agrees with the lattice sum in the convergence region; raises
@@ -137,7 +137,7 @@ def eisenstein_continued(k, alpha, tau, s, prec=None):
     # genuine pole: k = 0 at s = 1 (the zeta(2s+k-1) pole that nothing cancels)
     if k == 0 and is_real and s_int == 1:
         raise EisensteinPole("E^(0) has its pole at s = 1")
-    with mp_context(prec):
+    with mp_context():
         with mpmath.extraprec(4 * (10 + k)):
             tau_m = mpmath.mpc(complex(tau))
             y = tau_m.imag
@@ -154,7 +154,7 @@ def eisenstein_continued(k, alpha, tau, s, prec=None):
                 #                        * Gamma(2s+k-1) zeta(2s+k-1) / Gamma(s)
                 if k % 2 == 0:
                     total += _r0_tower(k, y, s_m, is_real, s_int)
-            val = total + _oscillating(k, alpha, tau_m, s_m, prec)
+            val = total + _oscillating(k, alpha, tau_m, s_m)
         # E^(0) is real at real s; drop the roundoff in its imaginary part
         return +mpmath.re(val) if k == 0 and is_real else +val
 
@@ -319,7 +319,7 @@ def _hyperu_values(a, b, z1, N, bits):
     return [vals[n] for n in range(1, N + 1)]
 
 
-def _oscillating(k, alpha, tau, s, prec):
+def _oscillating(k, alpha, tau, s):
     """The r != 0 Fourier modes, with hypergeometric-U coefficients.
 
     Level n = r m (r | n) is D[n] (u1_n q^n + (-1)^k poch u2_n conj q^n), q =
@@ -335,7 +335,7 @@ def _oscillating(k, alpha, tau, s, prec):
     """
     y = mpmath.im(tau)
     poch = mpmath.rf(s, k)
-    n_max = int((working_precision(prec) + 25) * mpmath.log(2) / (2 * mpmath.pi * y))
+    n_max = int((working_precision() + 25) * mpmath.log(2) / (2 * mpmath.pi * y))
     z1, w, rs, re_s = 4 * mpmath.pi * y, 2 * s + k - 1, range(1, n_max + 1), float(mpmath.re(s))
     # 20 guard bits over the working precision, plus the bits by which the smallest
     # U (z^-Re a at the largest z), r^w and |q| = e^{-2 pi y} (if a level is kept) fall below 1
@@ -370,7 +370,7 @@ def _oscillating(k, alpha, tau, s, prec):
 
 # -- Siegel units and the Kronecker limit --------------------------------------
 
-def siegel_unit(alpha, tau, terms=200, prec=None):
+def siegel_unit(alpha, tau, terms=200):
     """g_{0,alpha}(tau) = q^{1/12} (1 - q_a) prod_{n>=1} (1 - q^n q_a)(1 - q^n/q_a).
 
     At most `terms` factors, and none with |q^n| < 2^-2P at the P-bit working
@@ -382,7 +382,7 @@ def siegel_unit(alpha, tau, terms=200, prec=None):
     _as_tau(tau)
     if terms < 1:
         raise EisensteinError("need terms >= 1")
-    with mp_context(prec):
+    with mp_context():
         tau_m = mpmath.mpc(complex(tau))
         q = mpmath.exp(2j * mpmath.pi * tau_m)
         qa = mpmath.expjpi(2 * mpmath.mpf(alpha.numerator) / alpha.denominator)
@@ -395,12 +395,12 @@ def siegel_unit(alpha, tau, terms=200, prec=None):
         return +g
 
 
-def kronecker_limit_check(alpha, tau, prec=None, terms=200):
+def kronecker_limit_check(alpha, tau, terms=200):
     """|E^(0)_alpha(tau, 0) + 2 log |g_{0,alpha}(tau)||; small iff the identity holds."""
     alpha = _check_alpha(alpha)
-    with mp_context(prec):
-        e0 = eisenstein_continued(0, alpha, tau, 0, prec)
-        g = siegel_unit(alpha, tau, terms, prec)
+    with mp_context():
+        e0 = eisenstein_continued(0, alpha, tau, 0)
+        g = siegel_unit(alpha, tau, terms)
         return abs(e0 + 2 * mpmath.log(abs(g)))   # e0 is real at real s
 
 

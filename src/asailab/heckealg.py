@@ -386,17 +386,17 @@ def normalize(expr):
 
 # -- the paper's operator polynomials --------------------------------------
 
-def split_labels(ell, name=None):
+def split_labels(ell):
     """Conjugate pair of labels for a split rational prime."""
-    base = name or f"l{ell}"
+    base = f"l{ell}"
     lam = PrimeLabel(base, ell, conj=base + "b")
     lambar = PrimeLabel(base + "b", ell, conj=base)
     return lam, lambar
 
 
-def inert_label(ell, name=None):
+def inert_label(ell):
     """Label for the element ell generating an inert prime (norm ell^2)."""
-    return PrimeLabel(name or f"q{ell}", ell * ell)
+    return PrimeLabel(f"q{ell}", ell * ell)
 
 
 def _rational_prime_arg(ell, splitting, labels=None):

@@ -64,13 +64,10 @@ def _multiplicative_table(n_max, c1, local):
 class AsaiLSeries:
     """Imprimitive Asai L-series of a form."""
 
-    def __init__(self, form, chi=None):
+    def __init__(self, form):
         self.form = form
-        self.chi = chi if chi is not None else form.chi_restriction()
+        self.chi = form.chi_restriction()
         self.rational_level = form.rational_level()
-        if self.chi.modulus != self.rational_level:
-            raise LSeriesError(
-                f"chi modulus {self.chi.modulus} != level generator {self.rational_level}")
 
     def alpha_table(self, n_max):
         """dirichlet_alpha_table of the form, built afresh on each call: kept,
@@ -113,7 +110,7 @@ class AsaiLSeries:
         return [one, u], [one, -v, u * u - z, z * v, -(z * (u * u))]
 
 
-def imprimitive_L(series, s, n_cutoff=4000, prec=None):
+def imprimitive_L(series, s, n_cutoff=4000):
     """Truncated L_(N)(chi, 2s-2-k-k') * sum_{n <= n_cutoff} alpha(n) n^{-s}.
 
     Requires Re(s) > (k+k')/2 + 2 for a meaningful truncation.  Returns
@@ -132,7 +129,7 @@ def imprimitive_L(series, s, n_cutoff=4000, prec=None):
     by 4 log2(N) N^{(k+k')/2+1} 2^-W: both below 2^-P, besides the relative
     error 2^-(P+GUARD_BITS) of each power.
     """
-    with mp_context(prec):
+    with mp_context():
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         kk = series.shift_weight
         if mpmath.re(s_m) <= kk / 2 + 2:
@@ -143,8 +140,7 @@ def imprimitive_L(series, s, n_cutoff=4000, prec=None):
              + max(max(abs(x), abs(y)).bit_length() for x, y, _ in map(_coords, table[1:]))
              + (e or 1).bit_length())
         chi, m = series.chi, series.chi.modulus
-        by_residue = [0 if v is None else int(v.as_rational()) << w if v.is_real()
-                      else fixed(v.to_mpc(prec), w) for v in map(chi, range(m))]
+        by_residue = [0 if v is None else int(v.as_rational()) << w for v in map(chi, range(m))]
         spf = smallest_prime_factors(n_cutoff)
         powers = [None] * (n_cutoff // 2 + 1)
         sx, sy, zeta = 0, 0, [0] * m
@@ -184,7 +180,7 @@ def _series_div(num, den, order):
     return rem
 
 
-def euler_product_L(series, s, ell_cutoff=500, prec=None):
+def euler_product_L(series, s, ell_cutoff=500):
     """Truncated Euler product of the imprimitive Asai L-function over the
     good primes l <= ell_cutoff, each factor series.local_factor(l) at
     X = l^{-s}; a prime l | N, whose factor is not known here, raises.  Each
@@ -194,7 +190,7 @@ def euler_product_L(series, s, ell_cutoff=500, prec=None):
     prime.
     """
     n_level = series.rational_level
-    with mp_context(prec):
+    with mp_context():
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         w = mpmath.mp.prec + GUARD_BITS
         total = 1 << w
@@ -300,8 +296,8 @@ class SymbolicConstant:
             sqrt_disc_exp -= 2 * fold
         return SymbolicConstant(rational, pi_exp, i_exp, sqrt_disc_exp, disc)
 
-    def numeric(self, prec=None):
-        with mp_context(prec):
+    def numeric(self):
+        with mp_context():
             val = mpmath.mpf(self.rational.numerator) / self.rational.denominator
             val = val * mpmath.pi ** self.pi_exp * mpmath.sqrt(self.disc) ** self.sqrt_disc_exp
             return mpmath.mpc(val) * (1j ** self.i_exp)
@@ -317,11 +313,11 @@ class SymbolicConstant:
             self.i_exp + other.i_exp, self.sqrt_disc_exp + other.sqrt_disc_exp, disc)
 
     def to_json(self):
+        value = self.numeric()
         return {"rational": f"{self.rational.numerator}/{self.rational.denominator}",
                 "pi_exp": self.pi_exp, "i_exp": self.i_exp,
                 "sqrt_disc_exp": self.sqrt_disc_exp, "disc": self.disc,
-                "numeric": [float(mpmath.re(self.numeric())),
-                            float(mpmath.im(self.numeric()))]}
+                "numeric": [float(value.real), float(value.imag)]}
 
 
 def unfolding_constant(k, kprime, j, n_level, disc):

@@ -2,11 +2,11 @@
 Perrin-Riou interpolation factors with Gauss sums.
 
 p-adic quantities are (valuation, unit) pairs with the unit carried to a
-finite precision (default 20 digits); valuation bookkeeping is exact.  An
-exact value (int, Fraction, QuadElt) enters p-adic arithmetic only through
-`to_padic`, so a PadicNumber is an ordinary operand of + - * / ** and ==: an
-exact operand is read at the other operand's precision, and a product of two
-p-adic numbers has the lesser precision, whatever the order.  The Iwasawa
+finite precision (DIGITS, 20 digits, by default); valuation bookkeeping is
+exact.  An exact value (int, Fraction, QuadElt) enters p-adic arithmetic only
+through `to_padic`, so a PadicNumber is an ordinary operand of + - * / ** and
+==: an exact operand is read at the other operand's precision, and a product
+of two p-adic numbers has the lesser precision, whatever the order.  The Iwasawa
 algebra is never materialised: every interpolation statement is exercised
 through (j, eta) specialisations.
 """
@@ -18,6 +18,8 @@ from fractions import Fraction
 from .arith import is_prime, sqrt_mod
 from .coeffs import QuadElt, to_mpf
 from .cyclo import CyclotomicValue
+
+DIGITS = 20   # the p-adic precision of stabilisation data and of `to_padic`
 
 
 class PadicError(ValueError):
@@ -145,7 +147,8 @@ class PadicNumber:
         return (self.unit - other.unit) % mod == 0
 
     def __hash__(self):
-        return hash((self.p, self.val, self.unit % self.p ** min(self.prec, 8)))
+        # == fixes val and the unit mod p^min(prec), and every prec is >= 1
+        return hash((self.p, self.val, self.unit % self.p))
 
     def __repr__(self):
         return f"{self.p}^{self.val} * ({self.unit} + O({self.p}^{self.prec}))"
@@ -162,27 +165,18 @@ def _lift_root(t, c, x0, p, prec):
     return x
 
 
-def hensel_sqrt(e, p, prec, root_choice=None):
-    """Square root of e mod p^prec (p odd, p not dividing e); None if e is a non-residue.
-
-    root_choice picks the lift: any integer r with r^2 = e mod p.  The default
-    is the lift of the smaller root in 1..p-1.
-    """
+def hensel_sqrt(e, p, prec):
+    """Square root of e mod p^prec (p odd, p not dividing e) lifting the
+    smaller root in 1..p-1; None if e is a non-residue."""
     e = int(e) % p ** prec
     if p == 2:
         raise PadicError("p = 2 square roots unsupported")
     if e % p == 0:
         raise PadicError("need e a p-adic unit")
-    if root_choice is not None:
-        if (root_choice * root_choice - e) % p:
-            raise PadicError(f"{root_choice} is not a square root of {e} mod {p}")
-        r0 = root_choice
-    elif pow(e, (p - 1) // 2, p) != 1:
+    if pow(e, (p - 1) // 2, p) != 1:
         return None
-    else:
-        r = sqrt_mod(e, p)
-        r0 = min(r, p - r)
-    return _lift_root(0, -e, r0, p, prec)
+    r = sqrt_mod(e, p)
+    return _lift_root(0, -e, min(r, p - r), p, prec)
 
 
 def hensel_unit_root(trace, const, p, prec):
@@ -204,13 +198,13 @@ def hensel_unit_root(trace, const, p, prec):
     return PadicNumber(p, 0, _lift_root(t.unit, c, t.unit, p, prec), prec)
 
 
-def to_padic(value, p, prec=20, embedding=None):
+def to_padic(value, p, prec=DIGITS):
     """The one way into p-adic arithmetic: an int, Fraction or QuadElt as a
     PadicNumber known mod p^prec (a PadicNumber passes through unchanged).
 
     An irrational a + b sqrt(e) is read through sqrt(e) -> the Hensel lift of
-    the root `embedding` mod p (default: the smaller root), taken to enough
-    digits that the unit is right mod p^prec.  Anything else raises PadicError.
+    the smaller root mod p, taken to enough digits that the unit is right mod
+    p^prec.  Anything else raises PadicError.
     """
     if isinstance(value, PadicNumber):
         if value.p != p:
@@ -226,7 +220,7 @@ def to_padic(value, p, prec=20, embedding=None):
             # x + y sqrt(e) has valuation v <= v(x^2 - e y^2), so sqrt(e) read
             # mod p^(prec + v) gives its unit mod p^prec
             x, y = value.x, value.y
-            r = hensel_sqrt(e, p, prec + _vp_int(x * x - e * y * y, p), embedding)
+            r = hensel_sqrt(e, p, prec + _vp_int(x * x - e * y * y, p))
             if r is None:
                 raise PadicError(f"{e} is not a square mod {p}; embedding undefined")
             value = Fraction(x + y * r, value.den)
@@ -292,8 +286,8 @@ class OrdinaryData:
         return sorted(to_padic(v, self.p).val for _, v in self.frobenius_eigenvalues())
 
 
-def stabilized_params(form, p, precision=20, embedding=None):
-    """OrdinaryData for a split p.
+def stabilized_params(form, p):
+    """OrdinaryData for a split p, known to DIGITS p-adic digits.
 
     If p divides the level, the stored U-eigenvalues are used (exactly when the
     coefficient data is rational).  Otherwise the p-stabilisation is performed
@@ -320,10 +314,10 @@ def stabilized_params(form, p, precision=20, embedding=None):
         if stabilised_here:
             # const = p^{k_slot + 1} eps up to the t-normalisation
             const = Fraction(p) ** (w.w - 1 - 2 * t_slot) * eps_v
-            alpha = hensel_unit_root(to_padic(mu, p, precision, embedding), const, p, precision)
+            alpha = hensel_unit_root(to_padic(mu, p), const, p, DIGITS)
         else:
             alpha = mu
-            if to_padic(alpha, p, precision, embedding).val != 0:
+            if to_padic(alpha, p).val != 0:
                 raise PadicError(f"form is not ordinary at {p}")
         values.append(alpha)
     return OrdinaryData(p=p, k=w.k, kprime=w.kprime,
@@ -403,17 +397,16 @@ class InterpFactor:
     gauss_inverse: object          # CyclotomicValue or None
     tag: str                       # 'log' or 'exp*'
     tag_constant: Fraction
-    meta: dict = dataclass_field(default_factory=dict)
 
-    def numeric(self, prec=None):
+    def numeric(self):
         import mpmath
         from .precision import mp_context
-        with mp_context(prec):
+        with mp_context():
             if isinstance(self.scalar, PadicNumber):
                 raise PadicError("p-adic scalar has no archimedean embedding")
             s = to_mpf(self.scalar)
             if self.gauss_inverse is not None:
-                return s * self.gauss_inverse.to_mpc(prec)
+                return s * self.gauss_inverse.to_mpc()
             return mpmath.mpc(s)
 
 
@@ -458,7 +451,6 @@ def pr_interp_factor(data, j, r, eta=None, p=None, kprime=None):
         raise PadicError("r >= 1 needs a character eta of conductor p^r")
     if eta.modulus != p ** r:
         raise PadicError(f"eta modulus {eta.modulus} != {p}^{r}")
-    ginv, g, gnorm = gauss_sum_inverse(eta.inverse())
+    ginv = gauss_sum_inverse(eta.inverse())[0]
     ratio = Fraction(p) ** ((1 + j) * r) / a_val ** r
-    return InterpFactor(j, r, eta, ratio, ginv, tag, tag_const,
-                        meta={"gauss_norm": gnorm})
+    return InterpFactor(j, r, eta, ratio, ginv, tag, tag_const)

@@ -3,9 +3,9 @@ fixed-point layer of both L-value routes and the U-ladder: integers scaled by
 2^bits, ints at real arguments and `Gauss` at complex ones.  Only this module
 reads mpmath's raw numbers.
 
-Precision is measured in bits of significand.  The default is 64 bits and can
-be overridden globally through the ASAILAB_PRECISION environment variable or
-per call via the ``prec`` keyword that the evaluators accept.
+Precision is measured in bits of significand: 64, or the ASAILAB_PRECISION
+environment variable, an integer of at least MIN_PRECISION.  The evaluators
+take no precision of their own; only `CyclotomicValue.to_mpc` takes a `prec`.
 """
 
 import os
@@ -15,20 +15,19 @@ import mpmath
 from mpmath.libmp import from_man_exp, to_fixed
 
 DEFAULT_PRECISION = 64
+MIN_PRECISION = 24
 GUARD_BITS = 16
 
 
 def working_precision(prec=None):
-    """Resolve the effective precision in bits."""
+    """`prec` bits if given, else ASAILAB_PRECISION (ValueError unless a decimal
+    integer >= MIN_PRECISION), else DEFAULT_PRECISION."""
     if prec is not None:
         return int(prec)
-    env = os.environ.get("ASAILAB_PRECISION")
-    if env:
-        try:
-            return max(24, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_PRECISION
+    env = os.environ.get("ASAILAB_PRECISION") or str(DEFAULT_PRECISION)
+    if not env.isdecimal() or int(env) < MIN_PRECISION:
+        raise ValueError(f"ASAILAB_PRECISION must be an integer >= {MIN_PRECISION}, got {env!r}")
+    return int(env)
 
 
 @contextmanager

@@ -27,7 +27,10 @@ file records:
   as `python -m asailab` in a fresh process, REPEATS times per checkout
   (alternating which side goes first), with the median;
 - the Tier-1 wall time (ROADMAP.md) of the change;
-- the `src/` line count of both, `nproc` and the Python version.
+- the `src/` line count of both, and their count of optional parameters
+  (`src_optional_parameters`: the defaulted parameters of public defs in
+  src/asailab, as tests/test_callers.py lists them);
+- `nproc` and the Python version.
 
 Nothing else may run on the machine meanwhile.  pytest does not collect
 this file (its name has no test_ prefix).
@@ -44,6 +47,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from test_callers import optional_parameters
 
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
@@ -181,6 +186,8 @@ def main(argv=None):
                   "exit_code": tier1.returncode,
                   "summary": (tier1.stdout.strip().splitlines() or [""])[-1]},
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
+        "src_optional_parameters": {side: len(optional_parameters(root / "src" / "asailab"))
+                                    for side, root in sides.items()},
     }
     now = {side: sources(root) for side, root in sides.items()}
     changed = [f"{side}: {path}" for side in sides

@@ -22,3 +22,12 @@ def bc_form_500():
 @pytest.fixture(scope="session")
 def bc_form_4000():
     return _bc_form(4000)
+
+
+@pytest.fixture
+def precision(monkeypatch):
+    """precision(bits) sets the library's working precision, ASAILAB_PRECISION,
+    for the rest of the test."""
+    def set_bits(bits):
+        monkeypatch.setenv("ASAILAB_PRECISION", str(bits))
+    return set_bits

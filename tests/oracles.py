@@ -392,22 +392,18 @@ def imprimitive_L_by_terms(series, s, n_cutoff, prec=None):
             if table[n]:
                 dirichlet += to_mpf(table[n]) * mpmath.power(n, -s_m)
         u = series.zeta_argument(s_m)
-        return +(dirichlet_l_by_terms(series.chi, u, n_cutoff, prec) * dirichlet)
+        return +(dirichlet_l_by_terms(series.chi, u, n_cutoff) * dirichlet)
 
 
-def dirichlet_l_by_terms(chi, u, n_cutoff, prec=None):
-    """The partial sum of L_(N)(chi, u) one term at a time, chi converted at
-    every n.  Call it inside mp_context(prec)."""
+def dirichlet_l_by_terms(chi, u, n_cutoff):
+    """The partial sum of L_(N)(chi, u) one term at a time, for a rational
+    chi read at every n.  Call it inside mp_context(prec)."""
     import mpmath
     acc = mpmath.mpc(0)
     for n in range(1, n_cutoff + 1):
         v = chi(n)
-        if v is None:
-            continue
-        if v.is_real():
+        if v is not None:
             acc += int(v.as_rational()) * mpmath.power(n, -u)
-        else:
-            acc += v.to_mpc(prec) * mpmath.power(n, -u)
     return acc
 
 

@@ -149,6 +149,21 @@ def test_continuation_at_the_im_tau_limit(capsys):
     assert code == 0
 
 
+def test_im_tau_limit_follows_the_precision(capsys, precision):
+    # (P + 25) / 26700 keeps the Fourier levels as at 1/300 and 64 bits: at
+    # 128 bits 1/300 is refused, and the limit 153/26700 = 51/8900 accepted
+    precision(128)
+    code, out, err = run_cli(capsys, "kronecker-check", "--alpha", "1/5", "--tau", "3/10+1/300i",
+                             "--terms", "1000000000")
+    assert code == 64 and not out
+    assert json.loads(err) == {"error": "usage", "message":
+                               "--tau: Im tau must be >= 51/8900 for the continuation, "
+                               "got 0.00333333"}
+    code, out, _ = run_cli(capsys, "kronecker-check", "--alpha", "1/5", "--tau",
+                           "3/10+153/26700i", "--terms", "1000000000")
+    assert code == 0 and json.loads(out)["result"]["passes"]
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_y_cutoff_must_be_finite_and_positive(capsys, value):
     # -1 made numpy warn on stderr and the report fail on a NaN
@@ -406,15 +421,23 @@ LABELS = '{"l1": {"norm": 11}}'
        "--tau: Im tau must be >= 1/300 for the continuation, got 1e-06")
       for cmd, tau, args in (("eisenstein", "3/10+1/1000000i", ["--k", "2"]),
                              ("kronecker-check", "1/1000000i", ["--terms", "1000000000"]))),
+    *(([f"ASAILAB_PRECISION={bits}", "field-info", "--d", "5"], 64, "usage",
+       f"ASAILAB_PRECISION must be an integer from 24 to 192, got '{bits}'")
+      for bits in ("abc", "10", "193")),
 ], ids=["nested-parentheses", "nested-labels", "tau-overflow",
         "label-norm-overflow", "label-norm-fraction", "label-unit-string",
         "lattice-gamma-overflow", "lattice-power-overflow",
-        "continuation-tiny-im-tau", "kronecker-tiny-im-tau"])
+        "continuation-tiny-im-tau", "kronecker-tiny-im-tau",
+        "precision-not-an-integer", "precision-below-24", "precision-above-limit"])
 @pytest.mark.filterwarnings("error")   # nothing from numpy on the way
-def test_hostile_input_ends_in_a_json_error(capsys, argv, code, label, message):
+def test_hostile_input_ends_in_a_json_error(capsys, monkeypatch, argv, code, label, message):
     # each of these ended in an uncaught RecursionError or OverflowError, or
     # (a fractional norm, a string unit) was read as something else, or (a
-    # lattice value past the double range) in numpy warnings and a NaN message
+    # lattice value past the double range) in numpy warnings and a NaN
+    # message, or (ASAILAB_PRECISION) ran at 64 or 24 bits or without end
+    if "=" in argv[0]:   # a leading NAME=value sets the environment, as in a shell
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     got, out, err = run_cli(capsys, *argv)
     assert got == code and not out
     assert err.count("\n") == 1

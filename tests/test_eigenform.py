@@ -242,15 +242,19 @@ def test_is_ordinary_examples(field5):
 
 def test_is_ordinary_quadratic_coefficients():
     # coefficient field Q(sqrt 2), p = 7 split in Q(sqrt 2) and dividing the
-    # level: U = 4 - sqrt2 is 1 mod 7 under sqrt2 -> 3, 0 under sqrt2 -> 4
+    # level: under sqrt2 -> 3, U = 4 - sqrt2 is 1 mod 7 and its conjugate
+    # 4 + sqrt2 is 0
     field, cf = RealQuadraticField(2), CoefficientField(2)
+
+    def form(u):
+        eig = {P.hnf(): u for P in field.primes_above(7)}
+        return HilbertEigenform(field, Weight(2, 2, 0, 0), field.ideal(7), cf, eig)
+
     u = cf.element(4, -1)
-    eig = {P.hnf(): u for P in field.primes_above(7)}
-    form = HilbertEigenform(field, Weight(2, 2, 0, 0), field.ideal(7), cf, eig)
-    data = stabilized_params(form, 7, embedding=3)
-    assert data.alpha_p == u and to_padic(u, 7, embedding=3).val == 0
+    data = stabilized_params(form(u), 7)
+    assert data.alpha_p == u and to_padic(u, 7).val == 0
     with pytest.raises(PadicError, match="not ordinary"):
-        stabilized_params(form, 7, embedding=4)
+        stabilized_params(form(cf.element(4, 1)), 7)
 
 
 def test_nebentype_lookup(field5):

@@ -178,13 +178,14 @@ def _convolution_grid():
 
 
 @pytest.mark.parametrize("k,s,alpha,tau,prec", _convolution_grid())
-def test_oscillating_matches_divisor_pairs(k, s, alpha, tau, prec):
+def test_oscillating_matches_divisor_pairs(k, s, alpha, tau, prec, precision):
     # run both where eisenstein_continued runs _oscillating
-    with mp_context(prec), mpmath.extraprec(4 * (10 + k)):
+    precision(prec)
+    with mp_context(), mpmath.extraprec(4 * (10 + k)):
         t = mpmath.mpc(complex(tau))
         s_m = mpmath.mpc(complex(s)) if complex(s).imag else mpmath.mpf(complex(s).real)
         a_m = mpmath.mpf(alpha.numerator) / alpha.denominator
-        got = _oscillating(k, alpha, t, s_m, prec)
+        got = _oscillating(k, alpha, t, s_m)
         want = oscillating_by_divisor_pairs(k, a_m, t.real, t.imag, s_m, prec)
         assert abs(got - want) <= mpmath.ldexp(max(1, abs(want)), 8 - prec)
         if alpha == Fraction(1, 2) and k % 2:
@@ -192,11 +193,12 @@ def test_oscillating_matches_divisor_pairs(k, s, alpha, tau, prec):
 
 
 @pytest.mark.parametrize("y", [16.0, 1e12, 1e300])
-def test_no_fourier_level_at_large_im_tau(y):
+def test_no_fourier_level_at_large_im_tau(y, precision):
     # past Im tau = 9.8 at prec 64 no level is kept, and no guard bit is added
     # for |q|, so the modes are 0 at once however large Im tau is
-    with mp_context(64), mpmath.extraprec(48):
-        assert _oscillating(2, Fraction(1, 5), mpmath.mpc(0.3, y), mpmath.mpf(1.5), 64) == 0
+    precision(64)
+    with mp_context(), mpmath.extraprec(48):
+        assert _oscillating(2, Fraction(1, 5), mpmath.mpc(0.3, y), mpmath.mpf(1.5)) == 0
 
 
 def test_conjugation_symmetry():
@@ -216,14 +218,15 @@ def test_pole_reporting():
     assert mpmath.isfinite(val)
 
 
-def test_cancelled_half_integer_points():
+def test_cancelled_half_integer_points(precision):
     # s = (1-k)/2 for even k: individual pieces have poles that cancel
+    precision(80)
     tau = 0.2 + 1.3j
     for k in (0, 2):
         s0 = (1 - k) / 2
-        v0 = complex(eisenstein_continued(k, Fraction(1, 5), tau, s0, prec=80))
-        vm = complex(eisenstein_continued(k, Fraction(1, 5), tau, s0 - 1e-7, prec=80))
-        vp = complex(eisenstein_continued(k, Fraction(1, 5), tau, s0 + 1e-7, prec=80))
+        v0 = complex(eisenstein_continued(k, Fraction(1, 5), tau, s0))
+        vm = complex(eisenstein_continued(k, Fraction(1, 5), tau, s0 - 1e-7))
+        vp = complex(eisenstein_continued(k, Fraction(1, 5), tau, s0 + 1e-7))
         assert abs((vm + vp) / 2 - v0) < 1e-10
 
 
@@ -242,10 +245,11 @@ def test_siegel_unit_properties():
         siegel_unit(Fraction(1, 2), 1j, terms=0)
 
 
-def test_siegel_truncation_decays_geometrically():
+def test_siegel_truncation_decays_geometrically(precision):
     # |q| = e^{-2 pi 0.25} = 0.2: errors shrink by ~|q|^4 per 4 extra terms
+    precision(120)
     tau = 0.1 + 0.25j
-    vals = [complex(siegel_unit(Fraction(1, 5), tau, terms=t, prec=120))
+    vals = [complex(siegel_unit(Fraction(1, 5), tau, terms=t))
             for t in (4, 8, 12, 40)]
     errs = [abs(v - vals[-1]) for v in vals[:-1]]
     assert errs[1] < errs[0] * 0.05 and errs[2] < errs[1] * 0.05
@@ -292,21 +296,24 @@ def test_mellin_normalisation_documented(bc_form_500):
     assert abs(rhs - direct) < 1e-12 * abs(direct)
 
 
-def test_lattice_matches_high_precision_continuation():
+def test_lattice_matches_high_precision_continuation(precision):
     # the double-precision lattice sum against an 80-bit continuation
+    precision(80)
     lat = eisenstein_lattice_sum(5, Fraction(1, 5), 1j, 0, 60)
-    con = eisenstein_continued(5, Fraction(1, 5), 1j, 0, prec=80)
+    con = eisenstein_continued(5, Fraction(1, 5), 1j, 0)
     assert abs(lat - complex(con)) < 1e-9
 
 
-def test_m0_bracket_memo_is_keyed_on_precision():
+def test_m0_bracket_memo_is_keyed_on_precision(precision):
     # the tau-free m = 0 bracket is memoised; a 64-bit entry must not serve a
     # 200-bit call, and distinct alpha or s must not share an entry
     args = (3, Fraction(1, 5), 0.2 + 0.7j, Fraction(5, 2))
-    eisenstein_continued(*args, prec=64)
-    after_64 = eisenstein_continued(*args, prec=200)
+    precision(64)
+    eisenstein_continued(*args)
+    precision(200)
+    after_64 = eisenstein_continued(*args)
     _m0_bracket.cache_clear()
-    assert eisenstein_continued(*args, prec=200) == after_64
+    assert eisenstein_continued(*args) == after_64
     with mpmath.workprec(120):
         s, t = mpmath.mpf(2.5), mpmath.mpf(1.5)
         base = _m0_bracket(3, Fraction(1, 5), s, 120)
@@ -317,15 +324,16 @@ def test_m0_bracket_memo_is_keyed_on_precision():
 @pytest.mark.parametrize("k,s", [(1, 0), (3, -1), (2, -2), (4, -1),
                                  (0, -2), (2, 0), (4, 0),
                                  (0, -0.5), (2, -1.5), (4, -2.5)])
-def test_special_point_branches_are_continuous(k, s):
+def test_special_point_branches_are_continuous(k, s, precision):
     # every removable singularity of the expansion (Gamma poles against
     # Bernoulli zeros, the odd-k psi branch at k+2s = 1, the tower limits,
     # and the tower's Gamma(2s+k-1) pole against a trivial zero of zeta)
     # must agree with the midpoint of a small neighbourhood
+    precision(90)
     tau = 0.21 + 1.07j
-    v0 = complex(eisenstein_continued(k, Fraction(1, 5), tau, s, prec=90))
-    vm = complex(eisenstein_continued(k, Fraction(1, 5), tau, s - 1e-7, prec=90))
-    vp = complex(eisenstein_continued(k, Fraction(1, 5), tau, s + 1e-7, prec=90))
+    v0 = complex(eisenstein_continued(k, Fraction(1, 5), tau, s))
+    vm = complex(eisenstein_continued(k, Fraction(1, 5), tau, s - 1e-7))
+    vp = complex(eisenstein_continued(k, Fraction(1, 5), tau, s + 1e-7))
     assert abs((vm + vp) / 2 - v0) < 1e-11
 
 
@@ -425,22 +433,24 @@ def test_ladder_step_ends_in_floor_division_noise():
 @pytest.mark.parametrize("alpha,tau", KRONECKER_GRID + [
     (Fraction(1, 4), -0.14 + 0.2j), (Fraction(2, 7), 0.37 + 0.31j),
     (Fraction(1, 5), -0.5 + 0.63j), (Fraction(1, 7), 0.05 + 2j)])
-def test_siegel_product_stop_leaves_the_value_unchanged(alpha, tau, prec):
+def test_siegel_product_stop_leaves_the_value_unchanged(alpha, tau, prec, precision):
     # the factors past |q^n| < 2^-2P are 1 at working precision: the stopped
     # product equals every one of the 200 factors, bit for bit (Im tau from
     # 0.2, the benchmark's lowest, to 2); a smaller terms still truncates
-    assert siegel_unit(alpha, tau, prec=prec) == siegel_unit_by_all_factors(alpha, tau, prec=prec)
-    assert siegel_unit(alpha, tau, 5, prec) == siegel_unit_by_all_factors(alpha, tau, 5, prec)
+    precision(prec)
+    assert siegel_unit(alpha, tau) == siegel_unit_by_all_factors(alpha, tau, prec=prec)
+    assert siegel_unit(alpha, tau, 5) == siegel_unit_by_all_factors(alpha, tau, 5, prec)
 
 
-def test_fourier_cutoff_follows_prec(monkeypatch):
-    # the number of Fourier modes comes from the caller's prec, so the
-    # environment's precision does not move a prec = 200 value
+def test_fourier_cutoff_follows_prec(precision):
+    # n_max follows ASAILAB_PRECISION: the 200-bit value agrees with the
+    # 400-bit one to 2^-190, which the levels of 64 bits (modes down to about
+    # 2^-89) would not give
     args = (4, Fraction(1, 5), 0.1 + 1j, 3)
-    monkeypatch.delenv("ASAILAB_PRECISION", raising=False)
-    base = eisenstein_continued(*args, prec=200)
-    monkeypatch.setenv("ASAILAB_PRECISION", "400")
-    moved = eisenstein_continued(*args, prec=200)
+    precision(200)
+    base = eisenstein_continued(*args)
+    precision(400)
+    moved = eisenstein_continued(*args)
     assert abs(moved - base) < mpmath.ldexp(abs(base), -190)
 
 

@@ -16,9 +16,7 @@ from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap, synthetic_form)
 from asailab.coeffs import CoefficientField, QuadElt
 from asailab.quadfield import RealQuadraticField
-from asailab.characters import DirichletCharacter
-from asailab.precision import mp_context
-from oracles import (dirichlet_l_by_terms, euler_product_L_by_horner,
+from oracles import (euler_product_L_by_horner,
                      euler_product_L_by_series, imprimitive_L_by_terms,
                      power_series_quotient, ramified_local_factor_series,
                      sym2_times_twisted_zeta)
@@ -112,9 +110,19 @@ def test_euler_product_bad_factor_handling(bc_form_500):
     # level-1 report names no bad prime
     _, report = euler_product_L(AsaiLSeries(bc_form_500), 14, ell_cutoff=100)
     assert report == {"ell_cutoff": 100, "primitive": False, "bad_primes": []}
-    level5 = AsaiLSeries(_level5_form(), DirichletCharacter.trivial(5))
+    level5 = AsaiLSeries(_level5_form())
     with pytest.raises(LSeriesError, match="l = 5"):
         euler_product_L(level5, 14, ell_cutoff=100)
+
+
+def test_constant_report_evaluates_the_constant_once(monkeypatch):
+    c = unfolding_constant(0, 0, 0, 5, 5)
+    want, calls = c.numeric(), []
+    numeric = SymbolicConstant.numeric
+    monkeypatch.setattr(SymbolicConstant, "numeric",
+                        lambda self: calls.append(self) or numeric(self))
+    assert c.to_json()["numeric"] == [float(want.real), float(want.imag)]
+    assert calls == [c]
 
 
 def test_unfolding_constant_fixture():
@@ -254,25 +262,28 @@ def _reference_L(series, s, n_cutoff):
         return dirichlet * lch
 
 
-def test_imprimitive_L_converts_at_the_callers_precision():
-    # at prec = 200 every coefficient and character value is converted at
-    # 200 bits, so the value meets a 400-bit sum far below the 80-bit level
+def test_imprimitive_L_converts_at_the_callers_precision(precision):
+    # at ASAILAB_PRECISION=200 every coefficient and character value is
+    # converted at 200 bits, so the value meets a 400-bit sum far below the
+    # 80-bit level
     form = base_change(discriminant_form_ap(600), 12, None, RealQuadraticField(5), bound=600)
     series = AsaiLSeries(form)
-    got, _ = imprimitive_L(series, 14, n_cutoff=600, prec=200)
+    precision(200)
+    got, _ = imprimitive_L(series, 14, n_cutoff=600)
     want = _reference_L(series, 14, 600)
     assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")
 
 
 @pytest.mark.parametrize("s", [14, 13.7, 14 + 1j])
 @pytest.mark.parametrize("n_cutoff", [1, 2, 97, 600, 4000])
-def test_dirichlet_sums_match_the_per_term_oracle(bc_form_4000, s, n_cutoff):
+def test_dirichlet_sums_match_the_per_term_oracle(bc_form_4000, s, n_cutoff, precision):
     # powers along smallest prime factors and one fdot give the doubles of
     # the per-term sum at working precision, and agree far below it at 200 bits
     series = AsaiLSeries(bc_form_4000)
     got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff)
     assert complex(got) == complex(imprimitive_L_by_terms(series, s, n_cutoff))
-    got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff, prec=200)
+    precision(200)
+    got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff)
     want = imprimitive_L_by_terms(series, s, n_cutoff, prec=200)
     assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190)
 
@@ -292,24 +303,6 @@ def _level5_form():
     base = base_change(discriminant_form_ap(600), 12, None, field, bound=600)
     return HilbertEigenform(field, base.weight, field.ideal(5), base.coefficient_field,
                             base.eigenvalues)
-
-
-def test_imprimitive_L_with_a_complex_character():
-    # a quartic chi mod 5 runs the complex branch of the chi-zeta factor
-    form = _level5_form()
-    chi = DirichletCharacter(5, [1])
-    assert chi.order == 4
-    series = AsaiLSeries(form, chi)
-    got, _ = imprimitive_L(series, 14, n_cutoff=600, prec=200)
-    want = _reference_L(series, 14, 600)
-    assert mpmath.im(want) != 0
-    assert abs(got - want) / abs(want) < mpmath.mpf("1e-55")
-    got, _ = imprimitive_L(series, 14, n_cutoff=600)
-    assert complex(got) == complex(imprimitive_L_by_terms(series, 14, 600))
-    zeta_only, _ = imprimitive_L(_ZetaOnly(form, chi), 14, n_cutoff=600)
-    with mp_context():
-        u = series.zeta_argument(mpmath.mpf(14))
-        assert complex(zeta_only) == complex(dirichlet_l_by_terms(chi, u, 600))
 
 
 def _irrational_form():
@@ -332,37 +325,39 @@ def _route_series(case):
         return AsaiLSeries(HilbertEigenform(base.field, Weight(14, 12, 0, 1),
                                             base.field.maximal_order(),
                                             base.coefficient_field, base.eigenvalues))
-    chi = DirichletCharacter(5, [1])
-    form = _level5_form()
-    return (_ZetaOnly if case == "zeta only" else AsaiLSeries)(form, chi)
+    return _ZetaOnly(_level5_form())   # "zeta only": the trivial chi mod 5
 
 
-@pytest.mark.parametrize("case", ["irrational", "twisted", "quartic chi", "zeta only"])
+@pytest.mark.parametrize("case", ["irrational", "twisted", "zeta only"])
 @pytest.mark.parametrize("n_cutoff", [1, 2, 600])
-def test_dirichlet_sums_off_the_workload_path(case, n_cutoff):
+def test_dirichlet_sums_off_the_workload_path(case, n_cutoff, precision):
     # inputs the benchmark never reaches: sqrt(e) and den != 1 coefficients,
-    # Fraction coefficients, a complex chi, s far up the critical strip and
-    # s just right of the abscissa; doubles as the per-term sum at working
+    # Fraction coefficients, a chi of modulus 5, s far up the critical strip
+    # and s just right of the abscissa; doubles as the per-term sum at working
     # precision, and within 2^-190 of it at 200 bits
     series = _route_series(case)
     kk = series.shift_weight
     for s in (14 + 40j, kk / 2 + 2.01):
+        precision(64)
         got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff)
         assert complex(got) == complex(imprimitive_L_by_terms(series, s, n_cutoff)), s
-        got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff, prec=200)
+        precision(200)
+        got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff)
         want = imprimitive_L_by_terms(series, s, n_cutoff, prec=200)
         assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), s
 
 
 @pytest.mark.parametrize("s", [14, 13.5, 14 + 40j])
-def test_euler_product_L_matches_the_horner_route(s):
+def test_euler_product_L_matches_the_horner_route(s, precision):
     # the irrational and the twisted form against mpmath Horner per prime:
     # the same doubles, and within 2^-190 at 200 bits
     for case in ("irrational", "twisted"):
         series = _route_series(case)
+        precision(64)
         got, _ = euler_product_L(series, s, ell_cutoff=300)
         assert complex(got) == complex(euler_product_L_by_horner(series, s, 300)), case
-        got, _ = euler_product_L(series, s, ell_cutoff=300, prec=200)
+        precision(200)
+        got, _ = euler_product_L(series, s, ell_cutoff=300)
         want = euler_product_L_by_horner(series, s, 300, prec=200)
         assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), case
 
@@ -424,9 +419,17 @@ def _forms_with_ramified_primes():
                          eps_values={2: -1, 3: -1})
 
 
+class _LocalFactors(AsaiLSeries):
+    """local_factor of a form without its chi: the synthetic form's
+    nebentype has no chi_restriction, and local_factor does not read chi."""
+
+    def __init__(self, form):
+        self.form = form
+
+
 def test_ramified_local_factor_matches_the_series_oracle():
     for form in _forms_with_ramified_primes():
-        series = AsaiLSeries(form, DirichletCharacter.trivial(1))
+        series = _LocalFactors(form)
         for ell, _ in factorise(form.field.disc):
             got = power_series_quotient(*series.local_factor(ell), 41)
             want = ramified_local_factor_series(form, ell, 40)

@@ -7,10 +7,10 @@ from asailab.arith import is_prime
 from asailab.characters import DirichletCharacter
 from asailab.coeffs import CoefficientField
 from asailab.eigenform import HilbertEigenform, Weight
-from asailab.padic import (NEZFailure, OrdinaryData, PadicError, PadicNumber,
-                           check_NEZ, gauss_sum, gauss_sum_inverse, hensel_sqrt,
-                           hensel_unit_root, pr_interp_factor, stabilized_params,
-                           to_padic, vp_fraction)
+from asailab.padic import (DIGITS, InterpFactor, NEZFailure, OrdinaryData, PadicError,
+                           PadicNumber, check_NEZ, gauss_sum, gauss_sum_inverse,
+                           hensel_sqrt, hensel_unit_root, pr_interp_factor,
+                           stabilized_params, to_padic, vp_fraction)
 from asailab.quadfield import IdealRep, RealQuadraticField
 
 
@@ -27,24 +27,27 @@ def test_padic_number_arithmetic():
         _ = x - x  # exact cancellation exceeds stored precision
 
 
+def test_equal_padic_numbers_hash_alike():
+    # equal to the lesser precision 5^5, though the units differ mod 5^8
+    x, y = PadicNumber(5, 0, 1, 5), PadicNumber(5, 0, 1 + 5 ** 6, 10)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+
+
 def test_vp_and_valuation_of_value():
     assert vp_fraction(Fraction(250, 3), 5) == 3
     assert vp_fraction(Fraction(3, 250), 5) == -3
     cf = CoefficientField(2)
-    # v(4 - sqrt2) at p = 7 via the root sqrt2 -> 3: 4 - 3 = 1: valuation 0
-    assert to_padic(cf.element(4, -1), 7, embedding=3).val == 0
-    # via the other root sqrt2 -> 4: 4 - 4 = 0 mod 7: positive valuation
-    assert to_padic(cf.element(4, -1), 7, embedding=4).val == 1
+    # v(4 - sqrt2) at p = 7 via the smaller root sqrt2 -> 3: 4 - 3 = 1: valuation 0
+    assert to_padic(cf.element(4, -1), 7).val == 0
+    # its conjugate 4 + sqrt2 -> 4 + 3 = 0 mod 7: positive valuation
+    assert to_padic(cf.element(4, 1), 7).val == 1
 
 
 def test_hensel_sqrt():
     r = hensel_sqrt(2, 7, 12)
     assert (r * r - 2) % 7 ** 12 == 0
     assert hensel_sqrt(3, 5, 8) is None  # 3 is not a square mod 5
-    r2 = hensel_sqrt(2, 7, 12, root_choice=4)
-    assert (r2 * r2 - 2) % 7 ** 12 == 0 and r2 % 7 == 4
-    with pytest.raises(PadicError):
-        hensel_sqrt(2, 7, 5, root_choice=5)
+    assert r % 7 == 3   # the lift of the smaller root of 2 mod 7 (3 and 4)
 
 
 def test_hensel_unit_root():
@@ -120,6 +123,15 @@ def test_pr_interp_factor_r1_gauss():
         pr_interp_factor(Fraction(2), 0, 2, eta, p=5, kprime=0)  # modulus mismatch
 
 
+def test_pr_interp_factor_is_its_scalar_data():
+    # at r = 1 the factor holds its scalar, the inverse Gauss sum and its tag,
+    # and nothing that no report reads
+    eta = [c for c in DirichletCharacter.all_characters(5) if c.order == 2][0]
+    ginv = gauss_sum_inverse(eta.inverse())[0]
+    assert pr_interp_factor(Fraction(2), 0, 1, eta, p=5, kprime=0) == \
+        InterpFactor(0, 1, eta, Fraction(5, 2), ginv, "log", Fraction(1))
+
+
 def test_pr_interp_factor_nez_gate():
     bad = OrdinaryData(p=5, k=0, kprime=0, alpha_p=Fraction(2), alpha_q=Fraction(2))
     with pytest.raises(NEZFailure):
@@ -164,8 +176,8 @@ def test_gauss_sum_inverse():
 def test_stabilized_params_base_change(bc_form_4000):
     # p = 11 splits in Q(sqrt 5); the base-change form is ordinary there and
     # both unit roots are the Hensel root of X^2 - tau(11) X + 11^11
-    data = stabilized_params(bc_form_4000, 11, precision=18)
-    oracle = hensel_unit_root(Fraction(534612), Fraction(11 ** 11), 11, 18)
+    data = stabilized_params(bc_form_4000, 11)
+    oracle = hensel_unit_root(Fraction(534612), Fraction(11 ** 11), 11, DIGITS)
     assert data.alpha_p == oracle and data.alpha_q == oracle
     assert data.valuations() == [0, 11, 11, 22]
     # base-change forms sit in the exceptional equal case: (NEZ) fails
@@ -185,16 +197,16 @@ def test_stabilized_params_m_choice(bc_form_4000):
 
 def test_to_padic_quadratic():
     cf = CoefficientField(2)
-    x = to_padic(cf.element(1, 1), 7, 10, embedding=3)  # 1 + sqrt2 -> 4 mod 7
+    x = to_padic(cf.element(1, 1), 7, 10)  # 1 + sqrt2 -> 4 mod 7
     assert x.val == 0 and x.unit % 7 == 4
     with pytest.raises(PadicError):
         to_padic(cf.element(0, 1), 2, 10)  # p = 2 unsupported
 
 
 def test_to_padic_unit_is_right_to_the_stated_precision():
-    # 4 - sqrt2 under sqrt2 -> the lift of 4 mod 7 has valuation 1; its unit
+    # 4 + sqrt2 under sqrt2 -> the lift of 3 mod 7 has valuation 1; its unit
     # mod 7^5 is that of the value read to 12 digits, 12709173136
-    x = to_padic(CoefficientField(2).element(4, -1), 7, 5, embedding=4)
+    x = to_padic(CoefficientField(2).element(4, 1), 7, 5)
     assert x.val == 1 and x.prec == 5 and x.unit == 12709173136 % 7 ** 5
 
 
@@ -250,11 +262,11 @@ def test_hensel_unit_root_checks_padic_traces_too():
 def test_stabilized_params_with_a_padic_trace():
     # Q(sqrt 2) coefficients over Q(sqrt 5): lambda = 1 + sqrt2, 3 - sqrt2 at
     # the primes above 31, weight (2, 2, 0, 0); mu enters as a 31-adic number
-    field, cf, p, prec = RealQuadraticField(5), CoefficientField(2), 31, 15
+    field, cf, p, prec = RealQuadraticField(5), CoefficientField(2), 31, DIGITS
     lams = (cf.element(1, 1), cf.element(3, -1))
     eig = {P.hnf(): lam for P, lam in zip(field.primes_above(p), lams)}
     form = HilbertEigenform(field, Weight(2, 2, 0, 0), IdealRep(field, 1, 0, 1), cf, eig)
-    data = stabilized_params(form, p, precision=prec)
+    data = stabilized_params(form, p)
     for alpha, lam in zip((data.alpha_p, data.alpha_q), lams):
         mu = to_padic(lam, p, prec)
         assert alpha.prec == prec and alpha.val == 0
