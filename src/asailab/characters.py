@@ -13,7 +13,7 @@ from functools import lru_cache
 import mpmath
 
 from .arith import divisors, factorise
-from .precision import mp_context
+from .precision import mp_context, working_precision
 
 
 class CharacterError(ValueError):
@@ -101,8 +101,15 @@ class RootOfUnity:
         raise CharacterError(f"{self} is not rational")
 
     def to_mpc(self):
-        with mp_context():
-            return mpmath.exp(2j * mpmath.pi * self.e / self.n)
+        """exp(2 pi i e/n) at the working precision, read from one table of
+        values keyed by (e, n, precision)."""
+        return _root_value(self.e, self.n, working_precision())
+
+
+@lru_cache(maxsize=4096)
+def _root_value(e, n, prec):
+    with mp_context(prec):
+        return mpmath.exp(2j * mpmath.pi * e / n)
 
 
 class DirichletCharacter:

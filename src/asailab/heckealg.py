@@ -72,7 +72,6 @@ _INVERTIBLE = {"D", "R", "G"}
 _GEN_IDS = {}          # (kind, payload) -> id
 _GENS = []             # id -> (kind, payload)
 _INTERN_LOCK = threading.Lock()
-_ONE = Fraction(1)
 
 
 def _gid(kind, payload):
@@ -86,7 +85,9 @@ def _gid(kind, payload):
 
 
 class HeckePolynomial:
-    """Integer/rational combination of monomials in Hecke symbols and X."""
+    """Combination of monomials in Hecke symbols and X.  Coefficients are ints
+    until a non-integral scalar enters, exact Fractions from there on; an int
+    and an equal Fraction compare and hash alike."""
 
     __slots__ = ("terms",)
 
@@ -96,11 +97,11 @@ class HeckePolynomial:
     @classmethod
     def constant(cls, c):
         c = Fraction(c)
-        return cls({(): c} if c else {})
+        return cls({(): c.numerator if c.denominator == 1 else c} if c else {})
 
     @classmethod
     def generator(cls, kind, payload, exp=1):
-        return cls({((_gid(kind, payload), exp),): Fraction(1)})
+        return cls({((_gid(kind, payload), exp),): 1})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -125,7 +126,7 @@ class HeckePolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return HeckePolynomial({m: c * Fraction(other) for m, c in self.terms.items()})
+            return HeckePolynomial({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -191,7 +192,7 @@ class HeckePolynomial:
                 if _GENS[gid][0] == "X":
                     piece = piece * (value ** e)
                 else:
-                    piece = piece * HeckePolynomial({((gid, e),): Fraction(1)})
+                    piece = piece * HeckePolynomial({((gid, e),): 1})
             out = out + piece
         return out
 
@@ -315,15 +316,15 @@ def _rewrite_power(gid, e):
         raise HeckeAlgError("negative X powers unsupported" if kind == "X"
                             else "U is not invertible")
     if kind in ("X", "G", "U") or (kind in ("D", "R") and isinstance(payload, PrimeLabel)):
-        return ((_monomial((gid, e)), _ONE),)
+        return ((_monomial((gid, e)), 1),)
     if kind in ("D", "R", "S"):
         kinds = ("D", "R") if kind == "S" else (kind,)
         return ((_monomial(*[(_gid(kd, lab), k * e) for lab, k in payload for kd in kinds]),
-                 _ONE),)
+                 1),)
     if kind == "T":
         if e < 0:
             raise HeckeAlgError("T is not invertible")
-        out = (((), _ONE),)
+        out = (((), 1),)
         for lab, k in payload:
             if k < 0:
                 raise HeckeAlgError("negative exponent inside a T-argument")
@@ -331,12 +332,12 @@ def _rewrite_power(gid, e):
             dr = (_gid("D", lab), _gid("R", lab))
             if lab.unit:
                 tot = k * e
-                piece = ((_monomial((t, tot % 2), *[(g, tot // 2) for g in dr]), _ONE),)
+                piece = ((_monomial((t, tot % 2), *[(g, tot // 2) for g in dr]), 1),)
             elif k == 1:
-                piece = ((_monomial((t, e)), _ONE),)
+                piece = ((_monomial((t, e)), 1),)
             elif k == 2:
-                base = HeckePolynomial({((t, 2),): _ONE, _monomial(*[(g, 1) for g in dr]):
-                                        Fraction(-lab.norm)})
+                base = HeckePolynomial({((t, 2),): 1, _monomial(*[(g, 1) for g in dr]):
+                                        -lab.norm})
                 piece = tuple((base ** e).terms.items())
             else:
                 raise HeckeAlgError(

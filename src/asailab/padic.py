@@ -381,7 +381,7 @@ def gauss_sum_inverse(eta):
     norm = (g * g.conjugate()).rational_value()
     if norm == 0:
         raise PadicError("Gauss sum vanishes (imprimitive character)")
-    return g.conjugate() * Fraction(norm.denominator, norm.numerator), g, norm
+    return g.conjugate() * Fraction(norm.denominator, norm.numerator)
 
 
 # -- Perrin-Riou interpolation factors -------------------------------------------
@@ -451,6 +451,6 @@ def pr_interp_factor(data, j, r, eta=None, p=None, kprime=None):
         raise PadicError("r >= 1 needs a character eta of conductor p^r")
     if eta.modulus != p ** r:
         raise PadicError(f"eta modulus {eta.modulus} != {p}^{r}")
-    ginv = gauss_sum_inverse(eta.inverse())[0]
+    ginv = gauss_sum_inverse(eta.inverse())
     ratio = Fraction(p) ** ((1 + j) * r) / a_val ** r
     return InterpFactor(j, r, eta, ratio, ginv, tag, tag_const)

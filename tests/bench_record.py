@@ -17,7 +17,7 @@ file records:
   pair (7001, 7002, ...), with the median and quartiles of each side; next
   to them the number of tasks `attempted`, so that a `peak_rss_mb` can be
   read against the work done in the run;
-- for each workload, the per-layer metrics of REPEATS `perfbench/run.py
+- for each workload, the per-layer metrics of LAYER_REPEATS `perfbench/run.py
   --trace 1 --seed 7001` runs per side (alternating which side goes first),
   with the median and quartiles of each, under `layers`: one traced run is
   too noisy for a claim about a layer;
@@ -52,7 +52,8 @@ from test_callers import optional_parameters
 
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
-REPEATS = 3
+LAYER_REPEATS = 3
+REPEATS = 7  # one slow run of three moved a median by a third
 ACCEPTANCE = ("import json; from asailab.acceptance import CRITERIA; "
               "print(json.dumps([c()['elapsed_s'] for c in CRITERIA]))")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
@@ -98,11 +99,11 @@ def summary(runs):
     return out
 
 
-def alternate(sides, measure):
-    """measure(side), REPEATS times per side, alternating which side goes
+def alternate(sides, measure, repeats=REPEATS):
+    """measure(side), `repeats` times per side, alternating which side goes
     first: {side: [result, ...]}."""
     runs = {side: [] for side in sides}
-    for i in range(REPEATS):
+    for i in range(repeats):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             runs[side].append(measure(side))
     return runs
@@ -168,14 +169,16 @@ def main(argv=None):
             for side in order:
                 per_side[side].append(perfbench(sides, side, workload, 7001 + i, seconds, 0))
     layers = {w: {side: summary(rs) for side, rs in alternate(
-                      sides, lambda side: perfbench(sides, side, w, 7001, seconds, 1)).items()}
+                      sides, lambda side: perfbench(sides, side, w, 7001, seconds, 1),
+                      LAYER_REPEATS).items()}
               for w in runs}
     started = time.perf_counter()
     tier1 = _run(CHANGE, *TIER1)
     tier1_s = round(time.perf_counter() - started, 1)
     record = {
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                        "pairs": PAIRS, "seconds_per_run": seconds,
+                        "pairs": PAIRS, "repeats": REPEATS, "layer_repeats": LAYER_REPEATS,
+                        "seconds_per_run": seconds,
                         "seeds": [7001 + i for i in range(PAIRS)]},
         "workloads": {w: {side: summary(rs) for side, rs in per_side.items()}
                       for w, per_side in runs.items()},

@@ -4,10 +4,12 @@ character chi_D of the L-series oracle against the splitting of primes."""
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from asailab.arith import is_squarefree, primes_up_to
-from asailab.characters import DirichletCharacter
+from asailab.characters import DirichletCharacter, RootOfUnity
+from asailab.precision import GUARD_BITS
 from asailab.quadfield import RealQuadraticField, splitting_type
 from oracles import character_by_discrete_log, kronecker_table
 
@@ -76,3 +78,17 @@ def test_oracle_chi_d_matches_the_splitting_of_primes():
         chi = kronecker_table(field.disc, 499)
         for ell in primes_up_to(499):
             assert chi[ell] == sign[splitting_type(field, ell).kind.value], (d, ell)
+
+
+def test_root_values_follow_the_precision(precision):
+    # one process, 64 then 128 then 64 bits: each value is exp(2 pi i e/n)
+    # computed afresh at that precision, not one kept from another
+    values = []
+    for bits in (64, 128, 64):
+        precision(bits)
+        for e, n in ((1, 3), (2, 5), (5, 12)):
+            with mpmath.workprec(bits + GUARD_BITS):
+                want = mpmath.exp(2j * mpmath.pi * e / n)
+            assert RootOfUnity(e, n).to_mpc() == want, (bits, e, n)
+        values.append(RootOfUnity(1, 3).to_mpc())
+    assert values[0] == values[2] != values[1]

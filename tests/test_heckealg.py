@@ -223,3 +223,25 @@ def test_normalize_shares_no_state_with_callers():
             got.terms[mono] += 1
         got.terms[()] = Fraction(7)
         assert normalize(expr).terms == want
+
+
+def test_integer_products_keep_int_coefficients():
+    # criterion 3's random products normalise to int coefficients only
+    rng = random.Random(1731)
+    labels = [PrimeLabel("a", 7), PrimeLabel("b", 11), PrimeLabel("c", 49),
+              PrimeLabel("u", 1, unit=True)]
+    for _ in range(100):
+        expr = normalize(_random_expression(rng, labels) * _random_expression(rng, labels))
+        assert all(type(c) is int for c in expr.terms.values())
+    # Fraction scalars give the same polynomial, hash and print
+    a = labels[0]
+    by_int = normalize(3 * T({a: 2}) - 2 * S(a) * X() + 5)
+    by_fraction = normalize(Fraction(3) * T({a: 2}) - Fraction(2) * S(a) * X()
+                            + HeckePolynomial.constant(Fraction(10, 2)))
+    assert any(type(c) is Fraction for c in by_fraction.terms.values())
+    assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
+    assert repr(by_int) == repr(by_fraction)
+    # the norm relation keeps its non-integral coefficients, 1/l^(1+j) among them
+    coeffs = norm_relation_symbolic(3, 1, 2, 2, "inert").terms.values()
+    assert Fraction(1, 3 ** 2) in coeffs and Fraction(-2, 3) in coeffs
+    assert all(type(c) is Fraction for c in coeffs if c.denominator > 1)
