@@ -34,7 +34,7 @@ from .asairep import (HypothesisError, asai_charpoly, asai_charpoly_via_inductio
                       euler_system_norm_factor, verify_proj_Pl)
 from .eisenstein import (EisensteinPole, diagonal_mellin_check,
                          eisenstein_continued, eisenstein_lattice_sum,
-                         kronecker_limit_check, siegel_unit)
+                         kronecker_limit_check, siegel_stop, siegel_unit)
 from .lseries import (AsaiLSeries, euler_product_L, imprimitive_L,
                       regulator_constant, unfolding_constant)
 from .characters import DirichletCharacter, unit_group_structure
@@ -339,10 +339,12 @@ def cmd_eisenstein(args):
 def cmd_kronecker_check(args):
     alpha = parse_rational(args.alpha)
     tau = _continuation_tau(args.tau)
-    resid = float(kronecker_limit_check(alpha, tau, terms=args.terms))
+    # by default the cap takes every factor the working precision keeps
+    terms = args.terms or max(200, siegel_stop(tau))
+    resid = float(kronecker_limit_check(alpha, tau, terms=terms))
     res = {"residual": resid, "tolerance": args.tol, "passes": resid < args.tol,
-           "siegel_unit_abs": float(abs(siegel_unit(alpha, tau, terms=args.terms)))}
-    return ({"alpha": args.alpha, "tau": args.tau}, res, {"terms": args.terms},
+           "siegel_unit_abs": float(abs(siegel_unit(alpha, tau, terms=terms)))}
+    return ({"alpha": args.alpha, "tau": args.tau}, res, {"terms": terms},
             0 if res["passes"] else 2)
 
 
@@ -643,7 +645,9 @@ def build_parser():
     p = sub.add_parser("kronecker-check", help="Kronecker-limit identity residual")
     p.add_argument("--alpha", required=True)
     p.add_argument("--tau", required=True)
-    p.add_argument("--terms", type=_positive_int, default=200)
+    p.add_argument("--terms", type=_positive_int,
+                   help="cap on the Siegel-product factors n < terms (default: 200, "
+                        "or more where the working precision needs them)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_kronecker_check)
 

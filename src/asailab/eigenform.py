@@ -9,15 +9,17 @@ parts of (n) read off the splitting type of each l^e || n, with no ideal
 factorisation -- P^e Pbar^e for split l, (l)^e for inert l and P^{2e} for
 ramified l (P^2 = (l)).
 The weight-12 discriminant form's tau(p) comes from (eta^3)^8 by J.C.P.
-Miller's power recurrence over the sparse q-expansion of eta^3.
+Miller's power recurrence over the sparse q-expansion of eta^3, kept in one
+process-wide table of eta^24 coefficients that a larger bound continues from
+its end rather than from q^1.
 
 Forms are immutable after construction and safe to share between threads.
+The eta^24 table is replaced whole, never changed where readers can see it.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import factorise, primes_up_to
 from .coeffs import CoefficientField, QuadElt
@@ -366,28 +368,35 @@ def synthetic_form(field, weight, local_lambdas, eps_values=None):
     return HilbertEigenform(field, weight, field.maximal_order(), cf, eig, neb)
 
 
-@lru_cache(maxsize=4)
+_eta24 = [1]   # eta(q)^24 = sum_n _eta24[n] q^n, n < len(_eta24); grows on demand
+
+
 def discriminant_form_ap(bound):
-    """tau(p) for primes p <= bound, from Delta = q (eta^3)^8.
+    """tau(p) for primes p <= bound, from Delta = q (eta^3)^8, as a new dict.
 
     eta^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2} has about sqrt(2 bound)
     nonzero terms below q^bound.  For g = f^m with f(0) = 1, differentiating
     g = f^m gives J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
         n g_n = sum_{1 <= k <= n} ((m + 1) k - n) f_k g_{n-k},
-    an exact division by n, summed here over the nonzero f_k only.
+    an exact division by n, summed here over the nonzero f_k only.  One
+    process-wide table of g = eta^24 serves every call: a bound past its end
+    continues the recurrence from there on a copy, published by one
+    assignment, so a reader never sees a half-built table.
     """
-    eta3 = []   # (i, f_i) for the nonzero f_i, i >= 1; f_0 = 1
-    k = 1
-    while k * (k + 1) // 2 < bound:
-        eta3.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
-        k += 1
-    eta24 = [1] + [0] * (bound - 1)
-    for n in range(1, bound):
-        acc = 0
-        for i, c in eta3:
-            if i > n:
-                break
-            acc += (9 * i - n) * c * eta24[n - i]
-        eta24[n] = acc // n
+    global _eta24
+    eta24 = _eta24
+    if len(eta24) < bound:
+        start = len(eta24)
+        eta24 = eta24 + [0] * (bound - start)
+        eta3, k = [], 1   # (i, f_i) for the nonzero f_i, 1 <= i <= n; f_0 = 1
+        for n in range(start, bound):
+            while k * (k + 1) // 2 <= n:
+                eta3.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+                k += 1
+            acc = 0
+            for i, c in eta3:
+                acc += (9 * i - n) * c * eta24[n - i]
+            eta24[n] = acc // n
+        _eta24 = eta24
     # Delta = q * eta24(q): tau(n) = eta24[n-1]
     return {p: eta24[p - 1] for p in primes_up_to(bound)}

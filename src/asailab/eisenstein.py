@@ -370,32 +370,41 @@ def _oscillating(k, alpha, tau, s):
 
 # -- Siegel units and the Kronecker limit --------------------------------------
 
-def siegel_unit(alpha, tau, terms=200):
+def siegel_stop(tau):
+    """The first n whose Siegel-product factor siegel_unit leaves out at the
+    P-bit working precision: 1 + floor(P ln 2 / (pi Im tau)), |q^n| < 2^-2P."""
+    with mp_context():
+        y = mpmath.mpf(complex(tau).imag)
+        return int(mpmath.mp.prec * mpmath.log(2) / (mpmath.pi * y)) + 1
+
+
+def siegel_unit(alpha, tau, terms=None):
     """g_{0,alpha}(tau) = q^{1/12} (1 - q_a) prod_{n>=1} (1 - q^n q_a)(1 - q^n/q_a).
 
-    At most `terms` factors, and none with |q^n| < 2^-2P at the P-bit working
-    precision: such a factor rounds to 1 + i delta, |delta| < 2^(1-2P), and
-    leaves g as it was unless one part of g is over 2^(P-2) times the other.
+    The factors n < min(terms, siegel_stop(tau)), so none with |q^n| < 2^-2P
+    at the P-bit working precision: such a factor rounds to 1 + i delta,
+    |delta| < 2^(1-2P), and leaves g as it was unless one part of g is over
+    2^(P-2) times the other.  `terms` None sets no cap.
     Only |g| is canonical; the q^{1/12} branch is exp(2 pi i tau / 12).
     """
     alpha = _check_alpha(alpha)
     _as_tau(tau)
-    if terms < 1:
+    if terms is not None and terms < 1:
         raise EisensteinError("need terms >= 1")
+    stop = siegel_stop(tau) if terms is None else min(int(terms), siegel_stop(tau))
     with mp_context():
         tau_m = mpmath.mpc(complex(tau))
         q = mpmath.exp(2j * mpmath.pi * tau_m)
         qa = mpmath.expjpi(2 * mpmath.mpf(alpha.numerator) / alpha.denominator)
         g = mpmath.exp(2j * mpmath.pi * tau_m / 12) * (1 - qa)
-        stop = mpmath.mp.prec * mpmath.log(2) / (mpmath.pi * tau_m.imag)   # |q^stop| = 2^-2P
         qn = mpmath.mpc(1)
-        for _ in range(1, min(int(terms), int(stop) + 1)):
+        for _ in range(1, stop):
             qn *= q
             g *= (1 - qn * qa) * (1 - qn / qa)
         return +g
 
 
-def kronecker_limit_check(alpha, tau, terms=200):
+def kronecker_limit_check(alpha, tau, terms=None):
     """|E^(0)_alpha(tau, 0) + 2 log |g_{0,alpha}(tau)||; small iff the identity holds."""
     alpha = _check_alpha(alpha)
     with mp_context():

@@ -71,8 +71,10 @@ class AsaiLSeries:
 
     def alpha_table(self, n_max):
         """dirichlet_alpha_table of the form, built afresh on each call: kept,
-        a table holds about 0.2 KB per coefficient for as long as the series
-        lives, while rebuilding it costs some 15 microseconds per coefficient."""
+        a table holds about 0.12 KB per coefficient (tracemalloc) for as long
+        as the series lives, while rebuilding it costs some 3 microseconds per
+        coefficient (best of 5; Delta base changes over Q(sqrt 5) and
+        Q(sqrt 13), n = 500-4000, 2-core x86, Python 3.11)."""
         return dirichlet_alpha_table(self.form, n_max)
 
     @property

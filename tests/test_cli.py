@@ -149,6 +149,19 @@ def test_continuation_at_the_im_tau_limit(capsys):
     assert code == 0
 
 
+def test_kronecker_default_terms_cover_the_working_precision(capsys):
+    # at Im tau = 1/300 the product keeps the factors n < 1 + P ln 2 / (pi Im tau)
+    # = 5,296 at P = 80 bits (64 and 16 guard bits); the default cap takes
+    # them all and reports it, while an explicit --terms stays a cap
+    code, out, _ = run_cli(capsys, "kronecker-check", "--alpha", "1/5", "--tau", "3/10+1/300i")
+    rep = json.loads(out)
+    assert code == 0 and rep["result"]["residual"] < 1e-8
+    assert rep["provenance"]["cutoffs"] == {"terms": 5296}
+    code, out, _ = run_cli(capsys, "kronecker-check", "--alpha", "1/5", "--tau", "3/10+1/300i",
+                           "--terms", "200")
+    assert code == 2 and json.loads(out)["provenance"]["cutoffs"] == {"terms": 200}
+
+
 def test_im_tau_limit_follows_the_precision(capsys, precision):
     # (P + 25) / 26700 keeps the Fourier levels as at 1/300 and 64 bits: at
     # 128 bits 1/300 is refused, and the limit 153/26700 = 51/8900 accepted

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from asailab import eigenform
 from asailab.coeffs import CoefficientField
 from asailab.eigenform import (EigenformError, HilbertEigenform,
                                MissingEigenvalueError, Weight, base_change, check_hecke_relations,
@@ -36,6 +37,20 @@ def test_tau_table_matches_independent_oracle():
     for p, v in ours.items():
         assert v == oracle[p]
     assert ours[2] == -24 and ours[3] == 252 and ours[11] == 534612
+
+
+def test_tau_table_grows_and_returns_fresh_dicts(monkeypatch):
+    # from an empty table, each bound either continues the recurrence from
+    # the table's end or reads below it, with the same tau(p) either way;
+    # a caller's dict is its own
+    monkeypatch.setattr(eigenform, "_eta24", [1])
+    oracle = tau_oracle(4002)
+    for bound in (300, 4000, 17, 1000, 4001, 2, 1, 0):
+        assert discriminant_form_ap(bound) == {p: oracle[p] for p in primes_up_to(bound)}
+    ap = discriminant_form_ap(50)
+    ap[2] = 0
+    del ap[47]
+    assert discriminant_form_ap(50) == {p: oracle[p] for p in primes_up_to(50)}
 
 
 def test_tau_congruence_and_deligne_bound():

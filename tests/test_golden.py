@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from asailab import eigenform
 from asailab.cli import build_parser, main
 from asailab.eigenform import discriminant_form_ap
 from bench_record import readme_commands
@@ -81,3 +82,15 @@ def test_ap_file_gives_the_built_in_base_change(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     main(["base-change", "--d", "5", "--bound", "60", "--ap-file", str(ap)])
     assert capsys.readouterr().out == (GOLDEN / "base_change_d5_bound60.json").read_text()
+
+
+def test_no_state_carries_over_between_commands(capsys, monkeypatch):
+    # from an empty tau table, two smaller Delta builds in the same process
+    # grow it to 300 and 1000 before the README lfun command continues it
+    monkeypatch.setattr(eigenform, "_eta24", [1])
+    main(["lfun", "--delta", "--d", "2", "--bound", "300", "--s", "13"])
+    main(["base-change", "--d", "13", "--bound", "1000"])
+    capsys.readouterr()
+    name = "readme_lfun_delta_bound_4000_s_14_method_both"
+    main(CASES[name])
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
