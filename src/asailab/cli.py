@@ -339,7 +339,8 @@ def cmd_eisenstein(args):
 def cmd_kronecker_check(args):
     alpha = parse_rational(args.alpha)
     tau = _continuation_tau(args.tau)
-    # by default the cap takes every factor the working precision keeps
+    # the default cap is 200, as reports have always read, or every factor
+    # the working precision keeps where that is more
     terms = args.terms or max(200, siegel_stop(tau))
     resid = float(kronecker_limit_check(alpha, tau, terms=terms))
     res = {"residual": resid, "tolerance": args.tol, "passes": resid < args.tol,
