@@ -88,15 +88,15 @@ class HilbertEigenform:
     def _stored_product(self, parts):
         """Product of the stored values at P^e over the (P, e) in parts, each
         key read from `prime_powers` at the rational prime P.n under P."""
-        field, out = self.field, self.coefficient_field.one()
+        field, out = self.field, None
         for p, e in parts:
             i = splitting_type(field, p.n).primes.index(p)
             val = self.eigenvalues.get(prime_powers(field, p.n, e)[i][1])
             if val is None:
                 raise MissingEigenvalueError(
                     f"no eigenvalue stored at {ideal_label(p)}^{e} (norm {p.norm() ** e})")
-            out = out * val
-        return out
+            out = val if out is None else out * val
+        return self.coefficient_field.one() if out is None else out
 
     def lambda_of(self, ideal):
         """lambda at an integral ideal: stored, or multiplied over its HNF factorisation."""
@@ -111,12 +111,9 @@ class HilbertEigenform:
         n = int(n)
         if n < 1:
             raise EigenformError("need n >= 1")
-        parts = []
-        for ell, e in factorise(n):
-            st = splitting_type(self.field, ell)
-            k = 2 * e if st.is_ramified else e
-            parts += [(p, k) for p in st.primes]
-        return self._stored_product(parts)
+        types = [(splitting_type(self.field, ell), e) for ell, e in factorise(n)]
+        return self._stored_product([(p, 2 * e if st.is_ramified else e)
+                                     for st, e in types for p in st.primes])
 
     def alpha(self, n):
         """Dirichlet coefficient alpha(n) = n^{-(t+t')} lambda(n)."""
@@ -317,7 +314,7 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
             raise MissingEigenvalueError(f"a_p missing at p = {ell} below bound {bound}")
         a_ell = ap[ell]
         if not isinstance(a_ell, QuadElt):
-            a_ell = cfield.element(Fraction(a_ell))
+            a_ell = cfield.element(a_ell)   # an int a_l is kept, not copied, in the form
         st = field.splitting_type(ell)
         if st.is_inert:
             lam_p = a_ell * a_ell - 2 * Fraction(ell ** (k_cl - 1)) * eps_at(ell)

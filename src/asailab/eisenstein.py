@@ -418,18 +418,17 @@ def kronecker_limit_check(alpha, tau, terms=None):
 def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600):
     """Mellin transform of the trace-zero modes against the Dirichlet series.
 
-    lhs = integral_0^{y_cutoff} W(y) y^{s'} dy/y with
-          W(y) = sum_{n >= 1} alpha(n) exp(-4 pi n y / sqrt(Delta)),
-    the x-average of the anti-holomorphic diagonal restriction (trace-zero
-    Fourier modes are indexed by -n/sqrt(Delta)); the normalisation
-    c(different^{-1}) = Delta^{-(t+t')/2} makes the coefficients exactly
-    alpha(n).
-
-    rhs = Gamma(s') (sqrt(Delta)/(4 pi))^{s'} sum alpha(n) n^{-s'}.
-
-    Returns (lhs, rhs, relative residual).  Float64 quadrature on 48 log-spaced
-    Gauss-Legendre panels of 24 nodes; adequate for the 1e-4 scale checks this
-    supports.
+    lhs = integral_0^Y W(y) y^{s'} dy/y, Y = y_cutoff, with W(y) = sum_{n >= 1}
+    alpha(n) exp(-c n y), c = 4 pi / sqrt(Delta): the x-average of the
+    anti-holomorphic diagonal restriction (trace-zero Fourier modes are indexed
+    by -n/sqrt(Delta)); the normalisation c(different^{-1}) = Delta^{-(t+t')/2}
+    makes the coefficients exactly alpha(n).  rhs = Gamma(s') c^{-s'} sum
+    alpha(n) n^{-s'}.  Returns (lhs, rhs, relative residual), lhs by float64
+    quadrature on 48 log-spaced Gauss-Legendre panels of 24 nodes, adequate for
+    the 1e-4 scale checks this supports.  As Gamma(s', x) <= x^{s'} e^{-x} /
+    (x - s' + 1) at x >= s', the tail past Y is at most Y^{s'} sum |alpha(n)|
+    e^{-x_n} / (x_n - s' + 1), x_n = c n Y, if x_1 >= s'; EisensteinError is
+    raised when x_1 < s' or this bound passes 1e-4 |rhs|.
     """
     import numpy as np
     sprime = float(sprime)
@@ -437,10 +436,22 @@ def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600):
         raise EisensteinError("need Re(s') > 1 for the kernel integral")
     disc = form.field.disc
     c = 4 * math.pi / math.sqrt(disc)
-    alphas = np.array([float(a) for a in dirichlet_alpha_table(form, n_max)[1:]])
+    table = dirichlet_alpha_table(form, n_max)[1:]
+    try:
+        alphas = np.array([x / den if not y else float(form.coefficient_field.element(
+            Fraction(x, den), Fraction(y, den))) for x, y, den in table])
+    except OverflowError:   # from x / den alone: the mpf route gives inf
+        raise EisensteinError("an alpha(n) is past the double range") from None
     ns = np.arange(1, n_max + 1, dtype=float)
     if not alphas.any():
         return 0.0, 0.0, 0.0
+    dirichlet = float(np.sum(alphas * ns ** (-sprime)))
+    rhs = math.gamma(sprime) * (math.sqrt(disc) / (4 * math.pi)) ** sprime * dirichlet
+    x = c * y_cutoff * ns
+    tail = math.inf if x[0] < sprime else float(np.sum(np.abs(alphas) * np.exp(
+        sprime * math.log(y_cutoff) - x - np.log(x - sprime + 1))))
+    if not tail <= 1e-4 * abs(rhs):
+        raise EisensteinError(f"y_cutoff = {y_cutoff:g} leaves out up to {tail:.3g} of {rhs:.6g}")
     # quadrature nodes: log-spaced panel edges between y_cutoff/2^48 and y_cutoff
     edges = [y_cutoff * 2.0 ** (-i) for i in range(48, -1, -1)]
     edges[0] = 0.0
@@ -452,8 +463,6 @@ def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600):
         wts = half * gl_w
         wvals = np.exp(-c * np.outer(ys, ns)) @ alphas
         lhs += float(np.sum(wts * wvals * ys ** (sprime - 1.0)))
-    dirichlet = float(np.sum(alphas * ns ** (-sprime)))
-    rhs = math.gamma(sprime) * (math.sqrt(disc) / (4 * math.pi)) ** sprime * dirichlet
     denom = max(abs(lhs), abs(rhs))
     resid = abs(lhs - rhs) / denom if denom else 0.0
     return lhs, rhs, resid

@@ -10,6 +10,8 @@ P_l(F, l^{-s})^{-1} reproduces the Dirichlet series exactly.
 
 At a ramified good prime the local factor is the rational function forced by
 the recursion (AsaiLSeries.local_factor), which both Euler-product routes read.
+The Dirichlet side runs on integer triples (x, y, den) of (x + y sqrt(e)) / den,
+p^{-s} is `precision.inverse_power`, and exact coefficients become QuadElts last.
 """
 
 import math
@@ -21,7 +23,7 @@ import mpmath
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
 from .coeffs import QuadElt
-from .precision import GUARD_BITS, exact_fixed, fixed, from_fixed, mp_context
+from .precision import GUARD_BITS, exact_fixed, fixed, from_fixed, inverse_power, mp_context
 
 
 class LSeriesError(ValueError):
@@ -29,35 +31,44 @@ class LSeriesError(ValueError):
 
 
 def dirichlet_alpha_table(form, n_max):
-    """alpha(n) for 1 <= n <= n_max (index 0 unused): the one route to the
-    Dirichlet coefficients.
-
-    form.alpha is asked only at 1 and at the prime powers l^e <= n_max (l,
-    then e, ascending, so a missing eigenvalue is reported at the first prime
-    power that needs it); the rest is assembled multiplicatively.
-    """
+    """alpha(n) for 1 <= n <= n_max (index 0 unused) as canonical triples
+    (x, y, den) of (x + y sqrt(e)) / den, den > 0 and gcd 1 as in QuadElt: the
+    one route to the Dirichlet coefficients.  form.lambda_rational is asked only
+    at 1 and at the prime powers l^e <= n_max (l, then e, ascending, so a missing
+    eigenvalue is reported at the first prime power that needs it) and twisted
+    by l^{-e(t+t')} on integers; the rest is assembled multiplicatively."""
     n_max = int(n_max)
     if n_max < 1:
         raise LSeriesError(f"need n_max >= 1, got {n_max}")
-    local = {}
+    t, local = form.weight.t1 + form.weight.t2, {}
     for ell in primes_up_to(n_max):
         pe, e = ell, 1
         while pe <= n_max:
-            local[ell, e] = form.alpha(pe)
+            twist = pe ** max(-t, 0), 0, pe ** max(t, 0)
+            local[ell, e] = _times(_coords(form.lambda_rational(pe)), twist, 0)
             pe, e = pe * ell, e + 1
-    return _multiplicative_table(n_max, form.alpha(1), local)
+    return _multiplicative_table(n_max, _coords(form.lambda_rational(1)), local,
+                                 form.coefficient_field.e or 0)
 
 
-def _multiplicative_table(n_max, c1, local):
-    """[None, c(1), ..., c(n_max)] with c(1) = c1 and c(n) the product of
-    local[l, e] over l^e || n, assembled along smallest prime factors."""
+def _times(u, v, e):
+    """The canonical triple of the product of the triples u and v over Q(sqrt e)."""
+    (a, b, q), (c, d, r) = u, v
+    x, y, den = a * c + e * b * d, a * d + b * c, q * r
+    g = math.gcd(x, y, den)
+    return (x, y, den) if g == 1 else (x // g, y // g, den // g)
+
+
+def _multiplicative_table(n_max, c1, local, e):
+    """[None, c(1), ..., c(n_max)] with c(1) = c1 and c(n) the product of the
+    triples local[l, k] over l^k || n, assembled along smallest prime factors."""
     spf = smallest_prime_factors(n_max)
     table = [None, c1] + [None] * (n_max - 1)
     for n in range(2, n_max + 1):
-        ell, m, e = spf[n], n // spf[n], 1
+        ell, m, k = spf[n], n // spf[n], 1
         while m % ell == 0:
-            m, e = m // ell, e + 1
-        table[n] = local[ell, e] * table[m] if m > 1 else local[ell, e]
+            m, k = m // ell, k + 1
+        table[n] = _times(local[ell, k], table[m], e) if m > 1 else local[ell, k]
     return table
 
 
@@ -70,11 +81,10 @@ class AsaiLSeries:
         self.rational_level = form.rational_level()
 
     def alpha_table(self, n_max):
-        """dirichlet_alpha_table of the form, built afresh on each call: kept,
-        a table holds about 0.12 KB per coefficient (tracemalloc) for as long
-        as the series lives, while rebuilding it costs some 3 microseconds per
-        coefficient (best of 5; Delta base changes over Q(sqrt 5) and
-        Q(sqrt 13), n = 500-4000, 2-core x86, Python 3.11)."""
+        """dirichlet_alpha_table of the form, built afresh on each call: kept, a
+        table of triples would hold 0.05-0.08 KB per coefficient for the life of
+        the series, and a rebuild costs 1.5-2.5 us per coefficient (Delta over
+        Q(sqrt 5) and Q(sqrt 13), n = 500-4000, 2-core x86, Python 3.11)."""
         return dirichlet_alpha_table(self.form, n_max)
 
     @property
@@ -118,18 +128,17 @@ def imprimitive_L(series, s, n_cutoff=4000):
     Requires Re(s) > (k+k')/2 + 2 for a meaningful truncation.  Returns
     (value, report) with the truncation data.
 
-    Both sums run on integers scaled by 2^W, and their product is rounded
-    once.  p^{-s} is an mpmath power with GUARD_BITS more at primes p only, and
-    X_n = X_p X_{n/p} >> W along smallest prime factors (kept for n <= N/2).
-    The alpha sum adds x X_n // den and, apart, y X_n // den for alpha(n) =
-    (x + y sqrt(e)) / den; the chi-zeta sum adds n^{-u} = n^{k+k'+2} X_n^2
-    2^{-2W}, u = 2s-2-k-k', per residue class, and reads chi once a class.
-    X_n is off by at most 2 log2(N) units of 2^-W, so with |alpha(n)| < 2^B
-    and W = P + GUARD_BITS + B + ceil((k+k'+2)/2 bits(N)), P the working
-    precision, the alpha sum is off by at most N (2 log2 N + 2) 2^{B-W} and
-    the chi-zeta sum, which scales it by 2 n^{k+k'+2-Re s} < 2 N^{(k+k')/2},
-    by 4 log2(N) N^{(k+k')/2+1} 2^-W: both below 2^-P, besides the relative
-    error 2^-(P+GUARD_BITS) of each power.
+    Both sums run on integers scaled by 2^W, and their product is rounded once.
+    X_p = p^{-s} 2^W is `inverse_power` at primes p only, 2^-(P+GUARD_BITS)
+    relative, P the working precision, and X_n = X_p X_{n/p} >> W along smallest
+    prime factors (kept for n <= N/2).  The alpha sum adds x X_n // den and,
+    apart, y X_n // den for the triple (x, y, den) of alpha(n); the chi-zeta sum
+    adds n^{-u} = n^{k+k'+2} X_n^2 2^{-2W}, u = 2s-2-k-k', per residue class, and
+    reads chi once a class.  X_n is off by at most 2 log2(N) units of 2^-W (and
+    log2 N times the X_p relative), so with |x|, |y| < 2^B and W = P + 2 GUARD_BITS
+    + B + ceil((k+k'+2)/2 bits(N)) the alpha sum is off by at most N (2 log2 N + 2)
+    2^{B-W} and the chi-zeta sum, which scales it by 2 n^{k+k'+2-Re s} <
+    2 N^{(k+k')/2}, by 4 log2(N) N^{(k+k')/2+1} 2^-W: both below 2^-P.
     """
     with mp_context():
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
@@ -138,25 +147,24 @@ def imprimitive_L(series, s, n_cutoff=4000):
             raise LSeriesError(f"series truncation needs Re(s) > {kk / 2 + 2}")
         table = series.alpha_table(n_cutoff)
         e = series.form.coefficient_field.e or 0
+        xs, ys, _ = zip(*table[1:])
         w = (mpmath.mp.prec + GUARD_BITS - (-(kk + 2) * int(n_cutoff).bit_length() // 2)
-             + max(max(abs(x), abs(y)).bit_length() for x, y, _ in map(_coords, table[1:]))
+             + max(max(map(abs, xs)), max(map(abs, ys))).bit_length()
              + (e or 1).bit_length())
         chi, m = series.chi, series.chi.modulus
         by_residue = [0 if v is None else int(v.as_rational()) << w for v in map(chi, range(m))]
         spf = smallest_prime_factors(n_cutoff)
         powers = [None] * (n_cutoff // 2 + 1)
         sx, sy, zeta = 0, 0, [0] * m
-        with mpmath.extraprec(GUARD_BITS):
-            for n in range(1, n_cutoff + 1):
-                p = spf[n]
-                xn = fixed(mpmath.power(n, -s_m), w) if p == n else \
-                    powers[p] * powers[n // p] >> w
-                if n < len(powers):
-                    powers[n] = xn
-                x, y, den = _coords(table[n])
-                sx += x * xn // den
-                sy += y * xn // den
-                zeta[n % m] += n ** (kk + 2) * xn * xn
+        for n in range(1, n_cutoff + 1):
+            p = spf[n]
+            xn = fixed(inverse_power(n, s_m), w) if p == n else powers[p] * powers[n // p] >> w
+            if n < len(powers):
+                powers[n] = xn
+            x, y, den = table[n]
+            sx += x * xn // den
+            sy += y * xn // den
+            zeta[n % m] += n ** (kk + 2) * xn * xn
         lch = sum(c * z for c, z in zip(by_residue, zeta))  # scaled 2^{3W}
         dirichlet = sx * (1 << w) + sy * math.isqrt(e << 2 * w)  # 2^{2W}
         report = {"n_cutoff": n_cutoff, "zeta_argument": complex(series.zeta_argument(s_m)),
@@ -184,9 +192,9 @@ def _series_div(num, den, order):
 
 def euler_product_L(series, s, ell_cutoff=500):
     """Truncated Euler product of the imprimitive Asai L-function over the
-    good primes l <= ell_cutoff, each factor series.local_factor(l) at
-    X = l^{-s}; a prime l | N, whose factor is not known here, raises.  Each
-    factor is exact at the rounded l^{-s} but for its last unit, and the
+    good primes l <= ell_cutoff, each factor series.local_factor(l) at X = l^{-s}
+    (`inverse_power`); a prime l | N, whose factor is not known here, raises.  Each
+    factor is exact at that rounded l^{-s} but for its last unit, and the
     product runs on integers scaled by 2^W, W = GUARD_BITS more than the
     working precision, losing at most two units of 2^-W (times its size) per
     prime.
@@ -200,7 +208,7 @@ def euler_product_L(series, s, ell_cutoff=500):
             if n_level % ell == 0:
                 raise LSeriesError(f"missing bad factor C_l at l = {ell}")
             num, den = series.local_factor(ell)
-            total = total * _local_value(num, den, mpmath.power(ell, -s_m), w) >> w
+            total = total * _local_value(num, den, inverse_power(ell, s_m), w) >> w
         report = {"ell_cutoff": int(ell_cutoff), "primitive": False, "bad_primes": []}
         return from_fixed(total, w), report
 
@@ -240,38 +248,29 @@ def euler_product_coefficients(series, n_max):
     with e >= 2, so the comparison with the Dirichlet coefficients stays
     independent.
     """
-    n_level = series.rational_level
-    local = {}
+    n_level, local = series.rational_level, {}
     for ell in primes_up_to(n_max):
         if n_level % ell == 0:
             raise LSeriesError("coefficient expansion only at good levels")
-        order = 1
-        while ell ** (order + 1) <= n_max:
-            order += 1
+        order = max(e for e in range(1, n_max.bit_length() + 1) if ell ** e <= n_max)
         coeffs = _series_div(*series.local_factor(ell), order + 1)
         for e in range(1, order + 1):
-            local[ell, e] = coeffs[e]
-    return _multiplicative_table(n_max, series.form.coefficient_field.one(), local)
+            local[ell, e] = _coords(coeffs[e])
+    cf = series.form.coefficient_field
+    return [None] + [QuadElt.from_ints(*c, cf) for c in
+                     _multiplicative_table(n_max, (1, 0, 1), local, cf.e or 0)[1:]]
 
 
 def imprimitive_coefficients(series, n_max):
     """Exact Dirichlet coefficients of L^imp: sum_{m^2 | n} chi(m) m^{k+k'+2} alpha(n/m^2)."""
-    form = series.form
-    table = series.alpha_table(n_max)
-    kk = series.shift_weight
-    out = [None] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = form.coefficient_field.zero()
-        m = 1
-        while m * m <= n:
-            if n % (m * m) == 0:
-                v = series.chi(m)
-                if v is not None:
-                    acc = acc + Fraction(int(v.as_rational()) * m ** (kk + 2)) \
-                        * table[n // (m * m)]
-            m += 1
-        out[n] = acc
-    return out
+    table, kk = series.alpha_table(n_max), series.shift_weight
+    out = [[0, 0, 1] for _ in range(n_max + 1)]   # triples (x, y, den), summed over m
+    for m in range(1, math.isqrt(n_max) + 1):
+        if (v := series.chi(m)) is not None:
+            c = int(v.as_rational()) * m ** (kk + 2)
+            for (x, y, den), acc in zip(table[1:], out[m * m::m * m]):   # acc of n = m^2 j
+                acc[:] = acc[0] * den + c * x * acc[2], acc[1] * den + c * y * acc[2], acc[2] * den
+    return [None] + [QuadElt.from_ints(*acc, series.form.coefficient_field) for acc in out[1:]]
 
 
 # -- closed-form constants -----------------------------------------------------

@@ -12,11 +12,13 @@ import os
 from contextlib import contextmanager
 
 import mpmath
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import (from_int, from_man_exp, mpc_exp, mpf_exp, mpf_log, mpf_mul,
+                          mpf_neg, to_fixed)
 
 DEFAULT_PRECISION = 64
 MIN_PRECISION = 24
 GUARD_BITS = 16
+_MINUS_LOG = {}   # (p, bits) -> -log p to `bits` bits: the table of logs, one per precision
 
 
 def working_precision(prec=None):
@@ -50,6 +52,19 @@ def exact_fixed(x):
     parts = x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_,)
     bits = max(0, *(-part[2] for part in parts))
     return fixed(x, bits), bits
+
+
+def inverse_power(p, s):
+    """p^{-s} for an int p >= 1 and an mpf or mpc s, as exp(-s log p) at q = prec +
+    3 + bits(|s| bits(p)) bits, prec the caller's: rounding log p and s log p moves
+    the exponent by under 2^-(prec+2), and exp rounds by under 2^-(prec+1)."""
+    bits = mpmath.mp.prec + 3 + int(abs(complex(s)) * p.bit_length()).bit_length()
+    log = _MINUS_LOG.get((p, bits)) or _MINUS_LOG.setdefault(
+        (p, bits), mpf_neg(mpf_log(from_int(p), bits, "n")))
+    if isinstance(s, mpmath.mpc):
+        z = tuple(mpf_mul(part, log, bits, "n") for part in s._mpc_)
+        return mpmath.mp.make_mpc(mpc_exp(z, bits, "n"))
+    return mpmath.mp.make_mpf(mpf_exp(mpf_mul(s._mpf_, log, bits, "n"), bits, "n"))
 
 
 def from_fixed(v, bits):

@@ -296,7 +296,7 @@ class SplitKind(Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class SplittingType:
     """Splitting of a rational prime, with the primes above it (immutable:
     splitting_type hands one object to every caller)."""
@@ -321,9 +321,9 @@ class SplittingType:
         return self.kind is SplitKind.RAMIFIED
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=None)
 def splitting_type(field, ell):
-    """Splitting of the prime ell in field; memoised per (d, ell)."""
+    """Splitting of the prime ell in field; memoised per (d, ell), unbounded."""
     ell = int(ell)
     if not is_prime(ell):
         raise QuadFieldError(f"{ell} is not prime")

@@ -20,7 +20,10 @@ file records:
 - for each workload, the per-layer metrics of LAYER_REPEATS `perfbench/run.py
   --trace 1 --seed 7001` runs per side (alternating which side goes first),
   with the median and quartiles of each, under `layers`: one traced run is
-  too noisy for a claim about a layer;
+  too noisy for a claim about a layer, and a layer's change can be read only
+  where it is well beyond that layer's `iqr_over_median` on the parent side;
+- every median also has `iqr_over_median`, (q3 - q1) / median (null at a
+  median of 0);
 - the `elapsed_s` of each acceptance criterion, from REPEATS runs of the
   suite per checkout (alternating which side goes first), with the median;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
@@ -52,7 +55,7 @@ from test_callers import optional_parameters
 
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
-LAYER_REPEATS = 3
+LAYER_REPEATS = 9  # three runs per side could not resolve a 30% move in a layer
 REPEATS = 7  # one slow run of three moved a median by a third
 ACCEPTANCE = ("import json; from asailab.acceptance import CRITERIA; "
               "print(json.dumps([c()['elapsed_s'] for c in CRITERIA]))")
@@ -95,7 +98,8 @@ def summary(runs):
     for name in runs[0]:
         xs = [r[name] for r in runs]
         q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        out[name] = {"median": med, "q1": q1, "q3": q3, "runs": xs}
+        out[name] = {"median": med, "q1": q1, "q3": q3,
+                     "iqr_over_median": (q3 - q1) / med if med else None, "runs": xs}
     return out
 
 

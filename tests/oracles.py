@@ -382,15 +382,17 @@ def imprimitive_L_by_terms(series, s, n_cutoff, prec=None):
     n <= n_cutoff, each term rounded and added in turn, in both the Dirichlet
     sum and the chi-zeta factor."""
     import mpmath
-    from asailab.coeffs import to_mpf
+    from asailab.coeffs import QuadElt, to_mpf
     from asailab.precision import mp_context
     with mp_context(prec):
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
-        table = series.alpha_table(n_cutoff)
+        table = series.alpha_table(n_cutoff)   # triples (x, y, den)
+        cf = series.form.coefficient_field
         dirichlet = mpmath.mpc(0)
         for n in range(1, n_cutoff + 1):
-            if table[n]:
-                dirichlet += to_mpf(table[n]) * mpmath.power(n, -s_m)
+            x, y, den = table[n]
+            if x or y:
+                dirichlet += to_mpf(QuadElt.from_ints(x, y, den, cf)) * mpmath.power(n, -s_m)
         u = series.zeta_argument(s_m)
         return +(dirichlet_l_by_terms(series.chi, u, n_cutoff) * dirichlet)
 

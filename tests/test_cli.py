@@ -186,6 +186,29 @@ def test_y_cutoff_must_be_finite_and_positive(capsys, value):
         "error": "usage", "message": f"argument --y-cutoff: must be finite and > 0, got {value}"}
 
 
+@pytest.mark.parametrize("value", ["1e-6", "1e-300"])
+def test_y_cutoff_that_drops_the_integral_is_a_validation_error(capsys, value):
+    # these cutoffs left out nearly the whole integral and still exited 0,
+    # with "relative_residual": 1.0 (and "lhs": 0.0 at 1e-300)
+    code, out, err = run_cli(capsys, "mellin-check", "--delta", f"--y-cutoff={value}")
+    assert code == 1 and not out
+    report = json.loads(err)
+    assert report["error"] == "validation"
+    assert report["message"].startswith(f"y_cutoff = {float(value):g} leaves out up to")
+
+
+def test_mellin_coefficient_past_the_double_range_is_a_validation_error(capsys, tmp_path):
+    # t + t' = -1200 makes alpha(2) = 2^1200 lambda((2)), which no double holds
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({
+        "d": 5, "weight": [2, 2, -600, -600], "level": {"hnf": [1, 0, 1]},
+        "coefficient_field": {"type": "Q"}, "eigenvalues": [{"ideal": "4.0", "lambda": "1"}]}))
+    code, out, err = run_cli(capsys, "mellin-check", "--form", str(form), "--n-max", "2")
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "validation",
+                               "message": "an alpha(n) is past the double range"}
+
+
 def test_validation_error_exit(capsys):
     # non-squarefree d is a validation failure
     code, _, err = run_cli(capsys, "field-info", "--d", "12")

@@ -288,7 +288,8 @@ def test_nebentype_lookup(field5):
 
 def test_base_change_forms_are_small_and_share_their_keys():
     # forms of one field store their eigenvalues under the same key tuples,
-    # and P^r, Pbar^r of a split prime under one value: four forms built
+    # P^r, Pbar^r of a split prime under one value, and lambda(P) = tau(l)
+    # as the int the tau table holds, not a copy of it: four forms built
     # with warm caches retain at most 55 KB each (68 KB when each form held
     # its own keys and ran the recursion once per prime above a split l)
     field, bound = RealQuadraticField(5), 1350
@@ -314,6 +315,7 @@ def test_base_change_forms_are_small_and_share_their_keys():
     assert split
     for st in split:
         p, pbar = st.primes
+        assert all(form.stored(p).x is ap[st.ell] for form in forms), st.ell
         r = 1
         while st.ell ** r <= bound:
             assert warm.stored(p ** r) is warm.stored(pbar ** r), (st.ell, r)

@@ -9,6 +9,8 @@ from asailab.eisenstein import (EisensteinError, EisensteinPole, _hyperu_values,
                                 _lattice_float, _m0_bracket, _oscillating,
                                 diagonal_mellin_check, eisenstein_continued,
                                 eisenstein_lattice_sum, kronecker_limit_check, siegel_unit)
+from asailab.coeffs import CoefficientField
+from asailab.eigenform import Weight
 from asailab.precision import from_fixed, mp_context
 from oracles import (check_hyperu_ladder, classical_eisenstein_q_series, hyperu_reference,
                      lattice_by_complex_power, lattice_by_rows,
@@ -279,9 +281,11 @@ def test_mellin_check(bc_form_4000):
 def test_mellin_zero_form(field5):
     class ZeroForm:
         field = field5
+        weight = Weight(2, 2, 0, 0)
+        coefficient_field = CoefficientField(None)
 
         @staticmethod
-        def alpha(n):
+        def lambda_rational(n):
             return Fraction(0)
 
     assert diagonal_mellin_check(ZeroForm(), 14) == (0.0, 0.0, 0.0)

@@ -5,6 +5,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 
+from asailab import lseries
 from asailab.lseries import (AsaiLSeries, LSeriesError, SymbolicConstant,
                              dirichlet_alpha_table, euler_product_L,
                              euler_product_coefficients, imprimitive_L,
@@ -14,7 +15,8 @@ from asailab.arith import factorise, is_squarefree, primes_up_to, smallest_prime
 from asailab.asairep import asai_charpoly
 from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap, synthetic_form)
-from asailab.coeffs import CoefficientField, QuadElt
+from asailab.coeffs import CoefficientField
+from asailab.precision import inverse_power
 from asailab.quadfield import RealQuadraticField
 from oracles import (euler_product_L_by_horner,
                      euler_product_L_by_series, imprimitive_L_by_terms,
@@ -47,7 +49,8 @@ def test_alpha_table_matches_direct():
             table = dirichlet_alpha_table(form, n_max)
             assert len(table) == n_max + 1
             for n in range(1, n_max + 1):
-                assert table[n] == Fraction(n) ** -tsum * lams[n], (d, weight, n)
+                want = Fraction(n) ** -tsum * lams[n]   # canonical coordinates
+                assert table[n] == (want.x, want.y, want.den), (d, weight, n)
 
 
 def test_imprimitive_self_convergence(bc_form_4000):
@@ -232,7 +235,7 @@ def test_imprimitive_zero_function():
 
         @staticmethod
         def alpha_table(n):
-            return [None] + [Fraction(0)] * n
+            return [None] + [(0, 0, 1)] * n
 
         @staticmethod
         def zeta_argument(s):
@@ -242,12 +245,11 @@ def test_imprimitive_zero_function():
     assert val == 0
 
 
-def _mp(x):
-    """An exact value (QuadElt, Fraction, int) at the current mpmath precision."""
-    if isinstance(x, QuadElt):
-        return _mp(x.a) + mpmath.sqrt(x.field.e or 0) * _mp(x.b)
-    x = Fraction(x)
-    return mpmath.mpf(x.numerator) / x.denominator
+def _mp(c, e):
+    """An alpha table's triple c = (x, y, den), (x + y sqrt(e)) / den, at the
+    current mpmath precision."""
+    x, y, den = c
+    return (mpmath.mpf(x) + mpmath.sqrt(e or 0) * y) / den
 
 
 def _reference_L(series, s, n_cutoff):
@@ -255,8 +257,9 @@ def _reference_L(series, s, n_cutoff):
     with mpmath.workprec(400):
         table = series.alpha_table(n_cutoff)
         u = series.zeta_argument(s)
-        dirichlet = mpmath.fsum(_mp(table[n]) * mpmath.power(n, -s)
-                                for n in range(1, n_cutoff + 1) if table[n])
+        e = series.form.coefficient_field.e
+        dirichlet = mpmath.fsum(_mp(table[n], e) * mpmath.power(n, -s)
+                                for n in range(1, n_cutoff + 1) if table[n][:2] != (0, 0))
         lch = mpmath.fsum(mpmath.expjpi(2 * mpmath.mpf(v.e) / v.n) * mpmath.power(n, -u)
                           for n in range(1, n_cutoff + 1) if (v := series.chi(n)) is not None)
         return dirichlet * lch
@@ -289,11 +292,11 @@ def test_dirichlet_sums_match_the_per_term_oracle(bc_form_4000, s, n_cutoff, pre
 
 
 class _ZetaOnly(AsaiLSeries):
-    """alpha(1) = 1 and alpha(n) = 0 for n > 1, as Fractions: imprimitive_L
-    is then the chi-zeta sum alone."""
+    """alpha(1) = 1 and alpha(n) = 0 for n > 1: imprimitive_L is then the
+    chi-zeta sum alone."""
 
     def alpha_table(self, n_max):
-        return [None, Fraction(1)] + [Fraction(0)] * (n_max - 1)
+        return [None, (1, 0, 1)] + [(0, 0, 1)] * (n_max - 1)
 
 
 def _level5_form():
@@ -443,3 +446,44 @@ def test_euler_product_L_matches_the_power_series_route(d):
     for s in (14, 14 + 1j, 13.5, 20):
         got, _ = euler_product_L(series, s, ell_cutoff=500)
         assert complex(got) == complex(euler_product_L_by_series(series, s, 500)), s
+
+
+@pytest.mark.parametrize("bits", [24, 64, 192])
+def test_inverse_power_against_mpmath_power(bits):
+    # both L-value routes take p^{-s} from inverse_power: at every prime
+    # p <= 4000 it is within 2^-bits of p^{-s} relative, as its docstring
+    # states, against mpmath.power at 300 bits of the same rounded s
+    primes = primes_up_to(4000)
+    for s in (13, 14.37, 16, 14 + 1j, 14 + 40j):
+        with mpmath.workprec(bits):
+            s_m = mpmath.mpmathify(s)
+            got = [inverse_power(p, s_m) for p in primes]
+        with mpmath.workprec(300):
+            for p, value in zip(primes, got):
+                want = mpmath.power(p, -s_m)
+                assert abs(value - want) <= abs(want) * mpmath.ldexp(1, -bits), (s, p)
+
+
+def _read_by_the_other_route(*args):
+    raise AssertionError("criterion 7's routes must not share a coefficient source")
+
+
+def test_criterion_7_routes_stay_independent(bc_form_500, monkeypatch):
+    # the Euler product runs with the alpha table and alpha(n) gone, and the
+    # Dirichlet series with the local factors gone; each gives what it gave
+    # before
+    series = AsaiLSeries(bc_form_500)
+    euler = euler_product_L(series, 14, ell_cutoff=200)[0], \
+        euler_product_coefficients(series, 200)
+    dirichlet = imprimitive_L(series, 14, n_cutoff=500)[0], \
+        imprimitive_coefficients(series, 200)
+    with monkeypatch.context() as patch:
+        patch.setattr(lseries, "dirichlet_alpha_table", _read_by_the_other_route)
+        patch.setattr(HilbertEigenform, "alpha", _read_by_the_other_route)
+        patch.setattr(HilbertEigenform, "lambda_rational", _read_by_the_other_route)
+        assert (euler_product_L(series, 14, ell_cutoff=200)[0],
+                euler_product_coefficients(series, 200)) == euler
+    with monkeypatch.context() as patch:
+        patch.setattr(AsaiLSeries, "local_factor", _read_by_the_other_route)
+        assert (imprimitive_L(series, 14, n_cutoff=500)[0],
+                imprimitive_coefficients(series, 200)) == dirichlet
