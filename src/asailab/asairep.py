@@ -221,17 +221,15 @@ class GroupRingElement:
                 self.coeffs[a % self.modulus] = c
 
     def _check_unit(self, a):
-        if self.modulus > 1 and math.gcd(a, self.modulus) != 1:
+        if math.gcd(a, self.modulus) != 1:
             raise AsaiRepError(f"{a} is not a unit mod {self.modulus}")
 
     @classmethod
     def unit(cls, modulus, a=1, coeff=Fraction(1)):
-        return cls(modulus, {a % modulus if modulus > 1 else 0: coeff})
+        return cls(modulus, {a % modulus: coeff})
 
     @classmethod
     def sigma(cls, modulus, a, exponent=1):
-        if modulus == 1:
-            return cls(1, {0: Fraction(1)})
         a = pow(int(a) % modulus, exponent, modulus) if exponent >= 0 else \
             pow(pow(int(a), -1, modulus), -exponent, modulus)
         return cls(modulus, {a: Fraction(1)})
@@ -263,7 +261,7 @@ class GroupRingElement:
         mod = self.modulus
         for a, c in self.coeffs.items():
             for b, d in other.coeffs.items():
-                key = (a * b) % mod if mod > 1 else 0
+                key = (a * b) % mod
                 out[key] = out.get(key, Fraction(0)) + c * d
         return GroupRingElement(mod, out)
 
@@ -303,7 +301,7 @@ class GroupRingElement:
         with mp_context():
             acc = mpmath.mpc(0)
             for a, c in self.coeffs.items():
-                acc += to_mpf(c) * chi.value_mpc(a if self.modulus > 1 else 1)
+                acc += to_mpf(c) * chi.value_mpc(a)
             return acc
 
     def to_json(self):

@@ -120,12 +120,14 @@ def _local_form(args):
     return {"d": args.d, "ell": args.ell, "lambda": args.lam, "w": args.w}, form
 
 
-def _load_form_arg(args):
+def _load_form_arg(args, bound):
+    """The --form file, or with --delta the Delta base change with every
+    coefficient up to bound, the largest cutoff the command reads."""
     if args.form:
         return load_eigenform(args.form)
     if args.delta:
-        return base_change(discriminant_form_ap(args.bound), 12, None,
-                           RealQuadraticField(args.d or 5), bound=args.bound)
+        return base_change(discriminant_form_ap(bound), 12, None,
+                           RealQuadraticField(args.d or 5), bound=bound)
     raise UsageError("supply --form FILE or --delta")
 
 
@@ -298,7 +300,9 @@ def cmd_norm_factor(args):
 
 
 def cmd_lfun(args):
-    series = AsaiLSeries(_load_form_arg(args))
+    bound = {"dirichlet": args.n_cutoff, "euler": args.ell_cutoff}.get(
+        args.method, max(args.n_cutoff, args.ell_cutoff))
+    series = AsaiLSeries(_load_form_arg(args, bound))
     s = parse_complex(args.s)
     normalization = "L_(N)(chi, 2s-2-k-k') * sum alpha(n) n^-s"
     pieces = {}
@@ -350,7 +354,7 @@ def cmd_kronecker_check(args):
 
 
 def cmd_mellin_check(args):
-    lhs, rhs, resid = diagonal_mellin_check(_load_form_arg(args), args.sprime,
+    lhs, rhs, resid = diagonal_mellin_check(_load_form_arg(args, args.n_max), args.sprime,
                                             y_cutoff=args.y_cutoff, n_max=args.n_max)
     res = {"lhs": lhs, "rhs": rhs, "relative_residual": resid,
            "normalization": "rhs = Gamma(s') (sqrt(Delta)/(4 pi))^{s'} "
@@ -564,8 +568,7 @@ def build_parser():
     parser = _Parser(prog="asailab", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--out", help="write the JSON report to this path")
     sub = parser.add_subparsers(dest="cmd")
-    # option groups shared by several commands; children share a parent's action
-    # objects, so --bound (its default differs per command) is declared in each
+    # option groups shared by several commands
     local = argparse.ArgumentParser(add_help=False)
     local.add_argument("--d", type=int, required=True)
     local.add_argument("--ell", type=int, required=True)
@@ -625,8 +628,6 @@ def build_parser():
     p.set_defaults(func=cmd_norm_factor)
 
     p = sub.add_parser("lfun", help="imprimitive Asai L-value", parents=[form])
-    p.add_argument("--bound", type=_positive_int, default=4000,
-                   help="coefficient bound for --delta; keep >= --n-cutoff")
     p.add_argument("--s", required=True)
     p.add_argument("--method", choices=("dirichlet", "euler", "both"), default="both")
     p.add_argument("--n-cutoff", type=_positive_int, default=4000)
@@ -654,7 +655,6 @@ def build_parser():
 
     p = sub.add_parser("mellin-check", help="diagonal Mellin / unfolding kernel",
                        parents=[form])
-    p.add_argument("--bound", type=_positive_int, default=800)
     p.add_argument("--sprime", type=float, default=14.0)
     p.add_argument("--y-cutoff", type=_positive_float, default=40.0)
     p.add_argument("--n-max", type=_positive_int, default=600)

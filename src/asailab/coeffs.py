@@ -70,9 +70,6 @@ class CoefficientField:
     def one(self):
         return self.element(1)
 
-    def zero(self):
-        return self.element(0)
-
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict) or "type" not in obj:

@@ -120,20 +120,14 @@ class HilbertEigenform:
         n = int(n)
         return Fraction(n) ** -(self.weight.t1 + self.weight.t2) * self.lambda_rational(n)
 
-    def eps_of(self, ideal):
-        """Nebentype at an ideal coprime to the level (empty table = trivial)."""
+    def eps_of(self, p):
+        """Nebentype at a prime P coprime to the level (empty table = trivial)."""
         if not self.nebentype:
             return self.coefficient_field.one()
-        stored = self.nebentype.get(ideal.hnf())
-        if stored is not None:
-            return stored
-        out = self.coefficient_field.one()
-        for p, e in ideal.factor():
-            key = p.hnf()
-            if key not in self.nebentype:
-                raise EigenformError(f"nebentype missing at {ideal_label(p)}")
-            out = out * (self.nebentype[key] ** e)
-        return out
+        val = self.nebentype.get(p.hnf())
+        if val is None:
+            raise EigenformError(f"nebentype missing at {ideal_label(p)}")
+        return val
 
     def chi_restriction(self):
         """The Dirichlet character chi = eps restricted to (Z/N)^x, N = level cap Z.
@@ -273,41 +267,32 @@ def check_hecke_relations(form, bound):
 # -- base change ---------------------------------------------------------------
 
 def base_change(ap, k_cl, nebentype_classical, field, bound=500):
-    """Synthesise the base change of a classical eigenform to Q(sqrt(d)).
+    """Synthesise the base change of a level-1 classical eigenform to Q(sqrt(d)).
 
-    ap maps rational primes to a_p values; k_cl >= 2 is the classical weight.
-    For split l: lambda(P) = lambda(Pbar) = a_l.  For inert l:
-    lambda(l O_F) = a_l^2 - 2 l^{k_cl - 1} eps(l).  For ramified l = P^2:
-    lambda(P) = a_l, because P has residue degree 1 and the classical form is
-    unramified at l, so Frob_P acts as Frob_l.  (The Asai L-series sees only
-    lambda(P)^2, so test_delta_base_change_is_sym2_times_twisted_zeta checks
-    lambda(P)^2 = a_l^2, not the sign.)
+    ap maps rational primes to a_p values; k_cl >= 2 is the classical weight;
+    nebentype_classical must be None (a nebentype could not reach an
+    L-series: chi_restriction refuses it).  For split l: lambda(P) =
+    lambda(Pbar) = a_l.  For inert l: lambda(l O_F) = a_l^2 - 2 l^{k_cl - 1}.
+    For ramified l = P^2: lambda(P) = a_l, because P has residue degree 1 and
+    the classical form is unramified at l, so Frob_P acts as Frob_l.  (The
+    Asai L-series sees only lambda(P)^2, so
+    test_delta_base_change_is_sym2_times_twisted_zeta checks lambda(P)^2 =
+    a_l^2, not the sign.)
     Higher prime powers are filled by the Hecke recursion so that lambda((n))
     is available for every n <= bound.
     """
     k_cl = int(k_cl)
     if k_cl < 2:
         raise EigenformError("classical weight must be >= 2")
-    eps_cl = nebentype_classical  # DirichletCharacter or None
+    if nebentype_classical is not None:
+        raise EigenformError("base change takes level-1 forms without nebentype")
     cfield = CoefficientField(None)
     for v in ap.values():
         if isinstance(v, QuadElt) and not v.is_rational:
             cfield = v.field
             break
-
-    def eps_at(ell):
-        if eps_cl is None:
-            return cfield.one()
-        val = eps_cl(ell)
-        if val is None:
-            return cfield.zero()
-        return cfield.element(val.as_rational())
-
     weight = Weight(k_cl, k_cl, 0, 0)
-    level = field.maximal_order() if eps_cl is None or eps_cl.modulus == 1 \
-        else field.ideal(eps_cl.modulus)
     eigenvalues = {}
-    nebentype = {}
     bound = int(bound)
     for ell in primes_up_to(bound):
         if ell not in ap:
@@ -316,17 +301,10 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
         if not isinstance(a_ell, QuadElt):
             a_ell = cfield.element(a_ell)   # an int a_l is kept, not copied, in the form
         st = field.splitting_type(ell)
-        if st.is_inert:
-            lam_p = a_ell * a_ell - 2 * Fraction(ell ** (k_cl - 1)) * eps_at(ell)
-        else:
-            lam_p = a_ell
-        # P and Pbar of a split ell have one norm, one lambda and one eps, so
-        # one run of the recursion serves both: they share its values
+        lam_p = a_ell * a_ell - 2 * ell ** (k_cl - 1) if st.is_inert else a_ell
+        # P and Pbar of a split ell have one norm and one lambda, so one run
+        # of the recursion serves both: they share its values
         np = st.primes[0].norm()
-        eps_p = eps_at(np)
-        if eps_cl is not None and eps_cl.modulus > 1:
-            for p in st.primes:
-                nebentype[p.hnf()] = eps_p
         # fill powers by the recursion far enough that lambda((n)) exists
         # for all n <= bound: inert/ramified primes above l | n enter (n)
         # with norms up to bound^2
@@ -337,9 +315,9 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
                 eigenvalues[key] = cur
             if np ** (r + 1) > max_norm:
                 break
-            nxt = lam_p * cur - Fraction(np ** (weight.w - 1)) * eps_p * prev
+            nxt = lam_p * cur - np ** (weight.w - 1) * prev
             prev, cur, r = cur, nxt, r + 1
-    return HilbertEigenform(field, weight, level, cfield, eigenvalues, nebentype)
+    return HilbertEigenform(field, weight, field.maximal_order(), cfield, eigenvalues)
 
 
 def synthetic_form(field, weight, local_lambdas, eps_values=None):

@@ -217,10 +217,17 @@ def _local_value(num, den, x, bits):
     """num(x) / den(x) 2^bits rounded down, for polynomials (low degree first)
     over Q or one Q(sqrt(e)): at x = M 2^-E exactly, M an int or Gauss, each
     is (a + b sqrt(e)) / q on integers, and sqrt(e) leaves the divisor by its
-    conjugate before the one division."""
+    conjugate before the one division.  Both constant terms are 1: once
+    |x| < 2^-(bits + B + 4), with every coefficient below 2^B, the later terms
+    move the value by under one unit, and 2^bits is returned without building
+    any x^i 2^(i E)."""
     m, shift = exact_fixed(x)
-    (a, b, qa), (c, d, qc) = (_poly_at(poly, m, shift) for poly in (num, den))
     e = next((k.field.e for k in (*num, *den) if isinstance(k, QuadElt) and k.y), 0)
+    tiny = shift - (abs(m.real) + abs(m.imag)).bit_length()  # |x| < 2^-tiny
+    if tiny >= bits + 4 + max((abs(u) + abs(v) * (math.isqrt(e) + 1)).bit_length()
+                              for u, v, _ in map(_coords, (*num, *den))):
+        return 1 << bits
+    (a, b, qa), (c, d, qc) = (_poly_at(poly, m, shift) for poly in (num, den))
     # (a + b r) / (c + d r) = (ac - e bd + (bc - ad) r) / (c^2 - e d^2), r = sqrt(e)
     top = (a * c - e * b * d) * (1 << bits) + (b * c - a * d) * math.isqrt(e << 2 * bits)
     norm = c * c - e * d * d

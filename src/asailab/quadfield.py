@@ -4,7 +4,9 @@ Elements are coeffs.QuadElt values (x + y*sqrt(d))/den; `element` and
 `omega_coords` translate to and from the integral basis (1, omega) with
 omega = (1+sqrt(d))/2 when d = 1 mod 4 and omega = sqrt(d) otherwise.  Integral
 ideals are kept in Hermite normal form [n, m + g*omega] with g | n, g | m,
-normalised so n > 0, g > 0, 0 <= m < n; the norm is n*g.
+normalised so n > 0, g > 0, 0 <= m < n; the norm is n*g.  Products,
+conjugates and divisibility work on these integer coordinates;
+`RealQuadraticField.ideal` is the one entry that takes elements.
 
 Units and generators come from the rho-cycle of reduced indefinite binary
 quadratic forms (Cohen, GTM 138, 5.6-5.8), in O(log eps) steps with no
@@ -91,12 +93,18 @@ class RealQuadraticField:
     # -- ideals --------------------------------------------------------------
 
     def ideal(self, *generators):
-        gens = []
+        """The ideal generated by integral elements (QuadElts, ints or Fractions)."""
+        t, n = self.omega_trace, self.omega_norm
+        pairs = []
         for x in generators:
-            if isinstance(x, (int, Fraction)):
-                x = self.element(x)
-            gens.append(x)
-        return _hnf_from_generators(self, gens)
+            a, b = self.omega_coords(x if isinstance(x, QuadElt) else self.element(x))
+            if a.denominator != 1 or b.denominator != 1:
+                raise QuadFieldError(f"ideal generator {x} is not integral")
+            a, b = a.numerator, b.numerator
+            pairs += [(a, b), (-n * b, a + t * b)]  # x and omega * x
+        if not any(a or b for a, b in pairs):
+            raise QuadFieldError("zero ideal")
+        return _hnf(self, pairs)
 
     def maximal_order(self):
         return IdealRep(self, 1, 0, 1)
@@ -119,53 +127,31 @@ class RealQuadraticField:
         return ideals_of_norm(self, n)
 
 
-def _hnf_from_generators(field, gens):
-    """HNF of the O_F-module generated by the given integral elements."""
-    cols = []
-    t, n = field.omega_trace, field.omega_norm
-    for x in gens:
-        a, b = field.omega_coords(x)
-        if a.denominator != 1 or b.denominator != 1:
-            raise QuadFieldError(f"ideal generator {x} is not integral")
-        if not x:
-            continue
-        a, b = a.numerator, b.numerator
-        cols.append((a, b))
-        cols.append((-n * b, a + t * b))  # omega * x
-    if not cols:
-        raise QuadFieldError("zero ideal")
-    # Column-reduce the 2 x N integer matrix with rows (coeff of 1, coeff of omega).
-    # First make a single column with minimal positive omega-coefficient g.
-    a1, b1 = cols[0]
-    for a2, b2 in cols[1:]:
-        if b2 == 0:
-            continue
-        if b1 == 0:
-            a1, b1 = a2, b2
-            continue
-        g, u, v = _xgcd(b1, b2)
-        a1, b1 = u * a1 + v * a2, g
-    g = abs(b1)
-    if b1 < 0:
-        a1 = -a1
-    m = a1
-    # Remaining lattice of pure-rational entries: reduce every column mod the pivot.
-    pure = []
-    for a2, b2 in cols:
-        if g != 0:
-            q, r = divmod(b2, g)
-            if r != 0:
-                raise QuadFieldError("internal: HNF pivot failure")
-            a2 -= q * m
-        if a2 != 0:
-            pure.append(abs(a2))
-    if not pure:
+def _hnf(field, pairs):
+    """HNF of the Z-module spanned by the integer pairs (a, b), the elements
+    a + b*omega; IdealRep rejects a module that is not an ideal."""
+    # one column m + g*omega with g the least positive omega-coefficient
+    m = g = 0
+    for a, b in pairs:
+        if b and g:
+            g, u, v = _xgcd(g, b)
+            m = u * m + v * a
+        elif b:
+            m, g = a, b
+    if g == 0:
         raise QuadFieldError("module has rank < 2; not an ideal")
-    nn = 0
-    for a2 in pure:
-        nn = math.gcd(nn, a2)
-    m %= nn
-    return IdealRep(field, nn, m, g)
+    if g < 0:
+        m, g = -m, -g
+    # the rest, reduced by that pivot, is rational and spans n Z
+    n = 0
+    for a, b in pairs:
+        q, r = divmod(b, g)
+        if r:
+            raise QuadFieldError("internal: HNF pivot failure")
+        n = math.gcd(n, a - q * m)
+    if n == 0:
+        raise QuadFieldError("module has rank < 2; not an ideal")
+    return IdealRep(field, n, m % n, g)
 
 
 def _xgcd(a, b):
@@ -207,10 +193,6 @@ class IdealRep:
     def norm(self):
         return self.n * self.g
 
-    def generators(self):
-        f = self.field
-        return f.element(self.n), f.element(self.m, self.g)
-
     def __eq__(self, other):
         return (isinstance(other, IdealRep) and self.field.d == other.field.d
                 and self.hnf() == other.hnf())
@@ -222,18 +204,16 @@ class IdealRep:
         return f"[{self.n}, {self.m} + {self.g}w]"
 
     def __mul__(self, other):
-        if isinstance(other, IdealRep):
-            if other.field.d != self.field.d:
-                raise QuadFieldError("ideals of different fields")
-            x1, x2 = self.generators()
-            y1, y2 = other.generators()
-            return _hnf_from_generators(self.field, [x1 * y1, x1 * y2, x2 * y1, x2 * y2])
-        if isinstance(other, QuadElt):
-            x1, x2 = self.generators()
-            return _hnf_from_generators(self.field, [x1 * other, x2 * other])
-        return NotImplemented
-
-    __rmul__ = __mul__
+        """The product of the Z-bases [n, m + g omega] of the two ideals, with
+        omega^2 = Tr(omega) omega - Nm(omega)."""
+        if not isinstance(other, IdealRep):
+            return NotImplemented
+        if other.field.d != self.field.d:
+            raise QuadFieldError("ideals of different fields")
+        f, (n1, m1, g1), (n2, m2, g2) = self.field, self.hnf(), other.hnf()
+        return _hnf(f, [(n1 * n2, 0), (n1 * m2, n1 * g2), (m1 * n2, g1 * n2),
+                        (m1 * m2 - f.omega_norm * g1 * g2,
+                         m1 * g2 + g1 * m2 + f.omega_trace * g1 * g2)])
 
     def __pow__(self, k):
         k = int(k)
@@ -248,25 +228,15 @@ class IdealRep:
             k >>= 1
         return out
 
-    def contains(self, x):
-        if isinstance(x, (int, Fraction)):
-            x = self.field.element(x)
-        a, b = self.field.omega_coords(x)
-        if a.denominator != 1 or b.denominator != 1:
-            return False
-        a, b = a.numerator, b.numerator
-        if b % self.g:
-            return False
-        return (a - (b // self.g) * self.m) % self.n == 0
-
     def divides(self, other):
-        """self | other, i.e. other is contained in self."""
-        y1, y2 = other.generators()
-        return self.contains(y1) and self.contains(y2)
+        """self | other, i.e. both basis elements of other lie in self."""
+        n, m, g = self.hnf()
+        on, om, og = other.hnf()
+        return on % n == 0 and og % g == 0 and (om - og // g * m) % n == 0
 
     def conjugate(self):
-        x1, x2 = self.generators()
-        return _hnf_from_generators(self.field, [x1.conjugate(), x2.conjugate()])
+        # the conjugate of a + b omega is a + b Tr(omega) - b omega
+        return _hnf(self.field, [(self.n, 0), (self.m + self.field.omega_trace * self.g, -self.g)])
 
     def factor(self):
         """List of (prime IdealRep, exponent), ell ascending and primes_above

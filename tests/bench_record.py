@@ -30,9 +30,11 @@ file records:
   as `python -m asailab` in a fresh process, REPEATS times per checkout
   (alternating which side goes first), with the median;
 - the Tier-1 wall time (ROADMAP.md) of the change;
-- the `src/` line count of both, and their count of optional parameters
+- the `src/` line count of both, their count of optional parameters
   (`src_optional_parameters`: the defaulted parameters of public defs in
-  src/asailab, as tests/test_callers.py lists them);
+  src/asailab, as tests/test_callers.py lists them) and their count of CLI
+  options (`cli_options`: the options of `build_parser()` at the top level
+  and in every command, `--help` aside);
 - `nproc` and the Python version.
 
 Nothing else may run on the machine meanwhile.  pytest does not collect
@@ -59,6 +61,10 @@ LAYER_REPEATS = 9  # three runs per side could not resolve a 30% move in a layer
 REPEATS = 7  # one slow run of three moved a median by a third
 ACCEPTANCE = ("import json; from asailab.acceptance import CRITERIA; "
               "print(json.dumps([c()['elapsed_s'] for c in CRITERIA]))")
+CLI_OPTIONS = ("import argparse; from asailab.cli import build_parser; p = build_parser(); "
+               "(sub,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]; "
+               "print(sum(bool(a.option_strings) and a.dest != 'help' "
+               "for q in (p, *sub.choices.values()) for a in q._actions))")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
@@ -154,6 +160,12 @@ def src_lines(root):
     return sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py"))
 
 
+def cli_options(root):
+    proc = _run(root, "-c", CLI_OPTIONS)
+    proc.check_returncode()
+    return int(proc.stdout)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -195,6 +207,7 @@ def main(argv=None):
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
         "src_optional_parameters": {side: len(optional_parameters(root / "src" / "asailab"))
                                     for side, root in sides.items()},
+        "cli_options": {side: cli_options(root) for side, root in sides.items()},
     }
     now = {side: sources(root) for side, root in sides.items()}
     changed = [f"{side}: {path}" for side in sides

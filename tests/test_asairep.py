@@ -247,7 +247,7 @@ def random_matrix(rng, n, field):
     """Dense-ish random matrix with zeros, over Q or Q(sqrt e)."""
     def entry():
         if rng.random() < 0.25:
-            return field.zero()
+            return field.element(0)
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if field.e else 0
         return field.element(a, b)

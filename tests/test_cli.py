@@ -85,10 +85,10 @@ def test_eta_exponent_count_is_a_usage_error(capsys, argv):
     ["lfun", "--delta", "--s", "14", "--n-cutoff", "0", "--method", "dirichlet"],
     ["lfun", "--delta", "--s", "14", "--n-cutoff", "-5"],
     ["lfun", "--delta", "--s", "14", "--ell-cutoff", "0", "--method", "euler"],
-    ["lfun", "--delta", "--s", "14", "--bound", "0"],
-    ["lfun", "--delta", "--s", "14", "--bound", "-3"],
+    ["lfun", "--delta", "--s", "14", "--ell-cutoff", "-3"],
+    ["lfun", "--delta", "--s", "14", "--n-cutoff", "0", "--method", "both"],
     ["mellin-check", "--delta", "--n-max", "0"],
-    ["mellin-check", "--delta", "--bound", "0"],
+    ["mellin-check", "--delta", "--n-max", "-2"],
     ["eisenstein", "--method", "lattice", "--k", "4", "--alpha", "1/5", "--tau", "i",
      "--cutoff", "-3"],
     ["norm-factor", "--d", "5", "--ell", "3", "--m", "-5", "--lambda", "5"],
@@ -505,20 +505,39 @@ def test_grammar_parser():
         ["11/2", "*", "T", "(", "l1", "^", "2", ")", "-", "x_y2"]
 
 
+@pytest.mark.parametrize("argv", [["lfun", "--s", "14"], ["mellin-check", "--sprime", "14"]])
+def test_delta_form_takes_no_bound(capsys, argv):
+    # the --delta form is built up to the largest cutoff the command reads
+    code, out, err = run_cli(capsys, *argv, "--delta", "--bound", "600")
+    assert code == 64 and not out
+    assert json.loads(err) == {"error": "usage", "message": "unrecognized arguments: --bound 600"}
+
+
 def test_mellin_command(capsys):
     code, out, _ = run_cli(capsys, "mellin-check", "--delta", "--d", "5",
-                           "--bound", "300", "--sprime", "14", "--n-max", "200")
+                           "--sprime", "14", "--n-max", "200")
     rep = json.loads(out)
     assert code == 0
     assert rep["result"]["relative_residual"] < 1e-4
 
 
 def test_lfun_command(capsys):
-    code, out, _ = run_cli(capsys, "lfun", "--delta", "--bound", "600",
+    code, out, _ = run_cli(capsys, "lfun", "--delta",
                            "--s", "14", "--n-cutoff", "600", "--ell-cutoff", "200")
     rep = json.loads(out)
     assert code == 0
     assert rep["result"]["relative_difference"] < 1e-4
+
+
+def test_lfun_at_a_huge_real_s_is_one(capsys):
+    # l^{-s} = M 2^-E with E near 10^31: every Euler factor is 1 to the last
+    # unit, and neither route builds a power of it
+    code, out, _ = run_cli(capsys, "lfun", "--delta", "--n-cutoff", "300",
+                           "--ell-cutoff", "200", "--s", "1e30", "--method", "both")
+    rep = strict_json(out)
+    assert code == 0
+    assert rep["result"]["dirichlet"]["value"] == [1.0, 0.0]
+    assert rep["result"]["euler_product"]["value"] == [1.0, 0.0]
 
 
 def test_precision_env_override(capsys, monkeypatch):

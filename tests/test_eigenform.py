@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from asailab import eigenform
+from asailab.characters import DirichletCharacter
 from asailab.coeffs import CoefficientField
 from asailab.eigenform import (EigenformError, HilbertEigenform,
                                MissingEigenvalueError, Weight, base_change, check_hecke_relations,
@@ -92,6 +93,8 @@ def test_base_change_missing_ap():
         base_change({2: -24}, 12, None, field5, bound=10)
     with pytest.raises(EigenformError):
         base_change({2: -24}, 1, None, field5, bound=2)
+    with pytest.raises(EigenformError, match="without nebentype"):
+        base_change({2: -24}, 12, DirichletCharacter.trivial(3), field5, bound=2)
 
 
 def test_check_hecke_relations(field5, bc_form_500):
@@ -281,7 +284,8 @@ def test_nebentype_lookup(field5):
     neb = {p11.hnf(): CF.element(-1), q11.hnf(): CF.element(-1)}
     form = HilbertEigenform(field5, w, field5.maximal_order(), CF, eig, neb)
     assert form.eps_of(p11) == -1
-    assert form.eps_of(p11 * q11) == 1
+    with pytest.raises(EigenformError, match="nebentype missing"):
+        form.eps_of(p11 * q11)  # a lookup at primes only
     plain = HilbertEigenform(field5, w, field5.maximal_order(), CF, dict(eig))
     assert plain.eps_of(p11) == 1
 

@@ -88,9 +88,10 @@ def test_no_state_carries_over_between_commands(capsys, monkeypatch):
     # from an empty tau table, two smaller Delta builds in the same process
     # grow it to 300 and 1000 before the README lfun command continues it
     monkeypatch.setattr(eigenform, "_eta24", [1])
-    main(["lfun", "--delta", "--d", "2", "--bound", "300", "--s", "13"])
-    main(["base-change", "--d", "13", "--bound", "1000"])
+    assert main(["lfun", "--delta", "--d", "2", "--n-cutoff", "300", "--ell-cutoff", "300",
+                 "--s", "13"]) == 0
+    assert main(["base-change", "--d", "13", "--bound", "1000"]) == 0
     capsys.readouterr()
-    name = "readme_lfun_delta_bound_4000_s_14_method_both"
+    name = "readme_lfun_delta_s_14_method_both"
     main(CASES[name])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

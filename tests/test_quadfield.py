@@ -151,6 +151,30 @@ def test_norm_multiplicativity_random():
         assert (a * b).norm() == a.norm() * b.norm()
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 13])
+def test_ideal_arithmetic_matches_the_element_route(d):
+    # the HNF-coordinate product, conjugate and divisibility against the
+    # ideals that QuadElt generators n, m + g*omega of the factors generate,
+    # on both residues of d mod 4 and class numbers 1 and 2 (d = 10)
+    f = RealQuadraticField(d)
+    ideals = [i for n in range(1, 60) for i in ideals_of_norm(f, n)]
+    gens = {i: (f.element(i.n), f.element(i.m, i.g)) for i in ideals}
+    for i in ideals:
+        assert i.conjugate() == f.ideal(*(x.conjugate() for x in gens[i]))
+        for j in ideals:
+            assert i * j == f.ideal(*(x * y for x in gens[i] for y in gens[j]))
+            assert i.divides(j) == (f.ideal(*gens[i], *gens[j]) == i)
+
+
+def test_ideal_from_elements_rejects_zero_and_non_integral():
+    f5 = RealQuadraticField(5)
+    with pytest.raises(QuadFieldError, match="zero ideal"):
+        f5.ideal(0, f5.element(0))
+    with pytest.raises(QuadFieldError, match="not integral"):
+        f5.ideal(f5.element(Fraction(1, 2)))
+    assert f5.ideal(Fraction(4, 2), 3) == f5.maximal_order()
+
+
 def test_totally_positive_generator_examples():
     f5 = RealQuadraticField(5)
     p11 = primes_above(f5, 11)[0]
