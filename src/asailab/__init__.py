@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .quadfield import (RealQuadraticField, IdealRep, SplittingType, discriminant,
-                        splitting_type, primes_above, fundamental_unit,
+                        splitting_type, fundamental_unit,
                         totally_positive_generator, ideals_of_norm)
 from .coeffs import CoefficientField, QuadElt
 from .eigenform import (Weight, HilbertEigenform, load_eigenform, base_change,
@@ -24,7 +24,7 @@ from .padic import (PadicNumber, OrdinaryData, stabilized_params, check_NEZ,
 
 __all__ = [
     "RealQuadraticField", "IdealRep", "SplittingType", "discriminant",
-    "splitting_type", "primes_above", "fundamental_unit",
+    "splitting_type", "fundamental_unit",
     "totally_positive_generator", "ideals_of_norm",
     "CoefficientField", "QuadElt",
     "Weight", "HilbertEigenform", "load_eigenform", "base_change",

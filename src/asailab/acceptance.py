@@ -282,7 +282,7 @@ def _symbolic_norm_factor(form, ell, j, m):
         (p,) = st.primes
         t_values = {labels.name: twist * form.lambda_of(p)}
         s_values = {labels.name: ell ** (w.k + w.kprime) * form.eps_of(p)}
-    relation = heckealg.norm_relation_symbolic(ell, j, w.k, w.kprime, st, labels)
+    relation = heckealg.norm_relation_symbolic(ell, j, w.k, w.kprime, st.kind.value, labels)
     out = GroupRingElement(m)
     for e, part in relation.sigma_decomposition().items():
         value = part.specialize(t_values, s_values).get(0, 0)  # no X is left

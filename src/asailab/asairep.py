@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .coeffs import QuadElt, to_mpf
-from .quadfield import totally_positive_generator
+from .quadfield import splitting_type, totally_positive_generator
 
 
 class AsaiRepError(ValueError):
@@ -97,15 +97,14 @@ def charpoly_reversed(a):
 class AsaiCharPoly:
     """Degree-4 polynomial det(1 - X Frob^{-1} | Asai), constant term 1."""
 
-    __slots__ = ("coeffs", "ell", "kind")
+    __slots__ = ("coeffs", "kind")
 
-    def __init__(self, coeffs, ell=None, kind=None):
+    def __init__(self, coeffs, kind=None):
         if len(coeffs) != 5:
             raise AsaiRepError("Asai characteristic polynomial must have degree 4")
         if coeffs[0] != 1:
             raise AsaiRepError("constant term must be 1")
         self.coeffs = list(coeffs)
-        self.ell = ell
         self.kind = kind
 
     def __call__(self, x):
@@ -126,7 +125,7 @@ class AsaiCharPoly:
 
 def _local_data(form, ell):
     """[(lambda(P), eps(P), Nm(P))] for the primes above a good ell, plus weight data."""
-    st = form.field.splitting_type(ell)
+    st = splitting_type(form.field, ell)
     if st.is_ramified:
         raise AsaiRepError(f"ell = {ell} ramifies in Q(sqrt({form.field.d}))")
     if form.level.norm() % ell == 0:
@@ -160,7 +159,7 @@ def asai_charpoly(form, ell):
                   t_val * t_val - t2_val - ell ** 2 * s_val,
                   -(ell ** 2) * s_val * t_val,
                   ell ** 4 * s_val * s_val]
-        return AsaiCharPoly(coeffs, ell, "split")
+        return AsaiCharPoly(coeffs, "split")
     lam, eps, _ = locs[0]
     t_val = tw * lam
     s_val = ell ** kk * eps
@@ -171,7 +170,7 @@ def asai_charpoly(form, ell):
               l2s - l2s,
               l2s * t_val,
               -(l2s * l2s)]
-    return AsaiCharPoly(coeffs, ell, "inert")
+    return AsaiCharPoly(coeffs, "inert")
 
 
 def asai_charpoly_via_induction(form, ell):
@@ -197,7 +196,7 @@ def asai_charpoly_via_induction(form, ell):
         a = tensor_induce_inert(m)
     tw = Fraction(ell) ** -(w.t1 + w.t2)
     coeffs = [c * tw ** k for k, c in enumerate(charpoly_reversed(a))]
-    return AsaiCharPoly(coeffs, ell, st.kind.value)
+    return AsaiCharPoly(coeffs, st.kind.value)
 
 
 def verify_proj_Pl(form, ell):
@@ -225,8 +224,9 @@ class GroupRingElement:
             raise AsaiRepError(f"{a} is not a unit mod {self.modulus}")
 
     @classmethod
-    def unit(cls, modulus, a=1, coeff=Fraction(1)):
-        return cls(modulus, {a % modulus: coeff})
+    def unit(cls, modulus, coeff=Fraction(1)):
+        """coeff times the identity [1]."""
+        return cls(modulus, {1 % modulus: coeff})
 
     @classmethod
     def sigma(cls, modulus, a, exponent=1):
@@ -273,8 +273,7 @@ class GroupRingElement:
                 raise AsaiRepError("mixed group-ring moduli")
             return other
         if isinstance(other, (int, Fraction, QuadElt)):
-            return GroupRingElement.unit(self.modulus, 1, other if other else Fraction(0)) \
-                if other != 0 else GroupRingElement(self.modulus)
+            return GroupRingElement.unit(self.modulus, other)  # a zero coefficient is dropped
         return NotImplemented
 
     def __eq__(self, other):
@@ -327,7 +326,7 @@ def euler_system_norm_factor(form, ell, j, m):
     w = form.weight
     if not 0 <= j <= min(w.k, w.kprime):
         raise AsaiRepError(f"need 0 <= j <= min(k, k') = {min(w.k, w.kprime)}")
-    st = form.field.splitting_type(ell)
+    st = splitting_type(form.field, ell)
     if st.is_ramified:
         raise AsaiRepError(f"ell = {ell} is ramified")
     if st.is_split and None in map(totally_positive_generator, st.primes):

@@ -22,9 +22,10 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
+from .arith import is_prime
 from .precision import MIN_PRECISION, working_precision
 from .coeffs import CoefficientError, parse_rational
-from .quadfield import (RealQuadraticField, IdealRep, ideal_label,
+from .quadfield import (RealQuadraticField, IdealRep, ideal_label, splitting_type,
                         totally_positive_generator)
 from .eigenform import (Weight, base_change, check_hecke_relations,
                         discriminant_form_ap, load_eigenform, synthetic_form)
@@ -193,7 +194,7 @@ def cmd_field_info(args):
                       "norm": field.different().norm()},
     }
     if args.ell is not None:
-        st = field.splitting_type(args.ell)
+        st = splitting_type(field, args.ell)
         res["splitting"] = {"ell": args.ell, "kind": st.kind.value,
                             "primes": [{"hnf": p.hnf(), "label": ideal_label(p)}
                                        for p in st.primes]}
@@ -263,7 +264,7 @@ def cmd_verify_pl(args):
 
 
 def _labels_arg(text):
-    """The --labels header: a JSON object of {"norm", "unit", "conj"} objects."""
+    """The --labels header: a JSON object of {"norm", "unit"} objects; other keys are ignored."""
     try:
         spec = json.loads(text)
     except RecursionError:
@@ -271,8 +272,7 @@ def _labels_arg(text):
     if not isinstance(spec, dict) or not all(isinstance(v, dict) for v in spec.values()):
         raise HeckeAlgError('--labels must be a JSON object of objects, '
                             'e.g. {"l1": {"norm": 11}}')
-    return {name: heckealg.PrimeLabel(name, info.get("norm", 1), info.get("unit", False),
-                                      info.get("conj"))
+    return {name: heckealg.PrimeLabel(name, info.get("norm", 1), info.get("unit", False))
             for name, info in spec.items()}
 
 
@@ -435,7 +435,9 @@ def cmd_pr_factor(args):
 
 def cmd_gauss_sum(args):
     eta = _eta_arg(args)
-    g = gauss_sum(eta, args.p, args.r)
+    if not is_prime(args.p):
+        raise PadicError(f"p = {args.p} is not prime")
+    g = gauss_sum(eta)
     res = {"gauss_sum": repr(g), "norm_squared": (g * g.conjugate()).rational_value(),
            "numeric": g.to_mpc(),
            "character": {"modulus": eta.modulus, "exponents": eta.exponents,
@@ -489,9 +491,15 @@ def parse_hecke_expression(text, labels):
         node = parse_atom()
         if peek() == "^":
             take("^")
-            exp = int(take())
-            node = node ** exp
+            node = node ** exponent()
         return node
+
+    def exponent():
+        tok = take()
+        try:
+            return int(tok)  # a token holds no sign
+        except ValueError:
+            raise HeckeAlgError(f"exponent {tok!r} is not a non-negative integer") from None
 
     def parse_atom():
         tok = take()
@@ -515,6 +523,8 @@ def parse_hecke_expression(text, labels):
             return heckealg.HeckePolynomial.constant(Fraction(tok))
         except ValueError as exc:
             raise HeckeAlgError(f"unknown token {tok!r}") from exc
+        except ZeroDivisionError:
+            raise HeckeAlgError(f"zero denominator in {tok!r}") from None
 
     def parse_arg():
         arg = {}
@@ -525,7 +535,7 @@ def parse_hecke_expression(text, labels):
             exp = 1
             if peek() == "^":
                 take("^")
-                exp = int(take())
+                exp = exponent()
             lab = labels[name]
             arg[lab] = arg.get(lab, 0) + exp
             if peek() == "*":
@@ -616,7 +626,8 @@ def build_parser():
     p = sub.add_parser("hecke-identity", help="normalise/compare symbolic expressions")
     p.add_argument("--expr", required=True)
     p.add_argument("--expr2")
-    p.add_argument("--labels", help='JSON: {"l1": {"norm": 11}, ...}')
+    p.add_argument("--labels", help='JSON: {"l1": {"norm": 11}, "u": {"unit": true}, ...}; '
+                                     '"norm" defaults to 1 and "unit" to false')
     p.add_argument("--split-x2", type=int, dest="split_x2",
                    help="also verify the split X^2 identity at this prime")
     p.set_defaults(func=cmd_hecke_identity)

@@ -234,9 +234,6 @@ class QuadElt:
         e = self.field.e or 0
         return Fraction(self.x * self.x - e * self.y * self.y, self.den * self.den)
 
-    def trace(self):
-        return Fraction(2 * self.x, self.den)
-
     def sign_theta1(self):
         """Exact sign under theta1, which sends sqrt(e) to the positive root."""
         x, y = self.x, self.y

@@ -115,11 +115,6 @@ class HilbertEigenform:
         return self._stored_product([(p, 2 * e if st.is_ramified else e)
                                      for st, e in types for p in st.primes])
 
-    def alpha(self, n):
-        """Dirichlet coefficient alpha(n) = n^{-(t+t')} lambda(n)."""
-        n = int(n)
-        return Fraction(n) ** -(self.weight.t1 + self.weight.t2) * self.lambda_rational(n)
-
     def eps_of(self, p):
         """Nebentype at a prime P coprime to the level (empty table = trivial)."""
         if not self.nebentype:
@@ -128,17 +123,6 @@ class HilbertEigenform:
         if val is None:
             raise EigenformError(f"nebentype missing at {ideal_label(p)}")
         return val
-
-    def chi_restriction(self):
-        """The Dirichlet character chi = eps restricted to (Z/N)^x, N = level cap Z.
-
-        Only trivial and rational (quadratic) nebentypes are representable; the
-        stored table is consulted through principal ideals (n).
-        """
-        from .characters import DirichletCharacter
-        if not self.nebentype:
-            return DirichletCharacter.trivial(self.rational_level())
-        raise EigenformError("nontrivial nebentype restriction not implemented")
 
     def rational_level(self):
         """Positive generator of (level ideal) intersected with Z."""
@@ -166,11 +150,9 @@ class HilbertEigenform:
 
 
 def load_eigenform(source):
-    """Load and fully validate a form from a path, file object or dict."""
+    """Load and fully validate a form from a path or dict."""
     if isinstance(source, dict):
         data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -271,7 +253,7 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
 
     ap maps rational primes to a_p values; k_cl >= 2 is the classical weight;
     nebentype_classical must be None (a nebentype could not reach an
-    L-series: chi_restriction refuses it).  For split l: lambda(P) =
+    L-series: AsaiLSeries refuses it).  For split l: lambda(P) =
     lambda(Pbar) = a_l.  For inert l: lambda(l O_F) = a_l^2 - 2 l^{k_cl - 1}.
     For ramified l = P^2: lambda(P) = a_l, because P has residue degree 1 and
     the classical form is unramified at l, so Frob_P acts as Frob_l.  (The
@@ -300,7 +282,7 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
         a_ell = ap[ell]
         if not isinstance(a_ell, QuadElt):
             a_ell = cfield.element(a_ell)   # an int a_l is kept, not copied, in the form
-        st = field.splitting_type(ell)
+        st = splitting_type(field, ell)
         lam_p = a_ell * a_ell - 2 * ell ** (k_cl - 1) if st.is_inert else a_ell
         # P and Pbar of a split ell have one norm and one lambda, so one run
         # of the recursion serves both: they share its values

@@ -35,13 +35,11 @@ class PrimeLabel:
     name: str
     norm: int
     unit: bool = False
-    conj: str | None = None
 
     def __post_init__(self):
-        if type(self.norm) is not int or type(self.unit) is not bool \
-                or not isinstance(self.conj, (str, type(None))):
-            raise HeckeAlgError(f"prime label {self.name} needs an integer norm, "
-                                f"a boolean unit and a string or null conj")
+        if type(self.norm) is not int or type(self.unit) is not bool:
+            raise HeckeAlgError(f"prime label {self.name} needs an integer norm "
+                                f"and a boolean unit")
         if not self.unit and self.norm < 2:
             raise HeckeAlgError(f"prime label {self.name} needs norm >= 2")
 
@@ -377,10 +375,6 @@ def X():
     return HeckePolynomial.generator("X", None)
 
 
-def one():
-    return HeckePolynomial.constant(1)
-
-
 def normalize(expr):
     return expr.normalize()
 
@@ -390,9 +384,7 @@ def normalize(expr):
 def split_labels(ell):
     """Conjugate pair of labels for a split rational prime."""
     base = f"l{ell}"
-    lam = PrimeLabel(base, ell, conj=base + "b")
-    lambar = PrimeLabel(base + "b", ell, conj=base)
-    return lam, lambar
+    return PrimeLabel(base, ell), PrimeLabel(base + "b", ell)
 
 
 def inert_label(ell):
@@ -400,19 +392,18 @@ def inert_label(ell):
     return PrimeLabel(f"q{ell}", ell * ell)
 
 
-def _rational_prime_arg(ell, splitting, labels=None):
-    kind = getattr(splitting, "kind", None)
-    kind = kind.value if kind is not None else str(splitting)
+def _rational_prime_arg(ell, kind, labels=None):
+    """The T-argument of (ell) for kind 'split' or 'inert'; None for any other kind."""
     if kind == "split":
         lam, lambar = labels if labels else split_labels(ell)
-        return kind, ((lam, 1), (lambar, 1))
+        return (lam, 1), (lambar, 1)
     if kind == "inert":
         lab = labels if isinstance(labels, PrimeLabel) else inert_label(ell)
-        return kind, ((lab, 1),)
-    return kind, None
+        return ((lab, 1),)
+    return None
 
 
-def asai_euler_symbolic(ell, splitting, labels=None):
+def asai_euler_symbolic(ell, kind, labels=None):
     """Degree-4 operator-valued Euler factor at a good rational prime.
 
     Inert:  (1 - T(l) X + l^2 S(l) X^2)(1 - l^2 S(l) X^2).
@@ -421,15 +412,15 @@ def asai_euler_symbolic(ell, splitting, labels=None):
     Ramified primes are rejected.  Returns the normalised polynomial.
     """
     ell = int(ell)
-    kind, arg = _rational_prime_arg(ell, splitting, labels)
-    x = X()
+    arg = _rational_prime_arg(ell, kind, labels)
+    x, one = X(), HeckePolynomial.constant(1)
     if kind == "inert":
-        p = (one() - T(arg) * x + ell ** 2 * S(arg) * x ** 2) * \
-            (one() - ell ** 2 * S(arg) * x ** 2)
+        p = (one - T(arg) * x + ell ** 2 * S(arg) * x ** 2) * \
+            (one - ell ** 2 * S(arg) * x ** 2)
         return p.normalize()
     if kind == "split":
         arg2 = tuple((lab, 2 * e) for lab, e in arg)
-        p = (one() - T(arg) * x
+        p = (one - T(arg) * x
              + (T(arg) ** 2 - T(arg2) - ell ** 2 * S(arg)) * x ** 2
              - ell ** 2 * S(arg) * T(arg) * x ** 3
              + ell ** 4 * S(arg) ** 2 * x ** 4)
@@ -457,7 +448,7 @@ def verify_split_x2_identity(lam, lambar):
     return lhs == rhs
 
 
-def norm_relation_symbolic(ell, j, k, kprime, splitting="inert", labels=None):
+def norm_relation_symbolic(ell, j, k, kprime, kind="inert", labels=None):
     """The Euler-system norm-relation operator, normalised.
 
     Returns  l^j sigma_l [ (l-1)(1 - l^{-2j} <l^{-1}> R'(l) sigma_l^{-2})
@@ -469,13 +460,14 @@ def norm_relation_symbolic(ell, j, k, kprime, splitting="inert", labels=None):
     ell = int(ell)
     if not 0 <= j <= min(k, kprime):
         raise HeckeAlgError(f"need 0 <= j <= min(k, k'), got j={j}")
-    kind, arg = _rational_prime_arg(ell, splitting, labels)
+    arg = _rational_prime_arg(ell, kind, labels)
     if arg is None:
         raise HeckeAlgError("norm relation needs an unramified prime")
     labs = tuple(lab for lab, _ in arg) if kind == "split" else arg[0][0]
     p = asai_euler_symbolic(ell, kind, labs)
     sub = Fraction(1, ell ** (1 + j)) * sigma(ell, -1)
     p_at = p.substitute_X(sub)
-    bracket = (ell - 1) * (one() - Fraction(1, ell ** (2 * j)) * S(arg) * sigma(ell, -2)) \
+    one = HeckePolynomial.constant(1)
+    bracket = (ell - 1) * (one - Fraction(1, ell ** (2 * j)) * S(arg) * sigma(ell, -2)) \
         - ell * p_at
     return (ell ** j * sigma(ell) * bracket).normalize()

@@ -22,8 +22,10 @@ import mpmath
 
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
+from .characters import DirichletCharacter
 from .coeffs import QuadElt
 from .precision import GUARD_BITS, exact_fixed, fixed, from_fixed, inverse_power, mp_context
+from .quadfield import splitting_type
 
 
 class LSeriesError(ValueError):
@@ -73,12 +75,15 @@ def _multiplicative_table(n_max, c1, local, e):
 
 
 class AsaiLSeries:
-    """Imprimitive Asai L-series of a form."""
+    """Imprimitive Asai L-series of a form with trivial nebentype: chi is the
+    trivial character mod N."""
 
     def __init__(self, form):
+        if form.nebentype:
+            raise LSeriesError("nontrivial nebentype restriction not implemented")
         self.form = form
-        self.chi = form.chi_restriction()
         self.rational_level = form.rational_level()
+        self.chi = DirichletCharacter.trivial(self.rational_level)
 
     def alpha_table(self, n_max):
         """dirichlet_alpha_table of the form, built afresh on each call: kept, a
@@ -108,7 +113,7 @@ class AsaiLSeries:
         """
         form = self.form
         one = form.coefficient_field.one()
-        st = form.field.splitting_type(ell)
+        st = splitting_type(form.field, ell)
         if not st.is_ramified:
             return [one], asai_charpoly(form, ell).coeffs
         p, = st.primes
@@ -285,7 +290,8 @@ def imprimitive_coefficients(series, n_max):
 
 @dataclass(frozen=True)
 class SymbolicConstant:
-    """rational * pi^pi_exp * i^i_exp * sqrt(disc)^sqrt_disc_exp, exact."""
+    """rational * pi^pi_exp * i^i_exp * sqrt(disc)^sqrt_disc_exp, exact; the
+    constants here are real, so i_exp is 0."""
     rational: Fraction
     pi_exp: int
     i_exp: int
@@ -293,32 +299,21 @@ class SymbolicConstant:
     disc: int
 
     @staticmethod
-    def normalised(rational, pi_exp, i_exp, sqrt_disc_exp, disc):
+    def normalised(rational, pi_exp, sqrt_disc_exp, disc):
+        """The constant with sqrt(disc) folded into the rational part down to
+        an exponent of -1, 0 or 1."""
         rational = Fraction(rational)
-        i_exp %= 4
-        if i_exp >= 2:
-            rational, i_exp = -rational, i_exp - 2
         if abs(sqrt_disc_exp) >= 2:
             fold = sqrt_disc_exp // 2 if sqrt_disc_exp > 0 else -((-sqrt_disc_exp) // 2)
             rational *= Fraction(disc) ** fold
             sqrt_disc_exp -= 2 * fold
-        return SymbolicConstant(rational, pi_exp, i_exp, sqrt_disc_exp, disc)
+        return SymbolicConstant(rational, pi_exp, 0, sqrt_disc_exp, disc)
 
     def numeric(self):
         with mp_context():
             val = mpmath.mpf(self.rational.numerator) / self.rational.denominator
             val = val * mpmath.pi ** self.pi_exp * mpmath.sqrt(self.disc) ** self.sqrt_disc_exp
-            return mpmath.mpc(val) * (1j ** self.i_exp)
-
-    def __mul__(self, other):
-        if not isinstance(other, SymbolicConstant):
-            return NotImplemented
-        if other.disc != self.disc and self.sqrt_disc_exp and other.sqrt_disc_exp:
-            raise LSeriesError("mixed discriminants")
-        disc = self.disc if self.sqrt_disc_exp or not other.sqrt_disc_exp else other.disc
-        return SymbolicConstant.normalised(
-            self.rational * other.rational, self.pi_exp + other.pi_exp,
-            self.i_exp + other.i_exp, self.sqrt_disc_exp + other.sqrt_disc_exp, disc)
+            return mpmath.mpc(val)
 
     def to_json(self):
         value = self.numeric()
@@ -337,13 +332,14 @@ def unfolding_constant(k, kprime, j, n_level, disc):
     k, kprime, j = int(k), int(kprime), int(j)
     if not 0 <= j <= kprime <= k:
         raise LSeriesError("need 0 <= j <= k' <= k")
+    _check_parity(k, kprime)
     rational = Fraction((-1) ** (kprime - j) * math.factorial(j),
                         n_level ** (k + kprime - 2 * j)
                         * 2 ** (k - kprime + 2 * j + 2)
                         * math.factorial(kprime - j))
     # 1/(-i)^{k-k'} = (-1)^{(k-k')/2} for k = k' mod 2
     rational *= (-1) ** (((k - kprime) // 2) % 2)
-    return SymbolicConstant.normalised(rational, -(2 * j + 1 - kprime), 0, j + 1, disc)
+    return SymbolicConstant.normalised(rational, -(2 * j + 1 - kprime), j + 1, disc)
 
 
 def regulator_constant(k, kprime, j, disc):
@@ -351,9 +347,17 @@ def regulator_constant(k, kprime, j, disc):
     k, kprime, j = int(k), int(kprime), int(j)
     if not 0 <= j <= min(k, kprime):
         raise LSeriesError("need 0 <= j <= min(k, k')")
+    _check_parity(k, kprime)
     e = k + kprime - 2 * j
     rational = Fraction((-1) ** (kprime - j) * 2 ** e
                         * math.factorial(k) * math.factorial(kprime),
                         math.factorial(k - j) * math.factorial(kprime - j))
     rational *= (-1) ** ((e // 2) % 2)  # i^e for even e
-    return SymbolicConstant.normalised(rational, e, 0, j + 1, disc)
+    return SymbolicConstant.normalised(rational, e, j + 1, disc)
+
+
+def _check_parity(k, kprime):
+    """Refuse odd k - k': there both constants carry a factor i, which the
+    rational signs above do not hold (every Weight has k = k' mod 2)."""
+    if (k - kprime) % 2:
+        raise LSeriesError(f"need k = k' mod 2, got k - k' = {k - kprime}")

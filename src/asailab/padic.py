@@ -18,6 +18,7 @@ from fractions import Fraction
 from .arith import is_prime, sqrt_mod
 from .coeffs import QuadElt, to_mpf
 from .cyclo import CyclotomicValue
+from .quadfield import splitting_type
 
 DIGITS = 20   # the p-adic precision of stabilisation data and of `to_padic`
 
@@ -295,7 +296,7 @@ def stabilized_params(form, p):
     X^2 - mu X + p^{k(*)+1} eps, mu the normalised T-eigenvalue.
     """
     p = int(p)
-    st = form.field.splitting_type(p)
+    st = splitting_type(form.field, p)
     if not st.is_split:
         raise PadicError(f"p = {p} is not split in Q(sqrt({form.field.d}))")
     w = form.weight
@@ -348,19 +349,13 @@ def check_NEZ(data):
 
 # -- Gauss sums ------------------------------------------------------------------
 
-def gauss_sum(eta, p=None, r=None):
-    """G(eta) = sum over a in (Z/p^r)^x of eta(a) zeta_{p^r}^a, exactly.
+def gauss_sum(eta):
+    """G(eta) = sum over a in (Z/p^r)^x of eta(a) zeta_{p^r}^a, exactly, p^r the
+    modulus of eta.
 
     Returns a CyclotomicValue in Q(zeta_M), M = lcm(p^r, order of eta).
     """
     modulus = eta.modulus
-    if p is not None or r is not None:
-        if r == 0:
-            raise PadicError("Gauss sums need r >= 1")
-        if p is not None:
-            _check_prime(p)
-        if p is not None and r is not None and p ** r != modulus:
-            raise PadicError(f"character modulus {modulus} is not {p}^{r}")
     if modulus < 2:
         raise PadicError("Gauss sums need modulus p^r with r >= 1")
     order = eta.order

@@ -21,11 +21,9 @@ GUARD_BITS = 16
 _MINUS_LOG = {}   # (p, bits) -> -log p to `bits` bits: the table of logs, one per precision
 
 
-def working_precision(prec=None):
-    """`prec` bits if given, else ASAILAB_PRECISION (ValueError unless a decimal
-    integer >= MIN_PRECISION), else DEFAULT_PRECISION."""
-    if prec is not None:
-        return int(prec)
+def working_precision():
+    """ASAILAB_PRECISION (ValueError unless a decimal integer >= MIN_PRECISION),
+    else DEFAULT_PRECISION."""
     env = os.environ.get("ASAILAB_PRECISION") or str(DEFAULT_PRECISION)
     if not env.isdecimal() or int(env) < MIN_PRECISION:
         raise ValueError(f"ASAILAB_PRECISION must be an integer >= {MIN_PRECISION}, got {env!r}")
@@ -34,8 +32,8 @@ def working_precision(prec=None):
 
 @contextmanager
 def mp_context(prec=None):
-    """mpmath context at the resolved precision plus guard bits."""
-    bits = working_precision(prec) + GUARD_BITS
+    """mpmath context at `prec` bits, else the working precision, plus guard bits."""
+    bits = (working_precision() if prec is None else int(prec)) + GUARD_BITS
     with mpmath.workprec(bits):
         yield mpmath.mp
 

@@ -4,9 +4,9 @@ Elements are coeffs.QuadElt values (x + y*sqrt(d))/den; `element` and
 `omega_coords` translate to and from the integral basis (1, omega) with
 omega = (1+sqrt(d))/2 when d = 1 mod 4 and omega = sqrt(d) otherwise.  Integral
 ideals are kept in Hermite normal form [n, m + g*omega] with g | n, g | m,
-normalised so n > 0, g > 0, 0 <= m < n; the norm is n*g.  Products,
-conjugates and divisibility work on these integer coordinates;
-`RealQuadraticField.ideal` is the one entry that takes elements.
+normalised so n > 0, g > 0, 0 <= m < n; the norm is n*g.  Products and
+divisibility work on these integer coordinates; `RealQuadraticField.ideal` is
+the one entry that takes elements.
 
 Units and generators come from the rho-cycle of reduced indefinite binary
 quadratic forms (Cohen, GTM 138, 5.6-5.8), in O(log eps) steps with no
@@ -83,9 +83,6 @@ class RealQuadraticField:
         # sqrt(d) = 2 omega - 1
         return Fraction(x.x - x.y, x.den), Fraction(2 * x.y, x.den)
 
-    def one(self):
-        return self.element(1)
-
     def sqrt_disc(self):
         """sqrt(Delta) = 2*omega - Tr(omega); generates the different."""
         return self.element(-self.omega_trace, 2)
@@ -112,19 +109,13 @@ class RealQuadraticField:
     def different(self):
         return self.ideal(self.sqrt_disc())
 
-    def splitting_type(self, ell):
-        return splitting_type(self, ell)
-
     def primes_above(self, ell):
-        return primes_above(self, ell)
+        return list(splitting_type(self, ell).primes)
 
     def fundamental_unit(self):
         if self._unit is None:
             self._unit = fundamental_unit(self)
         return self._unit
-
-    def ideals_of_norm(self, n):
-        return ideals_of_norm(self, n)
 
 
 def _hnf(field, pairs):
@@ -215,28 +206,11 @@ class IdealRep:
                         (m1 * m2 - f.omega_norm * g1 * g2,
                          m1 * g2 + g1 * m2 + f.omega_trace * g1 * g2)])
 
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            raise QuadFieldError("negative ideal powers unsupported")
-        out = self.field.maximal_order()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def divides(self, other):
         """self | other, i.e. both basis elements of other lie in self."""
         n, m, g = self.hnf()
         on, om, og = other.hnf()
         return on % n == 0 and og % g == 0 and (om - og // g * m) % n == 0
-
-    def conjugate(self):
-        # the conjugate of a + b omega is a + b Tr(omega) - b omega
-        return _hnf(self.field, [(self.n, 0), (self.m + self.field.omega_trace * self.g, -self.g)])
 
     def factor(self):
         """List of (prime IdealRep, exponent), ell ascending and primes_above
@@ -313,10 +287,6 @@ def splitting_type(field, ell):
     ps = sorted((IdealRep(field, ell, -r % ell, 1) for r in roots), key=lambda p: p.hnf())
     return SplittingType(SplitKind.RAMIFIED if len(ps) == 1 else SplitKind.SPLIT, ell,
                          tuple(ps))
-
-
-def primes_above(field, ell):
-    return list(splitting_type(field, ell).primes)
 
 
 def _rho_cycle(a, b, c, disc):

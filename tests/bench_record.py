@@ -30,11 +30,13 @@ file records:
   as `python -m asailab` in a fresh process, REPEATS times per checkout
   (alternating which side goes first), with the median;
 - the Tier-1 wall time (ROADMAP.md) of the change;
-- the `src/` line count of both, their count of optional parameters
-  (`src_optional_parameters`: the defaulted parameters of public defs in
-  src/asailab, as tests/test_callers.py lists them) and their count of CLI
-  options (`cli_options`: the options of `build_parser()` at the top level
-  and in every command, `--help` aside);
+- the `src/` line count of both, their count of public names
+  (`src_public_names`: the module-level names and methods of src/asailab with
+  no part starting with '_', as tests/test_callers.py counts them), their
+  count of optional parameters (`src_optional_parameters`: the defaulted
+  parameters of public defs in src/asailab, as tests/test_callers.py lists
+  them) and their count of CLI options (`cli_options`: the options of
+  `build_parser()` at the top level and in every command, `--help` aside);
 - `nproc` and the Python version.
 
 Nothing else may run on the machine meanwhile.  pytest does not collect
@@ -53,7 +55,7 @@ import sys
 import time
 from pathlib import Path
 
-from test_callers import optional_parameters
+from test_callers import optional_parameters, public_names
 
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
@@ -205,6 +207,8 @@ def main(argv=None):
                   "exit_code": tier1.returncode,
                   "summary": (tier1.stdout.strip().splitlines() or [""])[-1]},
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
+        "src_public_names": {side: len(public_names(root / "src" / "asailab"))
+                             for side, root in sides.items()},
         "src_optional_parameters": {side: len(optional_parameters(root / "src" / "asailab"))
                                     for side, root in sides.items()},
         "cli_options": {side: cli_options(root) for side, root in sides.items()},

@@ -7,8 +7,8 @@ the Leibniz expansion of a determinant, cyclotomic polynomials by long
 division of x^m - 1, Eisenstein Fourier modes pair by pair, the float
 lattice sum one row at a time and by numpy's complex powers, Dirichlet sums
 one power n^{-s} at a time, factorisation, primality and squarefreeness by
-trial division, ideal factorisation by repeated containment, eigenvalues at
-composite ideals from ideal powers, ramified Euler factors and the Euler
+trial division, ideal powers by repeated squaring, ideal factorisation by
+repeated containment, eigenvalues at composite ideals from ideal powers, ramified Euler factors and the Euler
 product by truncated power series, the Euler product by Horner's rule in
 mpmath, quadratic characters multiplied up from Legendre symbols, Dirichlet
 characters as a product over discrete logarithms, and a JSON parser that
@@ -259,10 +259,10 @@ def oscillating_by_divisor_pairs(k, a_m, x, y, s, prec):
     import mpmath
     from asailab.arith import divisors
     from asailab.eisenstein import _hyperu_values
-    from asailab.precision import from_fixed, working_precision
+    from asailab.precision import from_fixed
     pref = y ** s * (2 * mpmath.pi) ** (1 - k) * mpmath.pi ** (-s)
     poch = mpmath.rf(s, k)
-    cutoff = (working_precision(prec) + 25) * mpmath.log(2)
+    cutoff = (prec + 25) * mpmath.log(2)
     two_pi = 2 * mpmath.pi
     n_max = int(cutoff / (two_pi * y))
     # 8 bits per unit of s + k: U falls to about z^-(s+k), and z < 2^8 up to prec 160
@@ -597,6 +597,17 @@ def is_squarefree_by_factorisation(n):
     return n != 0 and all(e == 1 for _, e in factorise_by_trial_division(n))
 
 
+def ideal_power(ideal, e):
+    """ideal^e for e >= 0 by repeated squaring of IdealRep products, the
+    reference for quadfield.prime_powers, which multiplies by P once a step."""
+    out, base = ideal.field.maximal_order(), ideal
+    while e:
+        if e & 1:
+            out = out * base
+        base, e = base * base, e >> 1
+    return out
+
+
 def ideal_factor_by_valuation(ideal):
     """IdealRep.factor by repeated containment: for each ell | Nm(ideal),
     ascending, and each P above ell in primes_above order, the largest v with
@@ -614,14 +625,14 @@ def ideal_factor_by_valuation(ideal):
 
 def lambda_of_by_ideal_powers(form, ideal):
     """lambda at an integral ideal: the stored value, else the product of the
-    values stored under (p ** e).hnf() over the factorisation of the ideal by
+    values stored under ideal_power(p, e).hnf() over the factorisation of the ideal by
     repeated containment; None when some part is not stored."""
     val = form.stored(ideal)
     if val is not None:
         return val
     out = form.coefficient_field.one()
     for p, e in ideal_factor_by_valuation(ideal):
-        part = form.eigenvalues.get((p ** e).hnf())
+        part = form.eigenvalues.get(ideal_power(p, e).hnf())
         if part is None:
             return None
         out = out * part

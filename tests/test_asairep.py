@@ -14,7 +14,7 @@ from asailab.characters import DirichletCharacter
 from asailab.coeffs import CoefficientField
 from asailab.eigenform import HilbertEigenform, Weight
 from asailab.heckealg import split_labels, inert_label, asai_euler_symbolic
-from asailab.quadfield import RealQuadraticField
+from asailab.quadfield import RealQuadraticField, splitting_type
 from oracles import kron_product_asai_roots, leibniz_charpoly_reversed
 
 CF = CoefficientField(None)
@@ -120,7 +120,7 @@ def test_verify_proj_pl_random_and_fault():
         d = rng.choice([2, 3, 5, 13])
         field = RealQuadraticField(d)
         ell = rng.choice([p for p in (3, 7, 11, 13, 17, 19, 23, 29) if field.disc % p])
-        st = field.splitting_type(ell)
+        st = splitting_type(field, ell)
         w = rng.choice([Weight(2, 2, 0, 0), Weight(4, 4, 0, 0), Weight(2, 2, 1, 1)])
         lams = [rng.randint(-30, 30) for _ in st.primes]
         eps = rng.choice([1, -1])
@@ -139,7 +139,7 @@ def test_charpoly_invariants():
         d = rng.choice([5, 13])
         field = RealQuadraticField(d)
         ell = rng.choice([p for p in (3, 7, 11, 19) if field.disc % p])
-        st = field.splitting_type(ell)
+        st = splitting_type(field, ell)
         w = Weight(4, 4, 0, 0)
         eps = rng.choice([1, -1])
         form = synth_form(d, w, {ell: [rng.randint(-9, 9) for _ in st.primes]},
@@ -159,7 +159,7 @@ def test_symbolic_specialisation_matches_charpoly(bc_form_500):
     good = [p for p in range(2, 100) if p != 5
             and all(p % q for q in range(2, p))]
     for ell in good:
-        st = form.field.splitting_type(ell)
+        st = splitting_type(form.field, ell)
         tvals, svals = {}, {}
         if st.is_split:
             labels = split_labels(ell)

@@ -6,13 +6,17 @@ A static pass over the package source.  The entry points are `cli.main`,
 on import) and every name that the benchmark in perfbench/ mentions.  A
 module-level function, class or assignment is reached when a reached body
 mentions its name, as a bare name or as an attribute; a method when its class
-is reached and its name is mentioned (dunders come with the class).
+is reached and its name is mentioned as an attribute (dunders come with the
+class).  A bare name never reaches a method: a module function of the same
+name does not keep a method alive.
 
 A defaulted parameter of a public def is set when some call in the package or
 in perfbench/ passes it: by keyword, by position, through a * or ** splat, or
 through functools.partial.  Names are matched by spelling alone, so a
 collision can hide an unreached name or an unset parameter but never report a
-reached or a set one.
+reached or a set one.  The blind spot that remains is an attribute collision:
+`args.alpha` in the CLI would keep a method `alpha` of any reached class
+alive, and a call of `x.conjugate()` keeps every reached class's `conjugate`.
 """
 
 import ast
@@ -26,50 +30,63 @@ PERFBENCH = ROOT / "perfbench"
 ENTRY_POINTS = {("cli", "main"), ("acceptance", "run_acceptance")}
 
 
-def _mentions(*nodes):
-    """The names and attribute names mentioned in the given AST subtrees."""
-    out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-    return out
+class _Mentions:
+    """The bare names and the attribute names mentioned in some AST subtrees."""
+
+    def __init__(self, *nodes):
+        self.names, self.attrs = set(), set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    self.names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    self.attrs.add(sub.attr)
+
+    def __ior__(self, other):
+        self.names |= other.names
+        self.attrs |= other.attrs
+        return self
 
 
-def _definitions():
+def _definitions(package=PACKAGE):
     """({key: mentions of its body}, mentions of top-level statements), with
     key (module, name) for a module-level def, class or assignment target and
     (module, class, method) for a method."""
-    defs, top = {}, set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    defs, top = {}, _Mentions()
+    for path in sorted(package.glob("*.py")):
         module = path.stem
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[module, stmt.name] = _mentions(stmt)
+                defs[module, stmt.name] = _Mentions(stmt)
             elif isinstance(stmt, ast.ClassDef):
                 methods = [s for s in stmt.body
                            if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
                 rest = [s for s in stmt.body if s not in methods]
-                defs[module, stmt.name] = _mentions(*stmt.bases, *stmt.decorator_list, *rest)
+                defs[module, stmt.name] = _Mentions(*stmt.bases, *stmt.decorator_list, *rest)
                 for meth in methods:
-                    defs[module, stmt.name, meth.name] = _mentions(meth)
+                    defs[module, stmt.name, meth.name] = _Mentions(meth)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                for name in _mentions(*targets):
-                    defs[module, name] = _mentions(stmt.value) if stmt.value else set()
+                target = _Mentions(*targets)
+                for name in target.names | target.attrs:
+                    defs[module, name] = _Mentions(stmt.value) if stmt.value else _Mentions()
             else:
-                top |= _mentions(stmt)
+                top |= _Mentions(stmt)
     return defs, top
+
+
+def public_names(package=PACKAGE):
+    """The keys of _definitions(package) with no part that starts with '_'."""
+    return [key for key in _definitions(package)[0]
+            if not any(part.startswith("_") for part in key[1:])]
 
 
 def _unreached():
     defs, mentioned = _definitions()
     for path in PERFBENCH.glob("*.py"):
-        mentioned |= _mentions(ast.parse(path.read_text(encoding="utf-8")))
+        mentioned |= _Mentions(ast.parse(path.read_text(encoding="utf-8")))
     reached = set()
     for key in ENTRY_POINTS:
         reached.add(key)
@@ -81,15 +98,16 @@ def _unreached():
             if key in reached:
                 continue
             name = key[-1]
-            owner_ok = len(key) == 2 or key[:2] in reached
-            dunder = name.startswith("__") and name.endswith("__")
-            if owner_ok and (name in mentioned or (len(key) == 3 and dunder)):
+            if len(key) == 2:
+                hit = name in mentioned.names or name in mentioned.attrs
+            else:
+                dunder = name.startswith("__") and name.endswith("__")
+                hit = key[:2] in reached and (dunder or name in mentioned.attrs)
+            if hit:
                 reached.add(key)
                 mentioned |= body
                 changed = True
-    public = [key for key in defs
-              if not any(part.startswith("_") for part in key[1:])]
-    return sorted(".".join(key) for key in public if key not in reached)
+    return sorted(".".join(key) for key in public_names() if key not in reached)
 
 
 def test_every_public_name_has_a_caller():

@@ -12,7 +12,7 @@ from asailab.arith import PRIMALITY_LIMIT, is_prime
 from asailab.cli import (_tokenise, build_parser, main, parse_complex,
                          parse_hecke_expression)
 from asailab import heckealg
-from asailab.quadfield import RealQuadraticField
+from asailab.quadfield import RealQuadraticField, splitting_type
 from oracles import strict_json
 
 
@@ -286,7 +286,7 @@ def test_field_info_command(capsys):
 @pytest.mark.parametrize("d", [46, 94, 181, 199, 421, 1021])
 def test_field_info_large_units(capsys, d):
     field = RealQuadraticField(d)
-    ell = next(p for p in range(3, 100) if is_prime(p) and field.splitting_type(p).is_split)
+    ell = next(p for p in range(3, 100) if is_prime(p) and splitting_type(field, p).is_split)
     code, out, _ = run_cli(capsys, "field-info", "--d", str(d), "--ell", str(ell))
     assert code == 0
     unit = json.loads(out)["result"]["fundamental_unit"]
@@ -446,7 +446,7 @@ LABELS = '{"l1": {"norm": 11}}'
     (["eisenstein", "--k", "2", "--alpha", "1/5", "--tau", "1e400i"],
      64, "usage", "complex literal '1e400i' is past the double range"),
     *((["hecke-identity", "--expr", "T(l1)", "--labels", labels], 1, "validation",
-       "prime label l1 needs an integer norm, a boolean unit and a string or null conj")
+       "prime label l1 needs an integer norm and a boolean unit")
       for labels in ('{"l1": {"norm": 1e400}}', '{"l1": {"norm": 11.5}}',
                      '{"l1": {"norm": 11, "unit": "no"}}')),
     *((["eisenstein", "--k", k, "--alpha", "1/5", "--tau", "i", "--s", s, "--method", "lattice",
@@ -478,6 +478,34 @@ def test_hostile_input_ends_in_a_json_error(capsys, monkeypatch, argv, code, lab
     assert got == code and not out
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": label, "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--k", "3", "--kprime", "2", "--j", "1", "--N", "1", "--disc", "8"],
+     "need k = k' mod 2, got k - k' = 1"),
+    (["constants", "--k", "2", "--kprime", "3", "--j", "1", "--disc", "8"],
+     "need k = k' mod 2, got k - k' = -1"),
+    (["hecke-identity", "--expr", "1/0"], "zero denominator in '1/0'"),
+    (["hecke-identity", "--expr", "T(l1)^-1", "--labels", LABELS],
+     "exponent '-' is not a non-negative integer"),
+    (["hecke-identity", "--expr", "T(l1^2/3)", "--labels", LABELS],
+     "exponent '2/3' is not a non-negative integer"),
+], ids=["constants-odd-k-minus-kprime", "constants-odd-kprime-minus-k", "expr-zero-denominator",
+        "expr-negative-exponent", "label-fractional-exponent"])
+def test_refused_input_exits_1_with_strict_json(capsys, argv, message):
+    # odd k - k' was reported as a real constant, its factor i dropped; 1/0
+    # ended in a ZeroDivisionError traceback; a bad exponent was named by int()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out and err.count("\n") == 1
+    assert strict_json(err) == {"error": "validation", "message": message}
+
+
+def test_labels_ignore_unknown_keys(capsys):
+    # "conj" was stored on the label and never read; now it is ignored like any other key
+    runs = [run_cli(capsys, "hecke-identity", "--expr", "T(l1)^2", "--labels", labels)
+            for labels in (LABELS, '{"l1": {"norm": 11, "conj": "l1b"}}')]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert len({json.loads(out)["result"]["normal_form"] for _, out, _ in runs}) == 1
 
 
 def test_ap_file_must_be_an_object(capsys, tmp_path):

@@ -296,7 +296,7 @@ def test_mellin_normalisation_documented(bc_form_500):
     sprime = 13.0
     _, rhs, _ = diagonal_mellin_check(bc_form_500, sprime, n_max=200)
     direct = math.gamma(sprime) * (math.sqrt(5) / (4 * math.pi)) ** sprime \
-        * sum(float(bc_form_500.alpha(n)) * n ** -sprime for n in range(1, 201))
+        * sum(float(bc_form_500.lambda_rational(n)) * n ** -sprime for n in range(1, 201))
     assert abs(rhs - direct) < 1e-12 * abs(direct)
 
 

@@ -6,7 +6,7 @@ import pytest
 from asailab.acceptance import _random_expression
 from asailab.heckealg import (HeckeAlgError, HeckePolynomial, PrimeLabel, R, S, T, X,
                               _rewrite_power, asai_euler_symbolic, diamond, inert_label,
-                              normalize, norm_relation_symbolic, one, sigma, split_labels,
+                              normalize, norm_relation_symbolic, sigma, split_labels,
                               verify_split_x2_identity)
 from oracles import hand_norm_relation_inert_000
 
@@ -85,7 +85,7 @@ def test_mixed_diamond_forms_multiply_and_print():
 
 def test_invertibility_rules():
     lab = PrimeLabel("a", 5)
-    assert normalize(diamond({lab: -1}) * diamond(lab)) == one()
+    assert normalize(diamond({lab: -1}) * diamond(lab)) == HeckePolynomial.constant(1)
     with pytest.raises(HeckeAlgError):
         _ = diamond(lab) * HeckePolynomial.generator("T", ((lab, 1),), -1)
 
@@ -197,7 +197,7 @@ def test_sigma_laurent():
 
 
 def test_substitute_x():
-    p = (one() - T(inert_label(3)) * X()).normalize()
+    p = (HeckePolynomial.constant(1) - T(inert_label(3)) * X()).normalize()
     q = p.substitute_X(Fraction(1, 3) * sigma(3, -1)).normalize()
     dec = q.sigma_decomposition()
     assert set(dec) == {0, -1}

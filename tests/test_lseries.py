@@ -105,7 +105,7 @@ def test_ramified_local_factor_against_recursion(bc_form_500, field5):
     c = Fraction(5 ** (kk + 2))  # trivial nebentype at the ramified prime
     for n, j in ((5, 1), (25, 2), (125, 3)):
         deconv = ec[n] - c * (ec[n // 25] if j >= 2 else 0)
-        assert deconv == bc_form_500.alpha(n)
+        assert deconv == bc_form_500.lambda_rational(n)  # alpha(n), t = t' = 0
 
 
 def test_euler_product_bad_factor_handling(bc_form_500):
@@ -161,7 +161,7 @@ def _elementary_ratio(k, kprime, j, n_level):
     rational = Fraction((-1) ** (j + 1) * n_level ** (k + kprime - 2 * j)
                         * math.comb(k, j) * math.factorial(kprime) * 2 ** (2 * k + 2))
     rational *= (-1) ** (k + 1)  # i^{2k+2}
-    return SymbolicConstant.normalised(rational, k + 1, 0, 0, 1)
+    return SymbolicConstant.normalised(rational, k + 1, 0, 1)
 
 
 @pytest.mark.parametrize("k,kprime,j,n_level,disc",
@@ -171,7 +171,9 @@ def _elementary_ratio(k, kprime, j, n_level):
 def test_regulator_equals_unfolding_times_elementary(k, kprime, j, n_level, disc):
     unf = unfolding_constant(k, kprime, j, n_level, disc)
     reg = regulator_constant(k, kprime, j, disc)
-    prod = unf * _elementary_ratio(k, kprime, j, n_level)
+    ratio = _elementary_ratio(k, kprime, j, n_level)
+    prod = SymbolicConstant.normalised(unf.rational * ratio.rational, unf.pi_exp + ratio.pi_exp,
+                                       unf.sqrt_disc_exp + ratio.sqrt_disc_exp, disc)
     assert prod.rational == reg.rational
     assert prod.pi_exp == reg.pi_exp
     assert prod.i_exp == reg.i_exp
@@ -196,10 +198,21 @@ def test_alpha_table_rejects_nonpositive_size(bc_form_500, n_max):
 
 
 def test_symbolic_constant_normalisation():
-    c = SymbolicConstant.normalised(Fraction(3), 0, 2, 3, 5)
-    assert c.rational == -15 and c.sqrt_disc_exp == 1 and c.i_exp == 0
-    d = SymbolicConstant.normalised(Fraction(1), 1, 1, 0, 5)
-    assert (d * d).rational == -1 and (d * d).pi_exp == 2
+    c = SymbolicConstant.normalised(Fraction(3), 0, 3, 5)
+    assert c.rational == 15 and c.sqrt_disc_exp == 1 and c.i_exp == 0
+    d = SymbolicConstant.normalised(Fraction(1), 1, -3, 5)
+    assert d.rational == Fraction(1, 5) and d.sqrt_disc_exp == -1 and d.pi_exp == 1
+
+
+@pytest.mark.parametrize("k,kprime", [(3, 2), (2, 1), (5, 0)])
+def test_constants_refuse_odd_weight_difference(k, kprime):
+    # both formulas carry a factor i there, which the constants do not hold:
+    # (k, k', j, D) = (3, 2, 1, 8) gives 384 pi^3 i and -i/(4 pi), not real values
+    for c in (lambda: unfolding_constant(k, kprime, 0, 1, 8),
+              lambda: regulator_constant(k, kprime, 0, 8),
+              lambda: regulator_constant(kprime, k, 0, 8)):
+        with pytest.raises(LSeriesError, match="need k = k' mod 2"):
+            c()
 
 def test_euler_product_all_lambda_zero(field5):
     # all lambda = 0 at stored good primes: each split local factor degenerates
@@ -422,9 +435,16 @@ def _forms_with_ramified_primes():
                          eps_values={2: -1, 3: -1})
 
 
+def test_series_refuses_a_nebentype():
+    # chi would be the nebentype on (Z/N)^x, and only the trivial one is built
+    form = synthetic_form(RealQuadraticField(3), Weight(4, 2, 0, 1), {2: [3]}, eps_values={2: -1})
+    with pytest.raises(LSeriesError, match="nontrivial nebentype restriction not implemented"):
+        AsaiLSeries(form)
+
+
 class _LocalFactors(AsaiLSeries):
-    """local_factor of a form without its chi: the synthetic form's
-    nebentype has no chi_restriction, and local_factor does not read chi."""
+    """local_factor of a form without its chi: AsaiLSeries refuses the
+    synthetic form's nebentype, and local_factor does not read chi."""
 
     def __init__(self, form):
         self.form = form
@@ -469,7 +489,7 @@ def _read_by_the_other_route(*args):
 
 
 def test_criterion_7_routes_stay_independent(bc_form_500, monkeypatch):
-    # the Euler product runs with the alpha table and alpha(n) gone, and the
+    # the Euler product runs with the alpha table and lambda((n)) gone, and the
     # Dirichlet series with the local factors gone; each gives what it gave
     # before
     series = AsaiLSeries(bc_form_500)
@@ -479,7 +499,6 @@ def test_criterion_7_routes_stay_independent(bc_form_500, monkeypatch):
         imprimitive_coefficients(series, 200)
     with monkeypatch.context() as patch:
         patch.setattr(lseries, "dirichlet_alpha_table", _read_by_the_other_route)
-        patch.setattr(HilbertEigenform, "alpha", _read_by_the_other_route)
         patch.setattr(HilbertEigenform, "lambda_rational", _read_by_the_other_route)
         assert (euler_product_L(series, 14, ell_cutoff=200)[0],
                 euler_product_coefficients(series, 200)) == euler
