@@ -18,7 +18,7 @@ ell^{-k(t+t')}.
 import math
 from fractions import Fraction
 
-from .coeffs import QuadElt, to_mpf
+from .coeffs import QuadElt, _coords, _plus, _times, to_mpf
 from .quadfield import splitting_type, totally_positive_generator
 
 
@@ -139,38 +139,33 @@ def asai_charpoly(form, ell):
     Split:  1 - T X + (T^2 - T2 - l^2 S) X^2 - l^2 S T X^3 + l^4 S^2 X^4
     Inert:  (1 - T X + l^2 S X^2)(1 - l^2 S X^2)
     with T = l^{-(t+t')} lambda((l)), T2 = l^{-2(t+t')} lambda((l)^2) and
-    S = l^{k+k'} eps((l)).
+    S = l^{k+k'} eps((l)), on the triples (x, y, den) of (x + y sqrt(e)) / den,
+    the twist an integer factor of x, y or den; QuadElts are built last.
     """
     ell = int(ell)
     st, locs = _local_data(form, ell)
-    w = form.weight
-    kk = w.k + w.kprime
-    tw = Fraction(ell) ** -(w.t1 + w.t2)
+    w, cf = form.weight, form.coefficient_field
+    e, t = cf.e or 0, w.t1 + w.t2
+    tw = ell ** max(-t, 0), 0, ell ** max(t, 0)   # l^{-(t+t')}
+    ls = ell ** (w.k + w.kprime + 2), 0, 1        # l^2 S = ls eps((l))
+    (lam1, eps1), *rest = [(_coords(lam), _coords(eps)) for lam, eps, _ in locs]
     if st.is_split:
-        (lam1, eps1, _), (lam2, eps2, _) = locs
-        t_val = tw * lam1 * lam2
+        (lam2, eps2), = rest
+        t_val, nw = _times(tw, _times(lam1, lam2, e), e), ell ** (w.w - 1)
         # lambda(P^2) = lambda(P)^2 - Nm(P)^{w-1} eps(P)
-        lam1_2 = lam1 * lam1 - ell ** (w.w - 1) * eps1
-        lam2_2 = lam2 * lam2 - ell ** (w.w - 1) * eps2
-        t2_val = tw * tw * lam1_2 * lam2_2
-        s_val = ell ** kk * eps1 * eps2
-        coeffs = [t_val * 0 + 1,
-                  -t_val,
-                  t_val * t_val - t2_val - ell ** 2 * s_val,
-                  -(ell ** 2) * s_val * t_val,
-                  ell ** 4 * s_val * s_val]
-        return AsaiCharPoly(coeffs, "split")
-    lam, eps, _ = locs[0]
-    t_val = tw * lam
-    s_val = ell ** kk * eps
-    l2s = ell ** 2 * s_val
-    # (1 - T X + l2s X^2)(1 - l2s X^2)
-    coeffs = [t_val * 0 + 1,
-              -t_val,
-              l2s - l2s,
-              l2s * t_val,
-              -(l2s * l2s)]
-    return AsaiCharPoly(coeffs, "inert")
+        lam_2 = _times(_plus(_times(lam1, lam1, e), eps1, -nw),
+                       _plus(_times(lam2, lam2, e), eps2, -nw), e)
+        l2s = _times(ls, _times(eps1, eps2, e), e)
+        # T^2 - T2 - l^2 S
+        c2 = _plus(_plus(_times(t_val, t_val, e), _times(_times(tw, tw, e), lam_2, e), -1),
+                   l2s, -1)
+        signs = 1, -1, 1, -1, 1
+    else:
+        t_val, l2s = _times(tw, lam1, e), _times(ls, eps1, e)
+        c2, signs = (0, 0, 1), (1, -1, 1, 1, -1)   # the X^2 terms cancel
+    coeffs = (1, 0, 1), t_val, c2, _times(l2s, t_val, e), _times(l2s, l2s, e)
+    return AsaiCharPoly([QuadElt.from_ints(sign * x, sign * y, den, cf)
+                         for sign, (x, y, den) in zip(signs, coeffs)], st.kind.value)
 
 
 def asai_charpoly_via_induction(form, ell):

@@ -407,10 +407,11 @@ def cmd_nez(args):
 
 
 def _eta_arg(args):
-    """The character mod p^r named by the --eta generator exponents."""
+    """The character mod p^r named by the --eta generator exponents; a missing
+    or empty --eta is "0", or none where (Z/p^r)^x has no generator (p^r = 2)."""
     modulus = args.p ** args.r
     gens = unit_group_structure(modulus)
-    exps = [int(x) for x in (args.eta or "0").split(",")]
+    exps = [int(x) for x in (args.eta or "0").split(",")] if args.eta or gens else []
     if len(exps) != len(gens):
         raise UsageError(f"eta needs {len(gens)} exponents for modulus {modulus}")
     return DirichletCharacter(modulus, exps)
@@ -434,6 +435,8 @@ def cmd_pr_factor(args):
 
 
 def cmd_gauss_sum(args):
+    if args.eta is None:   # the default: exponent 1, if there is a generator
+        args.eta = "1" if unit_group_structure(args.p ** args.r) else ""
     eta = _eta_arg(args)
     if not is_prime(args.p):
         raise PadicError(f"p = {args.p} is not prime")
@@ -697,7 +700,7 @@ def build_parser():
     p = sub.add_parser("gauss-sum", help="exact Gauss sum of a mod-p^r character")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--eta", help="comma-separated generator exponents", default="1")
+    p.add_argument("--eta", help="comma-separated generator exponents (default 1; none mod 2)")
     p.set_defaults(func=cmd_gauss_sum)
 
     p = sub.add_parser("acceptance", help="run the acceptance suite")

@@ -311,6 +311,25 @@ def to_mpf(x):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
+def _coords(c):
+    """(x, y, den) with c = (x + y sqrt(e)) / den, for a QuadElt, Fraction or int."""
+    return (c.x, c.y, c.den) if isinstance(c, QuadElt) else (c.numerator, 0, c.denominator)
+
+
+def _times(u, v, e):
+    """The canonical triple of the product of the triples u and v over Q(sqrt e)."""
+    (a, b, q), (c, d, r) = u, v
+    x, y, den = a * c + e * b * d, a * d + b * c, q * r
+    g = math.gcd(x, y, den)
+    return (x, y, den) if g == 1 else (x // g, y // g, den // g)
+
+
+def _plus(u, v, c):
+    """A triple, den > 0 but not reduced, of u + c v for triples u, v and an int c."""
+    (a, b, q), (x, y, r) = u, v
+    return (a + c * x, b + c * y, q) if q == r else (a * r + c * x * q, b * r + c * y * q, q * r)
+
+
 _new = object.__new__
 _elt = QuadElt.from_ints
 _RATIONAL = CoefficientField(None)

@@ -86,13 +86,13 @@ class HilbertEigenform:
         return self.eigenvalues.get(ideal.hnf())
 
     def _stored_product(self, parts):
-        """Product of the stored values at P^e over the (P, e) in parts, each
-        key read from `prime_powers` at the rational prime P.n under P."""
+        """Product of the stored values at P^e over the (ell, i, e) in parts, P the
+        i-th prime above ell (primes_above order), each key read from `prime_powers`."""
         field, out = self.field, None
-        for p, e in parts:
-            i = splitting_type(field, p.n).primes.index(p)
-            val = self.eigenvalues.get(prime_powers(field, p.n, e)[i][1])
+        for ell, i, e in parts:
+            val = self.eigenvalues.get(prime_powers(field, ell, e)[i][1])
             if val is None:
+                p = prime_powers(field, ell, 1)[i][0]
                 raise MissingEigenvalueError(
                     f"no eigenvalue stored at {ideal_label(p)}^{e} (norm {p.norm() ** e})")
             out = val if out is None else out * val
@@ -101,19 +101,17 @@ class HilbertEigenform:
     def lambda_of(self, ideal):
         """lambda at an integral ideal: stored, or multiplied over its HNF factorisation."""
         val = self.stored(ideal)
-        return self._stored_product(ideal.factor()) if val is None else val
+        return self._stored_product(_indexed(ideal.factor())) if val is None else val
 
     def lambda_rational(self, n):
         """The T(n)-eigenvalue lambda((n)) for a positive integer n: the
         product over l^e || n of the stored values at the prime-power parts of
-        (l^e) = P^e Pbar^e, (l)^e or P^{2e}, in the order of an ideal
-        factorisation of (n)."""
+        (l^e), as `_power_parts` lists them."""
         n = int(n)
         if n < 1:
             raise EigenformError("need n >= 1")
-        types = [(splitting_type(self.field, ell), e) for ell, e in factorise(n)]
-        return self._stored_product([(p, 2 * e if st.is_ramified else e)
-                                     for st, e in types for p in st.primes])
+        return self._stored_product([part for ell, e in factorise(n)
+                                     for part in _power_parts(splitting_type(self.field, ell), e)])
 
     def eps_of(self, p):
         """Nebentype at a prime P coprime to the level (empty table = trivial)."""
@@ -147,6 +145,17 @@ class HilbertEigenform:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=1, sort_keys=True)
             fh.write("\n")
+
+
+def _power_parts(st, e):
+    """The parts (ell, i, e') of (ell^e) for `_stored_product`, st the splitting type
+    of ell: P^e Pbar^e for a split ell, (ell)^e for an inert one, P^{2e} for a ramified one."""
+    return [(st.ell, i, 2 * e if st.is_ramified else e) for i in range(len(st.primes))]
+
+
+def _indexed(factors):
+    """The (ell, i, e) of each (P, e) of an ideal factorisation, P the i-th prime above ell."""
+    return [(p.n, splitting_type(p.field, p.n).primes.index(p), e) for p, e in factors]
 
 
 def load_eigenform(source):
@@ -198,7 +207,7 @@ def _multiplicativity_violations(form, bound=None):
         ideal = IdealRep(form.field, *key)
         if bound is not None and ideal.norm() > bound:
             continue
-        parts = ideal.factor()
+        parts = _indexed(ideal.factor())
         if len(parts) < 2:
             continue
         try:
@@ -227,14 +236,14 @@ def check_hecke_relations(form, bound):
     w = form.weight.w
     level_norm = form.level.norm()
     for ell in primes_up_to(bound):
-        for p in form.field.primes_above(ell):
+        for i, p in enumerate(form.field.primes_above(ell)):
             np = p.norm()
             if np > bound or level_norm % ell == 0:
                 continue
             eps_p = form.eps_of(p)
             values, r = [], 0
             while np ** r <= bound:
-                values.append(form._stored_product([(p, r)]))
+                values.append(form._stored_product([(ell, i, r)]))
                 r += 1
             for r in range(1, len(values) - 1):
                 lhs = values[1] * values[r]

@@ -10,8 +10,9 @@ P_l(F, l^{-s})^{-1} reproduces the Dirichlet series exactly.
 
 At a ramified good prime the local factor is the rational function forced by
 the recursion (AsaiLSeries.local_factor), which both Euler-product routes read.
-The Dirichlet side runs on integer triples (x, y, den) of (x + y sqrt(e)) / den,
-p^{-s} is `precision.inverse_power`, and exact coefficients become QuadElts last.
+Both sides run on integer triples (x, y, den) of (x + y sqrt(e)) / den (the
+alpha table, the local factors' coefficients and their series division), p^{-s}
+is `precision.inverse_power`, and exact coefficients become QuadElts last.
 """
 
 import math
@@ -23,7 +24,8 @@ import mpmath
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
 from .characters import DirichletCharacter
-from .coeffs import QuadElt
+from .coeffs import QuadElt, _coords, _plus, _times
+from .eigenform import _power_parts
 from .precision import GUARD_BITS, exact_fixed, fixed, from_fixed, inverse_power, mp_context
 from .quadfield import splitting_type
 
@@ -35,30 +37,23 @@ class LSeriesError(ValueError):
 def dirichlet_alpha_table(form, n_max):
     """alpha(n) for 1 <= n <= n_max (index 0 unused) as canonical triples
     (x, y, den) of (x + y sqrt(e)) / den, den > 0 and gcd 1 as in QuadElt: the
-    one route to the Dirichlet coefficients.  form.lambda_rational is asked only
-    at 1 and at the prime powers l^e <= n_max (l, then e, ascending, so a missing
-    eigenvalue is reported at the first prime power that needs it) and twisted
-    by l^{-e(t+t')} on integers; the rest is assembled multiplicatively."""
+    one route to the Dirichlet coefficients.  The form is asked for lambda((1))
+    and, by `_stored_product`, for the parts of (l^e) at each prime power l^e <=
+    n_max (l, then e, ascending, so a missing eigenvalue is reported at the first
+    prime power that needs it), twisted by l^{-e(t+t')} on integers; the rest is
+    assembled multiplicatively."""
     n_max = int(n_max)
     if n_max < 1:
         raise LSeriesError(f"need n_max >= 1, got {n_max}")
     t, local = form.weight.t1 + form.weight.t2, {}
     for ell in primes_up_to(n_max):
-        pe, e = ell, 1
+        st, pe, e = splitting_type(form.field, ell), ell, 1
         while pe <= n_max:
             twist = pe ** max(-t, 0), 0, pe ** max(t, 0)
-            local[ell, e] = _times(_coords(form.lambda_rational(pe)), twist, 0)
+            local[ell, e] = _times(_coords(form._stored_product(_power_parts(st, e))), twist, 0)
             pe, e = pe * ell, e + 1
     return _multiplicative_table(n_max, _coords(form.lambda_rational(1)), local,
                                  form.coefficient_field.e or 0)
-
-
-def _times(u, v, e):
-    """The canonical triple of the product of the triples u and v over Q(sqrt e)."""
-    (a, b, q), (c, d, r) = u, v
-    x, y, den = a * c + e * b * d, a * d + b * c, q * r
-    g = math.gcd(x, y, den)
-    return (x, y, den) if g == 1 else (x // g, y // g, den // g)
 
 
 def _multiplicative_table(n_max, c1, local, e):
@@ -178,20 +173,15 @@ def imprimitive_L(series, s, n_cutoff=4000):
         return from_fixed(lch * dirichlet, 5 * w), report
 
 
-def _coords(c):
-    """(x, y, den) with c = (x + y sqrt(e)) / den, for a QuadElt, Fraction or int."""
-    return (c.x, c.y, c.den) if isinstance(c, QuadElt) else (c.numerator, 0, c.denominator)
-
-
-def _series_div(num, den, order):
-    """Power series num/den to the given order (den[0] must be 1), by long
-    division: rem[i] is final once the terms before it are subtracted."""
-    if den[0] != 1:
+def _series_div(num, den, order, e):
+    """Power series num/den of triples over Q(sqrt e) to the given order (den[0]
+    must be 1), by long division: rem[i] is final once the terms before it are subtracted."""
+    if den[0] != (1, 0, 1):
         raise LSeriesError("local factor series needs unit constant term")
-    rem = list(num[:order]) + [num[0] * 0] * max(0, order - len(num))
+    rem = list(num[:order]) + [(0, 0, 1)] * max(0, order - len(num))
     for i in range(order):
         for j in range(1, min(len(den), order - i)):
-            rem[i + j] = rem[i + j] - rem[i] * den[j]
+            rem[i + j] = _plus(rem[i + j], _times(rem[i], den[j], e), -1)
     return rem
 
 
@@ -204,7 +194,7 @@ def euler_product_L(series, s, ell_cutoff=500):
     working precision, losing at most two units of 2^-W (times its size) per
     prime.
     """
-    n_level = series.rational_level
+    n_level, e = series.rational_level, series.form.coefficient_field.e or 0
     with mp_context():
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         w = mpmath.mp.prec + GUARD_BITS
@@ -213,36 +203,38 @@ def euler_product_L(series, s, ell_cutoff=500):
             if n_level % ell == 0:
                 raise LSeriesError(f"missing bad factor C_l at l = {ell}")
             num, den = series.local_factor(ell)
-            total = total * _local_value(num, den, inverse_power(ell, s_m), w) >> w
+            total = total * _local_value(num, den, inverse_power(ell, s_m), w, e) >> w
         report = {"ell_cutoff": int(ell_cutoff), "primitive": False, "bad_primes": []}
         return from_fixed(total, w), report
 
 
-def _local_value(num, den, x, bits):
+def _local_value(num, den, x, bits, e):
     """num(x) / den(x) 2^bits rounded down, for polynomials (low degree first)
-    over Q or one Q(sqrt(e)): at x = M 2^-E exactly, M an int or Gauss, each
-    is (a + b sqrt(e)) / q on integers, and sqrt(e) leaves the divisor by its
-    conjugate before the one division.  Both constant terms are 1: once
-    |x| < 2^-(bits + B + 4), with every coefficient below 2^B, the later terms
-    move the value by under one unit, and 2^bits is returned without building
-    any x^i 2^(i E)."""
+    over Q(sqrt(e)), e = 0 over Q: at x = M 2^-E exactly, M an int or Gauss, each
+    is (a + b sqrt(e)) / q on integers, and sqrt(e) (if e) and i (if x is complex)
+    leave the divisor by conjugates before the one division.  Both constant terms
+    are 1: once |x| < 2^-(bits + B + 4), with every coefficient below 2^B, the
+    later terms move the value by under one unit, and 2^bits is returned without
+    building any x^i 2^(i E).  Each coefficient's coordinates are read once."""
     m, shift = exact_fixed(x)
-    e = next((k.field.e for k in (*num, *den) if isinstance(k, QuadElt) and k.y), 0)
+    num, den = [_coords(c) for c in num], [_coords(c) for c in den]
     tiny = shift - (abs(m.real) + abs(m.imag)).bit_length()  # |x| < 2^-tiny
     if tiny >= bits + 4 + max((abs(u) + abs(v) * (math.isqrt(e) + 1)).bit_length()
-                              for u, v, _ in map(_coords, (*num, *den))):
+                              for u, v, _ in (*num, *den)):
         return 1 << bits
-    (a, b, qa), (c, d, qc) = (_poly_at(poly, m, shift) for poly in (num, den))
-    # (a + b r) / (c + d r) = (ac - e bd + (bc - ad) r) / (c^2 - e d^2), r = sqrt(e)
-    top = (a * c - e * b * d) * (1 << bits) + (b * c - a * d) * math.isqrt(e << 2 * bits)
-    norm = c * c - e * d * d
+    (a, b, qa), (c, d, qc) = _poly_at(num, m, shift), _poly_at(den, m, shift)
+    top, norm = a << bits, c
+    if e:   # (a + b r) / (c + d r) = (ac - e bd + (bc - ad) r) / (c^2 - e d^2), r = sqrt(e)
+        top = (a * c - e * b * d) * (1 << bits) + (b * c - a * d) * math.isqrt(e << 2 * bits)
+        norm = c * c - e * d * d
+    if isinstance(norm, int):   # a real x
+        return top * qc // (qa * norm)
     return top * qc * norm.conjugate() // (qa * (norm.real ** 2 + norm.imag ** 2))
 
 
-def _poly_at(coeffs, m, shift):
+def _poly_at(coords, m, shift):
     """(a, b, q) with (a + b sqrt(e)) / q the polynomial at m 2^-shift: Horner
-    on the integer coordinates of its coefficients over their common denominator."""
-    coords = [_coords(c) for c in coeffs]
+    on the triples (x, y, den) of its coefficients over their common denominator."""
     lcm = math.lcm(*(den for *_, den in coords))
     a = b = 0
     for i, (x, y, den) in enumerate(reversed(coords)):
@@ -261,14 +253,14 @@ def euler_product_coefficients(series, n_max):
     independent.
     """
     n_level, local = series.rational_level, {}
+    cf = series.form.coefficient_field
     for ell in primes_up_to(n_max):
         if n_level % ell == 0:
             raise LSeriesError("coefficient expansion only at good levels")
-        order = max(e for e in range(1, n_max.bit_length() + 1) if ell ** e <= n_max)
-        coeffs = _series_div(*series.local_factor(ell), order + 1)
-        for e in range(1, order + 1):
-            local[ell, e] = _coords(coeffs[e])
-    cf = series.form.coefficient_field
+        order = max(k for k in range(1, n_max.bit_length() + 1) if ell ** k <= n_max)
+        num, den = ([_coords(c) for c in poly] for poly in series.local_factor(ell))
+        coeffs = _series_div(num, den, order + 1, cf.e or 0)
+        local.update(((ell, k), coeffs[k]) for k in range(1, order + 1))
     return [None] + [QuadElt.from_ints(*c, cf) for c in
                      _multiplicative_table(n_max, (1, 0, 1), local, cf.e or 0)[1:]]
 

@@ -25,10 +25,16 @@ file records:
 - every median also has `iqr_over_median`, (q3 - q1) / median (null at a
   median of 0);
 - the `elapsed_s` of each acceptance criterion, from REPEATS runs of the
-  suite per checkout (alternating which side goes first), with the median;
+  suite per checkout (alternating which side goes first), with the median
+  and quartiles, and under `acceptance_process_s` the wall and the CPU
+  seconds of each of those processes;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
   as `python -m asailab` in a fresh process, REPEATS times per checkout
-  (alternating which side goes first), with the median;
+  (alternating which side goes first), with the median and quartiles, and
+  the CPU seconds of each run next to its wall seconds;
+- a process's CPU seconds are the user and system time that
+  `resource.getrusage(RUSAGE_CHILDREN)` adds over the run: a wall time that
+  moves while the CPU time does not was time the machine gave to other work;
 - the Tier-1 wall time (ROADMAP.md) of the change;
 - the `src/` line count of both, their count of public names
   (`src_public_names`: the module-level names and methods of src/asailab with
@@ -48,6 +54,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import shlex
 import statistics
 import subprocess
@@ -77,6 +84,17 @@ def _run(root, *args):
                           capture_output=True, text=True)
 
 
+def _timed(root, *args):
+    """(completed process, wall seconds, CPU seconds) of one `_run`."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    started = time.perf_counter()
+    proc = _run(root, *args)
+    wall = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return proc, round(wall, 3), round(cpu, 3)
+
+
 def compile_tree(root):
     proc = _run(root, "-m", "compileall", "-q", "src", "tests", "perfbench")
     proc.check_returncode()
@@ -101,14 +119,15 @@ def perfbench(sides, side, workload, seed, seconds, trace):
             **{name: m["value"] for name, m in out["metrics"].items()}}
 
 
+def quartiles(xs, median="median"):
+    """The median (under the key `median`), q1, q3 and iqr_over_median of xs."""
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {median: med, "q1": q1, "q3": q3,
+            "iqr_over_median": (q3 - q1) / med if med else None}
+
+
 def summary(runs):
-    out = {}
-    for name in runs[0]:
-        xs = [r[name] for r in runs]
-        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        out[name] = {"median": med, "q1": q1, "q3": q3,
-                     "iqr_over_median": (q3 - q1) / med if med else None, "runs": xs}
-    return out
+    return {name: {**quartiles(xs := [r[name] for r in runs]), "runs": xs} for name in runs[0]}
 
 
 def alternate(sides, measure, repeats=REPEATS):
@@ -122,17 +141,24 @@ def alternate(sides, measure, repeats=REPEATS):
 
 
 def acceptance(root):
-    proc = _run(root, "-c", ACCEPTANCE)
+    """(elapsed_s of each criterion, wall seconds, CPU seconds) of one run."""
+    proc, wall, cpu = _timed(root, "-c", ACCEPTANCE)
     proc.check_returncode()
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1]), wall, cpu
 
 
 def acceptance_times(sides):
-    """Per side, one {"median_s", "runs_s"} per criterion, in order."""
+    """(per side, one {"median_s", "q1", "q3", "iqr_over_median", "runs_s"}
+    per criterion, in order; per side, the same of the processes' wall and
+    CPU seconds)."""
     runs = alternate(sides, lambda side: acceptance(sides[side]))
-    return {side: [{"median_s": statistics.median(rs), "runs_s": list(rs)}
-                   for rs in zip(*per_run)]
-            for side, per_run in runs.items()}
+    criteria = {side: [{**quartiles(rs, "median_s"), "runs_s": list(rs)}
+                       for rs in zip(*(elapsed for elapsed, _, _ in per_run))]
+                for side, per_run in runs.items()}
+    process = {side: {name: {**quartiles(xs, "median_s"), "runs_s": list(xs)}
+                      for name, xs in zip(("wall_s", "cpu_s"), list(zip(*per_run))[1:])}
+               for side, per_run in runs.items()}
+    return criteria, process
 
 
 def readme_commands():
@@ -147,13 +173,14 @@ def cli_times(sides):
     out = []
     for argv in readme_commands():
         def timed(side):
-            started = time.perf_counter()
-            code = _run(sides[side], "-m", "asailab", *argv).returncode
-            return round(time.perf_counter() - started, 3), code
+            proc, wall, cpu = _timed(sides[side], "-m", "asailab", *argv)
+            return wall, cpu, proc.returncode
         runs = alternate(sides, timed)
         out.append({"command": shlex.join(["asailab", *argv]),
-                    **{side: {"median_s": statistics.median(t for t, _ in rs),
-                              "runs_s": [t for t, _ in rs], "exit_code": rs[-1][1]}
+                    **{side: {**quartiles([t for t, _, _ in rs], "median_s"),
+                              "runs_s": [t for t, _, _ in rs],
+                              "cpu_median_s": statistics.median(c for _, c, _ in rs),
+                              "runs_cpu_s": [c for _, c, _ in rs], "exit_code": rs[-1][2]}
                        for side, rs in runs.items()}})
     return out
 
@@ -190,9 +217,8 @@ def main(argv=None):
                       sides, lambda side: perfbench(sides, side, w, 7001, seconds, 1),
                       LAYER_REPEATS).items()}
               for w in runs}
-    started = time.perf_counter()
-    tier1 = _run(CHANGE, *TIER1)
-    tier1_s = round(time.perf_counter() - started, 1)
+    tier1, tier1_s, _ = _timed(CHANGE, *TIER1)
+    acceptance_elapsed_s, acceptance_process_s = acceptance_times(sides)
     record = {
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "pairs": PAIRS, "repeats": REPEATS, "layer_repeats": LAYER_REPEATS,
@@ -201,9 +227,10 @@ def main(argv=None):
         "workloads": {w: {side: summary(rs) for side, rs in per_side.items()}
                       for w, per_side in runs.items()},
         "layers": layers,
-        "acceptance_elapsed_s": acceptance_times(sides),
+        "acceptance_elapsed_s": acceptance_elapsed_s,
+        "acceptance_process_s": acceptance_process_s,
         "cli_s": cli_times(sides),
-        "tier1": {"wall_s": tier1_s,
+        "tier1": {"wall_s": round(tier1_s, 1),
                   "exit_code": tier1.returncode,
                   "summary": (tier1.stdout.strip().splitlines() or [""])[-1]},
         "src_lines": {side: src_lines(root) for side, root in sides.items()},

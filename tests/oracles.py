@@ -10,7 +10,8 @@ one power n^{-s} at a time, factorisation, primality and squarefreeness by
 trial division, ideal powers by repeated squaring, ideal factorisation by
 repeated containment, eigenvalues at composite ideals from ideal powers, ramified Euler factors and the Euler
 product by truncated power series, the Euler product by Horner's rule in
-mpmath, quadratic characters multiplied up from Legendre symbols, Dirichlet
+mpmath, a local factor's fixed-point value in Fractions with sqrt(e) floored
+by isqrt, quadratic characters multiplied up from Legendre symbols, Dirichlet
 characters as a product over discrete logarithms, and a JSON parser that
 refuses NaN.
 """
@@ -709,6 +710,45 @@ def euler_product_L_by_horner(series, s, ell_cutoff, prec=None):
                 factor = _horner(num, x) / _horner(den, x)
             total *= +factor
         return +total
+
+
+def local_value_by_fractions(num, den, m, shift, bits):
+    """floor(2^bits num(x) / den(x)) at x = m 2^-shift, m an int or a complex
+    (real, imag) pair of ints, for polynomials (low degree first) with
+    QuadElt coefficients over Q or one Q(sqrt e): an int at a real x, a
+    (real, imag) pair of floors at a complex one.  x and each polynomial's
+    parts A + B sqrt(e) are complex Fractions; sqrt(e) enters once, as
+    floor(V sqrt(e)) = isqrt(V^2 e) or -isqrt(V^2 e) - 1 for an int V."""
+    x = Fraction(m.real, 1 << shift), Fraction(m.imag, 1 << shift)
+    e = next((c.field.e for c in (*num, *den) if c.y), 0)
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    def sub(u, v):
+        return u[0] - v[0], u[1] - v[1]
+
+    def at(poly):   # (A, B) with poly(x) = A + B sqrt(e)
+        a = b = (Fraction(0), Fraction(0))
+        for c in reversed(poly):
+            (a0, a1), (b0, b1) = mul(a, x), mul(b, x)
+            a, b = (a0 + c.a, a1), (b0 + c.b, b1)
+        return a, b
+
+    (an, bn), (ad, bd) = at(num), at(den)
+    # (an + bn r) / (ad + bd r) = (p + q r) / n, r = sqrt(e); then 1/n = conj(n) / |n|^2
+    n = sub(mul(ad, ad), mul((e, 0), mul(bd, bd)))
+    p = sub(mul(an, ad), mul((e, 0), mul(bn, bd)))
+    q = sub(mul(bn, ad), mul(an, bd))
+    scale = (Fraction(1 << bits) / (n[0] ** 2 + n[1] ** 2), 0)
+    p, q = (mul(mul(z, (n[0], -n[1])), scale) for z in (p, q))
+    floors = []
+    for u, v in zip(p, q):   # floor(u + v sqrt(e)) = floor((U + floor(V sqrt e)) / L)
+        den_ = u.denominator * v.denominator
+        big_u, big_v = int(u * den_), int(v * den_)
+        root = math.isqrt(big_v * big_v * e)
+        floors.append((big_u + (root if big_v >= 0 or not root else -root - 1)) // den_)
+    return floors[0] if isinstance(m, int) else tuple(floors)
 
 
 def _horner(coeffs, x):

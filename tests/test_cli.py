@@ -81,6 +81,19 @@ def test_eta_exponent_count_is_a_usage_error(capsys, argv):
                                "message": "eta needs 1 exponents for modulus 5"}
 
 
+@pytest.mark.parametrize("eta", [[], ["--eta", ""]])
+def test_pr_factor_at_modulus_2_reads_no_exponents(capsys, eta):
+    # (Z/2)^x has no generator: a missing or empty --eta is the one character,
+    # whose Gauss sum is -1; one exponent there is still a usage error
+    code, out, _ = run_cli(capsys, "pr-factor", "--p", "2", "--r", "1", "--a-value", "3", *eta)
+    rep = json.loads(out)
+    assert code == 0 and rep["result"]["gauss_inverse"] == "-1*z^0"
+    code, out, err = run_cli(capsys, "pr-factor", "--p", "2", "--r", "1", "--a-value", "3",
+                             "--eta", "0")
+    assert code == 64 and not out
+    assert json.loads(err)["message"] == "eta needs 0 exponents for modulus 2"
+
+
 @pytest.mark.parametrize("argv", [
     ["lfun", "--delta", "--s", "14", "--n-cutoff", "0", "--method", "dirichlet"],
     ["lfun", "--delta", "--s", "14", "--n-cutoff", "-5"],

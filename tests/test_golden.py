@@ -41,6 +41,7 @@ CASES = {
     "nez_delta_d5_p11": ["nez", "--form", "delta_d5_form.json", "--p", "11"],
     "gauss_sum_p11_r2": ["gauss-sum", "--p", "11", "--r", "2"],
     "gauss_sum_p2_r4": ["gauss-sum", "--p", "2", "--r", "4", "--eta", "1,1"],
+    "gauss_sum_p2_r1": ["gauss-sum", "--p", "2", "--r", "1"],   # (Z/2)^x has no generator
     "pr_factor_p31_r1": ["pr-factor", "--p", "31", "--r", "1", "--alpha-p", "2",
                          "--alpha-q", "3", "--eta", "1", "--j", "1"],
     "pr_factor_p41_r1": ["pr-factor", "--p", "41", "--r", "1", "--a-value", "2", "--eta", "1"],

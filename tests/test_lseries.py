@@ -16,10 +16,10 @@ from asailab.asairep import asai_charpoly
 from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap, synthetic_form)
 from asailab.coeffs import CoefficientField
-from asailab.precision import inverse_power
+from asailab.precision import GUARD_BITS, exact_fixed, inverse_power, mp_context
 from asailab.quadfield import RealQuadraticField
 from oracles import (euler_product_L_by_horner,
-                     euler_product_L_by_series, imprimitive_L_by_terms,
+                     euler_product_L_by_series, imprimitive_L_by_terms, local_value_by_fractions,
                      power_series_quotient, ramified_local_factor_series,
                      sym2_times_twisted_zeta)
 
@@ -361,6 +361,34 @@ def test_dirichlet_sums_off_the_workload_path(case, n_cutoff, precision):
         got, _ = imprimitive_L(series, s, n_cutoff=n_cutoff)
         want = imprimitive_L_by_terms(series, s, n_cutoff, prec=200)
         assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), s
+
+
+@pytest.mark.parametrize("s", [14, 13.5, 14 + 40j, 60, 60 + 3j])
+def test_local_value_against_the_fraction_oracle(s, monkeypatch):
+    # each factor of euler_product_L against floor(2^W num(x) / den(x)) at the
+    # exact rounded x = l^{-s}, in Fractions: within the one unit that its
+    # docstring allows, and equal over Q unless the tiny shortcut is taken,
+    # which at s = 60 the large l take and the small l do not; split, inert
+    # and ramified l, over Q(sqrt 13) and Q(sqrt 5)
+    poly_at, shortcut = lseries._poly_at, set()
+    calls = []
+    monkeypatch.setattr(lseries, "_poly_at", lambda *a: calls.append(a) or poly_at(*a))
+    for series in (AsaiLSeries(_delta_over(13)), *map(_route_series, ("irrational", "twisted"))):
+        e = series.form.coefficient_field.e or 0
+        with mp_context():
+            s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(s)
+            w = mpmath.mp.prec + GUARD_BITS
+            for ell in (2, 3, 5, 7, 11, 13, 17, 461, 463, 467, 499):
+                x, before = inverse_power(ell, s_m), len(calls)
+                num, den = series.local_factor(ell)
+                got = lseries._local_value(num, den, x, w, e)
+                want = local_value_by_fractions(num, den, *exact_fixed(x), w)
+                tiny = len(calls) == before
+                shortcut.add(tiny)
+                got, want = (got.real, got.imag), (want if isinstance(want, tuple) else (want, 0))
+                assert all(abs(g - h) <= (1 if e or tiny else 0) for g, h in zip(got, want)), \
+                    (series.form.field, ell, s)
+    assert shortcut == ({False, True} if complex(s).real == 60 else {False}), s
 
 
 @pytest.mark.parametrize("s", [14, 13.5, 14 + 40j])

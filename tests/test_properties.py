@@ -8,13 +8,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from asailab.arith import is_prime, is_squarefree  # noqa: E402
-from asailab.asairep import charpoly_reversed  # noqa: E402
+from asailab.arith import is_prime, is_squarefree, primes_up_to  # noqa: E402
+from asailab.asairep import (asai_charpoly, asai_charpoly_via_induction,  # noqa: E402
+                             charpoly_reversed)
 from asailab.coeffs import CoefficientField  # noqa: E402
+from asailab.eigenform import HilbertEigenform, Weight  # noqa: E402
 from asailab.cyclo import CyclotomicValue  # noqa: E402
 from asailab.padic import hensel_unit_root, to_padic  # noqa: E402
 from asailab.quadfield import (IdealRep, NotPrincipalError, RealQuadraticField,  # noqa: E402
-                               find_generator, ideals_of_norm)
+                               find_generator, ideals_of_norm, splitting_type)
 from oracles import (check_hyperu_ladder, leibniz_charpoly_reversed,  # noqa: E402
                      shortest_generator_oracle)
 
@@ -38,6 +40,41 @@ def test_charpoly_equals_leibniz_expansion(a):
     want = leibniz_charpoly_reversed(a)
     assert len(got) == len(want)
     assert all(x == y for x, y in zip(got, want))
+
+
+# (r1, r2, t1, t2) with t + t' = 0, 1 and 2
+_ASAI_WEIGHTS = [Weight(2, 2, 0, 0), Weight(6, 2, -1, 1), Weight(4, 2, 0, 1),
+                 Weight(6, 4, 0, 1), Weight(2, 2, 1, 1), Weight(4, 4, 1, 1)]
+
+
+@st.composite
+def asai_forms(draw):
+    """(form, l): a form over Q(sqrt d) known at the primes above one split or
+    inert l < 100, lambda(P) over Q or Q(sqrt e) with denominators up to 6, and
+    eps(P) = 1, -1 or (over Q(sqrt e)) an irrational value."""
+    field = RealQuadraticField(draw(st.sampled_from([2, 3, 5, 13, 17])))
+    split = draw(st.booleans())
+    ell = draw(st.sampled_from([p for p in primes_up_to(100) if field.disc % p
+                                and splitting_type(field, p).is_split == split]))
+    cf = CoefficientField(draw(st.sampled_from([None, 2, 3, 5, 7])))
+    irrational = rationals if cf.e else st.just(Fraction(0))
+    epsilons = [cf.element(1), cf.element(-1)]
+    if cf.e:
+        epsilons.append(cf.element(draw(rationals), draw(rationals.filter(bool))))
+    primes = splitting_type(field, ell).primes
+    eig = {p.hnf(): cf.element(draw(rationals), draw(irrational)) for p in primes}
+    neb = {p.hnf(): draw(st.sampled_from(epsilons)) for p in primes}
+    return HilbertEigenform(field, draw(st.sampled_from(_ASAI_WEIGHTS)), field.maximal_order(),
+                            cf, eig, neb), ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(asai_forms())
+def test_asai_charpoly_routes_agree_exactly(case):
+    # the Hecke substitution on integer triples against the tensor induction
+    form, ell = case
+    got, want = asai_charpoly(form, ell), asai_charpoly_via_induction(form, ell)
+    assert got == want and got.kind == want.kind
 
 
 def _small_ideals():
