@@ -4,9 +4,9 @@ A form stores exact Hecke eigenvalues lambda(n) keyed by prime-power ideals
 (HNF tuples), a level ideal, a nebentype table and a weight (r1, r2, t1, t2)
 with r1 + 2 t1 = r2 + 2 t2 = w.  One method multiplies stored values over
 prime powers P^e, keyed by `quadfield.prime_powers`: `lambda_of` gives it an
-HNF factorisation, the checks their prime powers, and `lambda_rational` the
-parts of (n) read off the splitting type of each l^e || n, with no ideal
-factorisation -- P^e Pbar^e for split l, (l)^e for inert l and P^{2e} for
+HNF factorisation, the checks their prime powers, and `lambda_rational` (and
+the alpha table, per l^e) the parts read off the splitting type of each l^e || n,
+with no ideal factorisation -- P^e Pbar^e for split l, (l)^e for inert l and P^{2e} for
 ramified l (P^2 = (l)).
 The weight-12 discriminant form's tau(p) comes from (eta^3)^8 by J.C.P.
 Miller's power recurrence over the sparse q-expansion of eta^3, kept in one
