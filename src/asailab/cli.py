@@ -407,8 +407,10 @@ def cmd_nez(args):
 
 
 def _eta_arg(args):
-    """The character mod p^r named by the --eta generator exponents; a missing
-    or empty --eta is "0", or none where (Z/p^r)^x has no generator (p^r = 2)."""
+    """The character mod p^r, p prime, named by the --eta generator exponents; a
+    missing or empty --eta is "0", or none where (Z/p^r)^x has no generator (p^r = 2)."""
+    if not is_prime(args.p):
+        raise PadicError(f"p = {args.p} is not prime")
     modulus = args.p ** args.r
     gens = unit_group_structure(modulus)
     exps = [int(x) for x in (args.eta or "0").split(",")] if args.eta or gens else []
@@ -438,8 +440,6 @@ def cmd_gauss_sum(args):
     if args.eta is None:   # the default: exponent 1, if there is a generator
         args.eta = "1" if unit_group_structure(args.p ** args.r) else ""
     eta = _eta_arg(args)
-    if not is_prime(args.p):
-        raise PadicError(f"p = {args.p} is not prime")
     g = gauss_sum(eta)
     res = {"gauss_sum": repr(g), "norm_squared": (g * g.conjugate()).rational_value(),
            "numeric": g.to_mpc(),

@@ -387,6 +387,8 @@ def test_pr_factor_zero_eigenvalue_is_a_validation_error(capsys, extra):
     ["padic-params", "--p", "-5", "--alpha-p", "2", "--alpha-q", "3"],
     ["pr-factor", "--p", "4", "--r", "1", "--a-value", "2", "--eta", "1"],
     ["gauss-sum", "--p", "4", "--r", "1", "--eta", "1"],
+    ["gauss-sum", "--p", "8", "--r", "1"],   # checked before --eta's count
+    ["pr-factor", "--p", "8", "--r", "1", "--a-value", "2"],
 ])
 def test_padic_p_must_be_prime(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
