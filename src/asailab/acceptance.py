@@ -39,13 +39,8 @@ def _result(name, passed, started, budget=None, **details):
 
 
 @lru_cache(maxsize=2)
-def _field(d):
-    return RealQuadraticField(d)
-
-
-@lru_cache(maxsize=2)
 def _bc_form(bound):
-    return base_change(discriminant_form_ap(bound), 12, None, _field(5), bound=bound)
+    return base_change(discriminant_form_ap(bound), 12, None, RealQuadraticField(5), bound=bound)
 
 
 # -- 1: tensor induction vs Euler factor ---------------------------------------
@@ -61,7 +56,7 @@ def criterion_1():
     while split_done < 200 or inert_done < 200:
         d = rng.choice(fields)
         ell = rng.choice([p for p in range(2, 100) if is_prime(p)])
-        field = _field(d)
+        field = RealQuadraticField(d)
         if field.disc % ell == 0:
             continue
         st = splitting_type(field, ell)
@@ -72,7 +67,7 @@ def criterion_1():
         w = rng.choice(weights[rng.choice([2, 4])])
         eps = rng.choice([1, 1, 1, -1])
         lams = [Fraction(rng.randint(-50, 50)) for _ in st.primes]
-        form = synthetic_form(_field(d), w, {ell: lams}, {ell: eps})
+        form = synthetic_form(field, w, {ell: lams}, {ell: eps})
         if not verify_proj_Pl(form, ell):
             failures.append((d, ell, w, [str(x) for x in lams]))
         if st.is_split:
@@ -80,9 +75,9 @@ def criterion_1():
         else:
             inert_done += 1
     # fixed instances from the operation contract
-    f_split = synthetic_form(_field(11), Weight(2, 2, 0, 0), {5: [2, 3]})
+    f_split = synthetic_form(RealQuadraticField(11), Weight(2, 2, 0, 0), {5: [2, 3]})
     fixed_split = asai_charpoly(f_split, 5).coeffs == [1, -6, 15, -150, 625]
-    f_inert = synthetic_form(_field(5), Weight(2, 2, 0, 0), {3: [5]})
+    f_inert = synthetic_form(RealQuadraticField(5), Weight(2, 2, 0, 0), {3: [5]})
     fixed_inert = asai_charpoly(f_inert, 3).coeffs == [1, -5, 0, 45, -81]
     return _result("1 tensor-induction == Euler factor (200 split + 200 inert)",
                    not failures and fixed_split and fixed_inert, started, 10.0,
@@ -96,7 +91,7 @@ def criterion_2():
     checked = 0
     failures = []
     for d in (2, 3, 5, 13):
-        field = _field(d)
+        field = RealQuadraticField(d)
         for ell in range(2, 200):
             if not is_prime(ell) or field.disc % ell == 0:
                 continue
@@ -292,7 +287,7 @@ def _symbolic_norm_factor(form, ell, j, m):
 
 def criterion_9():
     started = time.perf_counter()
-    form = synthetic_form(_field(5), Weight(2, 2, 0, 0), {3: [5]})
+    form = synthetic_form(RealQuadraticField(5), Weight(2, 2, 0, 0), {3: [5]})
     got = euler_system_norm_factor(form, 3, 0, 5)
     expect = GroupRingElement(5, {1: Fraction(5), 3: Fraction(2),
                                   4: Fraction(-5), 2: Fraction(-2)})
@@ -301,7 +296,7 @@ def criterion_9():
     # random synthetic forms as in criterion 1, twisted weights and k != k'
     # included: the group-ring scalar against the specialised Hecke relation
     rng = random.Random(20261019)
-    fields = {d: _field(d) for d in (2, 3, 5, 13)}
+    fields = {d: RealQuadraticField(d) for d in (2, 3, 5, 13)}
     weights = [Weight(2, 2, 0, 0), Weight(4, 4, 0, 0), Weight(2, 2, 1, 1),
                Weight(6, 4, 0, 1), Weight(5, 3, 0, 1)]
     primes = primes_up_to(59)

@@ -3,7 +3,6 @@ factorisation, divisors, deterministic primality, square roots mod p and
 sieves."""
 
 import math
-from functools import lru_cache
 
 
 _EARLY_EXIT_FROM = 1 << 16  # below it, trial division is as cheap as a primality test
@@ -133,22 +132,30 @@ def divisors(n):
     return small + large[::-1]
 
 
-@lru_cache(maxsize=1)
+_spf = ()   # the sieve of the largest n asked for so far
+
+
 def smallest_prime_factors(n):
-    """spf[m] is the smallest prime factor of m, for 2 <= m <= n, as a tuple.
-    The last sieve is kept, so the callers of one computation at one n
-    (`primes_up_to`, the Dirichlet tables) share a single pass."""
-    spf = list(range(n + 1))
-    p = 2
-    while p * p <= n:
-        if spf[p] == p:
-            for q in range(p * p, n + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-        p += 1
-    return tuple(spf)
+    """A tuple spf, at least n + 1 long, with spf[m] the smallest prime factor
+    of m for 2 <= m <= n.  One process-wide table serves every call, since one
+    L-value asks for several n: an n past its end sieves 1..n on a new list,
+    published by one assignment, so a reader never sees a half-built table."""
+    global _spf
+    spf = _spf
+    if len(spf) <= n:
+        spf = list(range(n + 1))
+        p = 2
+        while p * p <= n:
+            if spf[p] == p:
+                for q in range(p * p, n + 1, p):
+                    if spf[q] == q:
+                        spf[q] = p
+            p += 1
+        spf = _spf = tuple(spf)
+    return spf
 
 
 def primes_up_to(n):
     """Primes p <= n, ascending."""
-    return [p for p, q in enumerate(smallest_prime_factors(n)) if p >= 2 and p == q]
+    spf = smallest_prime_factors(n)
+    return [p for p in range(2, n + 1) if spf[p] == p]

@@ -23,8 +23,8 @@ import mpmath
 
 from . import __version__
 from .arith import is_prime
-from .precision import MIN_PRECISION, working_precision
-from .coeffs import CoefficientError, parse_rational
+from .precision import MIN_PRECISION, mp_context, working_precision
+from .coeffs import CoefficientError, parse_rational, to_mpf
 from .quadfield import (RealQuadraticField, IdealRep, ideal_label, splitting_type,
                         totally_positive_generator)
 from .eigenform import (Weight, base_change, check_hecke_relations,
@@ -182,16 +182,17 @@ def cmd_field_info(args):
     field = RealQuadraticField(args.d)
     unit, nrm = field.fundamental_unit()
     a, b = field.omega_coords(unit)
-    theta1 = float(unit.to_mpf())
+    with mp_context():
+        theta1 = to_mpf(unit)
     # a unit past the float range is reported by its regulator log(theta1)
-    size = ({"theta1": theta1} if mpmath.isfinite(theta1)
-            else {"log_theta1": float(mpmath.log(unit.to_mpf()))})
+    size = ({"theta1": float(theta1)} if mpmath.isfinite(float(theta1))
+            else {"log_theta1": float(mpmath.log(theta1))})
+    different = field.different()
     res = {
         "d": field.d, "discriminant": field.disc,
         "omega": {"trace": field.omega_trace, "norm": field.omega_norm},
         "fundamental_unit": {"a": a, "b": b, **size, "norm": nrm},
-        "different": {"hnf": field.different().hnf(),
-                      "norm": field.different().norm()},
+        "different": {"hnf": different.hnf(), "norm": different.norm()},
     }
     if args.ell is not None:
         st = splitting_type(field, args.ell)

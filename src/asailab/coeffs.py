@@ -252,15 +252,6 @@ class QuadElt:
     def is_totally_positive(self):
         return self.sign_theta1() > 0 and self.sign_theta2() > 0
 
-    @property
-    def is_rational(self):
-        return self.y == 0
-
-    def as_fraction(self):
-        if self.y:
-            raise CoefficientError(f"{self} is not rational")
-        return Fraction(self.x, self.den)
-
     def __eq__(self, other):
         if isinstance(other, QuadElt):
             return (self.x == other.x and self.y == other.y and self.den == other.den
@@ -284,12 +275,9 @@ class QuadElt:
 
     # -- numeric / wire --------------------------------------------------
 
-    def to_mpf(self):
-        with mp_context():
-            return to_mpf(self)
-
     def __float__(self):
-        return float(self.to_mpf())
+        with mp_context():
+            return float(to_mpf(self))
 
     def to_json(self):
         if not self.y:
@@ -298,8 +286,9 @@ class QuadElt:
 
 
 def to_mpf(x):
-    """An exact value (QuadElt, int or Fraction) as an mpf at the working
-    precision of the caller's mpmath context, which it does not re-enter."""
+    """The one way from an exact value (QuadElt, int or Fraction) to mpmath: an
+    mpf at the working precision of the caller's mpmath context, which it does
+    not re-enter."""
     if isinstance(x, QuadElt):
         if not x.y:
             # dividing a rounded value by 1 leaves it as it is

@@ -3,8 +3,9 @@
 A form stores exact Hecke eigenvalues lambda(n) keyed by prime-power ideals
 (HNF tuples), a level ideal, a nebentype table and a weight (r1, r2, t1, t2)
 with r1 + 2 t1 = r2 + 2 t2 = w.  One method multiplies stored values over
-prime powers P^e, keyed by `quadfield.prime_powers`: `lambda_of` gives it an
-HNF factorisation, the checks their prime powers, and `lambda_rational` (and
+prime powers P^e, keyed by `quadfield.prime_powers`: `lambda_of` and the
+multiplicativity check give it the parts of `IdealRep.factor`, the recursion
+check its prime powers, and `lambda_rational` (and
 the alpha table, per l^e) the parts read off the splitting type of each l^e || n,
 with no ideal factorisation -- P^e Pbar^e for split l, (l)^e for inert l and P^{2e} for
 ramified l (P^2 = (l)).
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorise, primes_up_to
-from .coeffs import CoefficientField, QuadElt
+from .coeffs import CoefficientField
 from .quadfield import (RealQuadraticField, IdealRep, ideal_from_label,
                         ideal_label, prime_powers, splitting_type)
 
@@ -101,7 +102,7 @@ class HilbertEigenform:
     def lambda_of(self, ideal):
         """lambda at an integral ideal: stored, or multiplied over its HNF factorisation."""
         val = self.stored(ideal)
-        return self._stored_product(_indexed(ideal.factor())) if val is None else val
+        return self._stored_product(ideal.factor()) if val is None else val
 
     def lambda_rational(self, n):
         """The T(n)-eigenvalue lambda((n)) for a positive integer n: the
@@ -153,11 +154,6 @@ def _power_parts(st, e):
     return [(st.ell, i, 2 * e if st.is_ramified else e) for i in range(len(st.primes))]
 
 
-def _indexed(factors):
-    """The (ell, i, e) of each (P, e) of an ideal factorisation, P the i-th prime above ell."""
-    return [(p.n, splitting_type(p.field, p.n).primes.index(p), e) for p, e in factors]
-
-
 def load_eigenform(source):
     """Load and fully validate a form from a path or dict."""
     if isinstance(source, dict):
@@ -207,7 +203,7 @@ def _multiplicativity_violations(form, bound=None):
         ideal = IdealRep(form.field, *key)
         if bound is not None and ideal.norm() > bound:
             continue
-        parts = _indexed(ideal.factor())
+        parts = ideal.factor()
         if len(parts) < 2:
             continue
         try:
@@ -260,10 +256,11 @@ def check_hecke_relations(form, bound):
 def base_change(ap, k_cl, nebentype_classical, field, bound=500):
     """Synthesise the base change of a level-1 classical eigenform to Q(sqrt(d)).
 
-    ap maps rational primes to a_p values; k_cl >= 2 is the classical weight;
-    nebentype_classical must be None (a nebentype could not reach an
-    L-series: AsaiLSeries refuses it).  For split l: lambda(P) =
-    lambda(Pbar) = a_l.  For inert l: lambda(l O_F) = a_l^2 - 2 l^{k_cl - 1}.
+    ap maps rational primes to rational a_p values (ints or Fractions);
+    k_cl >= 2 is the classical weight; nebentype_classical must be None (a
+    nebentype could not reach an L-series: AsaiLSeries refuses it).  For split
+    l: lambda(P) = lambda(Pbar) = a_l.  For inert l: lambda(l O_F) = a_l^2 -
+    2 l^{k_cl - 1}.
     For ramified l = P^2: lambda(P) = a_l, because P has residue degree 1 and
     the classical form is unramified at l, so Frob_P acts as Frob_l.  (The
     Asai L-series sees only lambda(P)^2, so
@@ -278,19 +275,13 @@ def base_change(ap, k_cl, nebentype_classical, field, bound=500):
     if nebentype_classical is not None:
         raise EigenformError("base change takes level-1 forms without nebentype")
     cfield = CoefficientField(None)
-    for v in ap.values():
-        if isinstance(v, QuadElt) and not v.is_rational:
-            cfield = v.field
-            break
     weight = Weight(k_cl, k_cl, 0, 0)
     eigenvalues = {}
     bound = int(bound)
     for ell in primes_up_to(bound):
         if ell not in ap:
             raise MissingEigenvalueError(f"a_p missing at p = {ell} below bound {bound}")
-        a_ell = ap[ell]
-        if not isinstance(a_ell, QuadElt):
-            a_ell = cfield.element(a_ell)   # an int a_l is kept, not copied, in the form
+        a_ell = cfield.element(ap[ell])
         st = splitting_type(field, ell)
         lam_p = a_ell * a_ell - 2 * ell ** (k_cl - 1) if st.is_inert else a_ell
         # P and Pbar of a split ell have one norm and one lambda, so one run

@@ -392,19 +392,15 @@ def inert_label(ell):
     return PrimeLabel(f"q{ell}", ell * ell)
 
 
-def _rational_prime_arg(ell, kind, labels=None):
-    """The T-argument of (ell) for kind 'split' or 'inert'; None for any other kind."""
-    if kind == "split":
-        lam, lambar = labels if labels else split_labels(ell)
-        return (lam, 1), (lambar, 1)
-    if kind == "inert":
-        lab = labels if isinstance(labels, PrimeLabel) else inert_label(ell)
-        return ((lab, 1),)
-    return None
+def _rational_prime_arg(kind, labels):
+    """The T-argument of (ell): the pair of labels of a split ell, else its one label."""
+    return tuple((lab, 1) for lab in labels) if kind == "split" else ((labels, 1),)
 
 
-def asai_euler_symbolic(ell, kind, labels=None):
-    """Degree-4 operator-valued Euler factor at a good rational prime.
+def asai_euler_symbolic(ell, kind, labels):
+    """Degree-4 operator-valued Euler factor at a good rational prime, of
+    kind 'split' (labels: the pair of `split_labels`) or 'inert' (labels: an
+    `inert_label`).
 
     Inert:  (1 - T(l) X + l^2 S(l) X^2)(1 - l^2 S(l) X^2).
     Split:  1 - T(l) X + (T(l)^2 - T(l^2) - l^2 S(l)) X^2
@@ -412,7 +408,7 @@ def asai_euler_symbolic(ell, kind, labels=None):
     Ramified primes are rejected.  Returns the normalised polynomial.
     """
     ell = int(ell)
-    arg = _rational_prime_arg(ell, kind, labels)
+    arg = _rational_prime_arg(kind, labels)
     x, one = X(), HeckePolynomial.constant(1)
     if kind == "inert":
         p = (one - T(arg) * x + ell ** 2 * S(arg) * x ** 2) * \
@@ -448,23 +444,21 @@ def verify_split_x2_identity(lam, lambar):
     return lhs == rhs
 
 
-def norm_relation_symbolic(ell, j, k, kprime, kind="inert", labels=None):
+def norm_relation_symbolic(ell, j, k, kprime, kind, labels):
     """The Euler-system norm-relation operator, normalised.
 
     Returns  l^j sigma_l [ (l-1)(1 - l^{-2j} <l^{-1}> R'(l) sigma_l^{-2})
                            - l P'_l(l^{-1-j} sigma_l^{-1}) ]
     as a Laurent polynomial in sigma_l whose coefficients are Hecke
-    polynomials.  Symbols denote the covariant operators here; the
-    commutative relations used for normalisation are the same.
+    polynomials, kind and labels as for `asai_euler_symbolic`.  Symbols
+    denote the covariant operators here; the commutative relations used for
+    normalisation are the same.
     """
     ell = int(ell)
     if not 0 <= j <= min(k, kprime):
         raise HeckeAlgError(f"need 0 <= j <= min(k, k'), got j={j}")
-    arg = _rational_prime_arg(ell, kind, labels)
-    if arg is None:
-        raise HeckeAlgError("norm relation needs an unramified prime")
-    labs = tuple(lab for lab, _ in arg) if kind == "split" else arg[0][0]
-    p = asai_euler_symbolic(ell, kind, labs)
+    p = asai_euler_symbolic(ell, kind, labels)  # raises at a ramified ell
+    arg = _rational_prime_arg(kind, labels)
     sub = Fraction(1, ell ** (1 + j)) * sigma(ell, -1)
     p_at = p.substitute_X(sub)
     one = HeckePolynomial.constant(1)

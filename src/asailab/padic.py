@@ -41,20 +41,6 @@ def _vp_int(n, p):
     return v
 
 
-def _as_fraction(x):
-    if isinstance(x, QuadElt):
-        return x.as_fraction()
-    return Fraction(x)
-
-
-def vp_fraction(x, p):
-    """Exact p-adic valuation of a nonzero rational."""
-    x = _as_fraction(x)
-    if x == 0:
-        raise PadicError("valuation of zero")
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
-
-
 class PadicNumber:
     """p^val * unit with the unit known mod p^prec."""
 
@@ -70,20 +56,8 @@ class PadicNumber:
         self.val = int(val)
         self.unit = unit
 
-    @classmethod
-    def from_rational(cls, x, p, prec):
-        x = _as_fraction(x)
-        if x == 0:
-            raise PadicError("zero has no p-adic unit decomposition")
-        v = vp_fraction(x, p)
-        num = x.numerator // p ** max(0, v)
-        den = x.denominator // p ** max(0, -v)
-        mod = p ** prec
-        unit = (num % mod) * pow(den % mod, -1, mod) % mod
-        return cls(p, v, unit, prec)
-
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = to_padic(other, self.p, self.prec)
         prec = min(self.prec, other.prec)
         mod = self.p ** prec
         return PadicNumber(self.p, self.val + other.val,
@@ -102,13 +76,13 @@ class PadicNumber:
         return PadicNumber(self.p, -self.val, pow(self.unit, -1, mod), self.prec)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        return self * to_padic(other, self.p, self.prec).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = to_padic(other, self.p, self.prec)
         v = min(self.val, other.val)
         # both known mod p^{val + prec}
         known = min(self.val + self.prec, other.val + other.prec)
@@ -128,17 +102,14 @@ class PadicNumber:
         return PadicNumber(self.p, self.val, (-self.unit) % mod, self.prec)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-to_padic(other, self.p, self.prec))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _coerce(self, other):
-        return to_padic(other, self.p, self.prec)
-
     def __eq__(self, other):
         try:
-            other = self._coerce(other)
+            other = to_padic(other, self.p, self.prec)
         except PadicError:
             return NotImplemented
         if self.val != other.val:
@@ -203,16 +174,18 @@ def to_padic(value, p, prec=DIGITS):
     """The one way into p-adic arithmetic: an int, Fraction or QuadElt as a
     PadicNumber known mod p^prec (a PadicNumber passes through unchanged).
 
-    An irrational a + b sqrt(e) is read through sqrt(e) -> the Hensel lift of
-    the smaller root mod p, taken to enough digits that the unit is right mod
-    p^prec.  Anything else raises PadicError.
+    A nonzero rational x is p^v u with v its exact valuation, counted in the
+    numerator and the denominator, and u = x / p^v read mod p^prec; zero
+    raises PadicError.  An irrational a + b sqrt(e) is read through sqrt(e) ->
+    the Hensel lift of the smaller root mod p, taken to enough digits that the
+    unit is right mod p^prec.  Anything else raises PadicError.
     """
     if isinstance(value, PadicNumber):
         if value.p != p:
             raise PadicError("mixed primes")
         return value
     if isinstance(value, QuadElt):
-        if value.is_rational:
+        if not value.y:
             value = value.a
         else:
             e = value.field.e
@@ -229,7 +202,12 @@ def to_padic(value, p, prec=DIGITS):
                 raise PadicError("value vanishes to working precision under the embedding")
     if not isinstance(value, (int, Fraction)):
         raise PadicError(f"cannot coerce {value!r} to a p-adic number")
-    return PadicNumber.from_rational(value, p, prec)
+    if value == 0:
+        raise PadicError("zero has no p-adic unit decomposition")
+    num, den = value.numerator, value.denominator
+    v = _vp_int(num, p) - _vp_int(den, p)
+    unit = num // p ** max(0, v) * pow(den // p ** max(0, -v), -1, p ** prec)
+    return PadicNumber(p, v, unit, prec)
 
 
 # -- ordinary stabilisation data ---------------------------------------------

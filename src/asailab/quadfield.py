@@ -42,28 +42,34 @@ def discriminant(d):
     return d if d % 4 == 1 else 4 * d
 
 
-class RealQuadraticField:
-    """Q(sqrt(d)) with its ring of integers Z + Z*omega."""
+_FIELDS = {}   # d -> the one RealQuadraticField of d
 
-    def __init__(self, d):
-        self.disc = discriminant(d)  # validates d
-        self.d = self.e = int(d)  # e: the radicand QuadElt reads
-        if self.d % 4 == 1:  # omega = (1 + sqrt d)/2, a root of X^2 - X + (1 - d)/4
-            self.omega_trace, self.omega_norm = 1, (1 - self.d) // 4
+
+class RealQuadraticField:
+    """Q(sqrt(d)) with its ring of integers Z + Z*omega.
+
+    There is one object per d: RealQuadraticField(d) validates d and returns
+    the object of that d from a process-wide dict, filled by `dict.setdefault`
+    so that concurrent first calls agree.  Equality is identity, so every
+    per-field memo hits by identity and the fundamental unit is found once per d.
+    """
+
+    def __new__(cls, d):
+        field = _FIELDS.get(d)
+        if field is not None:
+            return field
+        field = super().__new__(cls)
+        field.disc = discriminant(d)  # validates d
+        field.d = field.e = int(d)  # e: the radicand QuadElt reads
+        if field.d % 4 == 1:  # omega = (1 + sqrt d)/2, a root of X^2 - X + (1 - d)/4
+            field.omega_trace, field.omega_norm = 1, (1 - field.d) // 4
         else:  # omega = sqrt d
-            self.omega_trace, self.omega_norm = 0, -self.d
-        self._unit = None
-        # every per-field memo hashes the field on each hit
-        self._hash = hash(("RealQuadraticField", self.d))
+            field.omega_trace, field.omega_norm = 0, -field.d
+        field._unit = None
+        return _FIELDS.setdefault(field.d, field)
 
     def __repr__(self):
         return f"RealQuadraticField(d={self.d})"
-
-    def __eq__(self, other):
-        return isinstance(other, RealQuadraticField) and self.d == other.d
-
-    def __hash__(self):
-        return self._hash
 
     # -- elements ----------------------------------------------------------
 
@@ -213,22 +219,24 @@ class IdealRep:
         return on % n == 0 and og % g == 0 and (om - og // g * m) % n == 0
 
     def factor(self):
-        """List of (prime IdealRep, exponent), ell ascending and primes_above
-        order; needs the norm to factor over Z.  For ell^e || Nm(self) the
-        ell-part is (ell)^(e/2) at an inert ell, P^e at a ramified one and the
-        one P^a Pbar^(e-a) dividing self at a split one."""
+        """The factorisation as parts (ell, i, e): self is the product of P^e
+        over them, P the i-th prime above ell in primes_above order, ell
+        ascending -- the parts `HilbertEigenform._stored_product` reads.  Needs
+        the norm to factor over Z.  For ell^e || Nm(self) the ell-part is
+        (ell)^(e/2) at an inert ell, P^e at a ramified one and the one
+        P^a Pbar^(e-a) dividing self at a split one."""
         out = []
         for ell, e in factorise(self.norm()):
             st = splitting_type(self.field, ell)
             if not st.is_split:
-                out.append((st.primes[0], e // 2 if st.is_inert else e))
+                out.append((ell, 0, e // 2 if st.is_inert else e))
                 continue
             a = next(a for a, part in enumerate(_norm_ell_power_ideals(self.field, ell, e))
                      if part.divides(self))
-            out += [(p, v) for p, v in zip(st.primes, (a, e - a)) if v]
+            out += [(ell, i, v) for i, v in enumerate((a, e - a)) if v]
         check = 1
-        for p, v in out:
-            check *= p.norm() ** v
+        for ell, i, v in out:
+            check *= splitting_type(self.field, ell).primes[i].norm() ** v
         if check != self.norm():
             raise QuadFieldError(f"factorisation failure for {self}")
         return out

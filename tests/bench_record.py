@@ -27,7 +27,11 @@ file records:
 - the `elapsed_s` of each acceptance criterion, from REPEATS runs of the
   suite per checkout (alternating which side goes first), with the median
   and quartiles, and under `acceptance_process_s` the wall and the CPU
-  seconds of each of those processes;
+  seconds of each of those processes and their `probe_s`;
+- `probe_s` is the time of a fixed Fraction and big-int computation (PROBE)
+  that each acceptance process runs before the criteria: it moves with the
+  machine's contention but not with the change, so each criterion also has
+  `probe_scaled`, the quartiles of its `elapsed_s / probe_s` over the runs;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
   as `python -m asailab` in a fresh process, REPEATS times per checkout
   (alternating which side goes first), with the median and quartiles, and
@@ -68,8 +72,11 @@ CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
 LAYER_REPEATS = 9  # three runs per side could not resolve a 30% move in a layer
 REPEATS = 7  # one slow run of three moved a median by a third
-ACCEPTANCE = ("import json; from asailab.acceptance import CRITERIA; "
-              "print(json.dumps([c()['elapsed_s'] for c in CRITERIA]))")
+PROBE = "sum(Fraction(1, n) for n in range(1, 3000)); math.factorial(30000)"
+ACCEPTANCE = ("import json, math, time; from fractions import Fraction; "
+              "from asailab.acceptance import CRITERIA; "
+              f"t = time.perf_counter(); {PROBE}; probe = time.perf_counter() - t; "
+              "print(json.dumps([probe, [c()['elapsed_s'] for c in CRITERIA]]))")
 CLI_OPTIONS = ("import argparse; from asailab.cli import build_parser; p = build_parser(); "
                "(sub,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]; "
                "print(sum(bool(a.option_strings) and a.dest != 'help' "
@@ -141,22 +148,26 @@ def alternate(sides, measure, repeats=REPEATS):
 
 
 def acceptance(root):
-    """(elapsed_s of each criterion, wall seconds, CPU seconds) of one run."""
+    """(elapsed_s of each criterion, probe seconds, wall seconds, CPU seconds)
+    of one run."""
     proc, wall, cpu = _timed(root, "-c", ACCEPTANCE)
     proc.check_returncode()
-    return json.loads(proc.stdout.splitlines()[-1]), wall, cpu
+    probe, elapsed = json.loads(proc.stdout.splitlines()[-1])
+    return elapsed, round(probe, 4), wall, cpu
 
 
 def acceptance_times(sides):
-    """(per side, one {"median_s", "q1", "q3", "iqr_over_median", "runs_s"}
-    per criterion, in order; per side, the same of the processes' wall and
-    CPU seconds)."""
+    """(per side, one {"median_s", "q1", "q3", "iqr_over_median", "runs_s",
+    "probe_scaled"} per criterion, in order; per side, the same of the
+    processes' probe, wall and CPU seconds)."""
     runs = alternate(sides, lambda side: acceptance(sides[side]))
-    criteria = {side: [{**quartiles(rs, "median_s"), "runs_s": list(rs)}
-                       for rs in zip(*(elapsed for elapsed, _, _ in per_run))]
+    criteria = {side: [{**quartiles(rs, "median_s"), "runs_s": list(rs),
+                        "probe_scaled": quartiles([e / run[1] for e, run in zip(rs, per_run)])}
+                       for rs in zip(*(run[0] for run in per_run))]
                 for side, per_run in runs.items()}
     process = {side: {name: {**quartiles(xs, "median_s"), "runs_s": list(xs)}
-                      for name, xs in zip(("wall_s", "cpu_s"), list(zip(*per_run))[1:])}
+                      for name, xs in zip(("probe_s", "wall_s", "cpu_s"),
+                                          list(zip(*per_run))[1:])}
                for side, per_run in runs.items()}
     return criteria, process
 

@@ -5,12 +5,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from asailab.acceptance import _bc_form, _field  # shared caches with the suite
+from asailab.acceptance import _bc_form  # a cache shared with the suite
+from asailab.quadfield import RealQuadraticField
 
 
 @pytest.fixture(scope="session")
 def field5():
-    return _field(5)
+    return RealQuadraticField(5)
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,7 @@ def test_split_x2_identity_rejects_inert_style_input():
 
 def test_asai_euler_symbolic_inert():
     # at T = t, S = s: (1 - t X + 9 s X^2)(1 - 9 s X^2)
-    p = asai_euler_symbolic(3, "inert")
+    p = asai_euler_symbolic(3, "inert", inert_label(3))
     t, s = Fraction(2), Fraction(3)
     coeffs = p.specialize({"q3": t}, {"q3": s})
     # X^2 coefficient cancels for the inert shape
@@ -113,8 +113,8 @@ def test_asai_euler_symbolic_inert():
 
 def test_asai_euler_symbolic_split():
     # the X^3 coefficient is -121 S(l) T(l) with T(l) = T(lam) T(lambar)
-    p = asai_euler_symbolic(11, "split")
     lam, lambar = split_labels(11)
+    p = asai_euler_symbolic(11, "split", (lam, lambar))
     t_values = {lam.name: Fraction(2), lambar.name: Fraction(3)}
     s_values = {lam.name: Fraction(5), lambar.name: Fraction(7)}
     assert p.specialize(t_values, s_values)[3] == -121 * 35 * 6
@@ -122,18 +122,18 @@ def test_asai_euler_symbolic_split():
 
 def test_asai_euler_symbolic_ramified_rejected():
     with pytest.raises(HeckeAlgError):
-        asai_euler_symbolic(5, "ramified")
+        asai_euler_symbolic(5, "ramified", inert_label(5))
 
 
 def test_norm_relation_sigma_degrees():
-    nr = norm_relation_symbolic(3, 0, 0, 0, "inert")
+    nr = norm_relation_symbolic(3, 0, 0, 0, "inert", inert_label(3))
     assert sorted(nr.sigma_decomposition()) == [-3, -2, -1, 0, 1]
 
 
 def test_norm_relation_matches_hand_expansion():
     ell = 3
-    nr = norm_relation_symbolic(ell, 0, 0, 0, "inert")
     lab = inert_label(ell)
+    nr = norm_relation_symbolic(ell, 0, 0, 0, "inert", lab)
     fixture = hand_norm_relation_inert_000(ell)
     dec = nr.sigma_decomposition()
     assert set(dec) == set(fixture)
@@ -152,7 +152,7 @@ def test_norm_relation_matches_hand_expansion():
 def test_norm_relation_kill_hecke_terms():
     # substituting S -> 0, T -> 0 leaves l^j sigma (l-1) - l^{1+j} sigma
     for ell, j in ((3, 0), (7, 1)):
-        nr = norm_relation_symbolic(ell, j, 2, 2, "inert")
+        nr = norm_relation_symbolic(ell, j, 2, 2, "inert", inert_label(ell))
         lab_name = f"q{ell}"
         got = sum(part.specialize({lab_name: Fraction(0)}, {lab_name: Fraction(0)}).get(0, 0)
                   for part in nr.sigma_decomposition().values())
@@ -161,7 +161,7 @@ def test_norm_relation_kill_hecke_terms():
 
 def test_norm_relation_j_range():
     with pytest.raises(HeckeAlgError):
-        norm_relation_symbolic(3, 1, 0, 0, "inert")
+        norm_relation_symbolic(3, 1, 0, 0, "inert", inert_label(3))
 
 
 def test_confluence_small():
@@ -242,6 +242,6 @@ def test_integer_products_keep_int_coefficients():
     assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
     assert repr(by_int) == repr(by_fraction)
     # the norm relation keeps its non-integral coefficients, 1/l^(1+j) among them
-    coeffs = norm_relation_symbolic(3, 1, 2, 2, "inert").terms.values()
+    coeffs = norm_relation_symbolic(3, 1, 2, 2, "inert", inert_label(3)).terms.values()
     assert Fraction(1, 3 ** 2) in coeffs and Fraction(-2, 3) in coeffs
     assert all(type(c) is Fraction for c in coeffs if c.denominator > 1)

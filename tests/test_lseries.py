@@ -5,7 +5,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from asailab import lseries
+from asailab import arith, lseries
 from asailab.lseries import (AsaiLSeries, LSeriesError, SymbolicConstant,
                              dirichlet_alpha_table, euler_product_L,
                              euler_product_coefficients, imprimitive_L,
@@ -406,13 +406,17 @@ def test_euler_product_L_matches_the_horner_route(s, precision):
         assert abs(got - want) <= abs(want) * mpmath.ldexp(1, -190), case
 
 
-def test_imprimitive_L_sieves_once(bc_form_500):
+def test_imprimitive_L_sieves_once(bc_form_500, monkeypatch):
     # the alpha table's primes, its multiplicative assembly and the n^{-s}
-    # ladder all read one sieve of 1..N
+    # ladder all read the one sieve table, which a first call grows to N and
+    # a second call, or any smaller n, reads as it is
     series = AsaiLSeries(bc_form_500)
-    smallest_prime_factors.cache_clear()
+    monkeypatch.setattr(arith, "_spf", ())
     imprimitive_L(series, 14, n_cutoff=500)
-    assert smallest_prime_factors.cache_info().misses == 1
+    table = arith._spf
+    assert len(table) == 501 and smallest_prime_factors(100) is table
+    imprimitive_L(series, 14, n_cutoff=500)
+    assert arith._spf is table and primes_up_to(10) == [2, 3, 5, 7]
 
 
 def test_imprimitive_L_keeps_no_list_of_terms(bc_form_4000):

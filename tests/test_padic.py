@@ -10,18 +10,18 @@ from asailab.eigenform import HilbertEigenform, Weight
 from asailab.padic import (DIGITS, InterpFactor, NEZFailure, OrdinaryData, PadicError,
                            PadicNumber, check_NEZ, gauss_sum, gauss_sum_inverse,
                            hensel_sqrt, hensel_unit_root, pr_interp_factor,
-                           stabilized_params, to_padic, vp_fraction)
+                           stabilized_params, to_padic)
 from asailab.quadfield import IdealRep, RealQuadraticField
 
 
 def test_padic_number_arithmetic():
-    x = PadicNumber.from_rational(Fraction(50), 5, 10)
+    x = to_padic(Fraction(50), 5, 10)
     assert x.val == 2 and x.unit == 2
-    y = PadicNumber.from_rational(Fraction(3, 25), 5, 10)
+    y = to_padic(Fraction(3, 25), 5, 10)
     assert y.val == -2
     assert (x * y).val == 0
     assert (x * y) * (x * y).inverse() == 1
-    z = x + PadicNumber.from_rational(Fraction(75), 5, 10)  # 50 + 75 = 125
+    z = x + to_padic(Fraction(75), 5, 10)  # 50 + 75 = 125
     assert z.val == 3
     with pytest.raises(PadicError):
         _ = x - x  # exact cancellation exceeds stored precision
@@ -34,8 +34,8 @@ def test_equal_padic_numbers_hash_alike():
 
 
 def test_vp_and_valuation_of_value():
-    assert vp_fraction(Fraction(250, 3), 5) == 3
-    assert vp_fraction(Fraction(3, 250), 5) == -3
+    assert to_padic(Fraction(250, 3), 5).val == 3
+    assert to_padic(Fraction(3, 250), 5).val == -3
     cf = CoefficientField(2)
     # v(4 - sqrt2) at p = 7 via the smaller root sqrt2 -> 3: 4 - 3 = 1: valuation 0
     assert to_padic(cf.element(4, -1), 7).val == 0
@@ -211,27 +211,29 @@ def test_to_padic_unit_is_right_to_the_stated_precision():
 
 
 def test_exact_operand_takes_the_padic_precision_in_either_order():
-    exact, padic = Fraction(2), PadicNumber.from_rational(Fraction(7, 3), 5, 40)
+    exact, padic = Fraction(2), to_padic(Fraction(7, 3), 5, 40)
     for ap, aq in ((exact, padic), (padic, exact)):
         data = OrdinaryData(p=5, k=0, kprime=0, alpha_p=ap, alpha_q=aq)
         assert data.alpha_rational().prec == 40
-        assert data.alpha_rational() == PadicNumber.from_rational(Fraction(14, 3), 5, 40)
+        assert data.alpha_rational() == to_padic(Fraction(14, 3), 5, 40)
     # 1 + sqrt2 at p = 7 (2 = 3^2 mod 7) enters through to_padic on either side
     x = CoefficientField(2).element(1, 1)
-    y = PadicNumber.from_rational(Fraction(2), 7, 12)
+    y = to_padic(Fraction(2), 7, 12)
     assert y * x == x * y == to_padic(x, 7, 12) * 2
     assert (y * x).prec == 12 and (x / y).prec == 12
 
 
 def test_padic_power_and_foreign_operands():
-    x = PadicNumber.from_rational(Fraction(10, 3), 5, 8)
+    x = to_padic(Fraction(10, 3), 5, 8)
     assert x ** 3 == x * x * x and (x ** 3).val == 3
     assert x ** -2 == (x * x).inverse() and x ** 0 == 1
     assert x.__eq__("1") is NotImplemented and x != "1"
     with pytest.raises(PadicError):
         to_padic(1.5, 5, 8)
+    with pytest.raises(PadicError, match="zero has no p-adic unit decomposition"):
+        to_padic(Fraction(0), 5, 8)
     with pytest.raises(PadicError):
-        x * PadicNumber.from_rational(Fraction(2), 7, 8)  # mixed primes
+        x * to_padic(Fraction(2), 7, 8)  # mixed primes
 
 
 def test_hensel_sqrt_matches_the_scan_of_its_smaller_root():
@@ -249,13 +251,13 @@ def test_hensel_sqrt_at_a_large_prime():
 
 
 def test_hensel_unit_root_checks_padic_traces_too():
-    five = PadicNumber.from_rational(Fraction(5), 5, 10)
+    five = to_padic(Fraction(5), 5, 10)
     with pytest.raises(PadicError):
         hensel_unit_root(five, Fraction(5), 5, 10)  # trace not a unit
-    six = PadicNumber.from_rational(Fraction(6), 5, 10)
+    six = to_padic(Fraction(6), 5, 10)
     with pytest.raises(PadicError):
         hensel_unit_root(six, Fraction(2), 5, 10)  # v(const) = 0
-    root = hensel_unit_root(PadicNumber.from_rational(Fraction(6), 5, 6), 5, 5, 12)
+    root = hensel_unit_root(to_padic(Fraction(6), 5, 6), 5, 5, 12)
     assert root.prec == 6 and root == 1
 
 

@@ -125,6 +125,23 @@ def test_unit_root_same_for_exact_and_padic_trace(case):
     assert root.val == 0 and (root.unit ** 2 - tm * root.unit + cm) % mod == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(max_denominator=10 ** 6).filter(bool), st.sampled_from([2, 3, 5, 7, 11, 13]),
+       st.integers(1, 30), st.integers(-8, 8))
+def test_to_padic_reads_a_rational_exactly(x, p, prec, shift):
+    # x p^shift: the valuation by trial division, and x / p^val is the unit mod p^prec
+    x *= Fraction(p) ** shift
+    got, val, num, den = to_padic(x, p, prec), 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, val = num // p, val + 1
+    while den % p == 0:
+        den, val = den // p, val - 1
+    unit = x / Fraction(p) ** val
+    assert got.val == val and got.prec == prec
+    assert (unit.numerator - got.unit * unit.denominator) % p ** prec == 0
+    assert got == x
+
+
 half_integers = st.integers(-5, 4).map(lambda n: n + 0.5)
 off_grid = st.integers(-30, 29).map(lambda n: n / 10 + 0.05)
 complexes = st.builds(complex, st.integers(2, 30).map(lambda n: n / 10),

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -64,7 +66,7 @@ def test_fundamental_unit(d, expected_norm):
     assert unit.norm() == nrm
     theta, a, b, norm_oracle = pell_fundamental_unit(d)
     assert norm_oracle == nrm
-    assert abs(float(unit.to_mpf()) - theta) < 1e-9
+    assert abs(float(unit) - theta) < 1e-9
 
 
 def test_fundamental_unit_values():
@@ -132,11 +134,11 @@ def test_fundamental_unit_minimality(d):
     # no unit v with 1 < theta1(v) < theta1(u): brute force below the found bound
     field = RealQuadraticField(d)
     unit, _ = fundamental_unit(field)
-    bound = float(unit.to_mpf())
+    bound = float(unit)
     for b in range(-8, 9):
         for a in range(-20, 21):
             x = field.element(a, b)
-            if x.norm() in (1, -1) and 1.0 + 1e-12 < float(x.to_mpf()) < bound - 1e-12:
+            if x.norm() in (1, -1) and 1.0 + 1e-12 < float(x) < bound - 1e-12:
                 raise AssertionError(f"smaller unit {x} found")
 
 
@@ -239,8 +241,8 @@ def test_ideal_factorisation_round_trip():
     for _ in range(50):
         ideal = rng.choice(pool) * rng.choice(pool)
         out = f5.maximal_order()
-        for p, e in ideal.factor():
-            out = out * ideal_power(p, e)
+        for ell, i, e in ideal.factor():
+            out = out * ideal_power(f5.primes_above(ell)[i], e)
         assert out == ideal
 
 
@@ -250,7 +252,8 @@ def test_factor_matches_the_valuation_oracle(d):
     f = RealQuadraticField(d)
     for n in range(1, 500):
         for ideal in ideals_of_norm(f, n):
-            assert ideal.factor() == ideal_factor_by_valuation(ideal), (d, ideal)
+            got = [(f.primes_above(ell)[i], e) for ell, i, e in ideal.factor()]
+            assert got == ideal_factor_by_valuation(ideal), (d, ideal)
 
 
 def test_prime_powers_is_one_memo():
@@ -283,13 +286,45 @@ def test_rational_elements_hash_as_fractions():
     assert hash(f5.element(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
-def test_field_hash_is_fixed_at_construction():
-    # the per-field memos hash the field on every hit, so the hash is computed
-    # once; equal fields still hash alike and find each other's entries
-    f, g = RealQuadraticField(13), RealQuadraticField(13)
-    assert f == g and hash(f) == hash(g) == hash(("RealQuadraticField", 13))
-    assert f != RealQuadraticField(17) and {f: "memo"}[g] == "memo"
-    assert splitting_type(f, 11) is splitting_type(g, 11)
+def test_one_field_object_per_d():
+    # the per-field memos hit by identity: one object per d, also after the
+    # functools caches are cleared, and an invalid d still raises
+    f = RealQuadraticField(13)
+    assert RealQuadraticField(13) is f is RealQuadraticField("13")
+    assert f != RealQuadraticField(17) and {f: "memo"}[RealQuadraticField(13)] == "memo"
+    assert splitting_type(f, 11) is splitting_type(RealQuadraticField(13), 11)
+    splitting_type.cache_clear()
+    prime_powers.cache_clear()
+    assert RealQuadraticField(13) is f and f.fundamental_unit() is f.fundamental_unit()
+    for bad in (12, 1):
+        with pytest.raises(QuadFieldError):
+            RealQuadraticField(bad)
+
+
+def test_concurrent_first_calls_agree():
+    # eight threads ask for each of some fresh d at once, each d large enough
+    # that validating it takes a switch interval or more: all get one object
+    ds = [d for d in range(10 ** 12, 10 ** 12 + 40) if is_squarefree(d)]
+    barrier, got = threading.Barrier(8), [[] for _ in range(8)]
+
+    def ask(out):
+        for d in ds:
+            barrier.wait(timeout=10)
+            out.append(RealQuadraticField(d))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(ds) for out in got)
+    assert all(a is b for out in got[1:] for a, b in zip(got[0], out))
 
 
 def test_hnf_invariants():
