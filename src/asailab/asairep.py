@@ -30,67 +30,69 @@ class HypothesisError(AsaiRepError):
     """A theorem hypothesis (e.g. narrow principality) fails for the input."""
 
 
-# -- exact small matrices (lists of lists over Fraction/QuadElt) ------------
+# -- exact small matrices over Z[sqrt(e)]: entries are pairs (x, y) = x + y sqrt(e) --
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+def _dot(us, vs, e):
+    """sum u * v over the paired entries of us and vs, as a pair."""
+    x = y = 0
+    for (a, b), (c, d) in zip(us, vs):
+        x += a * c + e * b * d
+        y += a * d + b * c
+    return x, y
 
 
 def companion_frobenius(trace, det):
-    """2x2 matrix with the given trace and determinant."""
-    return [[trace * 0, -det], [trace * 0 + 1, trace]]
+    """(D, N) with N / D the 2x2 matrix of the given trace and determinant:
+    these are canonical triples (x, y, den), D is the lcm of their dens and N
+    is integral."""
+    (tx, ty, tq), (dx, dy, dq) = trace, det
+    den = tq * dq // math.gcd(tq, dq)
+    s, r = den // tq, den // dq
+    return den, [[(0, 0), (-dx * r, -dy * r)], [(den, 0), (tx * s, ty * s)]]
 
 
 _BASIS = [(0, 0), (1, 0), (0, 1), (1, 1)]  # (i, j) for e_i x e_j
 
 
-def tensor_induce_split(m1, m2):
+def tensor_induce_split(m1, m2, e):
     """Kronecker product in the fixed basis: e_i x e_j -> (M1 e_i) x (M2 e_j)."""
     if len(m1) != 2 or len(m2) != 2:
         raise AsaiRepError("tensor induction needs 2x2 blocks")
-    out = []
-    for (ip, jp) in _BASIS:
-        out.append([m1[ip][i] * m2[jp][j] for (i, j) in _BASIS])
-    return out
+    return [[_dot((m1[ip][i],), (m2[jp][j],), e) for (i, j) in _BASIS] for (ip, jp) in _BASIS]
 
 
 def tensor_induce_inert(m):
     """Matrix of the outer Frobenius class: e_i x e_j -> (M e_j) x e_i."""
     if len(m) != 2:
         raise AsaiRepError("tensor induction needs a 2x2 block")
-    zero = m[0][0] * 0
-    out = []
-    for (ip, jp) in _BASIS:
-        row = []
-        for (i, j) in _BASIS:
-            row.append(m[ip][j] if jp == i else zero)
-        out.append(row)
-    return out
+    return [[m[ip][j] if jp == i else (0, 0) for (i, j) in _BASIS] for (ip, jp) in _BASIS]
 
 
-def charpoly_reversed(a):
-    """Coefficients [c0..cn] of det(1 - X*A), exact, by Newton's identities.
+def charpoly_reversed(a, e):
+    """Coefficients [c0..cn] of det(1 - X*A) for a square matrix A over
+    Z[sqrt(e)] (e = 0 for Z), each entry and each c_k a pair (x, y).
 
     With power traces p_k = tr(A^k), k c_k = -(p_1 c_{k-1} + ... + p_k c_0)
     (Faddeev-LeVerrier; Cohen, GTM 138, section 2.2).  tr(A^k) is the
     entrywise sum of A^i * (A^j)^T with i + j = k, so only the powers up to
-    A^ceil(n/2) are formed: for n = 4, the single product A^2.  The divisions
-    by k need a ring containing Q.
+    A^ceil(n/2) are formed: for n = 4, the single product A^2.  c_k lies in
+    Z[sqrt(e)] with the entries of A, so both of its coordinates divide
+    exactly by k.
     """
     n = len(a)
-    zero = a[0][0] * 0
+    cols = list(zip(*a))
     powers = [None, a]
     while len(powers) <= (n + 1) // 2:
-        powers.append(mat_mul(powers[-1], a))
-    traces = [None, sum((a[i][i] for i in range(n)), zero)]
+        powers.append([[_dot(row, col, e) for col in cols] for row in powers[-1]])
+    traces = [None, _dot([a[i][i] for i in range(n)], [(1, 0)] * n, e)]
     for k in range(2, n + 1):
         x, y = powers[(k + 1) // 2], powers[k // 2]
-        traces.append(sum((x[i][j] * y[j][i] for i in range(n) for j in range(n)), zero))
-    coeffs = [zero + 1]
+        traces.append(_dot([u for row in x for u in row],
+                           [u for col in zip(*y) for u in col], e))
+    coeffs = [(1, 0)]
     for k in range(1, n + 1):
-        acc = sum((traces[i] * coeffs[k - i] for i in range(1, k + 1)), zero)
-        coeffs.append(acc * Fraction(-1, k))
+        x, y = _dot(traces[1:k + 1], coeffs[::-1], e)
+        coeffs.append((-x // k, -y // k))
     return coeffs
 
 
@@ -172,26 +174,29 @@ def asai_charpoly_via_induction(form, ell):
     """P_ell(F, X) as det(1 - X * ell^{-(t+t')} A) of the tensor-induced matrix A.
 
     The characteristic polynomial is a generic one (charpoly_reversed) of the
-    untwisted A, whose entries are the Hecke data themselves; the twist
-    tw = ell^{-(t+t')} enters afterwards, since det(1 - X tw A) has
-    coefficient c_k(A) tw^k at X^k.  Nothing here uses the Hecke-substitution
-    formulas of asai_charpoly, so the two routes check each other.
+    untwisted A, whose entries are the Hecke data themselves: A = N / D for
+    the integral N induced from the companion matrices cleared to their
+    denominators.  The scale s = ell^{-(t+t')} / D enters afterwards, since
+    det(1 - X s N) has coefficient c_k(N) s^k at X^k.  Nothing here uses the
+    Hecke-substitution formulas of asai_charpoly, so the two routes check
+    each other.
     """
     ell = int(ell)
     st, locs = _local_data(form, ell)
-    w = form.weight
+    w, cf = form.weight, form.coefficient_field
+    e = cf.e or 0
+    blocks = [companion_frobenius(_coords(lam), _times((n ** (w.w - 1), 0, 1), _coords(eps), e))
+              for lam, eps, n in locs]
     if st.is_split:
-        (lam1, eps1, n1), (lam2, eps2, n2) = locs
-        m1 = companion_frobenius(lam1, Fraction(n1 ** (w.w - 1)) * eps1)
-        m2 = companion_frobenius(lam2, Fraction(n2 ** (w.w - 1)) * eps2)
-        a = tensor_induce_split(m1, m2)
+        (d1, m1), (d2, m2) = blocks
+        den, a = d1 * d2, tensor_induce_split(m1, m2, e)
     else:
-        lam, eps, n = locs[0]
-        m = companion_frobenius(lam, Fraction(n ** (w.w - 1)) * eps)
+        (den, m), = blocks
         a = tensor_induce_inert(m)
-    tw = Fraction(ell) ** -(w.t1 + w.t2)
-    coeffs = [c * tw ** k for k, c in enumerate(charpoly_reversed(a))]
-    return AsaiCharPoly(coeffs, st.kind.value)
+    t = w.t1 + w.t2
+    num, den = ell ** max(-t, 0), den * ell ** max(t, 0)
+    return AsaiCharPoly([QuadElt.from_ints(x * num ** k, y * num ** k, den ** k, cf)
+                         for k, (x, y) in enumerate(charpoly_reversed(a, e))], st.kind.value)
 
 
 def verify_proj_Pl(form, ell):
@@ -202,7 +207,7 @@ def verify_proj_Pl(form, ell):
 # -- group rings of (Z/m)^x --------------------------------------------------
 
 class GroupRingElement:
-    """Element of the group algebra of (Z/m)^x; multiplication is convolution."""
+    """Element of the group algebra of (Z/m)^x: a coefficient at each class."""
 
     __slots__ = ("modulus", "coeffs")
 
@@ -219,61 +224,22 @@ class GroupRingElement:
             raise AsaiRepError(f"{a} is not a unit mod {self.modulus}")
 
     @classmethod
-    def unit(cls, modulus, coeff=Fraction(1)):
-        """coeff times the identity [1]."""
-        return cls(modulus, {1 % modulus: coeff})
-
-    @classmethod
     def sigma(cls, modulus, a, exponent=1):
-        a = pow(int(a) % modulus, exponent, modulus) if exponent >= 0 else \
-            pow(pow(int(a), -1, modulus), -exponent, modulus)
-        return cls(modulus, {a: Fraction(1)})
+        """The class of a^exponent, with coefficient 1."""
+        return cls(modulus, {pow(int(a), exponent, modulus): Fraction(1)})
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.modulus != self.modulus:
+            raise AsaiRepError("mixed group-ring moduli")
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out.get(a, Fraction(0)) + c
         return GroupRingElement(self.modulus, out)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupRingElement(self.modulus, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElt)):
-            return GroupRingElement(self.modulus,
-                                    {a: c * other for a, c in self.coeffs.items()})
-        other = self._coerce(other)
-        out = {}
-        mod = self.modulus
-        for a, c in self.coeffs.items():
-            for b, d in other.coeffs.items():
-                key = (a * b) % mod
-                out[key] = out.get(key, Fraction(0)) + c * d
-        return GroupRingElement(mod, out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, GroupRingElement):
-            if other.modulus != self.modulus:
-                raise AsaiRepError("mixed group-ring moduli")
-            return other
-        if isinstance(other, (int, Fraction, QuadElt)):
-            return GroupRingElement.unit(self.modulus, other)  # a zero coefficient is dropped
-        return NotImplemented
+    def __mul__(self, scalar):
+        return GroupRingElement(self.modulus, {a: c * scalar for a, c in self.coeffs.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
         return isinstance(other, GroupRingElement) and self.modulus == other.modulus \
             and self.coeffs == other.coeffs
 
@@ -313,7 +279,9 @@ def euler_system_norm_factor(form, ell, j, m):
                              - l * P_l(F, l^{-1-j} sigma_l^{-1}) ]
     with sigma_l the class of l.  Hypotheses: l coprime to m and to the
     level norm, and l inert, or split with both primes above it narrowly
-    principal.
+    principal.  The seven terms go to their classes sigma_l^r mod m in one
+    pass, as integer coordinates over the lcm of their denominators, and each
+    coefficient becomes a QuadElt once.
     """
     ell, j, m = int(ell), int(j), int(m)
     if math.gcd(ell, m) != 1 or form.level.norm() % ell == 0:
@@ -326,14 +294,21 @@ def euler_system_norm_factor(form, ell, j, m):
         raise AsaiRepError(f"ell = {ell} is ramified")
     if st.is_split and None in map(totally_positive_generator, st.primes):
         raise HypothesisError(f"prime above {ell} is not narrowly principal; hypothesis fails")
-    pl = asai_charpoly(form, ell)
-    eps_l = math.prod(map(form.eps_of, st.primes))  # eps((ell))
-    kk2j = w.k + w.kprime - 2 * j
-    sig = lambda e: GroupRingElement.sigma(m, ell, e)
-    one = GroupRingElement.unit(m)
-    p_at = GroupRingElement(m)
-    for i, c in enumerate(pl.coeffs):
-        p_at = p_at + sig(-i) * (c * Fraction(1, ell ** ((1 + j) * i)))
-    bracket = (one - sig(-2) * (Fraction(ell ** kk2j) * eps_l)) * Fraction(ell - 1) \
-        - p_at * Fraction(ell)
-    return sig(1) * Fraction(ell ** j) * bracket
+    cf = form.coefficient_field
+    e = cf.e or 0
+    eps_l = 1, 0, 1  # eps((ell))
+    for p in st.primes:
+        eps_l = _times(eps_l, _coords(form.eps_of(p)), e)
+    # the seven terms as (exponent of sigma_l, x, y, den) of (x + y sqrt(e)) / den
+    lj, lk = ell ** j, (ell - 1) * ell ** (w.k + w.kprime - j)
+    terms = [(1, (ell - 1) * lj, 0, 1), (-1, -lk * eps_l[0], -lk * eps_l[1], eps_l[2])]
+    terms += [(1 - i, -ell * lj * c.x, -ell * lj * c.y, c.den * ell ** ((1 + j) * i))
+              for i, c in enumerate(asai_charpoly(form, ell).coeffs)]
+    den = math.lcm(*(q for *_, q in terms))
+    acc = {}
+    for r, x, y, q in terms:
+        key, s = pow(ell, r, m), den // q
+        u, v = acc.get(key, (0, 0))
+        acc[key] = u + x * s, v + y * s
+    return GroupRingElement(m, {key: QuadElt.from_ints(x, y, den, cf)
+                                for key, (x, y) in acc.items() if x or y})

@@ -14,6 +14,7 @@ its exit code through `_EXITS`.
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -86,13 +87,57 @@ def _emit(args, inputs, result, cutoffs):
                        "precision": working_precision(),
                        "cutoffs": cutoffs},
     }
-    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False,
-                      default=_json_default)
+    text = _json_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _json_text(obj, pad="\n"):
+    """json.dumps(obj, indent=1, sort_keys=True, allow_nan=False,
+    default=_json_default), byte for byte: with an indent, json runs its
+    pure-Python encoder, which this recursion outpaces."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = pad + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _json_str(_json_key(k)) + ": " + _json_text(v, inner)
+            for k, v in sorted(obj.items())]) + pad + "}"
+    return _json_text(_json_default(obj), pad)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x):
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_key(key):
+    """A dict key as json writes it: str, int, float, bool or None keys only."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _json_default(obj):

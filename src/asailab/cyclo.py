@@ -130,5 +130,5 @@ class CyclotomicValue:
             z = mpmath.exp(2j * mpmath.pi / self.m)
             acc = mpmath.mpc(0)
             for c in reversed(self.num):
-                acc = acc * z + mpmath.mpf(c) / self.den
-            return acc
+                acc = acc * z + c
+            return acc / self.den

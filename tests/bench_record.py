@@ -28,10 +28,11 @@ file records:
   suite per checkout (alternating which side goes first), with the median
   and quartiles, and under `acceptance_process_s` the wall and the CPU
   seconds of each of those processes and their `probe_s`;
-- `probe_s` is the time of a fixed Fraction and big-int computation (PROBE)
-  that each acceptance process runs before the criteria: it moves with the
-  machine's contention but not with the change, so each criterion also has
-  `probe_scaled`, the quartiles of its `elapsed_s / probe_s` over the runs;
+- `probe_s` is the summed time of a fixed Fraction and big-int computation
+  (PROBE) that each acceptance process runs before each criterion: it moves
+  with the machine's contention over the whole suite but not with the
+  change, so each criterion also has `probe_scaled`, the quartiles of its
+  `elapsed_s / probe_s` over the runs;
 - the wall time of each `asailab ...` example in README.md's CLI block, run
   as `python -m asailab` in a fresh process, REPEATS times per checkout
   (alternating which side goes first), with the median and quartiles, and
@@ -73,10 +74,13 @@ PAIRS = 10
 LAYER_REPEATS = 9  # three runs per side could not resolve a 30% move in a layer
 REPEATS = 7  # one slow run of three moved a median by a third
 PROBE = "sum(Fraction(1, n) for n in range(1, 3000)); math.factorial(30000)"
+# the probe runs before each criterion and probe_s is their sum: one probe of
+# 0.03 s in front of the suite spread wider than criteria 5 and 9 (BENCH_30)
 ACCEPTANCE = ("import json, math, time; from fractions import Fraction; "
-              "from asailab.acceptance import CRITERIA; "
-              f"t = time.perf_counter(); {PROBE}; probe = time.perf_counter() - t; "
-              "print(json.dumps([probe, [c()['elapsed_s'] for c in CRITERIA]]))")
+              "from asailab.acceptance import CRITERIA\n"
+              f"def probe():\n t = time.perf_counter(); {PROBE}; return time.perf_counter() - t\n"
+              "runs = [(probe(), c()['elapsed_s']) for c in CRITERIA]\n"
+              "print(json.dumps([sum(p for p, _ in runs), [e for _, e in runs]]))")
 CLI_OPTIONS = ("import argparse; from asailab.cli import build_parser; p = build_parser(); "
                "(sub,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]; "
                "print(sum(bool(a.option_strings) and a.dest != 'help' "

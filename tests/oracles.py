@@ -3,17 +3,18 @@
 Everything here is deliberately written against different algorithms than the
 package: pentagonal-number eta expansion, brute-force Pell searches,
 Legendre-symbol residue checks, naive lattice enumeration, plain q-series,
-the Leibniz expansion of a determinant, cyclotomic polynomials by long
+the Leibniz expansion of a determinant and of the induced Asai matrix, the
+norm-relation scalar as group-ring products, cyclotomic polynomials by long
 division of x^m - 1, Eisenstein Fourier modes pair by pair, the float
 lattice sum one row at a time and by numpy's complex powers, Dirichlet sums
 one power n^{-s} at a time, factorisation, primality and squarefreeness by
 trial division, ideal powers by repeated squaring, ideal factorisation by
-repeated containment, eigenvalues at composite ideals from ideal powers, ramified Euler factors and the Euler
-product by truncated power series, the Euler product by Horner's rule in
-mpmath, a local factor's fixed-point value in Fractions with sqrt(e) floored
-by isqrt, quadratic characters multiplied up from Legendre symbols, Dirichlet
-characters as a product over discrete logarithms, and a JSON parser that
-refuses NaN.
+repeated containment, eigenvalues at composite ideals from ideal powers,
+ramified Euler factors and the Euler product by truncated power series, the
+Euler product by Horner's rule in mpmath, a local factor's fixed-point value
+in Fractions with sqrt(e) floored by isqrt, quadratic characters multiplied
+up from Legendre symbols, Dirichlet characters as a product over discrete
+logarithms, and a JSON parser that refuses NaN.
 """
 
 import cmath
@@ -545,6 +546,78 @@ def leibniz_charpoly_reversed(a):
         for d, c in enumerate(poly):
             coeffs[d] = coeffs[d] + sign * c
     return coeffs
+
+
+def mat_mul(a, b):
+    """The matrix product of two lists of rows, over any ring."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), a[0][0] * 0)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def asai_charpoly_by_leibniz(form, ell):
+    """asairep.asai_charpoly_via_induction by the Leibniz expansion of the
+    induced matrix over the coefficient field: Frobenius at each prime P
+    above ell acts by [[lambda(P), 1], [-Nm(P)^{w-1} eps(P), 0]], the split
+    Asai matrix is the Kronecker product of the two, and the inert one sends
+    v x w to (M w) x v; the twist ell^{-(t+t')} scales the k-th coefficient
+    by its k-th power."""
+    from asailab.quadfield import splitting_type
+
+    st = splitting_type(form.field, ell)
+    w = form.weight
+    zero = form.coefficient_field.one() * 0
+    blocks = [[[form.lambda_of(p), zero + 1],
+               [-(Fraction(p.norm() ** (w.w - 1)) * form.eps_of(p)), zero]]
+              for p in st.primes]
+    # index i + 2 j for e_i x e_j
+    if st.is_split:
+        m1, m2 = blocks
+        a = [[m1[r % 2][c % 2] * m2[r // 2][c // 2] for c in range(4)] for r in range(4)]
+    else:
+        m, = blocks
+        a = [[m[r % 2][c // 2] if r // 2 == c % 2 else zero for c in range(4)]
+             for r in range(4)]
+    tw = Fraction(ell) ** -(w.t1 + w.t2)
+    return [c * tw ** k for k, c in enumerate(leibniz_charpoly_reversed(a))]
+
+
+def norm_factor_by_group_ring(form, ell, j, m):
+    """asairep.euler_system_norm_factor as group-ring arithmetic: the sum
+    l^j sigma_l [(l-1)(1 - l^{k+k'-2j} eps((l)) sigma_l^{-2})
+    - l P_l(F, l^{-1-j} sigma_l^{-1})] built from products and sums of
+    elements of the group ring of (Z/m)^x, each a dict {class: coefficient}
+    (hypotheses unchecked)."""
+    from asailab.asairep import GroupRingElement, asai_charpoly
+    from asailab.quadfield import splitting_type
+
+    def times(x, y):
+        out = {}
+        for a, c in x.items():
+            for b, d in y.items():
+                out[a * b % m] = out.get(a * b % m, 0) + c * d
+        return out
+
+    def plus(x, y, sign=1):
+        out = dict(x)
+        for a, c in y.items():
+            out[a] = out.get(a, 0) + sign * c
+        return out
+
+    def sig(e):
+        return {pow(ell, e, m): 1}
+
+    def scalar(c):
+        return {1 % m: c}
+
+    w = form.weight
+    eps_l = math.prod(map(form.eps_of, splitting_type(form.field, ell).primes))
+    p_at = {}
+    for i, c in enumerate(asai_charpoly(form, ell).coeffs):
+        p_at = plus(p_at, times(sig(-i), scalar(c * Fraction(1, ell ** ((1 + j) * i)))))
+    tail = times(sig(-2), scalar(ell ** (w.k + w.kprime - 2 * j) * eps_l))
+    bracket = plus(times(plus(scalar(1), tail, -1), scalar(ell - 1)),
+                   times(p_at, scalar(ell)), -1)
+    return GroupRingElement(m, times(times(sig(1), scalar(ell ** j)), bracket))
 
 
 def _perm_sign(perm):

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from asailab.arith import primes_up_to
 from asailab.asairep import (AsaiCharPoly, AsaiRepError, GroupRingElement,
                              HypothesisError, asai_charpoly,
                              asai_charpoly_via_induction, charpoly_reversed,
                              companion_frobenius, euler_system_norm_factor,
-                             mat_mul,
                              tensor_induce_inert, tensor_induce_split,
                              verify_proj_Pl)
 from asailab.characters import DirichletCharacter
@@ -15,7 +15,8 @@ from asailab.coeffs import CoefficientField
 from asailab.eigenform import HilbertEigenform, Weight
 from asailab.heckealg import split_labels, inert_label, asai_euler_symbolic
 from asailab.quadfield import RealQuadraticField, splitting_type
-from oracles import kron_product_asai_roots, leibniz_charpoly_reversed
+from oracles import (kron_product_asai_roots, leibniz_charpoly_reversed, mat_mul,
+                     norm_factor_by_group_ring)
 
 CF = CoefficientField(None)
 
@@ -34,54 +35,71 @@ def synth_form(d, weight, lambdas_by_ell, eps_by_ell=None):
     return HilbertEigenform(field, weight, field.maximal_order(), CF, eig, neb)
 
 
-def frac_mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def pairs(rows):
+    """An integer matrix as entries (x, 0) of Z[sqrt(e)]."""
+    return [[(x, 0) for x in row] for row in rows]
+
+
+def elements(rows, field):
+    """A matrix of pairs (x, y) as the field elements x + y sqrt(e)."""
+    return [[field.element(x, y) for x, y in row] for row in rows]
 
 
 def test_tensor_induce_split_identity_and_diag():
-    i2 = frac_mat([[1, 0], [0, 1]])
-    assert tensor_induce_split(i2, i2) == frac_mat(
+    i2 = pairs([[1, 0], [0, 1]])
+    assert tensor_induce_split(i2, i2, 0) == pairs(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    a, b, ap, bp = Fraction(2), Fraction(3), Fraction(5), Fraction(7)
-    d1 = frac_mat([[a, 0], [0, b]])
-    d2 = frac_mat([[ap, 0], [0, bp]])
-    got = tensor_induce_split(d1, d2)
+    a, b, ap, bp = 2, 3, 5, 7
+    got = tensor_induce_split(pairs([[a, 0], [0, b]]), pairs([[ap, 0], [0, bp]]), 0)
     # basis (e1 x e1, e2 x e1, e1 x e2, e2 x e2): diag(a a', b a', a b', b b')
-    assert [got[i][i] for i in range(4)] == [a * ap, b * ap, a * bp, b * bp]
+    assert [got[i][i] for i in range(4)] == [(a * ap, 0), (b * ap, 0), (a * bp, 0), (b * bp, 0)]
+    # over Z[sqrt 2]: (1 + sqrt 2)(3 - sqrt 2) = 1 + 2 sqrt 2
+    one_by_one = tensor_induce_split([[(1, 1), (0, 0)], [(0, 0), (0, 0)]],
+                                     [[(3, -1), (0, 0)], [(0, 0), (0, 0)]], 2)
+    assert one_by_one[0][0] == (1, 2)
 
 
 def test_tensor_induce_inert_swap_and_charpoly():
-    i2 = frac_mat([[1, 0], [0, 1]])
-    swap = tensor_induce_inert(i2)
+    swap = tensor_induce_inert(pairs([[1, 0], [0, 1]]))
     # e1 x e2 <-> e2 x e1; char poly (1-X)^3 (1+X)
-    assert charpoly_reversed(swap) == [1, -2, 0, 2, -1]
-    a, b = Fraction(3), Fraction(-2)
-    diag = tensor_induce_inert(frac_mat([[a, 0], [0, b]]))
+    assert charpoly_reversed(swap, 0) == pairs([[1, -2, 0, 2, -1]])[0]
+    a, b = 3, -2
+    diag = tensor_induce_inert(pairs([[a, 0], [0, b]]))
     # (1 - aX)(1 - bX)(1 - ab X^2), eigenvalues {a, b, +-sqrt(ab)}
-    want = [Fraction(1), -(a + b), a * b - a * b, (a * b) * (a + b), -(a * b) ** 2]
-    assert charpoly_reversed(diag) == want
+    want = [1, -(a + b), a * b - a * b, (a * b) * (a + b), -(a * b) ** 2]
+    assert charpoly_reversed(diag, 0) == pairs([want])[0]
+
+
+def random_pair_matrix(rng, n, e, lo=-6, hi=6):
+    """An n x n matrix over Z[sqrt(e)] with about a quarter of its entries zero."""
+    def entry():
+        if rng.random() < 0.25:
+            return 0, 0
+        return rng.randint(lo, hi), rng.randint(lo, hi) if e else 0
+    return [[entry() for _ in range(n)] for _ in range(n)]
 
 
 def test_tensor_induce_inert_squares_to_split():
     rng = random.Random(11)
-    for _ in range(100):
-        m = frac_mat([[rng.randint(-6, 6) for _ in range(2)] for _ in range(2)])
-        assert mat_mul(tensor_induce_inert(m), tensor_induce_inert(m)) == \
-            tensor_induce_split(m, m)
+    for e in (None, 2):
+        field = CoefficientField(e)
+        for _ in range(100):
+            m = random_pair_matrix(rng, 2, e)
+            inert = elements(tensor_induce_inert(m), field)
+            assert mat_mul(inert, inert) == elements(tensor_induce_split(m, m, e or 0), field)
 
 
 def test_split_charpoly_conjugation_invariance():
     rng = random.Random(12)
     for _ in range(100):
-        m1 = frac_mat([[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)])
-        m2 = frac_mat([[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)])
-        base = charpoly_reversed(tensor_induce_split(m1, m2))
+        m1 = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
+        m2 = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
+        base = charpoly_reversed(tensor_induce_split(pairs(m1), pairs(m2), 0), 0)
         for m, other, first in ((m1, m2, True), (m2, m1, False)):
-            g = frac_mat([[1, rng.randint(-3, 3)], [0, 1]])
-            ginv = frac_mat([[1, -g[0][1]], [0, 1]])
-            conj = mat_mul(mat_mul(g, m), ginv)
+            g = [[1, rng.randint(-3, 3)], [0, 1]]
+            conj = mat_mul(mat_mul(g, m), [[1, -g[0][1]], [0, 1]])
             pair = (conj, other) if first else (other, conj)
-            assert charpoly_reversed(tensor_induce_split(*pair)) == base
+            assert charpoly_reversed(tensor_induce_split(*map(pairs, pair), 0), 0) == base
 
 
 def test_asai_charpoly_fixed_split():
@@ -181,10 +199,15 @@ def test_symbolic_specialisation_matches_charpoly(bc_form_500):
 
 def test_group_ring_basics():
     g = GroupRingElement.sigma(5, 3)
-    assert g * g == GroupRingElement.sigma(5, 3, 2)
-    assert (g * GroupRingElement.sigma(5, 3, -1)) == GroupRingElement.unit(5)
+    assert g == GroupRingElement(5, {3: Fraction(1)})
+    assert GroupRingElement.sigma(5, 3, 2) == GroupRingElement(5, {4: Fraction(1)})
+    assert GroupRingElement.sigma(5, 3, -1) == GroupRingElement(5, {2: Fraction(1)})
+    assert (g + GroupRingElement.sigma(5, 8)) * Fraction(1, 2) == g
+    assert (g + g * -1).is_zero()
     with pytest.raises(AsaiRepError):
         GroupRingElement(10, {5: Fraction(1)})  # not a unit
+    with pytest.raises(AsaiRepError):
+        g + GroupRingElement.sigma(7, 3)
     elt = GroupRingElement(5, {1: Fraction(2), 3: Fraction(-2)})
     chi0 = DirichletCharacter.trivial(5)
     assert abs(elt.apply_character(chi0)) < 1e-12
@@ -231,8 +254,14 @@ def test_asai_charpoly_class_constraints():
 
 
 def test_companion_matches_charpoly():
-    m = companion_frobenius(Fraction(5), Fraction(9))
-    assert charpoly_reversed(m) == [1, -5, 9]
+    den, m = companion_frobenius((5, 0, 1), (9, 0, 1))
+    assert den == 1 and charpoly_reversed(m, 0) == [(1, 0), (-5, 0), (9, 0)]
+    # trace 5/2 and det 3 cleared to den 2: det(1 - X N) = 1 - 5X + 12X^2
+    den, m = companion_frobenius((5, 0, 2), (3, 0, 1))
+    assert den == 2 and charpoly_reversed(m, 0) == [(1, 0), (-5, 0), (12, 0)]
+    # trace 1 + sqrt(2)/3 and det -sqrt(2)/2 over den 6: N = [[0, 3 sqrt 2], [6, 6 + 2 sqrt 2]]
+    den, m = companion_frobenius((3, 1, 3), (0, -1, 2))
+    assert den == 6 and charpoly_reversed(m, 2) == [(1, 0), (-6, -2), (0, -18)]
 
 
 def test_asai_charpoly_eq_compares_lengths():
@@ -243,24 +272,48 @@ def test_asai_charpoly_eq_compares_lengths():
     assert pl == AsaiCharPoly([1, -6, 15, -150, 625])
 
 
-def random_matrix(rng, n, field):
-    """Dense-ish random matrix with zeros, over Q or Q(sqrt e)."""
-    def entry():
-        if rng.random() < 0.25:
-            return field.element(0)
-        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        b = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if field.e else 0
-        return field.element(a, b)
-    return [[entry() for _ in range(n)] for _ in range(n)]
-
-
 @pytest.mark.parametrize("e", [None, 2, 5])
 def test_charpoly_matches_leibniz_oracle(e):
     rng = random.Random(15 if e is None else e)
     field = CoefficientField(e)
     for n in (2, 3, 4):
         for _ in range(25):
-            a = random_matrix(rng, n, field)
-            got = charpoly_reversed(a)
+            a = random_pair_matrix(rng, n, e, -9, 9)
+            got = charpoly_reversed(a, e or 0)
             assert len(got) == n + 1
-            assert all(x == y for x, y in zip(got, leibniz_charpoly_reversed(a)))
+            assert [field.element(x, y) for x, y in got] == \
+                leibniz_charpoly_reversed(elements(a, field))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_norm_factor_matches_group_ring_products(d):
+    # every good l < 100, the three local-factors weights, every j and m <= 15,
+    # lambda(P) over Q and over Q(sqrt e), eps(P) = +-1 or irrational
+    rng = random.Random(16 + d)
+    field = RealQuadraticField(d)
+    for ell in primes_up_to(100):
+        if field.disc % ell == 0:
+            continue
+        primes = splitting_type(field, ell).primes
+        for w in (Weight(2, 2, 0, 0), Weight(4, 4, 0, 0), Weight(2, 2, 1, 1)):
+            for e in (None, rng.choice([2, 3, 5, 7])):
+                cf = CoefficientField(e)
+                irr = (lambda: rng.randint(-20, 20)) if e else (lambda: 0)
+                eps = [cf.element(1), cf.element(-1)]
+                if e:
+                    eps.append(cf.element(Fraction(1, 3), 1))
+                eig = {p.hnf(): cf.element(Fraction(rng.randint(-50, 50), rng.randint(1, 3)),
+                                           irr()) for p in primes}
+                neb = {p.hnf(): rng.choice(eps) for p in primes}
+                form = HilbertEigenform(field, w, field.maximal_order(), cf, eig, neb)
+                for j in range(w.k + 1):
+                    for m in range(1, 16):
+                        if m % ell == 0:
+                            continue
+                        try:
+                            got = euler_system_norm_factor(form, ell, j, m)
+                        except HypothesisError:
+                            assert len(primes) == 2  # split, not narrowly principal
+                            continue
+                        want = norm_factor_by_group_ring(form, ell, j, m)
+                        assert got == want and repr(got) == repr(want)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from asailab import eigenform
+from asailab import cli, eigenform
 from asailab.cli import build_parser, main
 from asailab.eigenform import discriminant_form_ap
 from bench_record import readme_commands
@@ -53,9 +53,20 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys, monkeypatch):
+    # and the report writer gives json.dumps's bytes for the report object
     monkeypatch.chdir(GOLDEN)
+    reports, writer = [], cli._json_text
+
+    def spy(obj, *pad):
+        if not pad:
+            reports.append(obj)
+        return writer(obj, *pad)
+    monkeypatch.setattr(cli, "_json_text", spy)
     main(CASES[name])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    assert len(reports) == 1
+    assert writer(reports[0]) == json.dumps(reports[0], indent=1, sort_keys=True,
+                                            allow_nan=False, default=cli._json_default)
 
 
 def test_goldens_are_strict_json():

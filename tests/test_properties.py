@@ -1,5 +1,7 @@
 """Property tests with hypothesis (optional: skipped when it is not installed)."""
 
+import json
+from enum import IntEnum
 from fractions import Fraction
 
 import mpmath
@@ -11,35 +13,38 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from asailab.arith import is_prime, is_squarefree, primes_up_to  # noqa: E402
 from asailab.asairep import (asai_charpoly, asai_charpoly_via_induction,  # noqa: E402
                              charpoly_reversed)
+from asailab.cli import _json_default, _json_text  # noqa: E402
 from asailab.coeffs import CoefficientField  # noqa: E402
 from asailab.eigenform import HilbertEigenform, Weight  # noqa: E402
 from asailab.cyclo import CyclotomicValue  # noqa: E402
 from asailab.padic import hensel_unit_root, to_padic  # noqa: E402
 from asailab.quadfield import (IdealRep, NotPrincipalError, RealQuadraticField,  # noqa: E402
                                find_generator, ideals_of_norm, splitting_type)
-from oracles import (check_hyperu_ladder, leibniz_charpoly_reversed,  # noqa: E402
-                     shortest_generator_oracle)
+from oracles import (asai_charpoly_by_leibniz, check_hyperu_ladder,  # noqa: E402
+                     leibniz_charpoly_reversed, shortest_generator_oracle)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
 @st.composite
 def matrices(draw):
-    """An n x n matrix, n in {2, 3, 4}, over Q or a real quadratic Q(sqrt e)."""
+    """(A, e): an n x n matrix A, n in {2, 3, 4}, over Z or a real quadratic
+    Z[sqrt e] (e = 0 for Z), each entry a pair (x, y) = x + y sqrt(e)."""
     n = draw(st.integers(2, 4))
-    field = CoefficientField(draw(st.sampled_from([None, 2, 3, 7])))
-    irrational = rationals if field.e else st.just(Fraction(0))
-    return [[field.element(draw(rationals), draw(irrational)) for _ in range(n)]
-            for _ in range(n)]
+    e = draw(st.sampled_from([0, 2, 3, 7]))
+    coord = st.integers(-60, 60)
+    irrational = coord if e else st.just(0)
+    return [[(draw(coord), draw(irrational)) for _ in range(n)] for _ in range(n)], e
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices())
-def test_charpoly_equals_leibniz_expansion(a):
-    got = charpoly_reversed(a)
-    want = leibniz_charpoly_reversed(a)
-    assert len(got) == len(want)
-    assert all(x == y for x, y in zip(got, want))
+def test_charpoly_equals_leibniz_expansion(case):
+    a, e = case
+    field = CoefficientField(e or None)
+    got = charpoly_reversed(a, e)
+    want = leibniz_charpoly_reversed([[field.element(x, y) for x, y in row] for row in a])
+    assert [field.element(x, y) for x, y in got] == want
 
 
 # (r1, r2, t1, t2) with t + t' = 0, 1 and 2
@@ -66,6 +71,15 @@ def asai_forms(draw):
     neb = {p.hnf(): draw(st.sampled_from(epsilons)) for p in primes}
     return HilbertEigenform(field, draw(st.sampled_from(_ASAI_WEIGHTS)), field.maximal_order(),
                             cf, eig, neb), ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(asai_forms())
+def test_asai_charpoly_via_induction_equals_leibniz_expansion(case):
+    # the integral induced matrix and its rescaling against the Leibniz
+    # expansion of the induced matrix over the coefficient field
+    form, ell = case
+    assert asai_charpoly_via_induction(form, ell) == asai_charpoly_by_leibniz(form, ell)
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,3 +190,46 @@ def test_to_mpc_is_a_ring_embedding(pair):
         assert abs((x + y).to_mpc(128) - (ex + ey)) < tol
         assert abs((x * y).to_mpc(128) - ex * ey) < tol
         assert abs(x.conjugate().to_mpc(128) - mpmath.conj(ex)) < tol
+
+
+class _Code(IntEnum):
+    """An int subclass with its own repr: json writes int.__repr__ of it."""
+    SEVEN = 7
+
+
+class _Tagged:
+    """A value that json knows only through cli._json_default's repr fallback."""
+
+    def __repr__(self):
+        return "<tagged \u00e9>"
+
+
+_json_keys = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(),
+                       st.none())
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.fractions(), st.complex_numbers(), st.builds(mpmath.mpf, st.floats()),
+    st.builds(CoefficientField(2).element, st.fractions(), st.fractions()),
+    st.sampled_from([_Code.SEVEN, _Tagged(), float("nan"), float("-inf")]))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.tuples(kids, kids),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=4),
+                           st.dictionaries(_json_keys, kids, max_size=3)),
+    max_leaves=24)
+
+
+def _text_or_error(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_trees)
+def test_report_writer_is_json_dumps(obj):
+    # bytes, or the error type and message, of json's indented encoder
+    def dumps(o):
+        return json.dumps(o, indent=1, sort_keys=True, allow_nan=False, default=_json_default)
+    assert _text_or_error(_json_text, obj) == _text_or_error(dumps, obj)
