@@ -101,7 +101,7 @@ class AsaiCharPoly:
 
     __slots__ = ("coeffs", "kind")
 
-    def __init__(self, coeffs, kind=None):
+    def __init__(self, coeffs, kind):
         if len(coeffs) != 5:
             raise AsaiRepError("Asai characteristic polynomial must have degree 4")
         if coeffs[0] != 1:
@@ -126,7 +126,8 @@ class AsaiCharPoly:
 
 
 def _local_data(form, ell):
-    """[(lambda(P), eps(P), Nm(P))] for the primes above a good ell, plus weight data."""
+    """The splitting type of ell and [(lambda(P), eps(P), Nm(P))] for the primes
+    above it; the one refusal of an ell that ramifies or divides the level."""
     st = splitting_type(form.field, ell)
     if st.is_ramified:
         raise AsaiRepError(f"ell = {ell} ramifies in Q(sqrt({form.field.d}))")
@@ -224,7 +225,7 @@ class GroupRingElement:
             raise AsaiRepError(f"{a} is not a unit mod {self.modulus}")
 
     @classmethod
-    def sigma(cls, modulus, a, exponent=1):
+    def sigma(cls, modulus, a, exponent):
         """The class of a^exponent, with coefficient 1."""
         return cls(modulus, {pow(int(a), exponent, modulus): Fraction(1)})
 
@@ -277,28 +278,26 @@ def euler_system_norm_factor(form, ell, j, m):
 
     Evaluates  l^j sigma_l [ (l-1)(1 - l^{k+k'-2j} eps((l)) sigma_l^{-2})
                              - l * P_l(F, l^{-1-j} sigma_l^{-1}) ]
-    with sigma_l the class of l.  Hypotheses: l coprime to m and to the
-    level norm, and l inert, or split with both primes above it narrowly
-    principal.  The seven terms go to their classes sigma_l^r mod m in one
-    pass, as integer coordinates over the lcm of their denominators, and each
-    coefficient becomes a QuadElt once.
+    with sigma_l the class of l.  Hypotheses: l coprime to m, l good and
+    unramified as `_local_data` decides for P_l, and l inert, or split with
+    both primes above it narrowly principal.  The seven terms go to their
+    classes sigma_l^r mod m in one pass, as integer coordinates over the lcm
+    of their denominators, and each coefficient becomes a QuadElt once.
     """
     ell, j, m = int(ell), int(j), int(m)
-    if math.gcd(ell, m) != 1 or form.level.norm() % ell == 0:
+    if math.gcd(ell, m) != 1:
         raise AsaiRepError(f"need ell = {ell} coprime to m and the level")
     w = form.weight
     if not 0 <= j <= min(w.k, w.kprime):
         raise AsaiRepError(f"need 0 <= j <= min(k, k') = {min(w.k, w.kprime)}")
-    st = splitting_type(form.field, ell)
-    if st.is_ramified:
-        raise AsaiRepError(f"ell = {ell} is ramified")
+    st, locs = _local_data(form, ell)
     if st.is_split and None in map(totally_positive_generator, st.primes):
         raise HypothesisError(f"prime above {ell} is not narrowly principal; hypothesis fails")
     cf = form.coefficient_field
     e = cf.e or 0
     eps_l = 1, 0, 1  # eps((ell))
-    for p in st.primes:
-        eps_l = _times(eps_l, _coords(form.eps_of(p)), e)
+    for _, eps, _ in locs:
+        eps_l = _times(eps_l, _coords(eps), e)
     # the seven terms as (exponent of sigma_l, x, y, den) of (x + y sqrt(e)) / den
     lj, lk = ell ** j, (ell - 1) * ell ** (w.k + w.kprime - j)
     terms = [(1, (ell - 1) * lj, 0, 1), (-1, -lk * eps_l[0], -lk * eps_l[1], eps_l[2])]

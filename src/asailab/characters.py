@@ -7,7 +7,6 @@ value at a is the root of unity zeta_ord^e, kept exactly as the pair (e, ord).
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -93,13 +92,6 @@ class RootOfUnity:
             return "-1"
         return f"zeta({self.n})^{self.e}"
 
-    def as_rational(self):
-        if self.n == 1:
-            return Fraction(1)
-        if self.n == 2:
-            return Fraction(-1)
-        raise CharacterError(f"{self} is not rational")
-
     def to_mpc(self):
         """exp(2 pi i e/n) at the working precision, read from one table of
         values keyed by (e, n, precision)."""
@@ -138,10 +130,6 @@ class DirichletCharacter:
                     a, k = a * g % m, (k + step) % self.order
             values = walked
         self._values = values
-
-    @classmethod
-    def trivial(cls, modulus):
-        return cls(modulus, [0] * len(unit_group_structure(modulus)))
 
     @classmethod
     def all_characters(cls, modulus):

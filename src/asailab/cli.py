@@ -33,7 +33,7 @@ from .eigenform import (Weight, base_change, check_hecke_relations,
 from . import heckealg
 from .heckealg import HeckeAlgError
 from .asairep import (HypothesisError, asai_charpoly, asai_charpoly_via_induction,
-                      euler_system_norm_factor, verify_proj_Pl)
+                      euler_system_norm_factor)
 from .eisenstein import (EisensteinPole, diagonal_mellin_check,
                          eisenstein_continued, eisenstein_lattice_sum,
                          kronecker_limit_check, siegel_stop, siegel_unit)
@@ -154,16 +154,17 @@ def _json_default(obj):
 
 
 def _local_form(args):
-    """The report inputs and synthetic form of --d, --ell, --lambda, --w and --eps."""
-    lambdas = [parse_rational(x) for x in args.lam]
-    eps = int(args.eps)
+    """The report inputs and synthetic form of --d, --ell, --lambda, --w and
+    --eps; the inputs name eps only at -1."""
+    lambdas, eps = [parse_rational(x) for x in args.lam], args.eps
     field = RealQuadraticField(args.d)
     n_primes = len(field.primes_above(args.ell))
     if n_primes != len(lambdas):
         raise UsageError(f"{n_primes} primes above {args.ell} but {len(lambdas)} lambda values")
     form = synthetic_form(field, Weight(args.w, args.w, 0, 0), {args.ell: lambdas},
                           {args.ell: eps} if eps != 1 else None)
-    return {"d": args.d, "ell": args.ell, "lambda": args.lam, "w": args.w}, form
+    inputs = {"d": args.d, "ell": args.ell, "lambda": args.lam, "w": args.w}
+    return {**inputs, "eps": eps} if eps != 1 else inputs, form
 
 
 def _load_form_arg(args, bound):
@@ -300,13 +301,7 @@ def cmd_euler_factor(args):
            "tensor_induction_coefficients": via.coeffs,
            "agree": pl == via,
            "normalization": "includes the (t+t') twist: T(l) -> l^{-(t+t')} lambda((l))"}
-    return inputs, res, {}, 0
-
-
-def cmd_verify_pl(args):
-    inputs, form = _local_form(args)
-    ok = verify_proj_Pl(form, args.ell)
-    return inputs, {"agree": ok}, {}, 0 if ok else 2
+    return inputs, res, {}, 0 if res["agree"] else 2
 
 
 def _labels_arg(text):
@@ -634,7 +629,8 @@ def build_parser():
     local.add_argument("--lambda", dest="lam", action="append", required=True,
                        help="lambda at a prime above ell (repeat for split primes)")
     local.add_argument("--w", type=int, default=2, help="motivic weight w = k+2 (t = 0)")
-    local.add_argument("--eps", default="1")
+    local.add_argument("--eps", type=int, choices=(1, -1), default=1,
+                       help="nebentype eps at the primes above ell, 1 or -1 (default 1)")
     form = argparse.ArgumentParser(add_help=False)
     form.add_argument("--form")
     form.add_argument("--delta", action="store_true",
@@ -668,9 +664,8 @@ def build_parser():
     p.add_argument("--save")
     p.set_defaults(func=cmd_base_change)
 
-    for name, fn in (("euler-factor", cmd_euler_factor), ("verify-pl", cmd_verify_pl)):
-        p = sub.add_parser(name, help="Asai Euler factor from local data", parents=[local])
-        p.set_defaults(func=fn)
+    p = sub.add_parser("euler-factor", help="Asai Euler factor from local data", parents=[local])
+    p.set_defaults(func=cmd_euler_factor)
 
     p = sub.add_parser("hecke-identity", help="normalise/compare symbolic expressions")
     p.add_argument("--expr", required=True)

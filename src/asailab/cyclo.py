@@ -15,7 +15,8 @@ from itertools import combinations
 import mpmath
 
 from .arith import factorise
-from .precision import mp_context
+from .characters import _root_value
+from .precision import mp_context, working_precision
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +127,9 @@ class CyclotomicValue:
         return " + ".join(bits) if bits else "0"
 
     def to_mpc(self, prec=None):
+        """The value at zeta_M, read from the table of `RootOfUnity.to_mpc`."""
         with mp_context(prec):
-            z = mpmath.exp(2j * mpmath.pi / self.m)
+            z = _root_value(1, self.m, working_precision() if prec is None else prec)
             acc = mpmath.mpc(0)
             for c in reversed(self.num):
                 acc = acc * z + c

@@ -3,7 +3,8 @@ closed-form unfolding/regulator constants.
 
 L^imp(F, s) = L_(N)(chi, 2s - 2 - k - k') * sum_{n>=1} alpha(n) n^{-s},
 chi the nebentype restricted to (Z/N)^x, N the positive generator of
-(level cap Z).  The shift 2s - 2 - k - k' is the one forced by the local
+(level cap Z): trivial, as AsaiLSeries refuses any other, so no character
+object is kept.  The shift 2s - 2 - k - k' is the one forced by the local
 Hecke identity sum_j alpha(l^j) X^j = (1 - chi(l) l^{k+k'+2} X^2) / P_l(F, X)
 at good unramified l; with it the Euler product over good primes of
 P_l(F, l^{-s})^{-1} reproduces the Dirichlet series exactly.
@@ -23,7 +24,6 @@ import mpmath
 
 from .arith import primes_up_to, smallest_prime_factors
 from .asairep import asai_charpoly
-from .characters import DirichletCharacter
 from .coeffs import QuadElt, _coords, _plus, _times
 from .eigenform import _power_parts
 from .precision import GUARD_BITS, exact_fixed, fixed, from_fixed, inverse_power, mp_context
@@ -70,15 +70,14 @@ def _multiplicative_table(n_max, c1, local, e):
 
 
 class AsaiLSeries:
-    """Imprimitive Asai L-series of a form with trivial nebentype: chi is the
-    trivial character mod N."""
+    """Imprimitive Asai L-series of a form with trivial nebentype: eps(P) = 1,
+    and chi(n) is 1 at gcd(n, N) = 1 and 0 elsewhere."""
 
     def __init__(self, form):
         if form.nebentype:
             raise LSeriesError("nontrivial nebentype restriction not implemented")
         self.form = form
         self.rational_level = form.rational_level()
-        self.chi = DirichletCharacter.trivial(self.rational_level)
 
     def alpha_table(self, n_max):
         """dirichlet_alpha_table of the form, built afresh on each call: kept, a
@@ -96,16 +95,18 @@ class AsaiLSeries:
         return 2 * s - 2 - self.shift_weight
 
     def local_factor(self, ell):
-        """The local factor of L^imp at a good prime l, zeta factor included,
-        as exact polynomials (num, den) in X = l^{-s}.
+        """The local factor of L^imp at a good prime l, zeta factor included, as
+        polynomials (num, den) in X = l^{-s} over QuadElts; l | N is refused here.
 
         Unramified l: ([1], P_l(F, X)).  Ramified l, (l) = P^2: alpha(l^j) =
         l^{-j(t+t')} lambda(P^{2j}) gives, with Xt = l^{-(t+t')} X,
             num = 1 + ab Xt,
-            den = (1 - a^2 Xt)(1 - b^2 Xt)(1 - chi(l) l^{k+k'+2} X^2),
-        a + b = lambda(P), ab = l^{w-1} eps(P), chi(l) = eps(P)^2.  Only
-        lambda(P) and eps(P) are read, never a stored lambda(P^e) with e >= 2.
+            den = (1 - a^2 Xt)(1 - b^2 Xt)(1 - l^{k+k'+2} X^2),
+        a + b = lambda(P) and ab = l^{w-1}, eps(P) and chi(l) being 1.  Only
+        lambda(P) is read, never a stored lambda(P^e) with e >= 2.
         """
+        if self.rational_level % ell == 0:
+            raise LSeriesError(f"missing bad factor C_l at l = {ell}")
         form = self.form
         one = form.coefficient_field.one()
         st = splitting_type(form.field, ell)
@@ -113,12 +114,12 @@ class AsaiLSeries:
             return [one], asai_charpoly(form, ell).coeffs
         p, = st.primes
         w = form.weight
-        lam, eps = form.lambda_of(p), form.eps_of(p)
-        # ab Xt = u X, (a^2 + b^2) Xt = v X and chi(l) l^{k+k'+2} X^2 = z X^2
+        lam = form.lambda_of(p)
+        # ab Xt = u X, (a^2 + b^2) Xt = v X and l^{k+k'+2} X^2 = z X^2
         xt = Fraction(ell) ** -(w.t1 + w.t2)
-        u = xt * Fraction(ell ** (w.w - 1)) * eps
+        u = one * (xt * ell ** (w.w - 1))
         v = xt * (lam * lam) - 2 * u
-        z = Fraction(ell ** (self.shift_weight + 2)) * (eps * eps)
+        z = ell ** (self.shift_weight + 2)
         return [one, u], [one, -v, u * u - z, z * v, -(z * (u * u))]
 
 
@@ -133,8 +134,8 @@ def imprimitive_L(series, s, n_cutoff=4000):
     relative, P the working precision, and X_n = X_p X_{n/p} >> W along smallest
     prime factors (kept for n <= N/2).  The alpha sum adds x X_n // den and,
     apart, y X_n // den for the triple (x, y, den) of alpha(n); the chi-zeta sum
-    adds n^{-u} = n^{k+k'+2} X_n^2 2^{-2W}, u = 2s-2-k-k', per residue class, and
-    reads chi once a class.  X_n is off by at most 2 log2(N) units of 2^-W (and
+    adds n^{-u} = n^{k+k'+2} X_n^2 2^{-2W}, u = 2s-2-k-k', at gcd(n, N) = 1, chi
+    being trivial mod N.  X_n is off by at most 2 log2(N) units of 2^-W (and
     log2 N times the X_p relative), so with |x|, |y| < 2^B and W = P + 2 GUARD_BITS
     + B + ceil((k+k'+2)/2 bits(N)) the alpha sum is off by at most N (2 log2 N + 2)
     2^{B-W} and the chi-zeta sum, which scales it by 2 n^{k+k'+2-Re s} <
@@ -151,11 +152,10 @@ def imprimitive_L(series, s, n_cutoff=4000):
         w = (mpmath.mp.prec + GUARD_BITS - (-(kk + 2) * int(n_cutoff).bit_length() // 2)
              + max(max(map(abs, xs)), max(map(abs, ys))).bit_length()
              + (e or 1).bit_length())
-        chi, m = series.chi, series.chi.modulus
-        by_residue = [0 if v is None else int(v.as_rational()) << w for v in map(chi, range(m))]
+        level = series.rational_level
         spf = smallest_prime_factors(n_cutoff)
         powers = [None] * (n_cutoff // 2 + 1)
-        sx, sy, zeta = 0, 0, [0] * m
+        sx = sy = zeta = 0
         for n in range(1, n_cutoff + 1):
             p = spf[n]
             xn = fixed(inverse_power(n, s_m), w) if p == n else powers[p] * powers[n // p] >> w
@@ -164,11 +164,12 @@ def imprimitive_L(series, s, n_cutoff=4000):
             x, y, den = table[n]
             sx += x * xn // den
             sy += y * xn // den
-            zeta[n % m] += n ** (kk + 2) * xn * xn
-        lch = sum(c * z for c, z in zip(by_residue, zeta))  # scaled 2^{3W}
+            if math.gcd(n, level) == 1:
+                zeta += n ** (kk + 2) * xn * xn
+        lch = zeta << w  # scaled 2^{3W}
         dirichlet = sx * (1 << w) + sy * math.isqrt(e << 2 * w)  # 2^{2W}
         report = {"n_cutoff": n_cutoff, "zeta_argument": complex(series.zeta_argument(s_m)),
-                  "chi_modulus": series.chi.modulus,
+                  "chi_modulus": level,
                   "normalization": "L_(N)(chi, 2s-2-k-k') * sum alpha(n) n^-s"}
         return from_fixed(lch * dirichlet, 5 * w), report
 
@@ -188,20 +189,18 @@ def _series_div(num, den, order, e):
 def euler_product_L(series, s, ell_cutoff=500):
     """Truncated Euler product of the imprimitive Asai L-function over the
     good primes l <= ell_cutoff, each factor series.local_factor(l) at X = l^{-s}
-    (`inverse_power`); a prime l | N, whose factor is not known here, raises.  Each
+    (`inverse_power`); local_factor refuses a prime l | N.  Each
     factor is exact at that rounded l^{-s} but for its last unit, and the
     product runs on integers scaled by 2^W, W = GUARD_BITS more than the
     working precision, losing at most two units of 2^-W (times its size) per
     prime.
     """
-    n_level, e = series.rational_level, series.form.coefficient_field.e or 0
+    e = series.form.coefficient_field.e or 0
     with mp_context():
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
         w = mpmath.mp.prec + GUARD_BITS
         total = 1 << w
         for ell in primes_up_to(int(ell_cutoff)):
-            if n_level % ell == 0:
-                raise LSeriesError(f"missing bad factor C_l at l = {ell}")
             num, den = series.local_factor(ell)
             total = total * _local_value(num, den, inverse_power(ell, s_m), w, e) >> w
         report = {"ell_cutoff": int(ell_cutoff), "primitive": False, "bad_primes": []}
@@ -252,11 +251,8 @@ def euler_product_coefficients(series, n_max):
     with e >= 2, so the comparison with the Dirichlet coefficients stays
     independent.
     """
-    n_level, local = series.rational_level, {}
-    cf = series.form.coefficient_field
+    local, cf = {}, series.form.coefficient_field
     for ell in primes_up_to(n_max):
-        if n_level % ell == 0:
-            raise LSeriesError("coefficient expansion only at good levels")
         order = max(k for k in range(1, n_max.bit_length() + 1) if ell ** k <= n_max)
         num, den = ([_coords(c) for c in poly] for poly in series.local_factor(ell))
         coeffs = _series_div(num, den, order + 1, cf.e or 0)
@@ -270,8 +266,8 @@ def imprimitive_coefficients(series, n_max):
     table, kk = series.alpha_table(n_max), series.shift_weight
     out = [[0, 0, 1] for _ in range(n_max + 1)]   # triples (x, y, den), summed over m
     for m in range(1, math.isqrt(n_max) + 1):
-        if (v := series.chi(m)) is not None:
-            c = int(v.as_rational()) * m ** (kk + 2)
+        if math.gcd(m, series.rational_level) == 1:
+            c = m ** (kk + 2)
             for (x, y, den), acc in zip(table[1:], out[m * m::m * m]):   # acc of n = m^2 j
                 acc[:] = acc[0] * den + c * x * acc[2], acc[1] * den + c * y * acc[2], acc[2] * den
     return [None] + [QuadElt.from_ints(*acc, series.form.coefficient_field) for acc in out[1:]]

@@ -28,8 +28,8 @@ file records:
   suite per checkout (alternating which side goes first), with the median
   and quartiles, and under `acceptance_process_s` the wall and the CPU
   seconds of each of those processes and their `probe_s`;
-- `probe_s` is the summed time of a fixed Fraction and big-int computation
-  (PROBE) that each acceptance process runs before each criterion: it moves
+- `probe_s` is the summed time of a fixed small-int Fraction and dict
+  computation (PROBE) that each acceptance process runs before each criterion: it moves
   with the machine's contention over the whole suite but not with the
   change, so each criterion also has `probe_scaled`, the quartiles of its
   `elapsed_s / probe_s` over the runs;
@@ -73,10 +73,14 @@ CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
 LAYER_REPEATS = 9  # three runs per side could not resolve a 30% move in a layer
 REPEATS = 7  # one slow run of three moved a median by a third
-PROBE = "sum(Fraction(1, n) for n in range(1, 3000)); math.factorial(30000)"
+PROBE = ("d = {}; [d.__setitem__(n % 61, d.get(n % 61, 0) + Fraction(n % 13 - 6, n % 11 + 1))"
+         " for n in range(1, 12000)]")
 # the probe runs before each criterion and probe_s is their sum: one probe of
-# 0.03 s in front of the suite spread wider than criteria 5 and 9 (BENCH_30)
-ACCEPTANCE = ("import json, math, time; from fractions import Fraction; "
+# 0.03 s in front of the suite spread wider than criteria 5 and 9 (BENCH_30),
+# and so did thousand-digit Fraction sums and math.factorial(30000) before each
+# criterion (BENCH_31); the criteria add and multiply small Fractions and
+# update dicts, and so does this probe, about 0.025 s a run on 2 cores
+ACCEPTANCE = ("import json, time; from fractions import Fraction; "
               "from asailab.acceptance import CRITERIA\n"
               f"def probe():\n t = time.perf_counter(); {PROBE}; return time.perf_counter() - t\n"
               "runs = [(probe(), c()['elapsed_s']) for c in CRITERIA]\n"

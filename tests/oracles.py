@@ -382,8 +382,10 @@ def lattice_by_complex_power(k, alpha, tau, s, cutoff):
 def imprimitive_L_by_terms(series, s, n_cutoff, prec=None):
     """lseries.imprimitive_L one term at a time: an mpmath power for every
     n <= n_cutoff, each term rounded and added in turn, in both the Dirichlet
-    sum and the chi-zeta factor."""
+    sum and the chi-zeta factor, chi the trivial character mod N read from
+    its character table."""
     import mpmath
+    from asailab.characters import DirichletCharacter, unit_group_structure
     from asailab.coeffs import QuadElt, to_mpf
     from asailab.precision import mp_context
     with mp_context(prec):
@@ -396,19 +398,13 @@ def imprimitive_L_by_terms(series, s, n_cutoff, prec=None):
             if x or y:
                 dirichlet += to_mpf(QuadElt.from_ints(x, y, den, cf)) * mpmath.power(n, -s_m)
         u = series.zeta_argument(s_m)
-        return +(dirichlet_l_by_terms(series.chi, u, n_cutoff) * dirichlet)
-
-
-def dirichlet_l_by_terms(chi, u, n_cutoff):
-    """The partial sum of L_(N)(chi, u) one term at a time, for a rational
-    chi read at every n.  Call it inside mp_context(prec)."""
-    import mpmath
-    acc = mpmath.mpc(0)
-    for n in range(1, n_cutoff + 1):
-        v = chi(n)
-        if v is not None:
-            acc += int(v.as_rational()) * mpmath.power(n, -u)
-    return acc
+        level = series.rational_level
+        chi = DirichletCharacter(level, [0] * len(unit_group_structure(level)))
+        lch = mpmath.mpc(0)
+        for n in range(1, n_cutoff + 1):
+            if (v := chi(n)) is not None:
+                lch += v.to_mpc() * mpmath.power(n, -u)
+        return +(lch * dirichlet)
 
 
 def factorise_by_trial_division(n):

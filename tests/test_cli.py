@@ -11,7 +11,8 @@ import pytest
 from asailab.arith import PRIMALITY_LIMIT, is_prime
 from asailab.cli import (_tokenise, build_parser, main, parse_complex,
                          parse_hecke_expression)
-from asailab import heckealg
+from asailab import cli, heckealg
+from asailab.asairep import AsaiCharPoly
 from asailab.quadfield import RealQuadraticField, splitting_type
 from oracles import strict_json
 
@@ -40,6 +41,49 @@ def test_euler_factor_command(capsys):
     assert rep["result"]["agree"] is True
     assert rep["command"] == "euler-factor"
     assert "precision" in rep["provenance"]
+
+
+def test_euler_factor_exits_2_when_the_routes_disagree(capsys, monkeypatch):
+    # the report still carries both coefficient lists
+    induced = cli.asai_charpoly_via_induction
+
+    def off_by_one(form, ell):
+        *head, last = induced(form, ell).coeffs
+        return AsaiCharPoly([*head, last + 1], "inert")
+    monkeypatch.setattr(cli, "asai_charpoly_via_induction", off_by_one)
+    code, out, _ = run_cli(capsys, "euler-factor", "--d", "5", "--ell", "3", "--lambda", "5")
+    assert code == 2
+    res = json.loads(out)["result"]
+    assert res["agree"] is False
+    assert res["coefficients"] == ["1", "-5", "0", "45", "-81"]
+    assert res["tensor_induction_coefficients"] == ["1", "-5", "0", "45", "-80"]
+
+
+@pytest.mark.parametrize("command", [["euler-factor"], ["norm-factor", "--m", "5"]])
+@pytest.mark.parametrize("eps", ["x", "0", "2"])
+def test_eps_other_than_plus_or_minus_one_is_a_usage_error(capsys, command, eps):
+    code, out, err = run_cli(capsys, *command, "--d", "5", "--ell", "3", "--lambda", "5",
+                             "--eps", eps)
+    assert code == 64 and not out
+    err = json.loads(err)
+    assert err["error"] == "usage" and err["message"].startswith("argument --eps: ")
+
+
+def test_eps_minus_one_is_recorded_in_the_inputs(capsys):
+    # eps = -1 flips the X^3 coefficient 9 eps lambda of the inert factor
+    # (1 - 5X + 9 eps X^2)(1 - 9 eps X^2), and only then do the inputs name eps
+    code, out, _ = run_cli(capsys, "euler-factor", "--d", "5", "--ell", "3", "--lambda", "5",
+                           "--eps", "-1")
+    rep = json.loads(out)
+    assert code == 0 and rep["inputs"]["eps"] == -1
+    assert rep["result"]["coefficients"] == ["1", "-5", "0", "-45", "-81"]
+    code, out, _ = run_cli(capsys, "norm-factor", "--d", "5", "--ell", "3", "--lambda", "5",
+                           "--m", "5", "--eps", "-1")
+    assert code == 0 and json.loads(out)["inputs"]["eps"] == -1
+    for argv in (["euler-factor"], ["norm-factor", "--m", "5"]):
+        _, out, _ = run_cli(capsys, *argv, "--d", "5", "--ell", "3", "--lambda", "5",
+                            "--eps", "1")
+        assert "eps" not in json.loads(out)["inputs"]
 
 
 def test_kronecker_command_and_exit(capsys):

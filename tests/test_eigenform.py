@@ -93,7 +93,7 @@ def test_base_change_missing_ap():
     with pytest.raises(EigenformError):
         base_change({2: -24}, 1, None, field5, bound=2)
     with pytest.raises(EigenformError, match="without nebentype"):
-        base_change({2: -24}, 12, DirichletCharacter.trivial(3), field5, bound=2)
+        base_change({2: -24}, 12, DirichletCharacter(3, [0]), field5, bound=2)
 
 
 def test_check_hecke_relations(field5, bc_form_500):

@@ -13,6 +13,7 @@ from asailab.lseries import (AsaiLSeries, LSeriesError, SymbolicConstant,
                              unfolding_constant)
 from asailab.arith import factorise, is_squarefree, primes_up_to, smallest_prime_factors
 from asailab.asairep import asai_charpoly
+from asailab.characters import DirichletCharacter, unit_group_structure
 from asailab.eigenform import (Weight, HilbertEigenform, base_change,
                                discriminant_form_ap, synthetic_form)
 from asailab.coeffs import CoefficientField
@@ -109,13 +110,19 @@ def test_ramified_local_factor_against_recursion(bc_form_500, field5):
 
 
 def test_euler_product_bad_factor_handling(bc_form_500):
-    # no bad factor is known here: a prime dividing the level raises, and a
-    # level-1 report names no bad prime
+    # no bad factor is known here: local_factor refuses a prime dividing the
+    # level, with one message for both Euler-product routes, and a level-1
+    # report names no bad prime
     _, report = euler_product_L(AsaiLSeries(bc_form_500), 14, ell_cutoff=100)
     assert report == {"ell_cutoff": 100, "primitive": False, "bad_primes": []}
     level5 = AsaiLSeries(_level5_form())
-    with pytest.raises(LSeriesError, match="l = 5"):
+    message = r"^missing bad factor C_l at l = 5$"
+    with pytest.raises(LSeriesError, match=message):
+        level5.local_factor(5)
+    with pytest.raises(LSeriesError, match=message):
         euler_product_L(level5, 14, ell_cutoff=100)
+    with pytest.raises(LSeriesError, match=message):
+        euler_product_coefficients(level5, 100)
 
 
 def test_constant_report_evaluates_the_constant_once(monkeypatch):
@@ -235,14 +242,11 @@ def test_euler_product_all_lambda_zero(field5):
 def test_imprimitive_zero_function():
     # the zero function has L = 0; exercised through a degenerate stub since
     # eigenforms normalise lambda(1) = 1
-    from asailab.characters import DirichletCharacter
-
     class ZeroSeries:
         class form:
             class weight:
                 k = kprime = t1 = t2 = 0
             coefficient_field = CoefficientField(None)
-        chi = DirichletCharacter.trivial(1)
         rational_level = 1
         shift_weight = 0
 
@@ -266,7 +270,10 @@ def _mp(c, e):
 
 
 def _reference_L(series, s, n_cutoff):
-    """imprimitive_L summed term by term at 400 bits, chi from exp(2 pi i e/n)."""
+    """imprimitive_L summed term by term at 400 bits, chi the trivial character
+    mod N, its values from exp(2 pi i e/n)."""
+    level = series.rational_level
+    chi = DirichletCharacter(level, [0] * len(unit_group_structure(level)))
     with mpmath.workprec(400):
         table = series.alpha_table(n_cutoff)
         u = series.zeta_argument(s)
@@ -274,7 +281,7 @@ def _reference_L(series, s, n_cutoff):
         dirichlet = mpmath.fsum(_mp(table[n], e) * mpmath.power(n, -s)
                                 for n in range(1, n_cutoff + 1) if table[n][:2] != (0, 0))
         lch = mpmath.fsum(mpmath.expjpi(2 * mpmath.mpf(v.e) / v.n) * mpmath.power(n, -u)
-                          for n in range(1, n_cutoff + 1) if (v := series.chi(n)) is not None)
+                          for n in range(1, n_cutoff + 1) if (v := chi(n)) is not None)
         return dirichlet * lch
 
 
@@ -456,35 +463,27 @@ def test_euler_coefficients_are_sym2_times_twisted_zeta(d):
 
 def _forms_with_ramified_primes():
     """The Delta base changes over d < 30, the one over Q(sqrt 5) twisted to
-    t + t' = 1 and -2, and a synthetic form over Q(sqrt 3) with eps(P) = -1
-    at both ramified primes and t + t' = 1."""
+    t + t' = 1 and -2, and a synthetic form over Q(sqrt 3), lambda(P) = 3 and
+    5 at its two ramified primes and t + t' = 1: forms that AsaiLSeries
+    accepts, so of trivial nebentype."""
     yield from (_delta_over(d) for d in SQUAREFREE_BELOW_30)
     base = _delta_over(5)
     for weight in (Weight(14, 12, 0, 1), Weight(10, 10, -1, -1)):
         yield HilbertEigenform(base.field, weight, base.level, base.coefficient_field,
                                base.eigenvalues)
-    yield synthetic_form(RealQuadraticField(3), Weight(4, 2, 0, 1), {2: [3], 3: [5]},
-                         eps_values={2: -1, 3: -1})
+    yield synthetic_form(RealQuadraticField(3), Weight(4, 2, 0, 1), {2: [3], 3: [5]})
 
 
 def test_series_refuses_a_nebentype():
-    # chi would be the nebentype on (Z/N)^x, and only the trivial one is built
+    # chi would be the nebentype on (Z/N)^x, and only the trivial one is known
     form = synthetic_form(RealQuadraticField(3), Weight(4, 2, 0, 1), {2: [3]}, eps_values={2: -1})
     with pytest.raises(LSeriesError, match="nontrivial nebentype restriction not implemented"):
         AsaiLSeries(form)
 
 
-class _LocalFactors(AsaiLSeries):
-    """local_factor of a form without its chi: AsaiLSeries refuses the
-    synthetic form's nebentype, and local_factor does not read chi."""
-
-    def __init__(self, form):
-        self.form = form
-
-
 def test_ramified_local_factor_matches_the_series_oracle():
     for form in _forms_with_ramified_primes():
-        series = _LocalFactors(form)
+        series = AsaiLSeries(form)
         for ell, _ in factorise(form.field.disc):
             got = power_series_quotient(*series.local_factor(ell), 41)
             want = ramified_local_factor_series(form, ell, 40)
