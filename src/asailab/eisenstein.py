@@ -319,6 +319,16 @@ def _hyperu_values(a, b, z1, N, bits):
     return [vals[n] for n in range(1, N + 1)]
 
 
+@functools.lru_cache(maxsize=1024)
+def _unit_circle(odd, den, prec):
+    """2 sin(2 pi j / den) at odd k, else 2 cos, for 0 <= j < den, as mpfs at the
+    working precision: they depend on k only by its parity and on alpha only by
+    its denominator, so they are memoised; `prec`, the working precision, is
+    part of the key only."""
+    trig = mpmath.sinpi if odd else mpmath.cospi
+    return tuple(2 * trig(mpmath.mpf(2 * j) / den) for j in range(den))
+
+
 def _oscillating(k, alpha, tau, s):
     """The r != 0 Fourier modes, with hypergeometric-U coefficients.
 
@@ -345,8 +355,7 @@ def _oscillating(k, alpha, tau, s):
     us1 = _hyperu_values(s, 2 * s + k, z1, n_max, bits)
     us2 = [] if poch == 0 else _hyperu_values(s + k, 2 * s + k, z1, n_max, bits)
     num, den = alpha.numerator, alpha.denominator
-    trig = mpmath.sinpi if k % 2 else mpmath.cospi
-    cs = [fixed(2 * trig(mpmath.mpf(2 * j) / den), bits) for j in range(den)]
+    cs = [fixed(c, bits) for c in _unit_circle(k % 2, den, mpmath.mp.prec)]
     if mpmath.isint(w):   # r^w 2^bits, exact or floored
         w = int(w)
         pw = [r ** w << bits if w >= 0 else (1 << bits) // r ** -w for r in rs]
@@ -428,10 +437,13 @@ def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600):
     the 1e-4 scale checks this supports.  As Gamma(s', x) <= x^{s'} e^{-x} /
     (x - s' + 1) at x >= s', the tail past Y is at most Y^{s'} sum |alpha(n)|
     e^{-x_n} / (x_n - s' + 1), x_n = c n Y, if x_1 >= s'; EisensteinError is
-    raised when x_1 < s' or this bound passes 1e-4 |rhs|.
+    raised when x_1 < s' or this bound passes 1e-4 |rhs|, and for a non-finite
+    s' or an rhs past the double range.
     """
     import numpy as np
     sprime = float(sprime)
+    if not math.isfinite(sprime):
+        raise EisensteinError(f"need a finite s', got {sprime}")
     if sprime <= 1:
         raise EisensteinError("need Re(s') > 1 for the kernel integral")
     disc = form.field.disc
@@ -446,7 +458,12 @@ def diagonal_mellin_check(form, sprime, y_cutoff=40.0, n_max=600):
     if not alphas.any():
         return 0.0, 0.0, 0.0
     dirichlet = float(np.sum(alphas * ns ** (-sprime)))
-    rhs = math.gamma(sprime) * (math.sqrt(disc) / (4 * math.pi)) ** sprime * dirichlet
+    try:
+        rhs = math.gamma(sprime) * (math.sqrt(disc) / (4 * math.pi)) ** sprime * dirichlet
+    except OverflowError:   # from Gamma(s') or the power, past about s' = 171.6 at d = 5
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise EisensteinError(f"rhs at s' = {sprime:g} is past the double range")
     x = c * y_cutoff * ns
     tail = math.inf if x[0] < sprime else float(np.sum(np.abs(alphas) * np.exp(
         sprime * math.log(y_cutoff) - x - np.log(x - sprime + 1))))

@@ -58,14 +58,21 @@ def dirichlet_alpha_table(form, n_max):
 
 def _multiplicative_table(n_max, c1, local, e):
     """[None, c(1), ..., c(n_max)] with c(1) = c1 and c(n) the product of the
-    triples local[l, k] over l^k || n, assembled along smallest prime factors."""
+    triples local[l, k] over l^k || n, assembled along smallest prime factors:
+    two integers (x, 0, 1) multiply as ints, any other pair by `_times`."""
     spf = smallest_prime_factors(n_max)
     table = [None, c1] + [None] * (n_max - 1)
     for n in range(2, n_max + 1):
         ell, m, k = spf[n], n // spf[n], 1
         while m % ell == 0:
             m, k = m // ell, k + 1
-        table[n] = _times(local[ell, k], table[m], e) if m > 1 else local[ell, k]
+        u = local[ell, k]
+        if m == 1:
+            table[n] = u
+        elif (v := table[m])[2] == u[2] == 1 and not (u[1] or v[1]):   # both integers
+            table[n] = u[0] * v[0], 0, 1
+        else:
+            table[n] = _times(u, v, e)
     return table
 
 
@@ -133,13 +140,16 @@ def imprimitive_L(series, s, n_cutoff=4000):
     X_p = p^{-s} 2^W is `inverse_power` at primes p only, 2^-(P+GUARD_BITS)
     relative, P the working precision, and X_n = X_p X_{n/p} >> W along smallest
     prime factors (kept for n <= N/2).  The alpha sum adds x X_n // den and,
-    apart, y X_n // den for the triple (x, y, den) of alpha(n); the chi-zeta sum
-    adds n^{-u} = n^{k+k'+2} X_n^2 2^{-2W}, u = 2s-2-k-k', at gcd(n, N) = 1, chi
-    being trivial mod N.  X_n is off by at most 2 log2(N) units of 2^-W (and
-    log2 N times the X_p relative), so with |x|, |y| < 2^B and W = P + 2 GUARD_BITS
-    + B + ceil((k+k'+2)/2 bits(N)) the alpha sum is off by at most N (2 log2 N + 2)
-    2^{B-W} and the chi-zeta sum, which scales it by 2 n^{k+k'+2-Re s} <
-    2 N^{(k+k')/2}, by 4 log2(N) N^{(k+k')/2+1} 2^-W: both below 2^-P.
+    apart, y X_n // den for the triple (x, y, den) of alpha(n) (x X_n and y X_n
+    at den = 1); the chi-zeta sum adds n^{-u} = (n^{(k+k')/2+1} X_n)^2 2^{-2W},
+    u = 2s-2-k-k', at gcd(n, N) = 1, chi being trivial mod N: k + k' is even,
+    so the square is the integer n^{k+k'+2} X_n^2, at one big product a term
+    instead of two, and the bounds below are those of that integer.  X_n is off
+    by at most 2 log2(N) units of 2^-W (and log2 N times the X_p relative), so
+    with |x|, |y| < 2^B and W = P + 2 GUARD_BITS + B + ceil((k+k'+2)/2 bits(N))
+    the alpha sum is off by at most N (2 log2 N + 2) 2^{B-W} and the chi-zeta
+    sum, which scales it by 2 n^{k+k'+2-Re s} < 2 N^{(k+k')/2}, by
+    4 log2(N) N^{(k+k')/2+1} 2^-W: both below 2^-P.
     """
     with mp_context():
         s_m = mpmath.mpc(s) if complex(s).imag else mpmath.mpf(complex(s).real)
@@ -156,16 +166,22 @@ def imprimitive_L(series, s, n_cutoff=4000):
         spf = smallest_prime_factors(n_cutoff)
         powers = [None] * (n_cutoff // 2 + 1)
         sx = sy = zeta = 0
+        half = kk // 2 + 1   # k + k' is even for every Weight
         for n in range(1, n_cutoff + 1):
             p = spf[n]
             xn = fixed(inverse_power(n, s_m), w) if p == n else powers[p] * powers[n // p] >> w
             if n < len(powers):
                 powers[n] = xn
             x, y, den = table[n]
-            sx += x * xn // den
-            sy += y * xn // den
+            if den == 1:
+                sx += x * xn
+                sy += y * xn
+            else:
+                sx += x * xn // den
+                sy += y * xn // den
             if math.gcd(n, level) == 1:
-                zeta += n ** (kk + 2) * xn * xn
+                t = n ** half * xn
+                zeta += t * t
         lch = zeta << w  # scaled 2^{3W}
         dirichlet = sx * (1 << w) + sy * math.isqrt(e << 2 * w)  # 2^{2W}
         report = {"n_cutoff": n_cutoff, "zeta_argument": complex(series.zeta_argument(s_m)),
@@ -189,7 +205,8 @@ def _series_div(num, den, order, e):
 def euler_product_L(series, s, ell_cutoff=500):
     """Truncated Euler product of the imprimitive Asai L-function over the
     good primes l <= ell_cutoff, each factor series.local_factor(l) at X = l^{-s}
-    (`inverse_power`); local_factor refuses a prime l | N.  Each
+    (`inverse_power`, which keeps the values that `imprimitive_L` has just
+    computed at the same s); local_factor refuses a prime l | N.  Each
     factor is exact at that rounded l^{-s} but for its last unit, and the
     product runs on integers scaled by 2^W, W = GUARD_BITS more than the
     working precision, losing at most two units of 2^-W (times its size) per

@@ -19,6 +19,7 @@ DEFAULT_PRECISION = 64
 MIN_PRECISION = 24
 GUARD_BITS = 16
 _MINUS_LOG = {}   # (p, bits) -> -log p to `bits` bits: the table of logs, one per precision
+_POWERS = (None, {})   # ((s, prec), {p: p^-s}): inverse_power's values at the last s and prec
 
 
 def working_precision():
@@ -55,7 +56,27 @@ def exact_fixed(x):
 def inverse_power(p, s):
     """p^{-s} for an int p >= 1 and an mpf or mpc s, as exp(-s log p) at q = prec +
     3 + bits(|s| bits(p)) bits, prec the caller's: rounding log p and s log p moves
-    the exponent by under 2^-(prec+2), and exp rounds by under 2^-(prec+1)."""
+    the exponent by under 2^-(prec+2), and exp rounds by under 2^-(prec+1).
+
+    The values at the last (s, prec) asked for are kept in `_POWERS`, keyed by
+    the raw mpf or mpc tuple of s and prec, and a call at another s or prec
+    replaces that table whole: both L-value routes ask for p^{-s} at the same s
+    in turn, so the Euler product reads the primes the Dirichlet series has just
+    raised.  A value depends on (p, s, prec) alone, so a kept one is the one a
+    fresh call gives, bit for bit; the table holds one mpf or mpc per p asked
+    for, at most pi(n_cutoff) of them for `imprimitive_L`."""
+    global _POWERS
+    key = (s._mpc_ if isinstance(s, mpmath.mpc) else s._mpf_, mpmath.mp.prec)
+    powers = _POWERS   # this call's table, whatever other threads put in its place
+    if powers[0] != key:
+        powers = _POWERS = key, {}
+    value = powers[1].get(p)
+    if value is None:
+        value = powers[1][p] = _inverse_power(p, s)
+    return value
+
+
+def _inverse_power(p, s):
     bits = mpmath.mp.prec + 3 + int(abs(complex(s)) * p.bit_length()).bit_length()
     log = _MINUS_LOG.get((p, bits)) or _MINUS_LOG.setdefault(
         (p, bits), mpf_neg(mpf_log(from_int(p), bits, "n")))

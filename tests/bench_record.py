@@ -72,7 +72,8 @@ from test_callers import optional_parameters, public_names
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = 10
 LAYER_REPEATS = 9  # three runs per side could not resolve a 30% move in a layer
-REPEATS = 7  # one slow run of three moved a median by a third
+REPEATS = 11  # one slow run of three moved a median by a third, and seven did not
+# resolve a per-criterion move (BENCH_32: two slow processes of seven set the quartiles)
 PROBE = ("d = {}; [d.__setitem__(n % 61, d.get(n % 61, 0) + Fraction(n % 13 - 6, n % 11 + 1))"
          " for n in range(1, 12000)]")
 # the probe runs before each criterion and probe_s is their sum: one probe of

@@ -519,17 +519,23 @@ LABELS = '{"l1": {"norm": 11}}'
     *(([f"ASAILAB_PRECISION={bits}", "field-info", "--d", "5"], 64, "usage",
        f"ASAILAB_PRECISION must be an integer from 24 to 192, got '{bits}'")
       for bits in ("abc", "10", "193")),
+    *((["mellin-check", "--delta", "--d", "5", f"--sprime={sprime}"], 1, "validation",
+       f"rhs at s' = {sprime} is past the double range") for sprime in ("172", "1000")),
+    *((["mellin-check", "--delta", "--d", "5", f"--sprime={sprime}"], 1, "validation",
+       f"need a finite s', got {sprime}") for sprime in ("nan", "inf")),
 ], ids=["nested-parentheses", "nested-labels", "tau-overflow",
         "label-norm-overflow", "label-norm-fraction", "label-unit-string",
         "lattice-gamma-overflow", "lattice-power-overflow",
         "continuation-tiny-im-tau", "kronecker-tiny-im-tau",
-        "precision-not-an-integer", "precision-below-24", "precision-above-limit"])
+        "precision-not-an-integer", "precision-below-24", "precision-above-limit",
+        "mellin-gamma-overflow", "mellin-huge-sprime", "mellin-nan-sprime", "mellin-inf-sprime"])
 @pytest.mark.filterwarnings("error")   # nothing from numpy on the way
 def test_hostile_input_ends_in_a_json_error(capsys, monkeypatch, argv, code, label, message):
     # each of these ended in an uncaught RecursionError or OverflowError, or
     # (a fractional norm, a string unit) was read as something else, or (a
     # lattice value past the double range) in numpy warnings and a NaN
-    # message, or (ASAILAB_PRECISION) ran at 64 or 24 bits or without end
+    # message, or (ASAILAB_PRECISION) ran at 64 or 24 bits or without end,
+    # or (a non-finite s') was named as a NaN tail
     if "=" in argv[0]:   # a leading NAME=value sets the environment, as in a shell
         monkeypatch.setenv(*argv[0].split("=", 1))
         argv = argv[1:]

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -5,6 +7,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 
+import asailab.precision
 from asailab import arith, lseries
 from asailab.lseries import (AsaiLSeries, LSeriesError, SymbolicConstant,
                              dirichlet_alpha_table, euler_product_L,
@@ -513,6 +516,69 @@ def test_inverse_power_against_mpmath_power(bits):
             for p, value in zip(primes, got):
                 want = mpmath.power(p, -s_m)
                 assert abs(value - want) <= abs(want) * mpmath.ldexp(1, -bits), (s, p)
+
+
+def _raw(values):
+    return [v._mpc_ if isinstance(v, mpmath.mpc) else v._mpf_ for v in values]
+
+
+def _fresh_powers(monkeypatch, primes, s_m):
+    """p^{-s} at each prime from an emptied table, as raw mpmath tuples."""
+    monkeypatch.setattr(asailab.precision, "_POWERS", (None, {}))
+    return _raw(inverse_power(p, s_m) for p in primes)
+
+
+def test_inverse_power_keeps_the_values_of_the_last_s(precision, monkeypatch):
+    # at interleaved s (a complex one among them) and two working precisions
+    # the kept table gives bit for bit what an emptied one computes, a repeat
+    # call the very object kept, and a new s or precision replaces it whole
+    primes = primes_up_to(600)
+    svals = [mpmath.mpf(14), mpmath.mpf(13.5), mpmath.mpc(14, 40)]
+    want = {}
+    for bits in (64, 192):
+        precision(bits)
+        with mp_context():
+            want.update(((bits, i), _fresh_powers(monkeypatch, primes, s_m))
+                        for i, s_m in enumerate(svals))
+    for bits, i in ((64, 0), (64, 1), (64, 0), (64, 2), (192, 2), (192, 0), (64, 0)):
+        precision(bits)
+        with mp_context():
+            got = [inverse_power(p, svals[i]) for p in primes]
+            assert _raw(got) == want[bits, i], (bits, i)
+            assert all(inverse_power(p, svals[i]) is v for p, v in zip(primes, got))
+            assert len(asailab.precision._POWERS[1]) == len(primes)
+
+
+def test_concurrent_inverse_powers_agree(precision, monkeypatch):
+    # eight threads, half at one s and half at the other in each round, ask
+    # for p^{-s} at a switch interval short enough that they interleave, each
+    # switch of s replacing the table: each gets the serial values
+    primes = primes_up_to(300)
+    precision(64)
+    with mp_context():
+        svals = [mpmath.mpf(14), mpmath.mpc(13.5, 2)]
+        want = [_fresh_powers(monkeypatch, primes, s_m) for s_m in svals]
+        barrier, got = threading.Barrier(8), [[] for _ in range(8)]
+
+        def ask(first, out):
+            for i in range(first, first + 20):
+                barrier.wait(timeout=10)
+                out.append(_raw(inverse_power(p, svals[i % 2]) for p in primes))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(first, out))
+                       for first, out in enumerate(got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == [want[i % 2] for i in range(first, first + 20)]
+               for first, out in enumerate(got))
 
 
 def _read_by_the_other_route(*args):
